@@ -69,12 +69,16 @@ class MomentumDistribution:
         return float(trapezoid(self.densities, self.k_values))
 
 
+def rspd_from_amplitudes(psi, grid):
+    """Reduced density matrix rho = dx psi psi^T of normalized N x N amplitudes."""
+    rho = grid.spacing * (psi @ psi.T)
+    rho = 0.5 * (rho + rho.T)
+    return DensityMatrix(values=rho, grid=grid)
+
+
 def rspd_from_state(state):
     """Reduced density matrix of a DVR TwoBodyState by mesh quadrature."""
-    psi = state.amplitudes
-    rho = state.grid.spacing * (psi @ psi.T)
-    rho = 0.5 * (rho + rho.T)
-    return DensityMatrix(values=rho, grid=state.grid)
+    return rspd_from_amplitudes(state.amplitudes, state.grid)
 
 
 def natural_orbitals(rho):

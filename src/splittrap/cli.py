@@ -4,7 +4,7 @@ Subcommands
 -----------
 spectrum : single-particle levels over one or more barrier strengths
 tonks    : analytic hard-core pair observables
-dvr      : grid-solver pair observables at finite coupling
+dvr      : grid-solver pair observables at any coupling, hard core included
 sweep    : cartesian (kappa, g1d) sweeps in any of the three modes
 units    : convert a physical trap setup to the scaled 1D coupling
 
@@ -24,13 +24,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from scipy.constants import hbar
-
 from . import analysis, dvr, tonks
 from .single_particle import BarrierStrength, BracketError, spectrum
 
-TG_COUPLING_PROXY = 500.0
 CONFINEMENT_CONSTANT = 1.4603
+# Exact in SI since 2019: h = 6.62607015e-34 J s.
+HBAR = 6.62607015e-34 / (2 * math.pi)
 
 _MODES = ("spectrum", "tonks", "dvr")
 _OUTPUTS = ("energy", "rspd", "momentum", "entropy", "schmidt")
@@ -87,8 +86,8 @@ def g1d_from_physical(omega_perp, omega, mass, a3d):
     a3d = float(a3d)
     if not math.isfinite(a3d) or a3d == 0.0:
         raise ValueError(f"a3d must be finite and nonzero, got {a3d!r}")
-    d_perp = math.sqrt(hbar / (units.mass * units.omega_perp))
-    d = math.sqrt(hbar / (units.mass * units.omega))
+    d_perp = math.sqrt(HBAR / (units.mass * units.omega_perp))
+    d = math.sqrt(HBAR / (units.mass * units.omega))
     resonance_term = 1.0 - CONFINEMENT_CONSTANT * a3d / d_perp
     if abs(resonance_term) <= 1e-9:
         raise ConfinementResonanceError(
@@ -96,8 +95,8 @@ def g1d_from_physical(omega_perp, omega, mass, a3d):
             "confinement-induced resonance"
         )
     a1d = -(d_perp**2 / (2.0 * a3d)) * resonance_term
-    g1d_si = -2.0 * hbar**2 / (units.mass * a1d)
-    g1d = g1d_si / (hbar * units.omega * d)
+    g1d_si = -2.0 * HBAR**2 / (units.mass * a1d)
+    g1d = g1d_si / (HBAR * units.omega * d)
     notes = []
     if units.omega_perp / units.omega < 10.0:
         notes.append(
@@ -134,7 +133,6 @@ class SweepSpec:
     out: str
     fmt: str
     workers: int
-    notes: tuple = ()
 
 
 @dataclass
@@ -157,6 +155,12 @@ def _fmt_value(value):
 
 def _round12(value):
     return float(f"{value:.12g}")
+
+
+def _g1d_field(mode, g1d):
+    # An infinite coupling is written as the label "inf", never as a
+    # float, so that JSON output holds no bare Infinity.
+    return "inf" if mode == "tonks" or g1d == math.inf else g1d
 
 
 def _point_tasks(spec):
@@ -195,17 +199,15 @@ def _evaluate_point(task):
             name in spec.outputs for name in ("rspd", "momentum", "entropy", "schmidt")
         )
         grid = dvr.build_grid(spec.n_points, spec.spacing)
-        record = {"kappa": barrier.label()}
+        record = {"kappa": barrier.label(), "g1d": _g1d_field(mode, g1d)}
         rho = None
         if mode == "tonks":
-            record["g1d"] = "inf"
             state = tonks.tonks_state(barrier)
             if "energy" in spec.outputs:
                 record["energy"] = state.pair_energy
             if wants_density:
                 rho = tonks.tonks_rspd(barrier, grid)
         else:
-            record["g1d"] = g1d
             state = dvr.ground_state(grid, barrier, g1d)
             if "energy" in spec.outputs:
                 record["energy"] = state.energy
@@ -233,7 +235,7 @@ def _evaluate_point(task):
             "records": [
                 {
                     "kappa": barrier.label(),
-                    "g1d": "inf" if mode == "tonks" else g1d,
+                    "g1d": _g1d_field(mode, g1d),
                 }
             ],
         }
@@ -252,13 +254,8 @@ def run_sweep(spec):
     out = SweepResult(records=[], curves={}, matrices={}, failures=[])
     for task, result in zip(tasks, results):
         mode, barrier, g1d, _ = task
-        if mode == "tonks":
-            g_label = "inf"
-        elif g1d is None:
-            g_label = ""
-        else:
-            g_label = _fmt_value(g1d)
-        key = (barrier.label(), g_label)
+        field = _g1d_field(mode, g1d)
+        key = (barrier.label(), "" if field is None else _fmt_value(field))
         if "error" in result:
             out.failures.append(
                 {"kappa": key[0], "g1d": key[1], "error": result["error"]}
@@ -311,8 +308,6 @@ def _write_json(spec, result, stream):
                     "k": [_round12(v) for v in k],
                     "n": [_round12(v) for v in dens],
                 }
-    if spec.notes:
-        payload["notes"] = list(spec.notes)
     json.dump(payload, stream, indent=2)
     stream.write("\n")
 
@@ -422,10 +417,10 @@ def build_parser():
     p_tonks = sub.add_parser("tonks", help="analytic hard-core pair")
     _add_common_flags(p_tonks)
 
-    p_dvr = sub.add_parser("dvr", help="grid solver at finite coupling")
+    p_dvr = sub.add_parser("dvr", help="grid solver at any coupling")
     _add_common_flags(p_dvr)
     p_dvr.add_argument("--g1d", nargs="+", default=None,
-                       help="contact couplings; numbers or 'inf' (mapped to 500)")
+                       help="contact couplings; numbers or 'inf' (hard core)")
 
     p_sweep = sub.add_parser("sweep", help="cartesian parameter sweep")
     _add_common_flags(p_sweep)
@@ -475,22 +470,14 @@ def _split_tokens(value):
     return [tok for tok in str(value).replace(",", " ").split() if tok]
 
 
-def _parse_couplings(tokens, notes):
+def _parse_couplings(tokens):
     out = []
     for tok in tokens:
-        low = str(tok).strip().lower()
-        if low in ("inf", "infinity"):
-            notes.append(
-                f"g1d = inf mapped to the hard-core proxy g1d = {TG_COUPLING_PROXY:g}; "
-                "use the tonks mode for the exact limit"
-            )
-            out.append(TG_COUPLING_PROXY)
-            continue
         try:
-            value = float(low)
+            value = float(tok)
         except ValueError as exc:
             raise ValueError(f"invalid coupling {tok!r}") from exc
-        if not math.isfinite(value) or value < 0.0:
+        if not value >= 0.0:
             raise ValueError(f"coupling must be >= 0, got {tok!r}")
         out.append(value)
     return out
@@ -504,7 +491,6 @@ def _spec_from_args(args):
         if mode not in _MODES:
             raise ValueError(f"sweep needs --mode from {_MODES}, got {mode!r}")
 
-    notes = []
     kappa_tokens = _pick(args.kappa, config, "kappa", None, _split_tokens)
     if not kappa_tokens:
         raise ValueError("at least one --kappa value is required")
@@ -512,14 +498,10 @@ def _spec_from_args(args):
 
     couplings = ()
     if mode == "dvr":
-        if any(b.infinite for b in barriers):
-            raise ValueError(
-                "kappa = inf is not representable on the grid; use the tonks mode"
-            )
         g_tokens = _pick(getattr(args, "g1d", None), config, "g1d", None, _split_tokens)
         if not g_tokens:
             raise ValueError("dvr mode needs at least one --g1d value")
-        couplings = tuple(_parse_couplings(_split_tokens(g_tokens), notes))
+        couplings = tuple(_parse_couplings(_split_tokens(g_tokens)))
 
     outputs_raw = _pick(getattr(args, "outputs", None), config, "outputs", "energy")
     outputs = tuple(
@@ -568,7 +550,6 @@ def _spec_from_args(args):
         out=out,
         fmt=fmt,
         workers=workers,
-        notes=tuple(notes),
     )
 
 
@@ -617,8 +598,6 @@ def main(argv=None):
     except (BracketError, dvr.ConvergenceError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
-    for note in spec.notes:
-        print(f"note: {note}", file=sys.stderr)
     _write_outputs(spec, result)
     if result.failures:
         _write_failures(spec, result)

@@ -22,12 +22,16 @@ the tail gives
     g1d_eff   = g1d / (1 + g1d dx / pi^2)
 
 where the contact term acts on the relative coordinate, whose reduced
-mass halves the shift.  What remains is the energy-dependent tail
-int_{|k|>pi/dx} dk/2pi 4E/k^4 = 4E dx^3 / (3 pi^4), so energies converge
-at third order in dx.
+mass halves the shift.  Both stay finite as the bare couplings diverge,
+kappa_eff -> pi^2 / (2 dx) and g1d_eff -> pi^2 / dx, so the impenetrable
+barrier (kappa = inf) and the hard-core contact (g1d = inf) are the same
+operator taken at those limits.  What remains is the energy-dependent
+tail int_{|k|>pi/dx} dk/2pi 4E/k^4 = 4E dx^3 / (3 pi^4), so energies
+converge at third order in dx.
 
-The full N^2 x N^2 matrix is never materialized; the ground state comes
-from a Krylov iteration driven by apply_hamiltonian.
+The full N^2 x N^2 matrix is never materialized; apply_hamiltonian and
+the Krylov iteration of ground_state apply the same product
+T x + x T + V * x to the N x N amplitude array.
 """
 
 import math
@@ -41,9 +45,10 @@ from .single_particle import BarrierStrength
 
 _DEGENERACY_GAP = 1e-6
 # Shift applied to the exchange-antisymmetric sector during the solve.
-# Must sit above every energy of interest; the operator's symmetric
-# spectrum tops out near g1d/spacing, a few thousand on paper-scale
-# parameters, so 1e4 clears it without stretching the Krylov range.
+# Must sit above every energy of interest.  The renormalized couplings
+# cap the symmetric spectrum near 3 pi^2 / dx^2 plus the trap, about
+# 1.2e3 on the 81 / 0.16 mesh, so 1e4 clears it without stretching the
+# Krylov range.
 _EXCHANGE_PENALTY = 1e4
 
 
@@ -115,55 +120,54 @@ def kinetic_matrix(grid):
     return _kinetic_matrix_cached(grid.n_points, grid.spacing)
 
 
-def _coerce_finite_kappa(kappa):
-    if isinstance(kappa, BarrierStrength):
-        if kappa.infinite:
-            raise ValueError(
-                "the grid solver needs a finite barrier; use the analytic route for kappa = inf"
-            )
-        return kappa.kappa
-    kappa = float(kappa)
-    if not math.isfinite(kappa) or kappa < 0.0:
-        raise ValueError(f"kappa must be finite and >= 0 on the grid, got {kappa!r}")
-    return kappa
+def _coupling(value, name):
+    # A barrier flag or a float; +inf is valid, NaN and negatives are not.
+    if isinstance(value, BarrierStrength):
+        return math.inf if value.infinite else value.kappa
+    value = float(value)
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return value
 
 
-def _coerce_coupling(g1d):
-    g1d = float(g1d)
-    if not math.isfinite(g1d) or g1d < 0.0:
-        raise ValueError(f"g1d must be finite and >= 0, got {g1d!r}")
-    return g1d
-
-
-def _potential_diagonal(grid, kappa, g1d):
+def _hamiltonian(grid, kappa, g1d):
+    """Validated couplings, kinetic matrix and potential diagonal of H."""
+    kappa = _coupling(kappa, "kappa")
+    g1d = _coupling(g1d, "g1d")
     dx = grid.spacing
-    kappa_eff = kappa / (1.0 + 2.0 * kappa * dx / math.pi**2)
-    g1d_eff = g1d / (1.0 + g1d * dx / math.pi**2)
+    if math.isinf(kappa):
+        kappa_eff = math.pi**2 / (2.0 * dx)
+    else:
+        kappa_eff = kappa / (1.0 + 2.0 * kappa * dx / math.pi**2)
+    if math.isinf(g1d):
+        g1d_eff = math.pi**2 / dx
+    else:
+        g1d_eff = g1d / (1.0 + g1d * dx / math.pi**2)
     q = grid.points
     v = 0.5 * (q[:, None] ** 2 + q[None, :] ** 2)
     mid = grid.center_index
     v[mid, :] += kappa_eff / dx
     v[:, mid] += kappa_eff / dx
     v[np.diag_indices_from(v)] += g1d_eff / dx
-    return v
+    return kappa, g1d, kinetic_matrix(grid), v
+
+
+def _apply(t, v, x):
+    return t @ x + x @ t + v * x
 
 
 def apply_hamiltonian(vec, grid, kappa, g1d):
     """Matrix-vector product H @ vec for the two-body Hamiltonian.
 
     ``vec`` holds the row-major flattened amplitudes on the N x N
-    product mesh.
+    product mesh.  kappa and g1d may be infinite.
     """
-    kappa = _coerce_finite_kappa(kappa)
-    g1d = _coerce_coupling(g1d)
+    _, _, t, v = _hamiltonian(grid, kappa, g1d)
     vec = np.asarray(vec, dtype=float)
     n = grid.n_points
     if vec.shape != (n * n,):
         raise ValueError(f"expected a flat vector of length {n * n}, got shape {vec.shape}")
-    t = kinetic_matrix(grid)
-    v = _potential_diagonal(grid, kappa, g1d)
-    x = vec.reshape(n, n)
-    return (t @ x + x @ t + v * x).ravel()
+    return _apply(t, v, vec.reshape(n, n)).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,8 +176,9 @@ class TwoBodyState:
 
     ``amplitudes`` is the N x N array Psi(q_i, q_j) normalized so that
     sum(Psi^2) * dx^2 = 1, sign-fixed to be positive at its peak.
-    ``gap`` is the distance to the next eigenvalue; a gap below 1e-6
-    marks the state as near-degenerate.
+    ``kappa`` and ``g1d`` are the bare couplings, math.inf for the
+    limits.  ``gap`` is the distance to the next eigenvalue; a gap below
+    1e-6 marks the state as near-degenerate.
     """
 
     energy: float
@@ -201,9 +206,10 @@ def ground_state(grid, kappa, g1d, *, tol=1e-10, maxiter=None):
     ----------
     grid : Grid
     kappa : float or BarrierStrength
-        Finite barrier strength.
+        Barrier strength, >= 0; math.inf or the infinite-barrier flag
+        give the impenetrable barrier.
     g1d : float
-        Contact coupling, >= 0 and finite.
+        Contact coupling, >= 0; math.inf gives the hard-core limit.
     tol : float
         Relative eigenvalue tolerance passed to the Krylov iteration.
 
@@ -213,18 +219,17 @@ def ground_state(grid, kappa, g1d, *, tol=1e-10, maxiter=None):
 
     Raises
     ------
+    ValueError
+        If kappa or g1d is negative or NaN.
     ConvergenceError
         If the Krylov iteration does not converge.
     """
-    kappa = _coerce_finite_kappa(kappa)
-    g1d = _coerce_coupling(g1d)
+    kappa, g1d, t, v = _hamiltonian(grid, kappa, g1d)
     n = grid.n_points
-    t = kinetic_matrix(grid)
-    v = _potential_diagonal(grid, kappa, g1d)
 
     def matvec(vec):
         x = 0.5 * (vec.reshape(n, n) + vec.reshape(n, n).T)
-        hx = t @ x + x @ t + v * x
+        hx = _apply(t, v, x)
         hx = 0.5 * (hx + hx.T)
         return hx.ravel() + _EXCHANGE_PENALTY * (vec - x.ravel())
 

@@ -4,10 +4,15 @@ Units are scaled: lengths in d = sqrt(hbar / m omega), energies in
 hbar omega, barrier strength kappa in hbar omega d.  Even parity
 levels come from the root of the gamma-ratio relation
 
-    -kappa = 2 Gamma(-E/2 + 3/4) / Gamma(-E/2 + 1/4)
+    -kappa = 2 Gamma(-E/2 + 3/4) / Gamma(-E/2 + 1/4),
 
-bracketed between the poles at E = 2j + 1/2 and E = 2j + 3/2; odd
-levels are barrier-blind harmonic oscillator states with E = n + 1/2.
+found as the root of the entire function
+
+    h(E) = 2 / Gamma(1/4 - E/2) + kappa / Gamma(3/4 - E/2)
+
+(the relation multiplied through by 1 / Gamma(3/4 - E/2)), which changes
+sign across the exact bracket [2j + 1/2, 2j + 3/2]; odd levels are
+barrier-blind harmonic oscillator states with E = n + 1/2.
 """
 
 import math
@@ -19,14 +24,12 @@ from scipy.integrate import simpson
 
 from . import specfun
 
-_BRACKET_INSET = 1e-9
-_BRACKET_INSET_RETRY = 1e-15
 _BISECTION_TOL = 1e-12
 _NORM_STEP = 1e-3
 
 
 class BracketError(RuntimeError):
-    """Gamma-ratio residual fails to change sign across a level bracket."""
+    """Bisection of a level bracket stalls before reaching its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -97,10 +100,9 @@ class EigenState:
         return eigenfunction(self, x)
 
 
-def _even_residual(energy, kappa):
-    num = specfun.gamma(0.75 - 0.5 * energy)
-    den = specfun.gamma(0.25 - 0.5 * energy)
-    return 2.0 * num / den + kappa
+def _even_h(energy, kappa):
+    rgamma = specfun.reciprocal_gamma
+    return 2.0 * rgamma(0.25 - 0.5 * energy) + kappa * rgamma(0.75 - 0.5 * energy)
 
 
 def even_energy(kappa, j):
@@ -129,28 +131,20 @@ def even_energy(kappa, j):
         return 2.0 * j + 0.5
     kap = barrier.kappa
 
-    left = 2.0 * j + 0.5
-    right = 2.0 * j + 1.5
-    for inset in (_BRACKET_INSET, _BRACKET_INSET_RETRY):
-        lo, hi = left + inset, right - inset
-        f_lo, f_hi = _even_residual(lo, kap), _even_residual(hi, kap)
-        if f_lo > 0.0 > f_hi:
-            break
-    else:
-        raise BracketError(
-            f"no sign change of the gamma-ratio residual on level {j} "
-            f"bracket ({left}, {right}) at kappa = {kap}"
-        )
-
-    # Bisection; the residual runs from +kappa down to -inf across the
-    # bracket.  Iterating past the nominal tolerance down to the
-    # floating-point floor keeps the residual small even for very large
-    # kappa, where the root hugs the upper pole.
+    # Bisection on the exact bracket.  h has no poles, and at the ends
+    # only one of its terms survives: kappa / Gamma(1/2 - j) at the lower
+    # end, 2 / Gamma(-1/2 - j) at the upper, of opposite signs that
+    # alternate with j.  Iterating past the nominal tolerance down to the
+    # floating-point floor keeps the root exact even for very large or
+    # very small kappa, where it hugs one end of the bracket.
+    lo = 2.0 * j + 0.5
+    hi = 2.0 * j + 1.5
+    lower_sign = math.copysign(1.0, _even_h(lo, kap))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if _even_residual(mid, kap) > 0.0:
+        if _even_h(mid, kap) * lower_sign > 0.0:
             lo = mid
         else:
             hi = mid

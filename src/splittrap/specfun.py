@@ -3,7 +3,8 @@
 Provides the gamma function, the confluent hypergeometric (Kummer)
 functions M and U, and physicists' Hermite polynomials, for the
 parameter ranges the trap solver actually visits.  U is supported for
-b = 1/2 only, which is the case generated by even parity states.
+b = 1/2 and a <= 0 only, which is the case generated by even parity
+states: a = 1/4 - E/2 and every even level has E >= 1/2.
 
 All functions accept scalars; ``kummer_m``, ``kummer_u`` and
 ``hermite`` also accept numpy arrays for the coordinate argument.
@@ -12,19 +13,15 @@ All functions accept scalars; ``kummer_m``, ``kummer_u`` and
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 POLE_TOL = 1e-14
 
 _M_MAX_TERMS = 500
 _M_REL_TOL = 1e-16
-# Branch switches for U, set by measuring each route against a
-# high-precision reference.  The connection formula loses digits to
-# cancellation between its two e^z-sized terms, and the loss sets in
-# earlier the closer a sits to zero from above.
+# Branch switch for U, set by measuring both routes against a
+# high-precision reference.  Past it the connection formula loses digits
+# to cancellation between its two e^z-sized terms.
 _U_ASYMPTOTIC_Z = 18.0
-_U_ASYMPTOTIC_Z_POSITIVE_A = 30.0
-_U_INTEGRAL_Z = 8.0
 _U_ASYMPTOTIC_MAX_TERMS = 300
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -164,39 +161,16 @@ def _u_asymptotic(a, z):
     return z ** (-a) * total
 
 
-def _u_integral(a, z):
-    # Laplace integral U(a, 1/2, z) = (1/Gamma(a)) * int_0^inf
-    # e^{-z t} t^{a-1} (1+t)^{-a-1/2} dt, valid for a > 0.  The
-    # integrable endpoint singularity t^{a-1} is passed to the
-    # quadrature as an algebraic weight so small a stays accurate.
-    power = -a - 0.5
-    out = np.empty_like(z)
-    for i, zi in enumerate(z):
-        head, _ = quad(
-            lambda t: math.exp(-zi * t) * (1.0 + t) ** power,
-            0.0, 1.0, weight="alg", wvar=(a - 1.0, 0.0),
-            epsabs=0.0, epsrel=1e-12, limit=200,
-        )
-        tail, _ = quad(
-            lambda t: math.exp(-zi * t) * t ** (a - 1.0) * (1.0 + t) ** power,
-            1.0, np.inf, epsabs=1e-300, epsrel=1e-12, limit=200,
-        )
-        out[i] = (head + tail) * reciprocal_gamma(a)
-    return out
-
-
 def kummer_u(a, b, z):
-    """Confluent hypergeometric function U(a, b, z) for b = 1/2, z >= 0.
+    """Confluent hypergeometric function U(a, b, z) for a <= 0, b = 1/2, z >= 0.
 
-    Three routes cover the domain: the M-connection formula at small z,
-    the large-z expansion truncated at its smallest term, and for a > 0
-    a Laplace-integral quadrature bridging the region where the
-    connection formula cancels badly but the expansion has not yet
-    converged.
+    Two routes cover the domain: the M-connection formula at small z
+    and the large-z expansion truncated at its smallest term.
 
     Parameters
     ----------
     a : float
+        Must be <= 0; the even levels never produce a > 0.
     b : float
         Must equal 0.5; other values are outside the supported domain.
     z : float or ndarray
@@ -209,24 +183,16 @@ def kummer_u(a, b, z):
     a = float(a)
     if float(b) != 0.5:
         raise ValueError(f"kummer_u supports b = 1/2 only, got b = {b!r}")
+    if a > 0.0:
+        raise ValueError(f"kummer_u supports a <= 0 only, got a = {a!r}")
     zarr, scalar = _as_array(z)
     if np.any(zarr < 0.0):
         raise ValueError("kummer_u requires z >= 0")
     out = np.empty_like(zarr)
-    if a > 0.0:
-        switch = _U_ASYMPTOTIC_Z_POSITIVE_A
-        series = zarr <= _U_INTEGRAL_Z
-        bridge = (zarr > _U_INTEGRAL_Z) & (zarr <= switch)
-        if np.any(series):
-            out[series] = _u_connection(a, zarr[series])
-        if np.any(bridge):
-            out[bridge] = _u_integral(a, zarr[bridge])
-    else:
-        switch = _U_ASYMPTOTIC_Z
-        series = zarr <= switch
-        if np.any(series):
-            out[series] = _u_connection(a, zarr[series])
-    large = zarr > switch
+    series = zarr <= _U_ASYMPTOTIC_Z
+    if np.any(series):
+        out[series] = _u_connection(a, zarr[series])
+    large = ~series
     if np.any(large):
         out[large] = _u_asymptotic(a, zarr[large])
     return float(out) if scalar else out

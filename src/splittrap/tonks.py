@@ -12,14 +12,22 @@ the infinite-barrier limit (hard-core pair and non-interacting pair).
 """
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import specfun
-from .analysis import DensityMatrix
+from .analysis import rspd_from_amplitudes
 from .dvr import GridError, build_grid
-from .single_particle import as_barrier, even_state, eigenfunction, odd_state
+from .single_particle import (
+    BarrierStrength,
+    EigenState,
+    as_barrier,
+    eigenfunction,
+    even_state,
+    odd_state,
+)
 
 _MIN_RSPD_SPAN = 6.0
 _TRACE_ERROR_LIMIT = 1e-3
@@ -40,6 +48,7 @@ def _tonks_state_cached(barrier):
     return TonksState(barrier, even.energy + odd.energy, even, odd)
 
 
+@dataclass(frozen=True)
 class TonksState:
     """Hard-core pair at one barrier strength.
 
@@ -47,12 +56,10 @@ class TonksState:
     orthonormality makes the determinant wavefunction unit-normalized.
     """
 
-    def __init__(self, barrier, pair_energy, even_orbital, odd_orbital):
-        self.barrier = barrier
-        self.pair_energy = pair_energy
-        self.even_orbital = even_orbital
-        self.odd_orbital = odd_orbital
-        self.norm = 1.0
+    barrier: BarrierStrength
+    pair_energy: float
+    even_orbital: EigenState
+    odd_orbital: EigenState
 
     def wavefunction(self, x1, x2):
         phi0_a = eigenfunction(self.even_orbital, x1)
@@ -120,10 +127,7 @@ def tonks_rspd(kappa, grid=None):
         )
     # Re-normalize on the mesh so the density trace is exact; the raw
     # deviation above is the mesh-quality signal.
-    psi = psi / math.sqrt(raw_norm)
-    rho = grid.spacing * (psi @ psi.T)
-    rho = 0.5 * (rho + rho.T)
-    return DensityMatrix(values=rho, grid=grid)
+    return rspd_from_amplitudes(psi / math.sqrt(raw_norm), grid)
 
 
 def _momentum_bracket(k2):

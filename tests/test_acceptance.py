@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.signal import find_peaks
+from scipy.special import dawsn
 
 from splittrap import analysis, dvr, specfun, tonks
 from splittrap.cli import main
@@ -261,14 +262,15 @@ def test_criterion_7_property_suite(solve, tonks_decomposition):
             assert abs(value / math.pi - 1.0) <= 1e-10, f"x={x:.2f}"
 
     def kummer_transform():
+        # kummer_m at z = -x^2 (Kummer's transformation route) against
+        # closed forms that do not call it: sqrt(pi) erf(x) / (2x) for
+        # M(1/2, 3/2, -x^2) and Dawson's D(x) / x for M(1, 3/2, -x^2).
         worst = 0.0
-        for b in (0.5, 1.5):
-            for a in (0.1, 0.2, 0.3, 0.5, 1.0, 2.0, 3.5):
-                for z in np.arange(0.1, 20.0001, 0.2):
-                    direct = specfun.kummer_m(a, b, float(z))
-                    mirrored = math.exp(z) * specfun.kummer_m(b - a, b, -float(z))
-                    worst = max(worst, abs(mirrored / direct - 1.0))
-        assert worst <= 1e-8, f"rel {worst:.1e} for z<=20"
+        for x in np.sqrt(np.arange(0.1, 20.0001, 0.1)):
+            erf_form = math.sqrt(math.pi) * math.erf(x) / (2.0 * x)
+            worst = max(worst, abs(specfun.kummer_m(0.5, 1.5, -x * x) / erf_form - 1.0))
+            worst = max(worst, abs(specfun.kummer_m(1.0, 1.5, -x * x) * x / dawsn(x) - 1.0))
+        assert worst <= 1e-10, f"rel {worst:.1e} for z >= -20"
 
     def u_branch_overlap():
         worst = 0.0

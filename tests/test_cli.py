@@ -39,7 +39,6 @@ def _spec(**overrides):
         out=None,
         fmt="csv",
         workers=1,
-        notes=(),
     )
     base.update(overrides)
     return SweepSpec(**base)
@@ -302,7 +301,7 @@ def _exit_code(args):
 @pytest.mark.parametrize(
     "args",
     [
-        ["dvr", "--kappa", "inf", "--g1d", "1"],
+        ["dvr", "--kappa", "0", "--g1d", "nan"],
         ["dvr", "--kappa", "0"],
         ["spectrum", "--kappa", "0", "--outputs", "entropy"],
         ["tonks", "--kappa", "0", "--outputs", "rspd"],
@@ -311,6 +310,7 @@ def _exit_code(args):
         ["dvr", "--kappa", "0", "--g1d", "1", "--n-points", "80"],
         ["dvr", "--kappa", "0", "--g1d", "1", "--workers", "0"],
         ["tonks", "--kappa", "0", "--outputs", "wavelength"],
+        ["dvr", "--kappa", "0", "--g1d", "-1"],
     ],
 )
 def test_cli_validation_exit_code(args, capsys):
@@ -318,15 +318,39 @@ def test_cli_validation_exit_code(args, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_inf_coupling_mapped_to_proxy(tmp_path, capsys):
-    out = tmp_path / "proxy.csv"
-    code = main(["dvr", "--kappa", "0", "--g1d", "inf", "--outputs", "energy",
-                 "--n-points", "81", "--out", str(out)])
-    assert code == 0
-    assert "g1d = inf mapped" in capsys.readouterr().err
+def _reject_constant(name):
+    raise ValueError(f"bare {name} in JSON output")
+
+
+def test_cli_infinite_couplings_on_grid(tmp_path, capsys):
+    args = ["dvr", "--kappa", "0", "inf", "--g1d", "inf"]
+    out = tmp_path / "hard.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
     rows = list(csv.DictReader(out.open()))
-    assert rows[0]["g1d"] == "500"
-    assert float(rows[0]["energy"]) == pytest.approx(2.0, abs=0.03)
+    assert [(r["kappa"], r["g1d"]) for r in rows] == [("0", "inf"), ("inf", "inf")]
+    assert float(rows[0]["energy"]) == pytest.approx(2.0, abs=2e-4)
+    assert float(rows[1]["energy"]) == pytest.approx(3.0, abs=2e-4)
+    out_json = tmp_path / "hard.json"
+    assert main(args + ["--format", "json", "--out", str(out_json)]) == 0
+    payload = json.loads(out_json.read_text(), parse_constant=_reject_constant)
+    assert [p["g1d"] for p in payload["points"]] == ["inf", "inf"]
+
+
+def test_run_sweep_failure_labels_infinite_coupling():
+    # An even point count fails inside the point evaluation, not in the
+    # spec check, so this exercises the failure record.
+    spec = _spec(mode="dvr", couplings=(math.inf,), n_points=80, spacing=0.16)
+    result = run_sweep(spec)
+    assert result.records == [{"kappa": "0", "g1d": "inf"}]
+    assert result.failures[0]["g1d"] == "inf"
+
+
+def test_cli_spectrum_tiny_barrier(capsys):
+    assert main(["spectrum", "--kappa", "1e-10", "--levels", "1"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    # First order in kappa, printed to 12 significant digits.
+    assert row[-1] == f"{0.5 + 1e-10 / math.sqrt(math.pi):.12g}"
 
 
 def test_cli_units_text(capsys):

@@ -86,13 +86,28 @@ def test_apply_hamiltonian_validation():
         dvr.apply_hamiltonian(np.zeros(10), grid, 0.0, 0.0)
     v = np.zeros(21 * 21)
     with pytest.raises(ValueError):
-        dvr.apply_hamiltonian(v, grid, float("inf"), 0.0)
-    with pytest.raises(ValueError):
-        dvr.apply_hamiltonian(v, grid, BarrierStrength.infinite_barrier(), 0.0)
-    with pytest.raises(ValueError):
         dvr.apply_hamiltonian(v, grid, 0.0, -1.0)
     with pytest.raises(ValueError):
         dvr.apply_hamiltonian(v, grid, 0.0, float("nan"))
+    with pytest.raises(ValueError):
+        dvr.apply_hamiltonian(v, grid, -1.0, 0.0)
+    with pytest.raises(ValueError):
+        dvr.apply_hamiltonian(v, grid, float("nan"), 0.0)
+
+
+def test_apply_hamiltonian_infinite_couplings_are_limits():
+    # kappa = inf and g1d = inf are the limits of the renormalized
+    # couplings, kappa_eff -> pi^2 / (2 dx) and g1d_eff -> pi^2 / dx, so
+    # the operator at inf equals the one at a huge finite value.
+    grid = build_grid(21, 0.3)
+    v = np.random.default_rng(5).standard_normal(21 * 21)
+    huge = 1e300
+    for kappa, g1d in ((math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf)):
+        at_inf = dvr.apply_hamiltonian(v, grid, kappa, g1d)
+        near = dvr.apply_hamiltonian(v, grid, min(kappa, huge), min(g1d, huge))
+        np.testing.assert_allclose(at_inf, near, rtol=1e-12, atol=1e-12)
+    flag = dvr.apply_hamiltonian(v, grid, BarrierStrength.infinite_barrier(), 1.0)
+    np.testing.assert_array_equal(flag, dvr.apply_hamiltonian(v, grid, math.inf, 1.0))
 
 
 def test_ground_state_non_interacting_pair(solve):
@@ -114,11 +129,35 @@ def test_ground_state_normalization_and_symmetry(solve):
 
 
 def test_ground_state_rejects_infinite_inputs():
+    # +inf is the impenetrable barrier or the hard-core contact and is
+    # solved (test_ground_state_infinite_couplings); -inf and NaN are not
+    # couplings at all.
     grid = build_grid(41, 0.16)
-    with pytest.raises(ValueError):
-        dvr.ground_state(grid, BarrierStrength.infinite_barrier(), 1.0)
-    with pytest.raises(ValueError):
-        dvr.ground_state(grid, 0.0, float("inf"))
+    for kappa, g1d in ((-math.inf, 1.0), (0.0, -math.inf), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            dvr.ground_state(grid, kappa, g1d)
+
+
+@pytest.mark.parametrize(
+    "kappa,g1d,bound",
+    [
+        (math.inf, math.inf, 2e-4),
+        (0.0, math.inf, 2e-4),
+        (1.0, math.inf, 2e-4),
+        (10.0, math.inf, 2e-4),
+        (math.inf, 0.0, 1e-12),
+    ],
+)
+def test_ground_state_infinite_couplings(solve, kappa, g1d, bound):
+    # The hard-core pair is the analytic route's Bose-Fermi mapping; the
+    # non-interacting pair behind an impenetrable barrier is 2 eps_0 = 3.
+    exact = tonks.tonks_energy(kappa) if math.isinf(g1d) else 2.0 * even_energy(kappa, 0)
+    state = solve(kappa, g1d)
+    assert abs(state.energy - exact) <= bound
+    if math.isinf(kappa):
+        flag = BarrierStrength.infinite_barrier()
+        assert dvr.ground_state(build_grid(81, 0.16), flag, g1d).energy == state.energy
+        assert state.kappa == math.inf
 
 
 def test_ground_state_convergence_error():

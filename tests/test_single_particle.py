@@ -76,6 +76,17 @@ def test_even_energy_reference_roots(key, expected):
     assert even_energy(kappa, j) == pytest.approx(expected, abs=1e-10)
 
 
+@pytest.mark.parametrize("kappa", [1e-12, 1e-10, 1e-9, 3e-9])
+def test_even_energy_tiny_barrier(kappa):
+    # First-order perturbation theory, E = 2j + 1/2 + kappa phi_2j(0)^2
+    # with phi_2j(0)^2 = Gamma(j + 1/2) / (pi j!), is exact here to well
+    # below an ulp: the second-order shift is O(kappa^2) < 1e-17.  The
+    # root sits within ~1e-9 of the bracket's lower end.
+    for j in range(6):
+        first_order = 2.0 * j + 0.5 + kappa * math.gamma(j + 0.5) / (math.pi * math.factorial(j))
+        assert abs(even_energy(kappa, j) - first_order) <= math.ulp(first_order)
+
+
 def test_even_energy_rejects_bad_level():
     with pytest.raises(ValueError):
         even_energy(1.0, -1)
