@@ -29,9 +29,17 @@ operator taken at those limits.  What remains is the energy-dependent
 tail int_{|k|>pi/dx} dk/2pi 4E/k^4 = 4E dx^3 / (3 pi^4), so energies
 converge at third order in dx.
 
-The full N^2 x N^2 matrix is never materialized; apply_hamiltonian and
-the Krylov iteration of ground_state apply the same product
-T x + x T + V * x to the N x N amplitude array.
+The full N^2 x N^2 matrix is never materialized.  H splits as
+h (x) 1 + 1 (x) h plus the contact term c on the N diagonal points x = y,
+with the one-body h = T + x^2/2 + kappa_eff/dx delta_{x0} and
+c = g1d_eff/dx; _hamiltonian is the one place that builds these pieces.
+apply_hamiltonian applies H to the N x N amplitude array.  ground_state
+runs Lanczos on the exact inverse (H - sigma)^-1: one N x N eigh of h
+inverts the separable part with four N x N products (the fast
+diagonalization method of Lynch, Rice & Thomas, Numer. Math. 6, 185
+(1964)), and the Woodbury identity adds the contact term through an
+N x N capacitance matrix.  The ground state and the gap to the next
+bosonic level come out of the two largest eigenvalues of that inverse.
 """
 
 import math
@@ -39,17 +47,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .single_particle import BarrierStrength
 
 _DEGENERACY_GAP = 1e-6
-# Shift applied to the exchange-antisymmetric sector during the solve.
-# Must sit above every energy of interest.  The renormalized couplings
-# cap the symmetric spectrum near 3 pi^2 / dx^2 plus the trap, about
-# 1.2e3 on the 81 / 0.16 mesh, so 1e4 clears it without stretching the
-# Krylov range.
-_EXCHANGE_PENALTY = 1e4
+# Bound on ||H psi - E psi|| for a unit-norm psi.  Converged pairs sit at
+# 1e-13 to 1e-12 on the 81 / 0.16 and 161 / 0.08 meshes, the rounding
+# floor of H; a pair this far off is not an eigenpair.
+_RESIDUAL_BOUND = 1e-6
 
 
 class GridError(ValueError):
@@ -131,7 +138,11 @@ def _coupling(value, name):
 
 
 def _hamiltonian(grid, kappa, g1d):
-    """Validated couplings, kinetic matrix and potential diagonal of H."""
+    """Validated couplings and the three pieces of H.
+
+    H = h (x) 1 + 1 (x) h + c sum_a |aa><aa| with the one-body operator
+    h = T + diag(w); returns (kappa, g1d, T, w, c).
+    """
     kappa = _coupling(kappa, "kappa")
     g1d = _coupling(g1d, "g1d")
     dx = grid.spacing
@@ -143,17 +154,46 @@ def _hamiltonian(grid, kappa, g1d):
         g1d_eff = math.pi**2 / dx
     else:
         g1d_eff = g1d / (1.0 + g1d * dx / math.pi**2)
-    q = grid.points
-    v = 0.5 * (q[:, None] ** 2 + q[None, :] ** 2)
-    mid = grid.center_index
-    v[mid, :] += kappa_eff / dx
-    v[:, mid] += kappa_eff / dx
-    v[np.diag_indices_from(v)] += g1d_eff / dx
-    return kappa, g1d, kinetic_matrix(grid), v
+    w = 0.5 * grid.points**2
+    w[grid.center_index] += kappa_eff / dx
+    return kappa, g1d, kinetic_matrix(grid), w, g1d_eff / dx
 
 
-def _apply(t, v, x):
+def _apply(t, w, c, x):
+    v = w[:, None] + w[None, :]
+    v[np.diag_indices_from(v)] += c
     return t @ x + x @ t + v * x
+
+
+def _shifted_inverse(t, w, c):
+    """Shift sigma below the spectrum and x -> (H - sigma)^-1 x.
+
+    The one-body eigenbasis h = U diag(eps) U^T inverts the separable
+    part A = h (x) 1 + 1 (x) h - sigma with four N x N products, and the
+    Woodbury identity adds the contact term, which lives on the N
+    diagonal points only, through the N x N capacitance I + c K with
+    K_ab = <aa|A^-1|bb> (factored once).  sigma = 2 eps_0 - 1/2 is a
+    strict lower bound because c >= 0.  Outputs are symmetrized, so the
+    exchange-antisymmetric sector maps to zero.
+    """
+    eps, u = np.linalg.eigh(t + np.diag(w))
+    sigma = 2.0 * eps[0] - 0.5
+    d = 1.0 / (eps[:, None] + eps[None, :] - sigma)
+    # K_ab = sum_ij U_ai U_aj U_bi U_bj d_ij, one row at a time.
+    k = np.empty_like(d)
+    for a in range(eps.size):
+        ua = u * u[a]
+        k[a] = np.sum((ua @ d) * ua, axis=1)
+    capacitance = cho_factor(np.eye(eps.size) + c * k)
+
+    def inverse(x):
+        b = u.T @ x @ u
+        on_contact = np.sum((u @ (d * b)) * u, axis=1)
+        b -= (u.T * (c * cho_solve(capacitance, on_contact))) @ u
+        y = u @ (d * b) @ u.T
+        return 0.5 * (y + y.T)
+
+    return sigma, inverse
 
 
 def apply_hamiltonian(vec, grid, kappa, g1d):
@@ -162,12 +202,12 @@ def apply_hamiltonian(vec, grid, kappa, g1d):
     ``vec`` holds the row-major flattened amplitudes on the N x N
     product mesh.  kappa and g1d may be infinite.
     """
-    _, _, t, v = _hamiltonian(grid, kappa, g1d)
+    _, _, t, w, c = _hamiltonian(grid, kappa, g1d)
     vec = np.asarray(vec, dtype=float)
     n = grid.n_points
     if vec.shape != (n * n,):
         raise ValueError(f"expected a flat vector of length {n * n}, got shape {vec.shape}")
-    return _apply(t, v, vec.reshape(n, n)).ravel()
+    return _apply(t, w, c, vec.reshape(n, n)).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,8 +217,9 @@ class TwoBodyState:
     ``amplitudes`` is the N x N array Psi(q_i, q_j) normalized so that
     sum(Psi^2) * dx^2 = 1, sign-fixed to be positive at its peak.
     ``kappa`` and ``g1d`` are the bare couplings, math.inf for the
-    limits.  ``gap`` is the distance to the next eigenvalue; a gap below
-    1e-6 marks the state as near-degenerate.
+    limits.  ``gap`` is the distance to the next exchange-symmetric
+    eigenvalue, of either spatial parity; a gap below 1e-6 marks the
+    state as near-degenerate.
     """
 
     energy: float
@@ -193,14 +234,18 @@ class TwoBodyState:
         return self.gap < _DEGENERACY_GAP
 
 
-def ground_state(grid, kappa, g1d, *, tol=1e-10, maxiter=None):
+def ground_state(grid, kappa, g1d, *, tol=1e-10):
     """Lowest bosonic eigenpair of the two-body split-trap Hamiltonian.
 
-    The iteration is confined to the exchange-symmetric sector: the
-    raw matrix also carries antisymmetric states, and near the strong
+    Lanczos on the exact inverse (H - sigma)^-1 of _shifted_inverse,
+    whose largest eigenvalues nu give the lowest energies sigma + 1/nu.
+    The inverse is confined to the exchange-symmetric sector: the raw
+    matrix also carries antisymmetric states, and near the strong
     coupling regime one of those dips below the symmetric ground state
-    on a coarse mesh, so an unprojected solve would hand back a state
-    with the wrong exchange symmetry depending on rounding noise.
+    on a coarse mesh.  The start vector, a Gaussian product centred off
+    the origin, has no spatial parity, so both parity classes of the
+    symmetric sector are in reach and ``gap`` is the distance to the
+    first excited bosonic level.
 
     Parameters
     ----------
@@ -222,42 +267,44 @@ def ground_state(grid, kappa, g1d, *, tol=1e-10, maxiter=None):
     ValueError
         If kappa or g1d is negative or NaN.
     ConvergenceError
-        If the Krylov iteration does not converge.
+        If the Krylov iteration does not converge, or the residual
+        ||H psi - E psi|| of the returned pair exceeds 1e-6.
     """
-    kappa, g1d, t, v = _hamiltonian(grid, kappa, g1d)
+    kappa, g1d, t, w, c = _hamiltonian(grid, kappa, g1d)
     n = grid.n_points
+    sigma, inverse = _shifted_inverse(t, w, c)
 
     def matvec(vec):
-        x = 0.5 * (vec.reshape(n, n) + vec.reshape(n, n).T)
-        hx = _apply(t, v, x)
-        hx = 0.5 * (hx + hx.T)
-        return hx.ravel() + _EXCHANGE_PENALTY * (vec - x.ravel())
+        return inverse(vec.reshape(n, n)).ravel()
 
     op = LinearOperator((n * n, n * n), matvec=matvec, dtype=float)
-    # Deterministic start vector: the symmetric Gaussian product state.
-    q = grid.points
+    q = grid.points - 0.25
     v0 = np.exp(-0.5 * (q[:, None] ** 2 + q[None, :] ** 2)).ravel()
     v0 /= np.linalg.norm(v0)
+    failure = (
+        f"ground-state iteration failed at kappa={kappa}, g1d={g1d}, N={n}, dx={grid.spacing}"
+    )
     try:
-        vals, vecs = eigsh(op, k=2, which="SA", v0=v0, tol=tol, maxiter=maxiter)
+        nu, vecs = eigsh(op, k=2, which="LA", v0=v0, tol=tol)
     except ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"ground-state iteration failed at kappa={kappa}, g1d={g1d}, "
-            f"N={n}, dx={grid.spacing}: {exc}"
-        ) from exc
+        raise ConvergenceError(f"{failure}: {exc}") from exc
+    energy = sigma + 1.0 / nu[1]
 
-    psi = vecs[:, 0].reshape(n, n)
+    psi = vecs[:, 1].reshape(n, n)
     psi = 0.5 * (psi + psi.T)
     psi /= math.sqrt(np.sum(psi * psi)) * grid.spacing
+    residual = np.linalg.norm(_apply(t, w, c, psi) - energy * psi) * grid.spacing
+    if not residual <= _RESIDUAL_BOUND:
+        raise ConvergenceError(f"{failure}: residual ||H psi - E psi|| = {residual:.3e}")
     peak = np.unravel_index(np.argmax(np.abs(psi)), psi.shape)
     if psi[peak] < 0.0:
         psi = -psi
     psi.setflags(write=False)
     return TwoBodyState(
-        energy=float(vals[0]),
+        energy=float(energy),
         amplitudes=psi,
         grid=grid,
         kappa=kappa,
         g1d=g1d,
-        gap=float(vals[1] - vals[0]),
+        gap=float(1.0 / nu[0] - 1.0 / nu[1]),
     )

@@ -61,12 +61,19 @@ def gamma(x):
 
 
 def reciprocal_gamma(x):
-    """1/gamma(x), returning exactly 0.0 at the poles of gamma."""
+    """1/gamma(x), an entire function: zero at the poles of gamma.
+
+    Within POLE_TOL of a pole x = -n it is evaluated by the reflection
+    formula, (-1)^n sin(pi delta) gamma(1 - x) / pi with the exact
+    offset delta = x + n, so it falls to zero linearly, not in a step.
+    """
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("reciprocal_gamma argument must be finite")
     if _near_pole(x):
-        return 0.0
+        n = round(x)
+        sign = -1.0 if n % 2 else 1.0
+        return sign * math.sin(math.pi * (x - n)) * math.gamma(1.0 - x) / math.pi
     return 1.0 / math.gamma(x)
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from splittrap import dvr, tonks
 from splittrap.dvr import ConvergenceError, GridError, TwoBodyState, build_grid
@@ -160,9 +162,90 @@ def test_ground_state_infinite_couplings(solve, kappa, g1d, bound):
         assert state.kappa == math.inf
 
 
-def test_ground_state_convergence_error():
+def test_ground_state_convergence_error(monkeypatch):
+    # ARPACK's own failure surfaces as ConvergenceError.
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(dvr, "eigsh", no_convergence)
     with pytest.raises(ConvergenceError):
-        dvr.ground_state(build_grid(41, 0.16), 0.0, 5.0, tol=1e-14, maxiter=2)
+        dvr.ground_state(build_grid(41, 0.16), 0.0, 5.0)
+
+
+def test_ground_state_residual_guard(monkeypatch):
+    # ARPACK's eigenvalues paired with a vector that is not their
+    # eigenvector (the kappa = g1d = 0 ground state, at kappa = 1,
+    # g1d = 5) fail the residual check.
+    grid = build_grid(41, 0.16)
+    q = grid.points
+    wrong = np.exp(-0.5 * (q[:, None] ** 2 + q[None, :] ** 2)).ravel()
+    wrong /= np.linalg.norm(wrong)
+    real_eigsh = dvr.eigsh
+
+    def wrong_pair(op, k, **kwargs):
+        nu, vecs = real_eigsh(op, k, **kwargs)
+        vecs = vecs.copy()
+        vecs[:, np.argmax(nu)] = wrong
+        return nu, vecs
+
+    monkeypatch.setattr(dvr, "eigsh", wrong_pair)
+    with pytest.raises(ConvergenceError, match="residual"):
+        dvr.ground_state(grid, 1.0, 5.0)
+
+
+@pytest.mark.parametrize(
+    "kappa,g1d", [(0.0, 0.0), (1.0, 5.0), (10.0, 500.0), (math.inf, math.inf)]
+)
+def test_shifted_inverse_solves_hamiltonian(kappa, g1d):
+    # The solver's inverse and apply_hamiltonian come from the same
+    # pieces of _hamiltonian: (H - sigma) inv(x) = x on the symmetric
+    # sector, and the antisymmetric sector maps to zero.
+    grid = build_grid(41, 0.16)
+    sigma, inverse = dvr._shifted_inverse(*dvr._hamiltonian(grid, kappa, g1d)[2:])
+    rng = np.random.default_rng(41)
+    for _ in range(3):
+        a = rng.standard_normal((41, 41))
+        x = a + a.T
+        y = inverse(x)
+        back = dvr.apply_hamiltonian(y.ravel(), grid, kappa, g1d) - sigma * y.ravel()
+        assert np.max(np.abs(back - x.ravel())) <= 1e-10 * np.max(np.abs(x))
+        assert np.max(np.abs(inverse(a - a.T))) <= 1e-13 * np.max(np.abs(y))
+
+
+def _symmetric_spectrum(grid, kappa, g1d):
+    # Two lowest eigenvalues of H on the exchange-symmetric sector, from
+    # the dense matrix in the orthonormal basis |ii>, (|ij> + |ji>)/sqrt 2.
+    n = grid.n_points
+    rows, cols = np.triu_indices(n)
+    weight = np.where(rows == cols, 1.0, math.sqrt(2.0))
+    block = np.empty((rows.size, rows.size))
+    for k, (i, j) in enumerate(zip(rows, cols)):
+        basis = np.zeros((n, n))
+        basis[i, j] = basis[j, i] = 1.0 / weight[k]
+        image = dvr.apply_hamiltonian(basis.ravel(), grid, kappa, g1d).reshape(n, n)
+        block[:, k] = weight * image[rows, cols]
+    return scipy.linalg.eigh(block, eigvals_only=True, subset_by_index=[0, 1])
+
+
+@pytest.mark.parametrize("g1d", [0.0, 1.0, 20.0, math.inf])
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 3.3, 10.0, math.inf])
+def test_ground_state_matches_dense_symmetric_block(kappa, g1d):
+    # E0 and the gap to the first excited bosonic level, against dense
+    # diagonalization.  The gap's partner may have either total parity.
+    grid = build_grid(41, 0.3)
+    e0, e1 = _symmetric_spectrum(grid, kappa, g1d)
+    state = dvr.ground_state(grid, kappa, g1d)
+    assert abs(state.energy - e0) <= 1e-10
+    assert abs(state.gap - (e1 - e0)) <= 1e-10
+
+
+@pytest.mark.parametrize("kappa", [1.0, 3.3, 10.0])
+def test_gap_non_interacting_closed_form(solve, kappa):
+    # At g1d = 0 the bosonic levels are products of one-body levels: the
+    # ground state puts both particles in the even level eps_0, and the
+    # first excitation moves one of them to the barrier-blind odd level
+    # 3/2, so the gap is 3/2 - eps_0.
+    assert abs(solve(kappa, 0.0).gap - (1.5 - even_energy(kappa, 0))) <= 1e-3
 
 
 def test_near_degenerate_flag():

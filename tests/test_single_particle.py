@@ -76,7 +76,7 @@ def test_even_energy_reference_roots(key, expected):
     assert even_energy(kappa, j) == pytest.approx(expected, abs=1e-10)
 
 
-@pytest.mark.parametrize("kappa", [1e-12, 1e-10, 1e-9, 3e-9])
+@pytest.mark.parametrize("kappa", [1e-300, 1e-16, 1e-14, 1e-12, 1e-10, 1e-9, 3e-9])
 def test_even_energy_tiny_barrier(kappa):
     # First-order perturbation theory, E = 2j + 1/2 + kappa phi_2j(0)^2
     # with phi_2j(0)^2 = Gamma(j + 1/2) / (pi j!), is exact here to well

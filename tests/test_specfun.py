@@ -82,6 +82,11 @@ def test_reciprocal_gamma_zero_at_poles():
     assert specfun.reciprocal_gamma(0.0) == 0.0
     assert specfun.reciprocal_gamma(-3.0) == 0.0
     assert specfun.reciprocal_gamma(2.0) == pytest.approx(1.0, rel=1e-14)
+    # Inside POLE_TOL it falls to zero linearly: 1/gamma(-n + d) = (-1)^n n! d
+    # to first order in d.
+    assert specfun.reciprocal_gamma(1e-300) == pytest.approx(1e-300, rel=1e-12)
+    x = -3.0 + 1e-15
+    assert specfun.reciprocal_gamma(x) == pytest.approx(-6.0 * (x + 3.0), rel=1e-12)
 
 
 def test_kummer_m_trivial_cases():
