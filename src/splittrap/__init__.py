@@ -17,7 +17,6 @@ from .analysis import (
     uniform_k_grid,
     von_neumann_entropy,
 )
-from .cli import ConfinementResonanceError, TrapUnits, g1d_from_physical, run_sweep
 from .dvr import (
     ConvergenceError,
     Grid,
@@ -49,6 +48,7 @@ from .tonks import (
     tonks_state,
     tonks_wavefunction,
 )
+from .units import ConfinementResonanceError, TrapUnits, g1d_from_physical
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,6 @@ __all__ = [
     "odd_energy",
     "odd_state",
     "rspd_from_state",
-    "run_sweep",
     "schmidt_number",
     "spectrum",
     "tonks_energy",

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .dvr import Grid
 
@@ -66,7 +65,7 @@ class MomentumDistribution:
 
     @property
     def integral(self):
-        return float(trapezoid(self.densities, self.k_values))
+        return float(np.trapezoid(self.densities, self.k_values))
 
 
 def rspd_from_amplitudes(psi, grid):

@@ -1,10 +1,10 @@
 """Special functions for the split-trap eigenproblem.
 
-Provides the gamma function, the confluent hypergeometric (Kummer)
-functions M and U, and physicists' Hermite polynomials, for the
-parameter ranges the trap solver actually visits.  U is supported for
-b = 1/2 and a <= 0 only, which is the case generated by even parity
-states: a = 1/4 - E/2 and every even level has E >= 1/2.
+Provides the gamma function, 1/gamma and its derivative, the confluent
+hypergeometric (Kummer) functions M and U, and physicists' Hermite
+polynomials, for the parameter ranges the trap solver actually visits.
+U is supported for b = 1/2 and a <= 0 only, which is the case generated
+by even parity states: a = 1/4 - E/2 and every even level has E >= 1/2.
 
 All functions accept scalars; ``kummer_m``, ``kummer_u`` and
 ``hermite`` also accept numpy arrays for the coordinate argument.
@@ -75,6 +75,43 @@ def reciprocal_gamma(x):
         sign = -1.0 if n % 2 else 1.0
         return sign * math.sin(math.pi * (x - n)) * math.gamma(1.0 - x) / math.pi
     return 1.0 / math.gamma(x)
+
+
+def _digamma(x):
+    # psi(x) for x >= 1/2: the recurrence psi(x) = psi(x + 1) - 1/x lifts
+    # the argument to 10 or more, where the asymptotic series (DLMF 5.11.2)
+    # through its x^-14 term is accurate to double precision.
+    shift = 0.0
+    while x < 10.0:
+        shift -= 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    tail = inv2 * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 * (1.0 / 252 - inv2 * (
+        1.0 / 240 - inv2 * (1.0 / 132 - inv2 * (691.0 / 32760 - inv2 / 12))))))
+    return shift + math.log(x) - 0.5 / x - tail
+
+
+def reciprocal_gamma_derivative(x):
+    """d/dx of 1/gamma(x), that is -psi(x)/gamma(x), an entire function.
+
+    For x < 1/2 the reflection formulas for gamma and psi (DLMF 5.5.3,
+    5.5.4) give the pole-free form
+
+        psi(x)/gamma(x) = [psi(1 - x) sin(pi x) - pi cos(pi x)] gamma(1 - x) / pi,
+
+    with the trigonometric factors taken at the exact offset from the
+    nearest integer, so x = -n returns (-1)^n n! with no special case.
+    """
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("reciprocal_gamma_derivative argument must be finite")
+    if x >= 0.5:
+        return -_digamma(x) / math.gamma(x)
+    n = round(x)
+    delta = math.pi * (x - n)
+    sign = -1.0 if n % 2 else 1.0
+    bracket = _digamma(1.0 - x) * math.sin(delta) - math.pi * math.cos(delta)
+    return -sign * bracket * math.gamma(1.0 - x) / math.pi
 
 
 def _as_array(z):

@@ -3,11 +3,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.constants import hbar
 
+import splittrap
 from splittrap import analysis
 from splittrap.cli import (
     CONFINEMENT_CONSTANT,
@@ -382,3 +387,25 @@ def test_cli_units_resonance_exit(capsys):
                  "--mass", str(RB_MASS), "--a3d", repr(d_perp / CONFINEMENT_CONSTANT)])
     assert code == 1
     assert "resonance" in capsys.readouterr().err
+
+
+def _fresh_python(*args):
+    # A new interpreter that imports this checkout's package.
+    src = str(Path(splittrap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+def test_cli_module_runs_clean_under_warnings_as_errors():
+    # The package no longer imports cli, so runpy finds no stale module.
+    proc = _fresh_python("-W", "error", "-m", "splittrap.cli", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: splittrap" in proc.stdout
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    proc = _fresh_python(
+        "-c", "import sys, splittrap.cli; print('scipy.integrate' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

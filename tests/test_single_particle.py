@@ -41,6 +41,89 @@ EVEN_ROOTS = {
 }
 
 
+# Even-level norm constants 1/sqrt(int phi^2), phi = exp(-x^2/2) U(a, 1/2, x^2)
+# and a = 1/4 - E/2, at the float kappa shown: E is a 40-digit mpmath
+# bisection root of h(E), and the integral an mpmath quadrature of phi^2 at
+# 40 digits (independent of the closed form, which it matches to 1e-40).
+EVEN_NORM_REFERENCE = {
+    (0, 0): 0.75112554446494248,
+    (0, 1): 1.0622519320271969,
+    (0, 2): 0.61329143890310219,
+    (0, 3): 0.22394237027468697,
+    (0, 4): 0.059851115996424831,
+    (0, 5): 0.012617723136776038,
+    (1e-12, 0): 0.75112554446506479,
+    (1e-12, 1): 1.0622519320271336,
+    (1e-12, 2): 0.61329143890304232,
+    (1e-12, 3): 0.22394237027466217,
+    (1e-12, 4): 0.059851115996417877,
+    (1e-12, 5): 0.012617723136774544,
+    (1e-6, 0): 0.75112566677035481,
+    (1e-6, 1): 1.0622518686823219,
+    (1e-6, 2): 0.61329137903528439,
+    (1e-6, 3): 0.2239423454769723,
+    (1e-6, 4): 0.05985110904323203,
+    (1e-6, 5): 0.012617721642311551,
+    (0.1, 0): 0.76324955319886034,
+    (0.1, 1): 1.0559334751438787,
+    (0.1, 2): 0.60733922944438288,
+    (0.1, 3): 0.22147813853974846,
+    (0.1, 4): 0.05916023216984528,
+    (0.1, 5): 0.012469229819260273,
+    (1, 0): 0.85528776039322266,
+    (1, 1): 1.0052371773731448,
+    (1, 2): 0.55864868866005384,
+    (1, 3): 0.20115456019868833,
+    (1, 4): 0.053433045036329984,
+    (1, 5): 0.011233709206939138,
+    (3.3, 0): 0.9635847912895209,
+    (3.3, 1): 0.93950588360605718,
+    (3.3, 2): 0.48351252792149566,
+    (3.3, 3): 0.16743410680055634,
+    (3.3, 4): 0.043500595400206041,
+    (3.3, 5): 0.0090239136297577262,
+    (10, 0): 1.027191576803969,
+    (10, 1): 0.89590389148064017,
+    (10, 2): 0.42488963172013858,
+    (10, 3): 0.13830799353224265,
+    (10, 4): 0.034240842645320965,
+    (10, 5): 0.0068345707772006158,
+    (100, 0): 1.0587804882845958,
+    (100, 1): 0.8704050420136549,
+    (100, 2): 0.39166708865047956,
+    (100, 3): 0.12156575805096393,
+    (100, 4): 0.028808438546478141,
+    (100, 5): 0.0055218373982149984,
+    (1e4, 0): 1.0622173375291117,
+    (1e4, 1): 0.86735610080633389,
+    (1e4, 2): 0.38791742725026249,
+    (1e4, 3): 0.1197207897712375,
+    (1e4, 4): 0.028219987104085228,
+    (1e4, 5): 0.0053816173074795568,
+    (1e8, 0): 1.0622519285678772,
+    (1e8, 1): 0.86732507368732997,
+    (1e8, 2): 0.38787956706953357,
+    (1e8, 3): 0.11970223384854083,
+    (1e8, 4): 0.028214087245101113,
+    (1e8, 5): 0.0053802153632680284,
+}
+
+# 1/sqrt(2^n n! sqrt(pi)) at 40 digits: odd level n, and the infinite-barrier
+# even level 2j with n = 2j + 1.
+HERMITE_NORM_REFERENCE = {
+    1: 0.53112596601359846,
+    3: 0.10841563382300969,
+    5: 0.012121236352598753,
+    7: 0.00093517368744413798,
+    9: 5.5105637998248238e-5,
+    11: 2.6270582143920032e-6,
+    13: 1.0516649545227006e-7,
+    15: 3.6285888254172946e-9,
+    17: 1.1000775734655461e-10,
+    19: 2.9742691220276953e-12,
+    21: 7.2564736328884938e-14,
+}
+
 def test_barrier_strength_validation():
     with pytest.raises(ValueError):
         BarrierStrength(-1.0)
@@ -136,6 +219,19 @@ def test_paper_caption_energies():
     assert even_energy(1.0, 0) == pytest.approx(0.9, abs=0.05)
     assert even_energy(10.0, 0) == pytest.approx(1.4, abs=0.05)
 
+
+@pytest.mark.parametrize("key,expected", sorted(EVEN_NORM_REFERENCE.items()))
+def test_even_norm_reference(key, expected):
+    kappa, j = key
+    assert even_state(kappa, j).norm_constant == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n,expected", sorted(HERMITE_NORM_REFERENCE.items()))
+def test_hermite_norms(n, expected):
+    odd = odd_state(n).norm_constant
+    split = even_state(BarrierStrength.infinite_barrier(), (n - 1) // 2).norm_constant
+    assert abs(odd - expected) <= math.ulp(expected)
+    assert split == odd
 
 def test_ground_state_eigenfunction_is_gaussian_at_zero_barrier():
     state = even_state(0.0, 0)

@@ -54,6 +54,39 @@ M_NEGATIVE_REFERENCE = {
 }
 
 
+# d/dx 1/Gamma(x) = -psi(x)/Gamma(x), computed once with mpmath.diff of
+# mpmath.rgamma at 40 digits and frozen: positive x, negative non-integer
+# x, and x within 1e-15 of the poles -n of Gamma (n <= 6), where the
+# function is finite and equals (-1)^n n! at x = -n.
+RGAMMA_DERIVATIVE_REFERENCE = {
+    0.5: 1.107791903872871,
+    1.0: 0.57721566490153286,
+    2.5: -0.52895153633930543,
+    7.25: -0.0016535268486037587,
+    30.0: -3.82778696721517e-31,
+    -0.25: 0.59452003435874871,
+    -0.5: 0.010293631611320775,
+    -1.3: -0.8660576986073988,
+    -2.75: -1.9502829250865932,
+    -4.5: 26.842783252014301,
+    -6.6: 647.50437945747638,
+    1e-15: 1.0000000000000012,
+    -1e-15: 0.99999999999999885,
+    -0.999999999999999: -0.99999999999999916,
+    -1.000000000000001: -1.0000000000000009,
+    -1.999999999999999: 1.9999999999999959,
+    -2.000000000000001: 2.0000000000000033,
+    -2.999999999999999: -5.9999999999999866,
+    -3.000000000000001: -6.0000000000000134,
+    -3.999999999999999: 23.999999999999936,
+    -4.000000000000001: 24.000000000000064,
+    -4.999999999999999: -119.99999999999964,
+    -5.000000000000001: -120.00000000000036,
+    -5.999999999999999: 719.9999999999976,
+    -6.000000000000001: 720.0000000000024,
+    -6.0: 720.0,
+}
+
 def test_gamma_known_values():
     assert specfun.gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
     assert specfun.gamma(1.0) == pytest.approx(1.0, rel=1e-12)
@@ -88,6 +121,16 @@ def test_reciprocal_gamma_zero_at_poles():
     x = -3.0 + 1e-15
     assert specfun.reciprocal_gamma(x) == pytest.approx(-6.0 * (x + 3.0), rel=1e-12)
 
+
+@pytest.mark.parametrize("x,expected", sorted(RGAMMA_DERIVATIVE_REFERENCE.items()))
+def test_reciprocal_gamma_derivative_reference(x, expected):
+    # The loosest row is x = -0.5, near a zero of psi: 3.5e-15 measured.
+    assert specfun.reciprocal_gamma_derivative(x) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def test_reciprocal_gamma_derivative_rejects_non_finite():
+    with pytest.raises(ValueError):
+        specfun.reciprocal_gamma_derivative(float("nan"))
 
 def test_kummer_m_trivial_cases():
     assert specfun.kummer_m(0.5, 1.5, 0.0) == 1.0
