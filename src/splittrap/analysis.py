@@ -9,6 +9,15 @@ Tonks route or the DVR solver) through the chain
 All quadrature is trapezoid-on-the-mesh; the Fourier transform to
 momentum space is a direct quadrature sum, not an FFT, so any k grid
 may be requested.
+
+The barrier sits at the trap centre, so the pair state and its density
+matrix are parity-even, rho(-x, -x') = rho(x, x'), and every natural
+orbital is even or odd.  ``natural_orbitals`` uses this: on the odd
+symmetric mesh it folds dx * rho into an even block of size (N + 1)/2
+and an odd block of size (N - 1)/2 and diagonalizes each on its own,
+which costs about a quarter of one N x N eigensolve.  It rejects a
+density matrix that is not parity-symmetric.  The orbitals are real,
+so n(-k) = n(k), and ``momentum_distribution`` evaluates k >= 0 only.
 """
 
 import math
@@ -84,24 +93,70 @@ def natural_orbitals(rho):
     """Natural orbitals and occupations of a reduced density matrix.
 
     The quadrature-weighted matrix dx * rho is symmetric; its
-    eigenvalues are the occupations.  Tiny negative eigenvalues (down
-    to -1e-10) are clamped to zero, anything lower is rejected as a
-    non-positive-semidefinite input.
+    eigenvalues are the occupations.  It must also be parity-symmetric,
+    W(-x, -x') = W(x, x'), on an odd mesh whose centre index is c.  In
+    the orthonormal basis delta_c, (delta_c+i +- delta_c-i) / sqrt(2),
+    i = 1..c, it splits into two blocks:
+
+    - even, W(c+i, c+j) + W(c+i, c-j) for i, j = 0..c, with the row and
+      the column of delta_c scaled by 1/sqrt(2);
+    - odd, W(c+i, c+j) - W(c+i, c-j) for i, j = 1..c.
+
+    Each block is diagonalized on its own and its eigenvectors are
+    unfolded onto the mesh, so every orbital has definite parity.
+
+    Tiny negative eigenvalues (down to -1e-10) are clamped to zero,
+    anything lower is rejected as a non-positive-semidefinite input.
+
+    Raises
+    ------
+    ValueError
+        If dx * rho is asymmetric or not parity-symmetric beyond 1e-10,
+        the mesh has an even point count, or an occupation lies below
+        -1e-10.
     """
     dx = rho.grid.spacing
+    n = rho.values.shape[0]
+    if n % 2 == 0:
+        raise ValueError(f"parity fold needs an odd mesh with a centre point, got {n} points")
     weighted = dx * rho.values
     asym = np.max(np.abs(weighted - weighted.T))
     if asym > 1e-10:
         raise ValueError(f"density matrix is not symmetric (max asymmetry {asym:.3e})")
-    vals, vecs = np.linalg.eigh(0.5 * (weighted + weighted.T))
-    if vals[0] < _OCCUPATION_FLOOR:
+    skew = np.max(np.abs(weighted - weighted[::-1, ::-1]))
+    if skew > 1e-10:
+        raise ValueError(f"density matrix is not parity-symmetric (max deviation {skew:.3e})")
+
+    c = n // 2
+    right = weighted[c:, c:]
+    mirror = weighted[c:, c::-1]
+    even = right + mirror
+    even[0, :] *= math.sqrt(0.5)
+    even[:, 0] *= math.sqrt(0.5)
+    odd = right[1:, 1:] - mirror[1:, 1:]
+    even_vals, even_vecs = np.linalg.eigh(0.5 * (even + even.T))
+    odd_vals, odd_vecs = np.linalg.eigh(0.5 * (odd + odd.T))
+    vals = np.concatenate((even_vals, odd_vals))
+    if vals.min() < _OCCUPATION_FLOOR:
         raise ValueError(
-            f"density matrix has a negative eigenvalue {vals[0]:.3e} "
+            f"density matrix has a negative eigenvalue {vals.min():.3e} "
             "beyond the roundoff floor"
         )
-    order = np.argsort(vals)[::-1]
+    order = np.argsort(vals, kind="stable")[::-1]
     occupations = np.clip(vals[order], 0.0, None)
-    orbitals = vecs[:, order] / math.sqrt(dx)
+
+    # Column of each eigenpair in the descending order.
+    column = np.empty(n, dtype=np.intp)
+    column[order] = np.arange(n)
+    even_cols, odd_cols = column[: c + 1], column[c + 1 :]
+    weights = np.full((c + 1, 1), 1.0 / math.sqrt(2.0 * dx))
+    weights[0] = 1.0 / math.sqrt(dx)
+    orbitals = np.empty((n, n))
+    orbitals[c:, even_cols] = even_vecs * weights
+    orbitals[c::-1, even_cols] = orbitals[c:, even_cols]
+    orbitals[c + 1 :, odd_cols] = odd_vecs * weights[1:]
+    orbitals[c - 1 :: -1, odd_cols] = -orbitals[c + 1 :, odd_cols]
+    orbitals[c, odd_cols] = 0.0
     occupations.setflags(write=False)
     orbitals.setflags(write=False)
     return NaturalDecomposition(occupations=occupations, orbitals=orbitals, grid=rho.grid)
@@ -122,7 +177,10 @@ def momentum_distribution(decomposition, k_values):
 
     mu_i(k) is the direct-quadrature Fourier transform
     (2 pi)^(-1/2) * dx * sum_j psi_i(q_j) exp(-i k q_j).  Orbitals are
-    included until the cumulative occupation reaches 1 - 1e-8.
+    included until the cumulative occupation reaches 1 - 1e-8.  The
+    orbitals are real, so |mu_i(k)|^2 is the sum of the squared cosine
+    and sine transforms and is even in k: only the k >= 0 half of the
+    grid is evaluated, and n(-k) is its mirror image.
 
     A warning is raised when |k| exceeds the mesh Nyquist limit
     pi / dx, beyond which the quadrature transform is periodic rather
@@ -153,11 +211,14 @@ def momentum_distribution(decomposition, k_values):
     retained = int(np.searchsorted(cumulative, 1.0 - _TRUNCATION_TAIL) + 1)
     retained = min(retained, occ.size)
 
-    q = decomposition.grid.points
-    phases = np.exp(-1j * np.outer(k, q))
-    transforms = phases @ decomposition.orbitals[:, :retained]
-    transforms *= dx / math.sqrt(2.0 * math.pi)
-    densities = (np.abs(transforms) ** 2) @ occ[:retained]
+    positive = k[k.size // 2 :]
+    angles = np.outer(positive, decomposition.grid.points)
+    orbitals = decomposition.orbitals[:, :retained]
+    scale = dx / math.sqrt(2.0 * math.pi)
+    cos_part = (np.cos(angles) @ orbitals) * scale
+    sin_part = (np.sin(angles) @ orbitals) * scale
+    half = (cos_part**2 + sin_part**2) @ occ[:retained]
+    densities = np.concatenate((half[::-1][: k.size - half.size], half))
     densities.setflags(write=False)
     return MomentumDistribution(
         k_values=k.copy(), densities=densities, retained_orbitals=retained

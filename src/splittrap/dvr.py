@@ -245,7 +245,10 @@ def ground_state(grid, kappa, g1d, *, tol=1e-10):
     on a coarse mesh.  The start vector, a Gaussian product centred off
     the origin, has no spatial parity, so both parity classes of the
     symmetric sector are in reach and ``gap`` is the distance to the
-    first excited bosonic level.
+    first excited bosonic level.  The ground state of the parity-
+    symmetric H is even under (x, y) -> (-x, -y); the returned
+    amplitudes are averaged with their reflection, like the exchange
+    average, so they are parity-even to the last bit.
 
     Parameters
     ----------
@@ -292,6 +295,7 @@ def ground_state(grid, kappa, g1d, *, tol=1e-10):
 
     psi = vecs[:, 1].reshape(n, n)
     psi = 0.5 * (psi + psi.T)
+    psi = 0.5 * (psi + psi[::-1, ::-1])
     psi /= math.sqrt(np.sum(psi * psi)) * grid.spacing
     residual = np.linalg.norm(_apply(t, w, c, psi) - energy * psi) * grid.spacing
     if not residual <= _RESIDUAL_BOUND:

@@ -4,14 +4,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 from splittrap import analysis, tonks
 from splittrap.analysis import NaturalDecomposition
-from splittrap.dvr import build_grid
+from splittrap.dvr import Grid, build_grid
 from splittrap.single_particle import BarrierStrength
 
 INF = BarrierStrength.infinite_barrier()
+
+
+def _full_eigh_decomposition(rho):
+    """Oracle: one eigh of the whole weighted matrix, as before the fold."""
+    dx = rho.grid.spacing
+    weighted = dx * rho.values
+    vals, vecs = np.linalg.eigh(0.5 * (weighted + weighted.T))
+    order = np.argsort(vals)[::-1]
+    return NaturalDecomposition(
+        occupations=np.clip(vals[order], 0.0, None),
+        orbitals=vecs[:, order] / math.sqrt(dx),
+        grid=rho.grid,
+    )
 
 
 def _synthetic_decomposition(occupations, n_points=5, spacing=0.5):
@@ -91,6 +106,56 @@ def test_natural_orbitals_rejects_bad_input():
         analysis.natural_orbitals(analysis.DensityMatrix(values=-np.eye(5), grid=grid))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    half=st.integers(min_value=1, max_value=20),
+    rank=st.integers(min_value=1, max_value=41),
+    spacing=st.floats(min_value=0.01, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_natural_orbitals_fold_matches_full_spectrum(half, rank, spacing, seed):
+    n = 2 * half + 1
+    rng = np.random.default_rng(seed)
+    factor = rng.standard_normal((n, min(rank, n)))
+    values = factor @ factor.T
+    values = 0.5 * (values + values.T)
+    values = 0.5 * (values + values[::-1, ::-1])
+    values /= np.trace(values) * spacing
+    rho = analysis.DensityMatrix(values=values, grid=build_grid(n, spacing))
+    decomposition = analysis.natural_orbitals(rho)
+
+    occ = decomposition.occupations
+    expected = np.linalg.eigvalsh(spacing * values)[::-1]
+    np.testing.assert_allclose(occ, expected, rtol=0.0, atol=1e-12)
+    orbitals = decomposition.orbitals
+    recon = (orbitals * occ) @ orbitals.T
+    np.testing.assert_allclose(recon, values, rtol=0.0, atol=1e-12 * np.max(np.abs(values)))
+    overlaps = spacing * (orbitals.T @ orbitals)
+    np.testing.assert_allclose(overlaps, np.eye(n), rtol=0.0, atol=1e-12)
+    for column in orbitals.T:
+        assert np.array_equal(column, column[::-1]) or np.array_equal(column, -column[::-1])
+
+
+@pytest.mark.parametrize("kappa", [0.0, 3.3, INF])
+def test_natural_orbitals_fold_matches_full_eigh_on_tonks(kappa):
+    rho = tonks.tonks_rspd(kappa, build_grid(401, 0.03))
+    folded = analysis.natural_orbitals(rho)
+    full = _full_eigh_decomposition(rho)
+    np.testing.assert_allclose(folded.occupations, full.occupations, rtol=0.0, atol=1e-12)
+    assert analysis.von_neumann_entropy(folded) == pytest.approx(
+        analysis.von_neumann_entropy(full), rel=0.0, abs=1e-12
+    )
+    assert analysis.schmidt_number(folded) == analysis.schmidt_number(full)
+
+
+def test_natural_orbitals_rejects_parity_breaking_input():
+    values = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+    with pytest.raises(ValueError, match="parity"):
+        analysis.natural_orbitals(analysis.DensityMatrix(values=values, grid=build_grid(5, 0.5)))
+    with pytest.raises(ValueError, match="odd mesh"):
+        analysis.natural_orbitals(analysis.DensityMatrix(values=np.eye(4), grid=Grid(4, 0.5)))
+
+
 def test_tonks_zero_barrier_occupations(tonks_decomposition):
     decomposition = tonks_decomposition(0.0)
     assert decomposition.occupations[0] + decomposition.occupations[1] > 0.95
@@ -137,6 +202,23 @@ def test_momentum_distribution_basic_properties(tonks_decomposition):
     assert np.all(dist.densities >= 0.0)
     np.testing.assert_allclose(dist.densities, dist.densities[::-1], atol=1e-8)
     assert dist.retained_orbitals >= 2
+
+
+@pytest.mark.parametrize("count", [401, 400])
+def test_momentum_distribution_matches_complex_phase_sum(tonks_decomposition, count):
+    decomposition = tonks_decomposition(1.0)
+    k = analysis.uniform_k_grid(count, 8.0)
+    dist = analysis.momentum_distribution(decomposition, k)
+    # Oracle: the complex-phase quadrature over the whole k grid.
+    dx = decomposition.grid.spacing
+    retained = dist.retained_orbitals
+    phases = np.exp(-1j * np.outer(k, decomposition.grid.points))
+    mu = phases @ decomposition.orbitals[:, :retained] * (dx / math.sqrt(2.0 * math.pi))
+    expected = (np.abs(mu) ** 2) @ decomposition.occupations[:retained]
+    np.testing.assert_allclose(
+        dist.densities, expected, rtol=0.0, atol=1e-13 * np.max(expected)
+    )
+    assert np.array_equal(dist.densities, dist.densities[::-1])
 
 
 @pytest.mark.parametrize("kappa", [0.0, 10.0])

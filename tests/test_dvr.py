@@ -130,6 +130,15 @@ def test_ground_state_normalization_and_symmetry(solve):
         assert psi[peak] > 0.0
 
 
+@pytest.mark.parametrize("kappa", [0.0, 1.0, math.inf])
+@pytest.mark.parametrize("g1d", [0.0, 5.0, math.inf])
+def test_ground_state_parity_even(solve, kappa, g1d):
+    # The natural-orbital fold rejects a density matrix that is not
+    # parity-symmetric, so the pair state must be even to the last bit.
+    psi = solve(kappa, g1d).amplitudes
+    assert np.array_equal(psi, psi[::-1, ::-1])
+
+
 def test_ground_state_rejects_infinite_inputs():
     # +inf is the impenetrable barrier or the hard-core contact and is
     # solved (test_ground_state_infinite_couplings); -inf and NaN are not
