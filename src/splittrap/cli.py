@@ -8,6 +8,10 @@ dvr      : grid-solver pair observables at any coupling, hard core included
 sweep    : cartesian (kappa, g1d) sweeps in any of the three modes
 units    : convert a physical trap setup to the scaled 1D coupling
 
+A run parses its flags into a ``SweepSpec``, evaluates each (kappa, g1d)
+point into one result, and hands those results, in sweep order, to the
+writers: the CSV or JSON table, the sidecar files and the failure manifest.
+
 Outputs are byte-deterministic for a fixed spec: fixed 12-significant-
 digit formatting, fixed point ordering, and a deterministic start
 vector inside the grid eigensolver.  Exit codes: 0 on success, 1 on
@@ -16,7 +20,9 @@ written, with a failure manifest alongside).
 """
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
 import math
 import sys
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import analysis, dvr, tonks
-from .single_particle import BarrierStrength, BracketError, spectrum
+from .single_particle import BarrierStrength, spectrum
 from .units import (  # noqa: F401  (also re-exported from here)
     CONFINEMENT_CONSTANT, HBAR, ConfinementResonanceError, CouplingResult, TrapUnits,
     g1d_from_physical,
@@ -33,6 +39,10 @@ from .units import (  # noqa: F401  (also re-exported from here)
 
 _MODES = ("spectrum", "tonks", "dvr")
 _OUTPUTS = ("energy", "rspd", "momentum", "entropy", "schmidt")
+_SPECTRUM_COLUMNS = ("kappa", "level", "parity", "n", "energy")
+_SWEEP_COLUMNS = ("kappa", "g1d", "energy", "entropy", "schmidt")
+_UNITS_FIELDS = (("g1d", "in hbar omega d"), ("g1d_si", "J m"), ("a1d", "m"), ("length", "m"),
+                 ("transverse_length", "m"))
 
 
 @dataclass(frozen=True)
@@ -55,10 +65,26 @@ class SweepSpec:
 
 @dataclass
 class SweepResult:
-    records: list
-    curves: dict
-    matrices: dict
-    failures: list
+    """One result per sweep point, in sweep order: a dict with the point's
+    ``records`` and, when it has them, its ``rspd`` matrix, its
+    ``momentum`` curve ``(k, n)`` or its solver ``error``."""
+
+    points: list
+
+    @property
+    def records(self):
+        return [record for point in self.points for record in point["records"]]
+
+    @property
+    def failures(self):
+        return [dict(_labels(point), error=point["error"]) for point in self.points
+                if "error" in point]
+
+
+def _labels(point):
+    # The kappa and g1d labels that name a point's sidecar files and failure entry.
+    first = point["records"][0]
+    return {"kappa": first["kappa"], "g1d": _fmt_value(first.get("g1d", ""))}
 
 
 def _fmt_value(value):
@@ -75,65 +101,37 @@ def _round12(value):
     return float(f"{value:.12g}")
 
 
-def _g1d_field(mode, g1d):
-    # An infinite coupling is written as the label "inf", never as a
-    # float, so that JSON output holds no bare Infinity.
-    return "inf" if mode == "tonks" or g1d == math.inf else g1d
-
-
-def _point_tasks(spec):
-    tasks = []
-    if spec.mode == "spectrum":
-        for barrier in spec.barriers:
-            tasks.append(("spectrum", barrier, None, spec))
-    elif spec.mode == "tonks":
-        for barrier in spec.barriers:
-            tasks.append(("tonks", barrier, None, spec))
-    else:
-        for barrier in spec.barriers:
-            for g in spec.couplings:
-                tasks.append(("dvr", barrier, g, spec))
-    return tasks
-
-
-def _evaluate_point(task):
-    mode, barrier, g1d, spec = task
+def _evaluate_point(spec, point):
+    barrier, g1d = point
+    label = {"kappa": barrier.label()}
+    if g1d is not None:
+        # An infinite coupling is written as the label "inf", never as a
+        # float, so that JSON output holds no bare Infinity.
+        label["g1d"] = "inf" if g1d == math.inf else g1d
     try:
-        if mode == "spectrum":
+        if spec.mode == "spectrum":
             states = spectrum(barrier, spec.levels)
-            records = [
-                {
-                    "kappa": barrier.label(),
-                    "level": i,
-                    "parity": s.parity,
-                    "n": s.n,
-                    "energy": s.energy,
-                }
+            return {"records": [
+                {**label, "level": i, "parity": s.parity, "n": s.n, "energy": s.energy}
                 for i, s in enumerate(states)
-            ]
-            return {"records": records}
+            ]}
 
-        wants_density = any(
-            name in spec.outputs for name in ("rspd", "momentum", "entropy", "schmidt")
-        )
+        wants_density = bool(set(spec.outputs) - {"energy"})
         grid = dvr.build_grid(spec.n_points, spec.spacing)
-        record = {"kappa": barrier.label(), "g1d": _g1d_field(mode, g1d)}
-        rho = None
-        if mode == "tonks":
+        record = dict(label)
+        out = {"records": [record]}
+        if spec.mode == "tonks":
             state = tonks.tonks_state(barrier)
             if "energy" in spec.outputs:
                 record["energy"] = state.pair_energy
-            if wants_density:
-                rho = tonks.tonks_rspd(barrier, grid)
+            rho = tonks.tonks_rspd(barrier, grid) if wants_density else None
         else:
             state = dvr.ground_state(grid, barrier, g1d)
             if "energy" in spec.outputs:
                 record["energy"] = state.energy
                 record["near_degenerate"] = state.near_degenerate
-            if wants_density:
-                rho = analysis.rspd_from_state(state)
+            rho = analysis.rspd_from_state(state) if wants_density else None
 
-        out = {"records": [record]}
         if rho is not None:
             decomposition = analysis.natural_orbitals(rho)
             if "entropy" in spec.outputs:
@@ -148,96 +146,56 @@ def _evaluate_point(task):
                 out["momentum"] = (dist.k_values, dist.densities)
         return out
     except (ValueError, ArithmeticError, RuntimeError) as exc:
-        return {
-            "error": f"{type(exc).__name__}: {exc}",
-            "records": [
-                {
-                    "kappa": barrier.label(),
-                    "g1d": _g1d_field(mode, g1d),
-                }
-            ],
-        }
+        return {"error": f"{type(exc).__name__}: {exc}", "records": [label]}
 
 
 def run_sweep(spec):
-    """Evaluate every point of a sweep; solver failures are collected,
-    not raised, so partial results survive."""
-    tasks = _point_tasks(spec)
+    """Evaluate every point of a sweep, in sweep order; solver failures
+    are collected, not raised, so partial results survive."""
+    couplings = {"spectrum": (None,), "tonks": (math.inf,)}.get(spec.mode, spec.couplings)
+    points = [(barrier, g1d) for barrier in spec.barriers for g1d in couplings]
+    evaluate = functools.partial(_evaluate_point, spec)
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(_evaluate_point, tasks))
-    else:
-        results = [_evaluate_point(task) for task in tasks]
-
-    out = SweepResult(records=[], curves={}, matrices={}, failures=[])
-    for task, result in zip(tasks, results):
-        mode, barrier, g1d, _ = task
-        field = _g1d_field(mode, g1d)
-        key = (barrier.label(), "" if field is None else _fmt_value(field))
-        if "error" in result:
-            out.failures.append(
-                {"kappa": key[0], "g1d": key[1], "error": result["error"]}
-            )
-        out.records.extend(result["records"])
-        if "rspd" in result:
-            out.matrices[key] = result["rspd"]
-        if "momentum" in result:
-            out.curves[key] = result["momentum"]
-    return out
-
-
-def _spectrum_columns():
-    return ("kappa", "level", "parity", "n", "energy")
-
-
-def _sweep_columns():
-    return ("kappa", "g1d", "energy", "entropy", "schmidt")
+            return SweepResult(list(pool.map(evaluate, points)))
+    return SweepResult(list(map(evaluate, points)))
 
 
 def _write_csv(spec, result, stream):
     writer = csv.writer(stream, lineterminator="\n")
-    columns = _spectrum_columns() if spec.mode == "spectrum" else _sweep_columns()
+    columns = _SPECTRUM_COLUMNS if spec.mode == "spectrum" else _SWEEP_COLUMNS
     writer.writerow(columns)
     for record in result.records:
         writer.writerow([_fmt_value(record[c]) if c in record else "" for c in columns])
 
 
-def _json_record(record):
-    out = {}
-    for key, value in record.items():
-        out[key] = _round12(value) if isinstance(value, float) else value
+def _json_record(record, momentum):
+    out = {key: _round12(v) if isinstance(v, float) else v for key, v in record.items()}
+    if momentum is not None:
+        k, dens = momentum
+        out["momentum"] = {"k": [_round12(v) for v in k], "n": [_round12(v) for v in dens]}
     return out
 
 
 def _write_json(spec, result, stream):
     payload = {
         "mode": spec.mode,
-        "points": [_json_record(r) for r in result.records],
+        "points": [
+            _json_record(record, point.get("momentum"))
+            for point in result.points
+            for record in point["records"]
+        ],
     }
     if spec.mode != "spectrum":
         payload["grid"] = {"n_points": spec.n_points, "spacing": _round12(spec.spacing)}
-    for (kappa, g1d), (k, dens) in result.curves.items():
-        for point in payload["points"]:
-            g_point = point.get("g1d")
-            if g_point is None:
-                continue
-            if point["kappa"] == kappa and _fmt_value(g_point) == g1d:
-                point["momentum"] = {
-                    "k": [_round12(v) for v in k],
-                    "n": [_round12(v) for v in dens],
-                }
     json.dump(payload, stream, indent=2)
     stream.write("\n")
 
 
-def _matrix_path(spec, kappa_label, g_label):
+def _sidecar_path(spec, point, kind, suffix):
+    labels = _labels(point)
     stem = Path(spec.out)
-    return stem.with_name(f"{stem.stem}-rspd-kappa{kappa_label}-g{g_label}.txt")
-
-
-def _curve_path(spec, kappa_label, g_label):
-    stem = Path(spec.out)
-    return stem.with_name(f"{stem.stem}-momentum-kappa{kappa_label}-g{g_label}.csv")
+    return stem.with_name(f"{stem.stem}-{kind}-kappa{labels['kappa']}-g{labels['g1d']}{suffix}")
 
 
 def _write_matrix(path, spec, values):
@@ -257,41 +215,20 @@ def _write_curve(path, k, densities):
 
 
 def _write_outputs(spec, result):
-    written = []
-    if spec.out:
-        path = Path(spec.out)
-        with open(path, "w") as fh:
-            if spec.fmt == "csv":
-                _write_csv(spec, result, fh)
-            else:
-                _write_json(spec, result, fh)
-        written.append(str(path))
-    else:
-        if spec.fmt == "csv":
-            _write_csv(spec, result, sys.stdout)
-        else:
-            _write_json(spec, result, sys.stdout)
-    for (kappa, g1d), values in result.matrices.items():
-        path = _matrix_path(spec, kappa, g1d)
-        _write_matrix(path, spec, values)
-        written.append(str(path))
-    if spec.fmt == "csv":
-        for (kappa, g1d), (k, dens) in result.curves.items():
-            path = _curve_path(spec, kappa, g1d)
-            _write_curve(path, k, dens)
-            written.append(str(path))
-    return written
+    with open(spec.out, "w") if spec.out else contextlib.nullcontext(sys.stdout) as stream:
+        (_write_csv if spec.fmt == "csv" else _write_json)(spec, result, stream)
+    for point in result.points:
+        if "rspd" in point:
+            _write_matrix(_sidecar_path(spec, point, "rspd", ".txt"), spec, point["rspd"])
+        if "momentum" in point and spec.fmt == "csv":
+            _write_curve(_sidecar_path(spec, point, "momentum", ".csv"), *point["momentum"])
 
 
 def _write_failures(spec, result):
-    manifest = {"failures": result.failures}
+    manifest = json.dumps({"failures": result.failures}, indent=2) + "\n"
     if spec.out:
-        path = Path(spec.out).with_suffix("").as_posix() + ".failures.json"
-        with open(path, "w") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
-    json.dump(manifest, sys.stderr, indent=2)
-    sys.stderr.write("\n")
+        Path(spec.out).with_suffix(".failures.json").write_text(manifest)
+    sys.stderr.write(manifest)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -478,22 +415,12 @@ def _cmd_units(args):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.fmt == "json":
-        payload = {
-            "g1d": _round12(result.g1d),
-            "g1d_si": _round12(result.g1d_si),
-            "a1d": _round12(result.a1d),
-            "length": _round12(result.length),
-            "transverse_length": _round12(result.transverse_length),
-            "notes": list(result.notes),
-        }
-        json.dump(payload, sys.stdout, indent=2)
+        payload = {name: _round12(getattr(result, name)) for name, _ in _UNITS_FIELDS}
+        json.dump({**payload, "notes": list(result.notes)}, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
-        print(f"g1d = {result.g1d:.12g}  # in hbar omega d")
-        print(f"g1d_si = {result.g1d_si:.12g}  # J m")
-        print(f"a1d = {result.a1d:.12g}  # m")
-        print(f"length = {result.length:.12g}  # m")
-        print(f"transverse_length = {result.transverse_length:.12g}  # m")
+        for name, unit in _UNITS_FIELDS:
+            print(f"{name} = {getattr(result, name):.12g}  # {unit}")
         for note in result.notes:
             print(f"note: {note}")
     return 0
@@ -505,17 +432,10 @@ def main(argv=None):
         return _cmd_units(args)
     try:
         spec = _spec_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         result = run_sweep(spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (BracketError, dvr.ConvergenceError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
     _write_outputs(spec, result)
     if result.failures:
         _write_failures(spec, result)

@@ -57,6 +57,8 @@ _DEGENERACY_GAP = 1e-6
 # 1e-13 to 1e-12 on the 81 / 0.16 and 161 / 0.08 meshes, the rounding
 # floor of H; a pair this far off is not an eigenpair.
 _RESIDUAL_BOUND = 1e-6
+# Relative eigenvalue tolerance of the Krylov iteration.
+_EIGEN_TOL = 1e-10
 
 
 class GridError(ValueError):
@@ -234,12 +236,13 @@ class TwoBodyState:
         return self.gap < _DEGENERACY_GAP
 
 
-def ground_state(grid, kappa, g1d, *, tol=1e-10):
+def ground_state(grid, kappa, g1d):
     """Lowest bosonic eigenpair of the two-body split-trap Hamiltonian.
 
     Lanczos on the exact inverse (H - sigma)^-1 of _shifted_inverse,
-    whose largest eigenvalues nu give the lowest energies sigma + 1/nu.
-    The inverse is confined to the exchange-symmetric sector: the raw
+    whose largest eigenvalues nu give the lowest energies sigma + 1/nu;
+    the iteration runs to a relative eigenvalue tolerance of 1e-10
+    (``_EIGEN_TOL``).  The inverse is confined to the exchange-symmetric sector: the raw
     matrix also carries antisymmetric states, and near the strong
     coupling regime one of those dips below the symmetric ground state
     on a coarse mesh.  The start vector, a Gaussian product centred off
@@ -258,8 +261,6 @@ def ground_state(grid, kappa, g1d, *, tol=1e-10):
         give the impenetrable barrier.
     g1d : float
         Contact coupling, >= 0; math.inf gives the hard-core limit.
-    tol : float
-        Relative eigenvalue tolerance passed to the Krylov iteration.
 
     Returns
     -------
@@ -288,7 +289,7 @@ def ground_state(grid, kappa, g1d, *, tol=1e-10):
         f"ground-state iteration failed at kappa={kappa}, g1d={g1d}, N={n}, dx={grid.spacing}"
     )
     try:
-        nu, vecs = eigsh(op, k=2, which="LA", v0=v0, tol=tol)
+        nu, vecs = eigsh(op, k=2, which="LA", v0=v0, tol=_EIGEN_TOL)
     except ArpackNoConvergence as exc:
         raise ConvergenceError(f"{failure}: {exc}") from exc
     energy = sigma + 1.0 / nu[1]

@@ -240,17 +240,14 @@ def eigenfunction(state, x):
 
 
 def spectrum(kappa, count):
-    """Lowest ``count`` levels at barrier strength kappa.
+    """Lowest ``count`` levels at barrier strength kappa, by energy.
 
-    Returns a list of EigenState sorted by energy; even parity wins
-    energy ties (the doubly degenerate infinite-barrier limit).
+    Level i has oscillator index n = i: the even level j lies in
+    (2j + 1/2, 2j + 3/2] and the odd level 2j + 1 sits at 2j + 3/2, so
+    the parities alternate, and even comes first in the doubly
+    degenerate infinite-barrier limit, where the two meet.
     """
     barrier = as_barrier(kappa)
     if count != int(count) or count < 1:
         raise ValueError(f"level count must be a positive integer, got {count!r}")
-    count = int(count)
-    per_parity = count // 2 + 1
-    states = [even_state(barrier, j) for j in range(per_parity)]
-    states += [odd_state(2 * j + 1) for j in range(per_parity)]
-    states.sort(key=lambda s: (s.energy, 0 if s.parity == "even" else 1))
-    return states[:count]
+    return [odd_state(n) if n % 2 else even_state(barrier, n // 2) for n in range(int(count))]

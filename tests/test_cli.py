@@ -13,7 +13,7 @@ import pytest
 from scipy.constants import hbar
 
 import splittrap
-from splittrap import analysis
+from splittrap import analysis, tonks
 from splittrap.cli import (
     CONFINEMENT_CONSTANT,
     ConfinementResonanceError,
@@ -279,6 +279,80 @@ def test_cli_matrix_and_curve_sidecars(tmp_path):
                        delimiter=",", skiprows=1)
     assert curve.shape == (401, 2)
     assert np.trapezoid(curve[:, 1], curve[:, 0]) == pytest.approx(1.0, abs=5e-3)
+
+
+def test_cli_tonks_json_momentum_per_point(tmp_path):
+    # Each point carries the curve of its own barrier, and a repeated
+    # kappa gets a curve of its own.
+    out = tmp_path / "tg.json"
+    kappas = ["0", "1", "1", "inf"]
+    assert main(["tonks", "--kappa", *kappas, "--outputs", "energy,momentum",
+                 "--k-points", "41", "--format", "json", "--out", str(out)]) == 0
+    points = json.loads(out.read_text())["points"]
+    assert [p["kappa"] for p in points] == kappas
+    k = analysis.uniform_k_grid(41, 8.0)
+    for point in points:
+        rho = tonks.tonks_rspd(BarrierStrength.parse(point["kappa"]))
+        dist = analysis.momentum_distribution(analysis.natural_orbitals(rho), k)
+        assert point["momentum"] == {
+            "k": [float(f"{v:.12g}") for v in k],
+            "n": [float(f"{v:.12g}") for v in dist.densities],
+        }
+    assert points[0]["momentum"] != points[1]["momentum"]
+
+
+def test_cli_dvr_sidecar_names(tmp_path):
+    out = tmp_path / "pair.csv"
+    assert main(["dvr", "--kappa", "1", "--g1d", "5", "inf",
+                 "--outputs", "energy,rspd,momentum", "--n-points", "41", "--dx", "0.2",
+                 "--k-points", "21", "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "pair-momentum-kappa1-g5.csv",
+        "pair-momentum-kappa1-ginf.csv",
+        "pair-rspd-kappa1-g5.txt",
+        "pair-rspd-kappa1-ginf.txt",
+        "pair.csv",
+    ]
+
+
+def test_cli_parallel_workers_match_serial_json_and_sidecars(tmp_path):
+    args = ["dvr", "--kappa", "0", "inf", "--g1d", "0", "inf",
+            "--outputs", "energy,momentum,rspd,entropy", "--n-points", "41", "--dx", "0.2",
+            "--k-points", "21", "--format", "json"]
+    files = {}
+    for name, extra in (("serial", []), ("parallel", ["--workers", "2"])):
+        (tmp_path / name).mkdir()
+        assert main(args + extra + ["--out", str(tmp_path / name / "run.json")]) == 0
+        files[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert len(files["serial"]) == 5
+    assert files["parallel"] == files["serial"]
+
+
+def test_cli_json_to_stdout_without_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["tonks", "--kappa", "0", "inf", "--outputs", "energy,momentum",
+                 "--k-points", "21", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [p["kappa"] for p in payload["points"]] == ["0", "inf"]
+    assert all(len(p["momentum"]["n"]) == 21 for p in payload["points"])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_spectrum_150_levels(capsys):
+    assert main(["spectrum", "--kappa", "1", "--levels", "150"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [int(row.split(",")[3]) for row in rows] == list(range(150))
+
+
+def test_cli_spectrum_failure_record_carries_only_kappa(capsys):
+    # From n = 151 the Hermite norm's 2^n n! overflows a float, so 400
+    # levels fail; the failed point's record keeps its kappa alone.
+    assert main(["spectrum", "--kappa", "1", "--levels", "400", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["points"] == [{"kappa": "1"}]
+    (failure,) = json.loads(captured.err)["failures"]
+    assert (failure["kappa"], failure["g1d"]) == ("1", "")
+    assert failure["error"].startswith("OverflowError")
 
 
 def test_cli_failure_manifest(tmp_path):

@@ -307,6 +307,20 @@ def test_spectrum_rejects_bad_count():
         spectrum(1.0, 0)
 
 
+@pytest.mark.parametrize(
+    "kappa", [0.0, 1e-300, 1e-10, 0.1, 0.5, 1.0, 2.5, 3.3, 10.0, 100.0, 1e6, 1e300, math.inf]
+)
+def test_spectrum_level_i_is_oscillator_index_i(kappa):
+    # Even level j lies in (2j + 1/2, 2j + 3/2] and odd level 2j + 1 at
+    # 2j + 3/2, so the energy order is the index order at every barrier.
+    # 150 levels compute no norm above n = 149, below the 2^n n! overflow.
+    states = spectrum(kappa, 150)
+    assert [s.n for s in states] == list(range(150))
+    assert [s.parity for s in states] == ["even", "odd"] * 75
+    energies = [s.energy for s in states]
+    assert energies == sorted(energies)
+
+
 def test_even_state_index_convention():
     assert even_state(1.0, 0).n == 0
     assert even_state(1.0, 1).n == 2
