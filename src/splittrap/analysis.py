@@ -3,32 +3,39 @@
 Takes a grid-sampled two-body wavefunction (from either the analytic
 Tonks route or the DVR solver) through the chain
 
-    reduced density matrix -> natural orbitals -> momentum distribution
-                                               -> entanglement measures
+    pair amplitudes -> natural orbitals -> momentum distribution
+                                        -> entanglement measures
 
 All quadrature is trapezoid-on-the-mesh; the Fourier transform to
 momentum space is a direct quadrature sum, not an FFT, so any k grid
 may be requested.
 
-The barrier sits at the trap centre, so the pair state and its density
-matrix are parity-even, rho(-x, -x') = rho(x, x'), and every natural
-orbital is even or odd.  ``natural_orbitals`` uses this: on the odd
-symmetric mesh it folds dx * rho into an even block of size (N + 1)/2
-and an odd block of size (N - 1)/2 and diagonalizes each on its own,
-which costs about a quarter of one N x N eigensolve.  It rejects a
-density matrix that is not parity-symmetric.  The orbitals are real,
-so n(-k) = n(k), and ``momentum_distribution`` evaluates k >= 0 only.
+For two bosons the symmetric amplitudes are their own natural-orbital
+decomposition, psi(x, y) = sum_i s_i phi_i(x) phi_i(y) with occupations
+s_i^2 (Paskauskas & You, Phys. Rev. A 64, 042310 (2001)).  So
+``natural_orbitals`` diagonalizes dx * psi, so an occupation lambda is
+off by about eps * sqrt(lambda), not eps, and never forms
+rho = dx psi psi^T; only reading ``DensityMatrix.values`` does.
+
+The barrier sits at the trap centre, so the pair state is parity-even,
+psi(-x, -y) = psi(x, y), and every natural orbital is even or odd.
+``natural_orbitals`` uses this: on the odd symmetric mesh it folds
+dx * psi into an even block of size (N + 1)/2 and an odd block of size
+(N - 1)/2 and diagonalizes each on its own, which costs about a quarter
+of one N x N eigensolve.  It rejects amplitudes that are not
+parity-symmetric.  The orbitals are real, so n(-k) = n(k), and
+``momentum_distribution`` evaluates k >= 0 only.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dvr import Grid
 
-_OCCUPATION_FLOOR = -1e-10
 _TRUNCATION_TAIL = 1e-8
 _ENTROPY_FLOOR = 1e-12
 _SCHMIDT_THRESHOLD = 1e-6
@@ -36,18 +43,26 @@ _SCHMIDT_THRESHOLD = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Reduced single-particle density matrix sampled on a grid.
+    """Reduced single-particle density matrix of a two-boson state.
 
-    ``values[i, j]`` holds rho(q_i, q_j); the quadrature trace
-    sum(diag) * dx is 1 for a normalized input state.
+    Holds the symmetric pair amplitudes psi(q_i, q_j), with
+    dx^2 sum(psi^2) = 1 for a normalized state.  ``values[i, j]``,
+    rho(q_i, q_j) = dx sum_k psi(q_i, q_k) psi(q_j, q_k), is formed on
+    first read.
     """
 
-    values: np.ndarray
+    amplitudes: np.ndarray
     grid: Grid
+
+    @cached_property
+    def values(self):
+        psi = self.amplitudes
+        rho = self.grid.spacing * (psi @ psi.T)
+        return 0.5 * (rho + rho.T)
 
     @property
     def trace(self):
-        return float(np.sum(np.diag(self.values)) * self.grid.spacing)
+        return float(np.vdot(self.amplitudes, self.amplitudes)) * self.grid.spacing**2
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +94,7 @@ class MomentumDistribution:
 
 def rspd_from_amplitudes(psi, grid):
     """Reduced density matrix rho = dx psi psi^T of normalized N x N amplitudes."""
-    rho = grid.spacing * (psi @ psi.T)
-    rho = 0.5 * (rho + rho.T)
-    return DensityMatrix(values=rho, grid=grid)
+    return DensityMatrix(amplitudes=psi, grid=grid)
 
 
 def rspd_from_state(state):
@@ -90,11 +103,13 @@ def rspd_from_state(state):
 
 
 def natural_orbitals(rho):
-    """Natural orbitals and occupations of a reduced density matrix.
+    """Natural orbitals and occupations of a two-boson density matrix.
 
-    The quadrature-weighted matrix dx * rho is symmetric; its
-    eigenvalues are the occupations.  It must also be parity-symmetric,
-    W(-x, -x') = W(x, x'), on an odd mesh whose centre index is c.  In
+    Reads only ``rho.amplitudes``.  The quadrature-weighted amplitudes
+    W = dx * psi are symmetric, and dx * rho = W^2, so the natural
+    orbitals are the eigenvectors of W and the occupations are the
+    squares of its eigenvalues.  W must also be parity-symmetric,
+    W(-x, -y) = W(x, y), on an odd mesh whose centre index is c.  In
     the orthonormal basis delta_c, (delta_c+i +- delta_c-i) / sqrt(2),
     i = 1..c, it splits into two blocks:
 
@@ -102,61 +117,51 @@ def natural_orbitals(rho):
       the column of delta_c scaled by 1/sqrt(2);
     - odd, W(c+i, c+j) - W(c+i, c-j) for i, j = 1..c.
 
-    Each block is diagonalized on its own and its eigenvectors are
-    unfolded onto the mesh, so every orbital has definite parity.
-
-    Tiny negative eigenvalues (down to -1e-10) are clamped to zero,
-    anything lower is rejected as a non-positive-semidefinite input.
+    Given parity, W is symmetric exactly when both blocks are.  Each
+    block is diagonalized on its own and its eigenvectors are unfolded
+    onto the mesh, so every orbital has definite parity.
 
     Raises
     ------
     ValueError
-        If dx * rho is asymmetric or not parity-symmetric beyond 1e-10,
-        the mesh has an even point count, or an occupation lies below
-        -1e-10.
+        If W is not parity-symmetric or not symmetric beyond 1e-10, or
+        the mesh has an even point count.
     """
     dx = rho.grid.spacing
-    n = rho.values.shape[0]
+    n = rho.amplitudes.shape[0]
     if n % 2 == 0:
         raise ValueError(f"parity fold needs an odd mesh with a centre point, got {n} points")
-    weighted = dx * rho.values
-    asym = np.max(np.abs(weighted - weighted.T))
-    if asym > 1e-10:
-        raise ValueError(f"density matrix is not symmetric (max asymmetry {asym:.3e})")
-    skew = np.max(np.abs(weighted - weighted[::-1, ::-1]))
-    if skew > 1e-10:
-        raise ValueError(f"density matrix is not parity-symmetric (max deviation {skew:.3e})")
-
     c = n // 2
+    weighted = dx * rho.amplitudes
+    skew = np.max(np.abs(weighted[c:] - weighted[c::-1, ::-1]))
+    if skew > 1e-10:
+        raise ValueError(f"amplitudes are not parity-symmetric (max deviation {skew:.3e})")
+
     right = weighted[c:, c:]
     mirror = weighted[c:, c::-1]
     even = right + mirror
     even[0, :] *= math.sqrt(0.5)
     even[:, 0] *= math.sqrt(0.5)
     odd = right[1:, 1:] - mirror[1:, 1:]
+    asym = max(np.max(np.abs(even - even.T)), np.max(np.abs(odd - odd.T), initial=0.0))
+    if asym > 1e-10:
+        raise ValueError(f"amplitudes are not symmetric (max asymmetry {asym:.3e})")
     even_vals, even_vecs = np.linalg.eigh(0.5 * (even + even.T))
     odd_vals, odd_vecs = np.linalg.eigh(0.5 * (odd + odd.T))
-    vals = np.concatenate((even_vals, odd_vals))
-    if vals.min() < _OCCUPATION_FLOOR:
-        raise ValueError(
-            f"density matrix has a negative eigenvalue {vals.min():.3e} "
-            "beyond the roundoff floor"
-        )
+    vals = np.concatenate((even_vals, odd_vals)) ** 2
     order = np.argsort(vals, kind="stable")[::-1]
-    occupations = np.clip(vals[order], 0.0, None)
+    occupations = vals[order]
 
-    # Column of each eigenpair in the descending order.
-    column = np.empty(n, dtype=np.intp)
-    column[order] = np.arange(n)
-    even_cols, odd_cols = column[: c + 1], column[c + 1 :]
+    # Even orbitals in columns 0..c, odd ones after, then put in order.
     weights = np.full((c + 1, 1), 1.0 / math.sqrt(2.0 * dx))
     weights[0] = 1.0 / math.sqrt(dx)
-    orbitals = np.empty((n, n))
-    orbitals[c:, even_cols] = even_vecs * weights
-    orbitals[c::-1, even_cols] = orbitals[c:, even_cols]
-    orbitals[c + 1 :, odd_cols] = odd_vecs * weights[1:]
-    orbitals[c - 1 :: -1, odd_cols] = -orbitals[c + 1 :, odd_cols]
-    orbitals[c, odd_cols] = 0.0
+    unfolded = np.empty((n, n))
+    unfolded[c:, : c + 1] = even_vecs * weights
+    unfolded[c::-1, : c + 1] = unfolded[c:, : c + 1]
+    unfolded[c + 1 :, c + 1 :] = odd_vecs * weights[1:]
+    unfolded[c - 1 :: -1, c + 1 :] = -unfolded[c + 1 :, c + 1 :]
+    unfolded[c, c + 1 :] = 0.0
+    orbitals = unfolded[:, order]
     occupations.setflags(write=False)
     orbitals.setflags(write=False)
     return NaturalDecomposition(occupations=occupations, orbitals=orbitals, grid=rho.grid)
@@ -244,9 +249,6 @@ def von_neumann_entropy(decomposition):
     return value if value > 0.0 else 0.0
 
 
-def schmidt_number(decomposition, threshold=_SCHMIDT_THRESHOLD):
-    """Number of occupations strictly above ``threshold``."""
-    threshold = float(threshold)
-    if threshold <= 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold!r}")
-    return int(np.sum(decomposition.occupations > threshold))
+def schmidt_number(decomposition):
+    """Number of occupations strictly above 1e-6."""
+    return int(np.sum(decomposition.occupations > _SCHMIDT_THRESHOLD))

@@ -387,8 +387,9 @@ def _spec_from_args(args):
     workers = _pick(getattr(args, "workers", None), config, "workers", 1, int)
     if workers < 1:
         raise ValueError(f"--workers must be >= 1, got {workers}")
-    if ("rspd" in outputs or wants_momentum) and not out and fmt == "csv":
-        raise ValueError("rspd/momentum csv outputs need --out to name their files")
+    # rspd matrices always go to sidecar files; csv momentum curves do too.
+    if not out and ("rspd" in outputs or (wants_momentum and fmt == "csv")):
+        raise ValueError("rspd and csv momentum outputs need --out to name their files")
 
     if mode != "spectrum":
         dvr.build_grid(n_points, spacing)

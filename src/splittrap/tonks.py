@@ -73,8 +73,8 @@ class TonksState:
         q = grid.points
         phi0 = eigenfunction(self.even_orbital, q)
         phi1 = eigenfunction(self.odd_orbital, q)
-        det = np.outer(phi0, phi1)
-        return np.abs(det - det.T) / math.sqrt(2.0)
+        det = np.outer(phi0, phi1) - np.outer(phi1, phi0)
+        return np.abs(det) / math.sqrt(2.0)
 
 
 def tonks_state(kappa):
@@ -95,8 +95,10 @@ def tonks_wavefunction(kappa, x1, x2):
 def tonks_rspd(kappa, grid=None):
     """Reduced single-particle density matrix of the hard-core pair.
 
-    rho(x, x') = integral Psi(x, y) Psi(x', y) dy evaluated by
-    trapezoid-equivalent quadrature on the mesh.
+    rho(x, x') = integral Psi(x, y) Psi(x', y) dy by trapezoid-equivalent
+    quadrature on the mesh.  The result holds the sampled Psi,
+    re-normalized on the mesh; rho itself is formed only if its
+    ``values`` are read.
 
     Parameters
     ----------

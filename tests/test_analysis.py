@@ -97,13 +97,11 @@ def test_natural_orbitals_reconstruction(tonks_decomposition):
 
 
 def test_natural_orbitals_rejects_bad_input():
-    grid = build_grid(5, 0.5)
-    values = np.eye(5)
-    values[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        analysis.natural_orbitals(analysis.DensityMatrix(values=values, grid=grid))
-    with pytest.raises(ValueError):
-        analysis.natural_orbitals(analysis.DensityMatrix(values=-np.eye(5), grid=grid))
+    # Parity-symmetric but asymmetric: the (0, 1) entry and its mirror (4, 3).
+    amplitudes = np.eye(5)
+    amplitudes[0, 1] = amplitudes[4, 3] = 1.0
+    with pytest.raises(ValueError, match="not symmetric"):
+        analysis.natural_orbitals(analysis.rspd_from_amplitudes(amplitudes, build_grid(5, 0.5)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,18 +115,19 @@ def test_natural_orbitals_fold_matches_full_spectrum(half, rank, spacing, seed):
     n = 2 * half + 1
     rng = np.random.default_rng(seed)
     factor = rng.standard_normal((n, min(rank, n)))
-    values = factor @ factor.T
-    values = 0.5 * (values + values.T)
-    values = 0.5 * (values + values[::-1, ::-1])
-    values /= np.trace(values) * spacing
-    rho = analysis.DensityMatrix(values=values, grid=build_grid(n, spacing))
+    psi = (factor * rng.standard_normal(factor.shape[1])) @ factor.T
+    psi = 0.5 * (psi + psi.T)
+    psi = 0.5 * (psi + psi[::-1, ::-1])
+    psi /= math.sqrt(np.sum(psi * psi)) * spacing
+    rho = analysis.rspd_from_amplitudes(psi, build_grid(n, spacing))
     decomposition = analysis.natural_orbitals(rho)
 
     occ = decomposition.occupations
-    expected = np.linalg.eigvalsh(spacing * values)[::-1]
+    expected = np.linalg.eigvalsh(spacing**2 * (psi @ psi.T))[::-1]
     np.testing.assert_allclose(occ, expected, rtol=0.0, atol=1e-12)
     orbitals = decomposition.orbitals
     recon = (orbitals * occ) @ orbitals.T
+    values = rho.values
     np.testing.assert_allclose(recon, values, rtol=0.0, atol=1e-12 * np.max(np.abs(values)))
     overlaps = spacing * (orbitals.T @ orbitals)
     np.testing.assert_allclose(overlaps, np.eye(n), rtol=0.0, atol=1e-12)
@@ -148,12 +147,46 @@ def test_natural_orbitals_fold_matches_full_eigh_on_tonks(kappa):
     assert analysis.schmidt_number(folded) == analysis.schmidt_number(full)
 
 
+def test_natural_orbitals_small_occupations_exact():
+    # psi = sum_i s_i u_i(x) u_i(y) with dx-orthonormal, parity-definite
+    # u_i and known s_i^2 = 0.88 * 10^-i: the occupations keep their
+    # relative precision down to 8.8e-17, far below eps of the largest.
+    n, dx = 41, 0.2
+    rng = np.random.default_rng(7)
+    raw = rng.standard_normal((n, 17))
+    even, _ = np.linalg.qr(raw[:, 0::2] + raw[::-1, 0::2])
+    odd, _ = np.linalg.qr(raw[:, 1::2] - raw[::-1, 1::2])
+    basis = np.empty((n, 17))
+    basis[:, 0::2], basis[:, 1::2] = even, odd
+    basis /= math.sqrt(dx)
+    occupations = 0.88 * 10.0 ** -np.arange(17)
+    signs = np.where(np.arange(17) % 3 == 1, -1.0, 1.0)
+    psi = (basis * (signs * np.sqrt(occupations))) @ basis.T
+    psi = 0.5 * (psi + psi.T)
+    psi = 0.5 * (psi + psi[::-1, ::-1])
+
+    rho = analysis.rspd_from_amplitudes(psi, build_grid(n, dx))
+    found = analysis.natural_orbitals(rho).occupations
+    assert found[:17] == pytest.approx(occupations, rel=1e-8, abs=0.0)
+
+
+def test_observables_never_form_the_density_matrix(solve):
+    grid = build_grid(1201, 0.01)
+    k = analysis.uniform_k_grid(41, 8.0)
+    for rho in (tonks.tonks_rspd(3.3, grid), analysis.rspd_from_state(solve(1.0, 1.0))):
+        decomposition = analysis.natural_orbitals(rho)
+        analysis.von_neumann_entropy(decomposition)
+        analysis.schmidt_number(decomposition)
+        analysis.momentum_distribution(decomposition, k)
+        assert "values" not in vars(rho)
+
+
 def test_natural_orbitals_rejects_parity_breaking_input():
-    values = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+    amplitudes = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
     with pytest.raises(ValueError, match="parity"):
-        analysis.natural_orbitals(analysis.DensityMatrix(values=values, grid=build_grid(5, 0.5)))
+        analysis.natural_orbitals(analysis.rspd_from_amplitudes(amplitudes, build_grid(5, 0.5)))
     with pytest.raises(ValueError, match="odd mesh"):
-        analysis.natural_orbitals(analysis.DensityMatrix(values=np.eye(4), grid=Grid(4, 0.5)))
+        analysis.natural_orbitals(analysis.rspd_from_amplitudes(np.eye(4), Grid(4, 0.5)))
 
 
 def test_tonks_zero_barrier_occupations(tonks_decomposition):
@@ -307,5 +340,3 @@ def test_schmidt_number_cases(tonks_decomposition):
     assert infinite.occupations[2] <= 1e-12
     crossing = tonks_decomposition(1.33)
     assert analysis.schmidt_number(crossing) > 2
-    with pytest.raises(ValueError):
-        analysis.schmidt_number(infinite, threshold=0.0)

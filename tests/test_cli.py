@@ -338,6 +338,18 @@ def test_cli_json_to_stdout_without_out(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_json_rspd_needs_out(tmp_path, capsys, monkeypatch):
+    # rspd matrices go only to sidecar files, so JSON without --out is
+    # rejected before any point is computed, with nothing on stdout.
+    monkeypatch.chdir(tmp_path)
+    for mode in (["tonks", "--kappa", "0"], ["dvr", "--kappa", "0", "--g1d", "1"]):
+        assert main([*mode, "--outputs", "energy,rspd", "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "need --out" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_spectrum_150_levels(capsys):
     assert main(["spectrum", "--kappa", "1", "--levels", "150"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
