@@ -28,7 +28,6 @@ from .dvr import (
     kinetic_matrix,
 )
 from .single_particle import (
-    BarrierStrength,
     BracketError,
     EigenState,
     eigenfunction,
@@ -53,7 +52,6 @@ from .units import ConfinementResonanceError, TrapUnits, g1d_from_physical
 __version__ = "0.1.0"
 
 __all__ = [
-    "BarrierStrength",
     "BracketError",
     "ConfinementResonanceError",
     "ConvergenceError",

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import analysis, dvr, tonks
-from .single_particle import BarrierStrength, spectrum
+from .single_particle import check_coupling, spectrum
 from .units import (  # noqa: F401  (also re-exported from here)
     CONFINEMENT_CONSTANT, HBAR, ConfinementResonanceError, CouplingResult, TrapUnits,
     g1d_from_physical,
@@ -102,15 +102,15 @@ def _round12(value):
 
 
 def _evaluate_point(spec, point):
-    barrier, g1d = point
-    label = {"kappa": barrier.label()}
+    kappa, g1d = point
+    label = {"kappa": _fmt_value(kappa)}
     if g1d is not None:
         # An infinite coupling is written as the label "inf", never as a
         # float, so that JSON output holds no bare Infinity.
         label["g1d"] = "inf" if g1d == math.inf else g1d
     try:
         if spec.mode == "spectrum":
-            states = spectrum(barrier, spec.levels)
+            states = spectrum(kappa, spec.levels)
             return {"records": [
                 {**label, "level": i, "parity": s.parity, "n": s.n, "energy": s.energy}
                 for i, s in enumerate(states)
@@ -121,12 +121,12 @@ def _evaluate_point(spec, point):
         record = dict(label)
         out = {"records": [record]}
         if spec.mode == "tonks":
-            state = tonks.tonks_state(barrier)
+            state = tonks.tonks_state(kappa)
             if "energy" in spec.outputs:
                 record["energy"] = state.pair_energy
-            rho = tonks.tonks_rspd(barrier, grid) if wants_density else None
+            rho = tonks.tonks_rspd(kappa, grid) if wants_density else None
         else:
-            state = dvr.ground_state(grid, barrier, g1d)
+            state = dvr.ground_state(grid, kappa, g1d)
             if "energy" in spec.outputs:
                 record["energy"] = state.energy
                 record["near_degenerate"] = state.near_degenerate
@@ -153,10 +153,13 @@ def run_sweep(spec):
     """Evaluate every point of a sweep, in sweep order; solver failures
     are collected, not raised, so partial results survive."""
     couplings = {"spectrum": (None,), "tonks": (math.inf,)}.get(spec.mode, spec.couplings)
-    points = [(barrier, g1d) for barrier in spec.barriers for g1d in couplings]
+    points = [(kappa, g1d) for kappa in spec.barriers for g1d in couplings]
     evaluate = functools.partial(_evaluate_point, spec)
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    # Never more workers than points: the fork start method forks every
+    # worker on the first submit.
+    workers = min(spec.workers, len(points))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return SweepResult(list(pool.map(evaluate, points)))
     return SweepResult(list(map(evaluate, points)))
 
@@ -326,16 +329,8 @@ def _split_tokens(value):
 
 
 def _parse_couplings(tokens):
-    out = []
-    for tok in tokens:
-        try:
-            value = float(tok)
-        except ValueError as exc:
-            raise ValueError(f"invalid coupling {tok!r}") from exc
-        if not value >= 0.0:
-            raise ValueError(f"coupling must be >= 0, got {tok!r}")
-        out.append(value)
-    return out
+    # --kappa and --g1d tokens alike: numbers >= 0, 'inf' for the limit.
+    return tuple(check_coupling(tok, "coupling") for tok in _split_tokens(tokens))
 
 
 def _spec_from_args(args):
@@ -349,14 +344,14 @@ def _spec_from_args(args):
     kappa_tokens = _pick(args.kappa, config, "kappa", None, _split_tokens)
     if not kappa_tokens:
         raise ValueError("at least one --kappa value is required")
-    barriers = tuple(BarrierStrength.parse(tok) for tok in _split_tokens(kappa_tokens))
+    barriers = _parse_couplings(kappa_tokens)
 
     couplings = ()
     if mode == "dvr":
         g_tokens = _pick(getattr(args, "g1d", None), config, "g1d", None, _split_tokens)
         if not g_tokens:
             raise ValueError("dvr mode needs at least one --g1d value")
-        couplings = tuple(_parse_couplings(_split_tokens(g_tokens)))
+        couplings = _parse_couplings(g_tokens)
 
     outputs_raw = _pick(getattr(args, "outputs", None), config, "outputs", "energy")
     outputs = tuple(

@@ -50,7 +50,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .single_particle import BarrierStrength
+from .single_particle import check_coupling
 
 _DEGENERACY_GAP = 1e-6
 # Bound on ||H psi - E psi|| for a unit-norm psi.  Converged pairs sit at
@@ -129,24 +129,14 @@ def kinetic_matrix(grid):
     return _kinetic_matrix_cached(grid.n_points, grid.spacing)
 
 
-def _coupling(value, name):
-    # A barrier flag or a float; +inf is valid, NaN and negatives are not.
-    if isinstance(value, BarrierStrength):
-        return math.inf if value.infinite else value.kappa
-    value = float(value)
-    if not value >= 0.0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
-    return value
-
-
 def _hamiltonian(grid, kappa, g1d):
     """Validated couplings and the three pieces of H.
 
     H = h (x) 1 + 1 (x) h + c sum_a |aa><aa| with the one-body operator
     h = T + diag(w); returns (kappa, g1d, T, w, c).
     """
-    kappa = _coupling(kappa, "kappa")
-    g1d = _coupling(g1d, "g1d")
+    kappa = check_coupling(kappa, "kappa")
+    g1d = check_coupling(g1d, "g1d")
     dx = grid.spacing
     if math.isinf(kappa):
         kappa_eff = math.pi**2 / (2.0 * dx)
@@ -256,9 +246,8 @@ def ground_state(grid, kappa, g1d):
     Parameters
     ----------
     grid : Grid
-    kappa : float or BarrierStrength
-        Barrier strength, >= 0; math.inf or the infinite-barrier flag
-        give the impenetrable barrier.
+    kappa : float
+        Barrier strength, >= 0; math.inf gives the impenetrable barrier.
     g1d : float
         Contact coupling, >= 0; math.inf gives the hard-core limit.
 

@@ -33,8 +33,10 @@ and phi'(0+) = -2 sqrt(pi) rg(a), with rg = 1/Gamma and d_E = -d_a/2, so
 
 Both rg and rg' are entire, so kappa = 0 (a = -j) and kappa -> inf
 (a + 1/2 -> -j) need no special case.  Odd levels H_n(x) exp(-x^2/2)
-and the infinite-barrier even level |H_{2j+1}(x)| exp(-x^2/2) carry the
-oscillator norm 1/sqrt(2^n n! sqrt(pi)).
+and the infinite-barrier even level sgn(x) H_{2j+1}(x) exp(-x^2/2), the
+odd level above it mirrored to x < 0, carry the oscillator norm
+1/sqrt(2^n n! sqrt(pi)).  Couplings are plain floats, math.inf for the
+limit, checked by ``check_coupling``.
 """
 
 import math
@@ -51,53 +53,20 @@ class BracketError(RuntimeError):
     """Bisection of a level bracket stalls before reaching its tolerance."""
 
 
-@dataclass(frozen=True)
-class BarrierStrength:
-    """Central barrier strength; an infinite barrier is a flag, not a float."""
+def check_coupling(value, name="kappa"):
+    """``value`` as a coupling: a float >= 0, with math.inf for the limit.
 
-    kappa: float = 0.0
-    infinite: bool = False
-
-    def __post_init__(self):
-        if self.infinite:
-            object.__setattr__(self, "kappa", 0.0)
-            return
-        kappa = float(self.kappa)
-        if not math.isfinite(kappa):
-            raise ValueError(
-                "non-finite kappa; use BarrierStrength.infinite_barrier()"
-            )
-        if kappa < 0.0:
-            raise ValueError(f"kappa must be >= 0, got {kappa}")
-        object.__setattr__(self, "kappa", kappa)
-
-    @classmethod
-    def infinite_barrier(cls):
-        return cls(0.0, True)
-
-    @classmethod
-    def parse(cls, text):
-        """Parse a CLI/config token: a non-negative number or 'inf'."""
-        token = str(text).strip().lower()
-        if token in ("inf", "infinity"):
-            return cls.infinite_barrier()
-        try:
-            return cls(float(token))
-        except ValueError as exc:
-            raise ValueError(f"invalid barrier strength {text!r}") from exc
-
-    def label(self):
-        return "inf" if self.infinite else f"{self.kappa:.12g}"
-
-
-def as_barrier(kappa):
-    """Coerce a float (math.inf allowed) or BarrierStrength to BarrierStrength."""
-    if isinstance(kappa, BarrierStrength):
-        return kappa
-    kappa = float(kappa)
-    if math.isinf(kappa):
-        return BarrierStrength.infinite_barrier()
-    return BarrierStrength(kappa)
+    kappa = inf is the impenetrable barrier, g1d = inf the hard core.
+    Raises ValueError for text that is not a number, NaN and negative
+    values.
+    """
+    try:
+        number = float(value)
+    except ValueError as exc:
+        raise ValueError(f"invalid {name} {value!r}") from exc
+    if not number >= 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -106,14 +75,16 @@ class EigenState:
 
     ``n`` follows harmonic-oscillator counting: even levels carry
     n = 0, 2, 4, ... (the j-th even level has n = 2j), odd levels the
-    exact oscillator index n = 1, 3, 5, ...
+    exact oscillator index n = 1, 3, 5, ...  ``kappa`` is the barrier
+    strength, math.inf for the impenetrable barrier; odd levels do not
+    feel it and carry 0.
     """
 
     parity: str
     n: int
     energy: float
     norm_constant: float
-    barrier: BarrierStrength
+    kappa: float
 
     def wavefunction(self, x):
         return eigenfunction(self, x)
@@ -129,7 +100,8 @@ def even_energy(kappa, j):
 
     Parameters
     ----------
-    kappa : float or BarrierStrength
+    kappa : float
+        Barrier strength, >= 0; math.inf is the impenetrable barrier.
     j : int
         Even-level index, j >= 0.
 
@@ -140,15 +112,14 @@ def even_energy(kappa, j):
         2j + 1/2 (kappa = 0) and 2j + 3/2 (infinite) are returned
         exactly.
     """
-    barrier = as_barrier(kappa)
+    kappa = check_coupling(kappa)
     if j != int(j) or j < 0:
         raise ValueError(f"even level index must be a non-negative integer, got {j!r}")
     j = int(j)
-    if barrier.infinite:
+    if math.isinf(kappa):
         return 2.0 * j + 1.5
-    if barrier.kappa == 0.0:
+    if kappa == 0.0:
         return 2.0 * j + 0.5
-    kap = barrier.kappa
 
     # Bisection on the exact bracket.  h has no poles, and at the ends
     # only one of its terms survives: kappa / Gamma(1/2 - j) at the lower
@@ -158,18 +129,18 @@ def even_energy(kappa, j):
     # very small kappa, where it hugs one end of the bracket.
     lo = 2.0 * j + 0.5
     hi = 2.0 * j + 1.5
-    lower_sign = math.copysign(1.0, _even_h(lo, kap))
+    lower_sign = math.copysign(1.0, _even_h(lo, kappa))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if _even_h(mid, kap) * lower_sign > 0.0:
+        if _even_h(mid, kappa) * lower_sign > 0.0:
             lo = mid
         else:
             hi = mid
     if hi - lo > _BISECTION_TOL:
         raise BracketError(
-            f"bisection stalled on level {j} at kappa = {kap}: "
+            f"bisection stalled on level {j} at kappa = {kappa}: "
             f"bracket width {hi - lo:.3e}"
         )
     return 0.5 * (lo + hi)
@@ -193,8 +164,8 @@ def _odd_profile(n, x):
 
 
 def _split_profile(n, x):
-    # Infinite-barrier even branch: magnitude of the odd level above it.
-    return np.abs(specfun.hermite(n + 1, x)) * np.exp(-0.5 * x * x)
+    # Infinite-barrier even branch: the odd level above it, mirrored to x < 0.
+    return np.sign(x) * specfun.hermite(n + 1, x) * np.exp(-0.5 * x * x)
 
 
 def _even_norm(energy):
@@ -213,17 +184,17 @@ def _hermite_norm(n):
 
 def even_state(kappa, j):
     """Normalized j-th even level as an EigenState."""
-    barrier = as_barrier(kappa)
+    kappa = check_coupling(kappa)
     j = int(j)
-    energy = even_energy(barrier, j)
-    norm = _hermite_norm(2 * j + 1) if barrier.infinite else _even_norm(energy)
-    return EigenState("even", 2 * j, energy, norm, barrier)
+    energy = even_energy(kappa, j)
+    norm = _hermite_norm(2 * j + 1) if math.isinf(kappa) else _even_norm(energy)
+    return EigenState("even", 2 * j, energy, norm, kappa)
 
 
 def odd_state(n):
     """Normalized odd level n (n odd); independent of the barrier."""
     n = int(n)
-    return EigenState("odd", n, odd_energy(n), _hermite_norm(n), BarrierStrength())
+    return EigenState("odd", n, odd_energy(n), _hermite_norm(n), 0.0)
 
 
 def eigenfunction(state, x):
@@ -232,7 +203,7 @@ def eigenfunction(state, x):
     scalar = xarr.ndim == 0
     if state.parity == "odd":
         values = state.norm_constant * _odd_profile(state.n, xarr)
-    elif state.barrier.infinite:
+    elif math.isinf(state.kappa):
         values = state.norm_constant * _split_profile(state.n, xarr)
     else:
         values = state.norm_constant * _even_profile(state.energy, xarr)
@@ -247,7 +218,7 @@ def spectrum(kappa, count):
     the parities alternate, and even comes first in the doubly
     degenerate infinite-barrier limit, where the two meet.
     """
-    barrier = as_barrier(kappa)
+    kappa = check_coupling(kappa)
     if count != int(count) or count < 1:
         raise ValueError(f"level count must be a positive integer, got {count!r}")
-    return [odd_state(n) if n % 2 else even_state(barrier, n // 2) for n in range(int(count))]
+    return [odd_state(n) if n % 2 else even_state(kappa, n // 2) for n in range(int(count))]

@@ -20,14 +20,7 @@ import numpy as np
 from . import specfun
 from .analysis import rspd_from_amplitudes
 from .dvr import GridError, build_grid
-from .single_particle import (
-    BarrierStrength,
-    EigenState,
-    as_barrier,
-    eigenfunction,
-    even_state,
-    odd_state,
-)
+from .single_particle import EigenState, check_coupling, eigenfunction, even_state, odd_state
 
 _MIN_RSPD_SPAN = 6.0
 _TRACE_ERROR_LIMIT = 1e-3
@@ -42,10 +35,10 @@ def default_analysis_grid():
 
 
 @lru_cache(maxsize=64)
-def _tonks_state_cached(barrier):
-    even = even_state(barrier, 0)
+def _tonks_state_cached(kappa):
+    even = even_state(kappa, 0)
     odd = odd_state(1)
-    return TonksState(barrier, even.energy + odd.energy, even, odd)
+    return TonksState(kappa, even.energy + odd.energy, even, odd)
 
 
 @dataclass(frozen=True)
@@ -54,9 +47,10 @@ class TonksState:
 
     Holds the two mapped orbitals and the pair energy; orbital
     orthonormality makes the determinant wavefunction unit-normalized.
+    ``kappa`` is the barrier strength, math.inf for the impenetrable one.
     """
 
-    barrier: BarrierStrength
+    kappa: float
     pair_energy: float
     even_orbital: EigenState
     odd_orbital: EigenState
@@ -78,8 +72,8 @@ class TonksState:
 
 
 def tonks_state(kappa):
-    """Hard-core pair state at barrier strength kappa (float, inf, or flag)."""
-    return _tonks_state_cached(as_barrier(kappa))
+    """Hard-core pair state at barrier strength kappa (a float, math.inf allowed)."""
+    return _tonks_state_cached(check_coupling(kappa))
 
 
 def tonks_energy(kappa):
@@ -102,7 +96,8 @@ def tonks_rspd(kappa, grid=None):
 
     Parameters
     ----------
-    kappa : float or BarrierStrength
+    kappa : float
+        Barrier strength, >= 0; math.inf is the impenetrable barrier.
     grid : Grid, optional
         Symmetric mesh covering at least [-6, 6]; defaults to the
         161-point, dx = 0.08 analysis mesh.

@@ -20,7 +20,6 @@ from scipy.special import dawsn
 from splittrap import analysis, dvr, specfun, tonks
 from splittrap.cli import main
 from splittrap.single_particle import (
-    BarrierStrength,
     even_energy,
     even_state,
     odd_energy,
@@ -129,9 +128,7 @@ def test_criterion_5_entropy_landmarks():
     else:
         peak = float(scan[top])
 
-    hard = analysis.natural_orbitals(
-        tonks.tonks_rspd(BarrierStrength.infinite_barrier(), grid)
-    )
+    hard = analysis.natural_orbitals(tonks.tonks_rspd(math.inf, grid))
     s_inf = analysis.von_neumann_entropy(hard)
     schmidt = analysis.schmidt_number(hard)
 
@@ -350,9 +347,7 @@ def test_criterion_7_property_suite(solve, tonks_decomposition):
 
     def hard_core_momentum_routes():
         k = analysis.uniform_k_grid(301, 6.0)
-        hard = analysis.natural_orbitals(
-            tonks.tonks_rspd(BarrierStrength.infinite_barrier())
-        )
+        hard = analysis.natural_orbitals(tonks.tonks_rspd(math.inf))
         transform = analysis.momentum_distribution(hard, k).densities
         sup = float(np.max(np.abs(transform - tonks.momentum_tg_infinite_barrier(k))))
         assert sup <= 0.02, f"sup {sup:.1e}"

@@ -11,9 +11,6 @@ from scipy.integrate import trapezoid
 from splittrap import analysis, tonks
 from splittrap.analysis import NaturalDecomposition
 from splittrap.dvr import Grid, build_grid
-from splittrap.single_particle import BarrierStrength
-
-INF = BarrierStrength.infinite_barrier()
 
 
 def _full_eigh_decomposition(rho):
@@ -73,7 +70,7 @@ def test_off_diagonal_quadrant_mass(solve):
     analytic_mass = quadrant_mass(tonks.tonks_rspd(10.0, build_grid(81, 0.16)))
     assert abs(grid_mass - analytic_mass) <= 0.02
 
-    exact = tonks.tonks_rspd(INF)
+    exact = tonks.tonks_rspd(math.inf)
     exact_mask = np.outer(exact.grid.points, exact.grid.points) < 0.0
     assert np.all(exact.values[exact_mask] == 0.0)
 
@@ -135,7 +132,7 @@ def test_natural_orbitals_fold_matches_full_spectrum(half, rank, spacing, seed):
         assert np.array_equal(column, column[::-1]) or np.array_equal(column, -column[::-1])
 
 
-@pytest.mark.parametrize("kappa", [0.0, 3.3, INF])
+@pytest.mark.parametrize("kappa", [0.0, 3.3, pytest.param(math.inf, id="kappa2")])
 def test_natural_orbitals_fold_matches_full_eigh_on_tonks(kappa):
     rho = tonks.tonks_rspd(kappa, build_grid(401, 0.03))
     folded = analysis.natural_orbitals(rho)

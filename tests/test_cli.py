@@ -10,20 +10,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import hbar
 
 import splittrap
 from splittrap import analysis, tonks
+from splittrap import cli
 from splittrap.cli import (
     CONFINEMENT_CONSTANT,
     ConfinementResonanceError,
     SweepSpec,
+    _fmt_value,
+    _parse_couplings,
     g1d_from_physical,
     load_config,
     main,
     run_sweep,
 )
-from splittrap.single_particle import BarrierStrength
 
 RB_MASS = 1.45e-25
 OMEGA_PERP = 6.0e5
@@ -33,7 +37,7 @@ OMEGA = 6.0e3
 def _spec(**overrides):
     base = dict(
         mode="tonks",
-        barriers=(BarrierStrength(0.0),),
+        barriers=(0.0,),
         couplings=(),
         outputs=("energy",),
         n_points=161,
@@ -125,9 +129,7 @@ def test_g1d_from_physical_weak_anisotropy_note():
 
 
 def test_run_sweep_tonks_energies():
-    spec = _spec(
-        barriers=tuple(BarrierStrength.parse(t) for t in ("0", "1", "2", "inf"))
-    )
+    spec = _spec(barriers=(0.0, 1.0, 2.0, math.inf))
     result = run_sweep(spec)
     energies = [record["energy"] for record in result.records]
     assert energies[0] == 2.0
@@ -140,7 +142,7 @@ def test_run_sweep_tonks_energies():
 def test_run_sweep_dvr_non_interacting():
     spec = _spec(
         mode="dvr",
-        barriers=(BarrierStrength(0.0),),
+        barriers=(0.0,),
         couplings=(0.0,),
         outputs=("energy", "entropy"),
         n_points=81,
@@ -161,7 +163,7 @@ def test_run_sweep_entropy_saturation(solve):
 
 
 def test_run_sweep_spectrum_records():
-    spec = _spec(mode="spectrum", barriers=(BarrierStrength(0.0),), levels=4)
+    spec = _spec(mode="spectrum", barriers=(0.0,), levels=4)
     result = run_sweep(spec)
     assert [r["energy"] for r in result.records] == pytest.approx([0.5, 1.5, 2.5, 3.5])
     assert [r["parity"] for r in result.records] == ["even", "odd", "even", "odd"]
@@ -170,7 +172,7 @@ def test_run_sweep_spectrum_records():
 def test_run_sweep_deterministic_records():
     spec = _spec(
         mode="dvr",
-        barriers=(BarrierStrength(0.0), BarrierStrength(2.0)),
+        barriers=(0.0, 2.0),
         couplings=(1.0, 5.0),
         outputs=("energy", "entropy"),
         n_points=81,
@@ -183,7 +185,7 @@ def test_run_sweep_deterministic_records():
 
 def test_run_sweep_collects_failures():
     spec = _spec(
-        barriers=(BarrierStrength(0.0), BarrierStrength(1.0)),
+        barriers=(0.0, 1.0),
         outputs=("energy", "entropy"),
         n_points=41,
         spacing=0.16,
@@ -248,7 +250,7 @@ def test_cli_json_round_trip(tmp_path):
     assert payload["grid"] == {"n_points": 61, "spacing": 0.16}
     spec = _spec(
         mode="dvr",
-        barriers=(BarrierStrength(0.0),),
+        barriers=(0.0,),
         couplings=(1.0,),
         outputs=("energy", "momentum", "entropy"),
         n_points=61,
@@ -292,7 +294,7 @@ def test_cli_tonks_json_momentum_per_point(tmp_path):
     assert [p["kappa"] for p in points] == kappas
     k = analysis.uniform_k_grid(41, 8.0)
     for point in points:
-        rho = tonks.tonks_rspd(BarrierStrength.parse(point["kappa"]))
+        rho = tonks.tonks_rspd(float(point["kappa"]))
         dist = analysis.momentum_distribution(analysis.natural_orbitals(rho), k)
         assert point["momentum"] == {
             "k": [float(f"{v:.12g}") for v in k],
@@ -407,6 +409,64 @@ def _exit_code(args):
 def test_cli_validation_exit_code(args, capsys):
     assert _exit_code(args) == 1
     assert "error" in capsys.readouterr().err
+
+
+@given(st.floats())
+@settings(max_examples=300, deadline=None)
+def test_coupling_parser_accepts_exactly_non_negative(value):
+    # --kappa and --g1d share one parser: a float token is a coupling
+    # exactly when it is >= 0, inf included; NaN and negatives are not.
+    token = repr(value)
+    if not value >= 0.0:
+        with pytest.raises(ValueError):
+            _parse_couplings([token])
+        return
+    assert _parse_couplings([token]) == (value,)
+    label = _fmt_value(value)
+    (again,) = _parse_couplings([label])
+    assert _fmt_value(again) == label
+    assert again == pytest.approx(value, rel=5e-12, abs=0.0)
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@given(st.text().filter(lambda text: not _is_number(text)))
+@settings(max_examples=200, deadline=None)
+def test_coupling_parser_rejects_non_numeric_text(text):
+    with pytest.raises(ValueError, match="invalid coupling"):
+        _parse_couplings([text])
+
+
+def test_run_sweep_caps_workers_at_point_count(monkeypatch):
+    # Every pool worker is forked on the first submit, so a pool wider
+    # than the sweep only costs idle interpreters.
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    spec = _spec(mode="spectrum", barriers=(0.0, 1.0, math.inf), levels=2, workers=500)
+    assert [r["kappa"] for r in run_sweep(spec).records[::2]] == ["0", "1", "inf"]
+    assert pools == [3]
+    run_sweep(_spec(mode="spectrum", barriers=(1.0,), levels=2, workers=500))
+    assert pools == [3]
 
 
 def _reject_constant(name):

@@ -9,7 +9,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from splittrap import dvr, tonks
 from splittrap.dvr import ConvergenceError, GridError, TwoBodyState, build_grid
-from splittrap.single_particle import BarrierStrength, even_energy
+from splittrap.single_particle import even_energy
 
 MONO_GRID = (0.0, 1.0, 2.0, 5.0, 10.0)
 
@@ -108,8 +108,6 @@ def test_apply_hamiltonian_infinite_couplings_are_limits():
         at_inf = dvr.apply_hamiltonian(v, grid, kappa, g1d)
         near = dvr.apply_hamiltonian(v, grid, min(kappa, huge), min(g1d, huge))
         np.testing.assert_allclose(at_inf, near, rtol=1e-12, atol=1e-12)
-    flag = dvr.apply_hamiltonian(v, grid, BarrierStrength.infinite_barrier(), 1.0)
-    np.testing.assert_array_equal(flag, dvr.apply_hamiltonian(v, grid, math.inf, 1.0))
 
 
 def test_ground_state_non_interacting_pair(solve):
@@ -166,8 +164,6 @@ def test_ground_state_infinite_couplings(solve, kappa, g1d, bound):
     state = solve(kappa, g1d)
     assert abs(state.energy - exact) <= bound
     if math.isinf(kappa):
-        flag = BarrierStrength.infinite_barrier()
-        assert dvr.ground_state(build_grid(81, 0.16), flag, g1d).energy == state.energy
         assert state.kappa == math.inf
 
 

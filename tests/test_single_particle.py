@@ -7,8 +7,9 @@ import pytest
 from scipy.integrate import simpson
 
 from splittrap import specfun
+from splittrap.cli import _fmt_value, _parse_couplings
 from splittrap.single_particle import (
-    BarrierStrength,
+    check_coupling,
     even_energy,
     even_state,
     eigenfunction,
@@ -125,31 +126,29 @@ HERMITE_NORM_REFERENCE = {
 }
 
 def test_barrier_strength_validation():
-    with pytest.raises(ValueError):
-        BarrierStrength(-1.0)
-    with pytest.raises(ValueError):
-        BarrierStrength(float("inf"))
-    with pytest.raises(ValueError):
-        BarrierStrength(float("nan"))
-    flag = BarrierStrength.infinite_barrier()
-    assert flag.infinite
-    assert flag.label() == "inf"
+    # One check for every coupling: a float >= 0, math.inf the limit.
+    for bad in (-1.0, "-1", math.nan, "nan", -math.inf, "-inf", "junk"):
+        with pytest.raises(ValueError):
+            check_coupling(bad)
+    assert check_coupling(math.inf) == math.inf
+    assert check_coupling("inf") == math.inf
+    assert check_coupling("Infinity") == math.inf
+    assert check_coupling("2.5") == 2.5
+    assert check_coupling(0) == 0.0
+    assert _fmt_value(check_coupling("inf")) == "inf"
 
 
 def test_barrier_strength_parse():
-    assert BarrierStrength.parse("2.5").kappa == 2.5
-    assert BarrierStrength.parse("inf").infinite
-    assert BarrierStrength.parse("Infinity").infinite
-    with pytest.raises(ValueError):
-        BarrierStrength.parse("junk")
-    with pytest.raises(ValueError):
-        BarrierStrength.parse("-3")
+    assert _parse_couplings(["2.5", "inf", "Infinity"]) == (2.5, math.inf, math.inf)
+    for bad in ("-1", "nan", "-inf", "junk"):
+        with pytest.raises(ValueError):
+            _parse_couplings([bad])
 
 
 def test_even_energy_exact_limits():
     for j in range(4):
         assert even_energy(0.0, j) == 2.0 * j + 0.5
-        assert even_energy(BarrierStrength.infinite_barrier(), j) == 2.0 * j + 1.5
+        assert even_energy(math.inf, j) == 2.0 * j + 1.5
     assert even_energy(float("inf"), 1) == 3.5
 
 
@@ -229,7 +228,7 @@ def test_even_norm_reference(key, expected):
 @pytest.mark.parametrize("n,expected", sorted(HERMITE_NORM_REFERENCE.items()))
 def test_hermite_norms(n, expected):
     odd = odd_state(n).norm_constant
-    split = even_state(BarrierStrength.infinite_barrier(), (n - 1) // 2).norm_constant
+    split = even_state(math.inf, (n - 1) // 2).norm_constant
     assert abs(odd - expected) <= math.ulp(expected)
     assert split == odd
 
@@ -247,10 +246,16 @@ def test_odd_eigenfunction_node_at_origin():
 
 
 def test_infinite_barrier_eigenfunction_closed_form():
-    state = even_state(BarrierStrength.infinite_barrier(), 0)
+    # The j-th even level behind the wall is the odd level n = 2j + 1
+    # mirrored to x < 0: sgn(x) H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi)).
     x = np.linspace(-4.0, 4.0, 41)
-    expected = math.sqrt(2.0 / math.sqrt(math.pi)) * np.abs(x) * np.exp(-0.5 * x * x)
-    np.testing.assert_allclose(state.wavefunction(x), expected, rtol=1e-9, atol=1e-12)
+    for j in range(4):
+        n = 2 * j + 1
+        hermite = np.polynomial.hermite.hermval(x, [0] * n + [1])
+        norm = 1.0 / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+        expected = norm * np.sign(x) * hermite * np.exp(-0.5 * x * x)
+        state = even_state(math.inf, j)
+        np.testing.assert_allclose(state.wavefunction(x), expected, rtol=1e-9, atol=1e-12)
 
 
 def _lowest_states(kappa, count):
@@ -259,7 +264,7 @@ def _lowest_states(kappa, count):
     return [s.wavefunction(x) for s in states], x
 
 
-@pytest.mark.parametrize("kappa", [0.0, 1.0, 10.0])
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 10.0, math.inf])
 def test_orthonormality(kappa):
     values, x = _lowest_states(kappa, 6)
     for i in range(6):
@@ -291,7 +296,7 @@ def test_spectrum_interleaving_at_zero_barrier():
 
 
 def test_spectrum_infinite_barrier_degeneracy():
-    states = spectrum(BarrierStrength.infinite_barrier(), 2)
+    states = spectrum(math.inf, 2)
     assert [s.energy for s in states] == [1.5, 1.5]
     assert [s.parity for s in states] == ["even", "odd"]
 

@@ -8,15 +8,12 @@ from scipy.integrate import trapezoid
 
 from splittrap import analysis, tonks
 from splittrap.dvr import GridError, build_grid
-from splittrap.single_particle import BarrierStrength, even_state, odd_state
-
-INF = BarrierStrength.infinite_barrier()
+from splittrap.single_particle import even_state, odd_state
 
 
 def test_pair_energy_limits_exact():
     assert tonks.tonks_energy(0.0) == 2.0
-    assert tonks.tonks_energy(INF) == 3.0
-    assert tonks.tonks_energy(float("inf")) == 3.0
+    assert tonks.tonks_energy(math.inf) == 3.0
 
 
 def test_pair_energy_caption_values():
@@ -27,13 +24,13 @@ def test_pair_energy_caption_values():
     assert tonks.tonks_energy(2.0) == pytest.approx(2.6, abs=0.05)
 
 
-@pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, 3.0, 10.0, INF])
+@pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, 3.0, 10.0, pytest.param(math.inf, id="kappa5")])
 def test_bose_fermi_energy_identity(kappa):
     expected = even_state(kappa, 0).energy + odd_state(1).energy
     assert tonks.tonks_energy(kappa) == expected
 
 
-@pytest.mark.parametrize("kappa", [0.0, 1.0, INF])
+@pytest.mark.parametrize("kappa", [0.0, 1.0, pytest.param(math.inf, id="kappa2")])
 def test_wavefunction_diagonal_node(kappa):
     for x in (-2.0, 0.0, 0.3, 1.7):
         assert tonks.tonks_wavefunction(kappa, x, x) == 0.0
@@ -42,14 +39,14 @@ def test_wavefunction_diagonal_node(kappa):
 def test_wavefunction_exchange_symmetric_and_non_negative():
     rng = np.random.default_rng(7)
     pts = rng.uniform(-4.0, 4.0, size=(40, 2))
-    for kappa in (0.0, 2.0, INF):
+    for kappa in (0.0, 2.0, math.inf):
         a = tonks.tonks_wavefunction(kappa, pts[:, 0], pts[:, 1])
         b = tonks.tonks_wavefunction(kappa, pts[:, 1], pts[:, 0])
         np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-14)
         assert np.all(a >= 0.0)
 
 
-@pytest.mark.parametrize("kappa", [0.0, 2.0, INF])
+@pytest.mark.parametrize("kappa", [0.0, 2.0, pytest.param(math.inf, id="kappa2")])
 def test_wavefunction_unit_norm(kappa):
     # Trapezoid double integral on dx = 0.02 and 0.01 meshes combined by
     # one Richardson step; the O(dx^2) remainder sits far below 1e-6.
@@ -63,7 +60,7 @@ def test_wavefunction_unit_norm(kappa):
 
 
 def test_rspd_trace_and_symmetries():
-    for kappa in (0.0, 1.0, 5.0, INF):
+    for kappa in (0.0, 1.0, 5.0, math.inf):
         rho = tonks.tonks_rspd(kappa)
         assert rho.trace == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(rho.values, rho.values.T, rtol=0.0, atol=1e-14)
@@ -71,7 +68,7 @@ def test_rspd_trace_and_symmetries():
         np.testing.assert_allclose(rho.values, flipped, rtol=0.0, atol=1e-13)
 
 
-@pytest.mark.parametrize("kappa", [0.0, 1.0, INF])
+@pytest.mark.parametrize("kappa", [0.0, 1.0, pytest.param(math.inf, id="kappa2")])
 def test_rspd_positive_semidefinite(kappa):
     rho = tonks.tonks_rspd(kappa)
     eigenvalues = np.linalg.eigvalsh(rho.grid.spacing * rho.values)
@@ -90,7 +87,7 @@ def test_rspd_zero_barrier_diagonal_closed_form():
 
 
 def test_rspd_infinite_barrier_quadrants_vanish():
-    rho = tonks.tonks_rspd(INF)
+    rho = tonks.tonks_rspd(math.inf)
     x = rho.grid.points
     negative_quadrant = np.outer(x, x) < 0.0
     assert np.all(rho.values[negative_quadrant] == 0.0)
@@ -170,7 +167,7 @@ def test_fourier_route_matches_closed_form():
     # Pipeline n(k) from the infinite-barrier density matrix against
     # the closed form, sup over |k| <= 6.
     k = analysis.uniform_k_grid(601, 6.0)
-    decomposition = analysis.natural_orbitals(tonks.tonks_rspd(INF))
+    decomposition = analysis.natural_orbitals(tonks.tonks_rspd(math.inf))
     densities = analysis.momentum_distribution(decomposition, k).densities
     sup = np.max(np.abs(densities - tonks.momentum_tg_infinite_barrier(k)))
     assert sup <= 0.02
