@@ -32,11 +32,13 @@ and phi'(0+) = -2 sqrt(pi) rg(a), with rg = 1/Gamma and d_E = -d_a/2, so
                  = pi [psi(a + 1/2) - psi(a)] / (Gamma(a) Gamma(a + 1/2)).
 
 Both rg and rg' are entire, so kappa = 0 (a = -j) and kappa -> inf
-(a + 1/2 -> -j) need no special case.  Odd levels H_n(x) exp(-x^2/2)
-and the infinite-barrier even level sgn(x) H_{2j+1}(x) exp(-x^2/2), the
-odd level above it mirrored to x < 0, carry the oscillator norm
-1/sqrt(2^n n! sqrt(pi)).  Couplings are plain floats, math.inf for the
-limit, checked by ``check_coupling``.
+(a + 1/2 -> -j) need no special case.  Odd levels are the normalized
+Hermite functions psi_n(x) = H_n(x) exp(-x^2/2) / sqrt(2^n n! sqrt(pi)),
+taken from their own recurrence (``specfun.hermite_function``), and the
+infinite-barrier even level is sgn(x) psi_{2j+1}(x), the odd level above
+it mirrored to x < 0.  Norms are applied where a level is evaluated, by
+``eigenfunction``.  Couplings are plain floats, math.inf for the limit,
+checked by ``check_coupling``.
 """
 
 import math
@@ -76,14 +78,14 @@ class EigenState:
     ``n`` follows harmonic-oscillator counting: even levels carry
     n = 0, 2, 4, ... (the j-th even level has n = 2j), odd levels the
     exact oscillator index n = 1, 3, 5, ...  ``kappa`` is the barrier
-    strength, math.inf for the impenetrable barrier; odd levels do not
-    feel it and carry 0.
+    strength, math.inf for the impenetrable barrier.  Odd levels do not
+    feel it: ``spectrum`` gives them the kappa it was asked for, and
+    ``odd_state`` gives 0.
     """
 
     parity: str
     n: int
     energy: float
-    norm_constant: float
     kappa: float
 
     def wavefunction(self, x):
@@ -153,21 +155,6 @@ def odd_energy(n):
     return int(n) + 0.5
 
 
-def _even_profile(energy, x):
-    # Unnormalized even eigenfunction exp(-x^2/2) U(1/4 - E/2, 1/2, x^2).
-    a = 0.25 - 0.5 * energy
-    return np.exp(-0.5 * x * x) * specfun.kummer_u(a, 0.5, x * x)
-
-
-def _odd_profile(n, x):
-    return specfun.hermite(n, x) * np.exp(-0.5 * x * x)
-
-
-def _split_profile(n, x):
-    # Infinite-barrier even branch: the odd level above it, mirrored to x < 0.
-    return np.sign(x) * specfun.hermite(n + 1, x) * np.exp(-0.5 * x * x)
-
-
 def _even_norm(energy):
     # 1 / sqrt(pi [rg(a + 1/2) rg'(a) - rg(a) rg'(a + 1/2)]), rg = 1/Gamma,
     # the Wronskian norm of the module docstring.
@@ -177,37 +164,30 @@ def _even_norm(energy):
     return 1.0 / math.sqrt(math.pi * (rg(a + 0.5) * drg(a) - rg(a) * drg(a + 0.5)))
 
 
-def _hermite_norm(n):
-    # 1 / sqrt(2^n n! sqrt(pi)), with 2^n n! an exact integer.
-    return 1.0 / math.sqrt(float(2**n * math.factorial(n)) * math.sqrt(math.pi))
-
-
 def even_state(kappa, j):
-    """Normalized j-th even level as an EigenState."""
+    """The j-th even level as an EigenState."""
     kappa = check_coupling(kappa)
-    j = int(j)
-    energy = even_energy(kappa, j)
-    norm = _hermite_norm(2 * j + 1) if math.isinf(kappa) else _even_norm(energy)
-    return EigenState("even", 2 * j, energy, norm, kappa)
+    return EigenState("even", 2 * int(j), even_energy(kappa, j), kappa)
 
 
 def odd_state(n):
-    """Normalized odd level n (n odd); independent of the barrier."""
-    n = int(n)
-    return EigenState("odd", n, odd_energy(n), _hermite_norm(n), 0.0)
+    """Odd level n (n odd); independent of the barrier."""
+    return EigenState("odd", int(n), odd_energy(n), 0.0)
 
 
 def eigenfunction(state, x):
     """Evaluate a normalized eigenstate on scalar or array x."""
     xarr = np.asarray(x, dtype=float)
-    scalar = xarr.ndim == 0
     if state.parity == "odd":
-        values = state.norm_constant * _odd_profile(state.n, xarr)
+        values = specfun.hermite_function(state.n, xarr)
     elif math.isinf(state.kappa):
-        values = state.norm_constant * _split_profile(state.n, xarr)
+        # The odd level above, mirrored to x < 0.
+        values = np.sign(xarr) * specfun.hermite_function(state.n + 1, xarr)
     else:
-        values = state.norm_constant * _even_profile(state.energy, xarr)
-    return float(values) if scalar else values
+        a = 0.25 - 0.5 * state.energy
+        profile = np.exp(-0.5 * xarr * xarr) * specfun.kummer_u(a, 0.5, xarr * xarr)
+        values = _even_norm(state.energy) * profile
+    return float(values) if xarr.ndim == 0 else values
 
 
 def spectrum(kappa, count):
@@ -216,9 +196,18 @@ def spectrum(kappa, count):
     Level i has oscillator index n = i: the even level j lies in
     (2j + 1/2, 2j + 3/2] and the odd level 2j + 1 sits at 2j + 3/2, so
     the parities alternate, and even comes first in the doubly
-    degenerate infinite-barrier limit, where the two meet.
+    degenerate infinite-barrier limit, where the two meet.  Every level
+    carries the requested kappa.
+
+    kappa = 0 and kappa = inf have closed-form energies and no level
+    limit.  At finite kappa > 0 the j-th even level evaluates 1/Gamma
+    near -j through Gamma(j + 1), which overflows a float from j = 171,
+    so at most 342 levels can be computed there.
     """
     kappa = check_coupling(kappa)
     if count != int(count) or count < 1:
         raise ValueError(f"level count must be a positive integer, got {count!r}")
-    return [odd_state(n) if n % 2 else even_state(kappa, n // 2) for n in range(int(count))]
+    return [
+        EigenState("odd", n, odd_energy(n), kappa) if n % 2 else even_state(kappa, n // 2)
+        for n in range(int(count))
+    ]

@@ -1,13 +1,13 @@
 """Special functions for the split-trap eigenproblem.
 
 Provides the gamma function, 1/gamma and its derivative, the confluent
-hypergeometric (Kummer) functions M and U, and physicists' Hermite
-polynomials, for the parameter ranges the trap solver actually visits.
+hypergeometric (Kummer) functions M and U at z >= 0, and the normalized
+Hermite functions, for the parameter ranges the trap solver visits.
 U is supported for b = 1/2 and a <= 0 only, which is the case generated
 by even parity states: a = 1/4 - E/2 and every even level has E >= 1/2.
 
 All functions accept scalars; ``kummer_m``, ``kummer_u`` and
-``hermite`` also accept numpy arrays for the coordinate argument.
+``hermite_function`` also accept numpy arrays for the coordinate.
 """
 
 import math
@@ -140,35 +140,18 @@ def _m_series(a, b, z):
 
 
 def kummer_m(a, b, z):
-    """Confluent hypergeometric function M(a, b, z) for any real z.
+    """Confluent hypergeometric function M(a, b, z) for z >= 0, by its power series.
 
-    At z >= 0 the power series is summed directly.  At z < 0 the direct
-    series alternates, with terms up to e^|z| times larger than the
-    result, so it is evaluated instead through Kummer's transformation
-    M(a, b, z) = e^z M(b - a, b, -z) (DLMF 13.2.39), whose series sits
-    at a positive argument.
-
-    Parameters
-    ----------
-    a, b : float
-        Series parameters; b must not be a non-positive integer.
-    z : float or ndarray
-
-    Returns
-    -------
-    float or ndarray
+    b must not be a non-positive integer; z is a float or an ndarray.
     """
     a = float(a)
     b = float(b)
     if _near_pole(b):
         raise ValueError(f"kummer_m undefined for non-positive integer b = {b!r}")
     zarr, scalar = _as_array(z)
-    out = np.empty_like(zarr)
-    neg = zarr < 0.0
-    if np.any(neg):
-        out[neg] = np.exp(zarr[neg]) * _m_series(b - a, b, -zarr[neg])
-    if not np.all(neg):
-        out[~neg] = _m_series(a, b, zarr[~neg])
+    if np.any(zarr < 0.0):
+        raise ValueError("kummer_m requires z >= 0")
+    out = _m_series(a, b, zarr)
     return float(out) if scalar else out
 
 
@@ -242,29 +225,19 @@ def kummer_u(a, b, z):
     return float(out) if scalar else out
 
 
-def hermite(n, x):
-    """Physicists' Hermite polynomial H_n(x) by three-term recurrence.
+def hermite_function(n, x):
+    """Normalized Hermite function psi_n(x) = H_n(x) e^(-x^2/2) / sqrt(2^n n! sqrt(pi)).
 
-    Parameters
-    ----------
-    n : int
-        Degree, 0 <= n <= 60.
-    x : float or ndarray
-
-    Returns
-    -------
-    float or ndarray
+    For integer n >= 0 and float or ndarray x, by the recurrence (DLMF 18.9)
+    psi_{k+1} = sqrt(2/(k+1)) x psi_k - sqrt(k/(k+1)) psi_{k-1} from
+    psi_0 = pi^(-1/4) e^(-x^2/2), which never forms 2^n n! and has no cap.
     """
     if n != int(n) or n < 0:
         raise ValueError(f"hermite degree must be a non-negative integer, got {n!r}")
-    n = int(n)
-    if n > 60:
-        raise ValueError(f"hermite degree {n} exceeds the supported maximum 60")
     xarr, scalar = _as_array(x)
-    h_prev = np.ones_like(xarr)
-    if n == 0:
-        return float(h_prev) if scalar else h_prev
-    h = 2.0 * xarr
-    for k in range(1, n):
-        h, h_prev = 2.0 * xarr * h - 2.0 * k * h_prev, h
-    return float(h) if scalar else h
+    psi_prev = np.zeros_like(xarr)
+    psi = math.pi**-0.25 * np.exp(-0.5 * xarr * xarr)
+    for k in range(int(n)):
+        step = math.sqrt(2.0 / (k + 1)) * xarr * psi - math.sqrt(k / (k + 1)) * psi_prev
+        psi, psi_prev = step, psi
+    return float(psi) if scalar else psi

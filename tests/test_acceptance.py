@@ -245,12 +245,14 @@ def test_criterion_7_property_suite(solve, tonks_decomposition):
 
     # --- special functions ---------------------------------------------
     def hermite_recurrence():
+        # The normalized recurrence against numpy's Hermite series.
         xs = np.linspace(-10.0, 10.0, 41)
-        for n in range(1, 51):
-            lhs = specfun.hermite(n + 1, xs)
-            rhs = 2.0 * xs * specfun.hermite(n, xs) - 2.0 * n * specfun.hermite(n - 1, xs)
-            scale = np.max(np.abs(lhs))
-            worst = np.max(np.abs(lhs - rhs)) / scale
+        for n in range(51):
+            norm = 1.0 / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+            series = np.polynomial.hermite.hermval(xs, [0] * n + [1])
+            oracle = norm * series * np.exp(-0.5 * xs**2)
+            error = specfun.hermite_function(n, xs) - oracle
+            worst = np.max(np.abs(error)) / np.max(np.abs(oracle))
             assert worst <= 1e-10, f"n={n}: rel {worst:.1e}"
 
     def gamma_reflection():
@@ -259,15 +261,16 @@ def test_criterion_7_property_suite(solve, tonks_decomposition):
             assert abs(value / math.pi - 1.0) <= 1e-10, f"x={x:.2f}"
 
     def kummer_transform():
-        # kummer_m at z = -x^2 (Kummer's transformation route) against
-        # closed forms that do not call it: sqrt(pi) erf(x) / (2x) for
-        # M(1/2, 3/2, -x^2) and Dawson's D(x) / x for M(1, 3/2, -x^2).
+        # kummer_m(1/2, 3/2, z) on 0 <= z <= 20 against Kummer's
+        # transformation of Dawson's D(x)/x = M(1, 3/2, -x^2), which does
+        # not call it: M(1/2, 3/2, z) = e^z D(sqrt z) / sqrt z.
+        assert specfun.kummer_m(0.5, 1.5, 0.0) == 1.0, "z = 0"
         worst = 0.0
-        for x in np.sqrt(np.arange(0.1, 20.0001, 0.1)):
-            erf_form = math.sqrt(math.pi) * math.erf(x) / (2.0 * x)
-            worst = max(worst, abs(specfun.kummer_m(0.5, 1.5, -x * x) / erf_form - 1.0))
-            worst = max(worst, abs(specfun.kummer_m(1.0, 1.5, -x * x) * x / dawsn(x) - 1.0))
-        assert worst <= 1e-10, f"rel {worst:.1e} for z >= -20"
+        for z in np.arange(0.1, 20.0001, 0.1):
+            x = math.sqrt(z)
+            dawson_form = math.exp(z) * dawsn(x) / x
+            worst = max(worst, abs(specfun.kummer_m(0.5, 1.5, z) / dawson_form - 1.0))
+        assert worst <= 1e-10, f"rel {worst:.1e} for 0 <= z <= 20"
 
     def u_branch_overlap():
         worst = 0.0

@@ -353,14 +353,18 @@ def test_cli_json_rspd_needs_out(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_spectrum_150_levels(capsys):
-    assert main(["spectrum", "--kappa", "1", "--levels", "150"]) == 0
-    rows = capsys.readouterr().out.splitlines()[1:]
-    assert [int(row.split(",")[3]) for row in rows] == list(range(150))
+    for kappa, levels in (("1", 150), ("1", 300), ("inf", 300)):
+        assert main(["spectrum", "--kappa", kappa, "--levels", str(levels)]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        assert [int(row[3]) for row in rows] == list(range(levels))
+        odd = [row for row in rows if row[2] == "odd"]
+        assert [float(row[4]) for row in odd] == [int(row[3]) + 0.5 for row in odd]
 
 
 def test_cli_spectrum_failure_record_carries_only_kappa(capsys):
-    # From n = 151 the Hermite norm's 2^n n! overflows a float, so 400
-    # levels fail; the failed point's record keeps its kappa alone.
+    # At j = 171 reciprocal_gamma overflows in even_energy (Gamma(172)
+    # exceeds a float), so 400 levels fail; the failed point's record
+    # keeps its kappa alone.
     assert main(["spectrum", "--kappa", "1", "--levels", "400", "--format", "json"]) == 2
     captured = capsys.readouterr()
     assert json.loads(captured.out)["points"] == [{"kappa": "1"}]

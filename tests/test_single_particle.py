@@ -9,6 +9,7 @@ from scipy.integrate import simpson
 from splittrap import specfun
 from splittrap.cli import _fmt_value, _parse_couplings
 from splittrap.single_particle import (
+    _even_norm,
     check_coupling,
     even_energy,
     even_state,
@@ -109,8 +110,8 @@ EVEN_NORM_REFERENCE = {
     (1e8, 5): 0.0053802153632680284,
 }
 
-# 1/sqrt(2^n n! sqrt(pi)) at 40 digits: odd level n, and the infinite-barrier
-# even level 2j with n = 2j + 1.
+# 1/sqrt(2^n n! sqrt(pi)) at 40 digits: the factor between H_n(x) e^(-x^2/2)
+# and odd level n, and the infinite-barrier even level 2j with n = 2j + 1.
 HERMITE_NORM_REFERENCE = {
     1: 0.53112596601359846,
     3: 0.10841563382300969,
@@ -222,15 +223,31 @@ def test_paper_caption_energies():
 @pytest.mark.parametrize("key,expected", sorted(EVEN_NORM_REFERENCE.items()))
 def test_even_norm_reference(key, expected):
     kappa, j = key
-    assert even_state(kappa, j).norm_constant == pytest.approx(expected, rel=1e-13, abs=0.0)
+    assert _even_norm(even_energy(kappa, j)) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("n,expected", sorted(HERMITE_NORM_REFERENCE.items()))
 def test_hermite_norms(n, expected):
-    odd = odd_state(n).norm_constant
-    split = even_state(math.inf, (n - 1) // 2).norm_constant
-    assert abs(odd - expected) <= math.ulp(expected)
-    assert split == odd
+    # The levels are taken from the normalized recurrence, so the frozen
+    # norm is their ratio to numpy's Hermite series H_n(x) e^(-x^2/2).
+    x = np.array([-2.9, -1.3, 0.4, 1.7, 3.2])
+    unnormalized = np.polynomial.hermite.hermval(x, [0] * n + [1]) * np.exp(-0.5 * x * x)
+    odd = odd_state(n).wavefunction(x)
+    split = even_state(math.inf, (n - 1) // 2).wavefunction(x)
+    np.testing.assert_allclose(odd / unnormalized, expected, rtol=1e-13, atol=0.0)
+    np.testing.assert_array_equal(split, np.sign(x) * odd)
+
+
+@pytest.mark.parametrize("n", [61, 151, 301])
+def test_hermite_function_orthonormal_at_high_degree(n):
+    # Quadrature overlaps of psi_{n-2}, psi_n, psi_{n+2} on a mesh that
+    # holds every oscillation (turning point sqrt(2n + 5) < 25): the
+    # trapezoid sum of these smooth decaying functions is spectrally exact.
+    dx = 0.01
+    x = np.arange(-4000, 4001) * dx
+    values = [specfun.hermite_function(m, x) for m in (n - 2, n, n + 2)]
+    gram = np.array([[np.sum(a * b) * dx for b in values] for a in values])
+    np.testing.assert_allclose(gram, np.eye(3), rtol=0.0, atol=1e-12)
 
 def test_ground_state_eigenfunction_is_gaussian_at_zero_barrier():
     state = even_state(0.0, 0)
@@ -299,6 +316,7 @@ def test_spectrum_infinite_barrier_degeneracy():
     states = spectrum(math.inf, 2)
     assert [s.energy for s in states] == [1.5, 1.5]
     assert [s.parity for s in states] == ["even", "odd"]
+    assert [s.kappa for s in states] == [math.inf, math.inf]
 
 
 def test_spectrum_kappa_one():
@@ -318,7 +336,6 @@ def test_spectrum_rejects_bad_count():
 def test_spectrum_level_i_is_oscillator_index_i(kappa):
     # Even level j lies in (2j + 1/2, 2j + 3/2] and odd level 2j + 1 at
     # 2j + 3/2, so the energy order is the index order at every barrier.
-    # 150 levels compute no norm above n = 149, below the 2^n n! overflow.
     states = spectrum(kappa, 150)
     assert [s.n for s in states] == list(range(150))
     assert [s.parity for s in states] == ["even", "odd"] * 75

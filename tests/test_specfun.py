@@ -1,4 +1,4 @@
-"""Special-function kernel: gamma, Kummer M and U, Hermite."""
+"""Special-function kernel: gamma, Kummer M and U, Hermite functions."""
 
 import math
 
@@ -36,7 +36,8 @@ M_HALF_REFERENCE = {
 }
 
 # M(a, b, z) at z < 0, computed once with mpmath.hyp1f1 at 40 digits and
-# frozen.  (1/2, 1/2, z) is exactly e^z.
+# frozen.  (1/2, 1/2, z) is exactly e^z.  kummer_m takes z >= 0 only, so
+# these are reached through Kummer's transformation (DLMF 13.2.39).
 M_NEGATIVE_REFERENCE = {
     (0.5, 0.5, -0.5): 0.60653065971263342,
     (0.5, 0.5, -20.0): 2.0611536224385578e-9,
@@ -145,8 +146,18 @@ def test_kummer_m_reference_family(z, expected):
 
 @pytest.mark.parametrize("key,expected", sorted(M_NEGATIVE_REFERENCE.items()))
 def test_kummer_m_negative_argument_reference(key, expected):
+    # M(a, b, z) = e^z M(b - a, b, -z): the series at the positive
+    # argument -z, at parameter pairs (b - a, b) the other tests leave out.
     a, b, z = key
-    assert specfun.kummer_m(a, b, z) == pytest.approx(expected, rel=1e-10, abs=0.0)
+    value = math.exp(z) * specfun.kummer_m(b - a, b, -z)
+    assert value == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+def test_kummer_m_rejects_negative_z():
+    with pytest.raises(ValueError):
+        specfun.kummer_m(0.5, 1.5, -1.0)
+    with pytest.raises(ValueError):
+        specfun.kummer_m(0.5, 1.5, np.array([1.0, -1e-300]))
 
 
 def test_kummer_m_series_oracle():
@@ -228,36 +239,49 @@ def test_kummer_u_rejects_negative_z():
         specfun.kummer_u(-0.25, 0.5, -1.0)
 
 
+def _hermite_oracle(n, x):
+    # H_n(x) e^(-x^2/2) / sqrt(2^n n! sqrt(pi)) from numpy's Hermite series.
+    norm = 1.0 / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+    return norm * np.polynomial.hermite.hermval(x, [0] * n + [1]) * np.exp(-0.5 * x * x)
+
+
 def test_hermite_base_cases():
-    assert specfun.hermite(0, 3.7) == 1.0
-    assert specfun.hermite(1, 2.0) == 4.0
-    assert specfun.hermite(2, 1.0) == 2.0
+    # psi_0 = pi^(-1/4) e^(-x^2/2), psi_1 = sqrt(2) x psi_0,
+    # psi_2 = (2x^2 - 1) psi_0 / sqrt(2).
+    quarter = math.pi**-0.25
+    psi = specfun.hermite_function
+    assert psi(0, 3.7) == pytest.approx(quarter * math.exp(-0.5 * 3.7**2), rel=1e-15)
+    assert psi(1, 2.0) == pytest.approx(quarter * 2.0**1.5 * math.exp(-2.0), rel=1e-15)
+    assert psi(2, 1.0) == pytest.approx(quarter * math.exp(-0.5) / math.sqrt(2.0), rel=1e-15)
 
 
 def test_hermite_rejects_bad_degree():
     with pytest.raises(ValueError):
-        specfun.hermite(-1, 0.0)
+        specfun.hermite_function(-1, 0.0)
     with pytest.raises(ValueError):
-        specfun.hermite(61, 0.0)
+        specfun.hermite_function(2.5, 0.0)
+    # No degree cap: the odd function of degree 61 vanishes at the origin.
+    assert specfun.hermite_function(61, 0.0) == 0.0
 
 
-@pytest.mark.parametrize("n", range(1, 51))
+@pytest.mark.parametrize("n", range(1, 60))
 def test_hermite_recurrence(n):
+    # The recurrence against the Hermite series, elementwise.
     x = np.linspace(-10.0, 10.0, 41)
-    lhs = specfun.hermite(n + 1, x)
-    rhs = 2.0 * x * specfun.hermite(n, x) - 2.0 * n * specfun.hermite(n - 1, x)
-    scale = np.maximum(np.abs(lhs), 1.0)
-    assert np.max(np.abs(lhs - rhs) / scale) < 1e-10
+    np.testing.assert_allclose(specfun.hermite_function(n, x), _hermite_oracle(n, x),
+                               rtol=1e-10, atol=1e-14)
 
 
 def test_kummer_transform_family():
-    # The z < 0 route (Kummer's transformation) against closed forms that
-    # do not call kummer_m, for z = -x^2 down to -20:
-    # M(1/2, 3/2, -x^2) = sqrt(pi) erf(x) / (2x), M(1, 3/2, -x^2) = D(x) / x.
+    # kummer_m on 0 < z <= 20 against closed forms that do not call it:
+    # M(1/2, 3/2, x^2) = e^(x^2) D(x) / x (Dawson's D) and
+    # M(1, 3/2, x^2) = e^(x^2) sqrt(pi) erf(x) / (2x), Kummer's
+    # transformations of the z = -x^2 forms.
     for x in np.sqrt(np.linspace(0.5, 20.0, 40)):
-        erf_form = math.sqrt(math.pi) * math.erf(x) / (2.0 * x)
-        assert specfun.kummer_m(0.5, 1.5, -x * x) == pytest.approx(erf_form, rel=1e-10)
-        assert specfun.kummer_m(1.0, 1.5, -x * x) == pytest.approx(dawsn(x) / x, rel=1e-10)
+        erf_form = math.exp(x * x) * math.sqrt(math.pi) * math.erf(x) / (2.0 * x)
+        dawson_form = math.exp(x * x) * dawsn(x) / x
+        assert specfun.kummer_m(0.5, 1.5, x * x) == pytest.approx(dawson_form, rel=1e-10)
+        assert specfun.kummer_m(1.0, 1.5, x * x) == pytest.approx(erf_form, rel=1e-10)
 
 
 @pytest.mark.parametrize("a", [-10.0, -7.0, -5.0, -3.0, -2.5, -2.0])
