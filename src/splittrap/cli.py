@@ -90,8 +90,6 @@ def _labels(point):
 def _fmt_value(value):
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     return f"{value:.12g}"
@@ -241,24 +239,44 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# argparse names a converter that raises ValueError: "invalid count value: '0'".
+def coupling(text):
+    """A --kappa or --g1d token: a number >= 0, or 'inf' for the limit."""
+    return check_coupling(text, "coupling")
+
+
+def count(text):
+    """A --levels or --workers value: an integer >= 1."""
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
+
+
+def _output_list(text):
+    outputs = tuple(text.lower().replace(",", " ").split())
+    if set(outputs) - set(_OUTPUTS):
+        raise argparse.ArgumentTypeError(f"outputs come from {_OUTPUTS}, got {text!r}")
+    return outputs
+
+
 def _add_common_flags(parser, *, with_grid=True):
-    parser.add_argument("--kappa", nargs="+", default=None,
+    parser.add_argument("--kappa", nargs="+", type=coupling, required=True,
                         help="barrier strengths; numbers or 'inf'")
     parser.add_argument("--out", default=None, help="output file path")
-    parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
+    parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     parser.add_argument("--config", default=None,
-                        help="flat key = value file supplying defaults for any flag")
-    parser.add_argument("--workers", type=int, default=None,
+                        help="flat key = value file; each entry is read as the flag it names")
+    parser.add_argument("--workers", type=count, default=1,
                         help="parallel worker processes (default 1)")
     if with_grid:
         parser.add_argument("--n-points", type=int, default=None,
                             help="mesh points (odd)")
         parser.add_argument("--dx", type=float, default=None, help="mesh spacing")
-        parser.add_argument("--k-span", type=float, default=None,
+        parser.add_argument("--k-span", type=float, default=8.0,
                             help="momentum grid half-width (default 8)")
-        parser.add_argument("--k-points", type=int, default=None,
+        parser.add_argument("--k-points", type=int, default=401,
                             help="momentum grid points (default 401)")
-        parser.add_argument("--outputs", default=None,
+        parser.add_argument("--outputs", type=_output_list, default="energy",
                             help="comma list from energy,rspd,momentum,entropy,schmidt")
 
 
@@ -269,7 +287,7 @@ def build_parser():
 
     p_spectrum = sub.add_parser("spectrum", help="single-particle levels")
     _add_common_flags(p_spectrum, with_grid=False)
-    p_spectrum.add_argument("--levels", type=int, default=None,
+    p_spectrum.add_argument("--levels", type=count, default=6,
                             help="number of levels (default 6)")
 
     p_tonks = sub.add_parser("tonks", help="analytic hard-core pair")
@@ -277,14 +295,14 @@ def build_parser():
 
     p_dvr = sub.add_parser("dvr", help="grid solver at any coupling")
     _add_common_flags(p_dvr)
-    p_dvr.add_argument("--g1d", nargs="+", default=None,
+    p_dvr.add_argument("--g1d", nargs="+", type=coupling, required=True,
                        help="contact couplings; numbers or 'inf' (hard core)")
 
     p_sweep = sub.add_parser("sweep", help="cartesian parameter sweep")
     _add_common_flags(p_sweep)
-    p_sweep.add_argument("--mode", choices=_MODES, default=None)
-    p_sweep.add_argument("--g1d", nargs="+", default=None)
-    p_sweep.add_argument("--levels", type=int, default=None)
+    p_sweep.add_argument("--mode", choices=_MODES, required=True)
+    p_sweep.add_argument("--g1d", nargs="+", type=coupling, default=None)
+    p_sweep.add_argument("--levels", type=count, default=6)
 
     p_units = sub.add_parser("units", help="physical to scaled coupling")
     p_units.add_argument("--omega-perp", type=float, required=True,
@@ -299,108 +317,78 @@ def build_parser():
 
 
 def load_config(path):
-    """Flat 'key = value' file; '#' starts a comment; keys match flag names."""
+    """Flat 'key = value' file; '#' starts a comment; each key names a flag."""
     options = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, sep, value = line.partition("=")
+            key = key.strip().lower().replace("-", "_")
+            if not sep or not key:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            options[key.strip().lower().replace("-", "_")] = value.strip()
+            options[key] = value.strip()
     return options
 
 
-def _pick(args_value, config, key, fallback, convert=None):
-    if args_value is not None:
-        return args_value
-    raw = config.get(key)
-    if raw is None:
-        return fallback
-    return convert(raw) if convert else raw
-
-
-def _split_tokens(value):
-    if isinstance(value, (list, tuple)):
-        return [str(v) for v in value]
-    return [tok for tok in str(value).replace(",", " ").split() if tok]
-
-
-def _parse_couplings(tokens):
-    # --kappa and --g1d tokens alike: numbers >= 0, 'inf' for the limit.
-    return tuple(check_coupling(tok, "coupling") for tok in _split_tokens(tokens))
+def _parse_args(argv):
+    # Each --config entry becomes the flag it names ('n_points = 61' is
+    # --n-points=61; kappa and g1d split on commas and blanks), put right
+    # after the subcommand, so that the command-line flags after it win.
+    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    pre = _Parser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    try:
+        entries = load_config(path).items() if path else ()
+    except (OSError, ValueError) as exc:
+        parser.error(f"--config: {exc}")
+    tokens = []
+    for key, value in entries:
+        flag = "--" + key.replace("_", "-")
+        split = key in ("kappa", "g1d")
+        tokens += [flag, *value.replace(",", " ").split()] if split else [f"{flag}={value}"]
+    return parser.parse_args(argv[:1] + tokens + argv[1:])
 
 
 def _spec_from_args(args):
-    config = load_config(args.config) if getattr(args, "config", None) else {}
-    mode = args.command
-    if mode == "sweep":
-        mode = _pick(getattr(args, "mode", None), config, "mode", None)
-        if mode not in _MODES:
-            raise ValueError(f"sweep needs --mode from {_MODES}, got {mode!r}")
-
-    kappa_tokens = _pick(args.kappa, config, "kappa", None, _split_tokens)
-    if not kappa_tokens:
-        raise ValueError("at least one --kappa value is required")
-    barriers = _parse_couplings(kappa_tokens)
-
-    couplings = ()
-    if mode == "dvr":
-        g_tokens = _pick(getattr(args, "g1d", None), config, "g1d", None, _split_tokens)
-        if not g_tokens:
-            raise ValueError("dvr mode needs at least one --g1d value")
-        couplings = _parse_couplings(g_tokens)
-
-    outputs_raw = _pick(getattr(args, "outputs", None), config, "outputs", "energy")
-    outputs = tuple(
-        tok.strip().lower() for tok in str(outputs_raw).replace(",", " ").split()
-    )
-    for name in outputs:
-        if name not in _OUTPUTS:
-            raise ValueError(f"unknown output {name!r}; choose from {_OUTPUTS}")
+    # argparse has checked every flag on its own; left here are the rules
+    # that span several flags, and the mesh default.
+    flags = vars(args)
+    mode = flags.get("mode", args.command)
+    outputs = flags.get("outputs", ("energy",))
     if mode == "spectrum" and set(outputs) - {"energy"}:
         raise ValueError("spectrum mode only supports the energy output")
-
+    if mode == "dvr" and not args.g1d:
+        raise ValueError("dvr mode needs at least one --g1d value")
     wants_momentum = "momentum" in outputs
-    if mode == "tonks":
-        default_n, default_dx = tonks.DEFAULT_ANALYTIC_POINTS, tonks.DEFAULT_ANALYTIC_SPACING
-    else:
-        default_n, default_dx = (61 if wants_momentum else 81), 0.16
-    n_points = _pick(getattr(args, "n_points", None), config, "n_points", default_n, int)
-    spacing = _pick(getattr(args, "dx", None), config, "dx", default_dx, float)
-    k_span = _pick(getattr(args, "k_span", None), config, "k_span", 8.0, float)
-    k_points = _pick(getattr(args, "k_points", None), config, "k_points", 401, int)
-    levels = _pick(getattr(args, "levels", None), config, "levels", 6, int)
-    if levels < 1:
-        raise ValueError(f"--levels must be >= 1, got {levels}")
-    out = _pick(getattr(args, "out", None), config, "out", None)
-    fmt = _pick(getattr(args, "fmt", None), config, "format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
-    workers = _pick(getattr(args, "workers", None), config, "workers", 1, int)
-    if workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {workers}")
     # rspd matrices always go to sidecar files; csv momentum curves do too.
-    if not out and ("rspd" in outputs or (wants_momentum and fmt == "csv")):
+    if not args.out and ("rspd" in outputs or (wants_momentum and args.fmt == "csv")):
         raise ValueError("rspd and csv momentum outputs need --out to name their files")
 
+    if mode == "tonks":
+        mesh = tonks.DEFAULT_ANALYTIC_POINTS, tonks.DEFAULT_ANALYTIC_SPACING
+    else:
+        mesh = (61 if wants_momentum else 81), 0.16
+    n_points = mesh[0] if flags.get("n_points") is None else args.n_points
+    spacing = mesh[1] if flags.get("dx") is None else args.dx
     if mode != "spectrum":
         dvr.build_grid(n_points, spacing)
     return SweepSpec(
         mode=mode,
-        barriers=barriers,
-        couplings=couplings,
+        barriers=tuple(args.kappa),
+        couplings=tuple(args.g1d) if mode == "dvr" else (),
         outputs=outputs,
         n_points=n_points,
         spacing=spacing,
-        k_points=k_points,
-        k_span=k_span,
-        levels=levels,
-        out=out,
-        fmt=fmt,
-        workers=workers,
+        k_points=flags.get("k_points"),
+        k_span=flags.get("k_span"),
+        levels=flags.get("levels"),
+        out=args.out,
+        fmt=args.fmt,
+        workers=args.workers,
     )
 
 
@@ -423,7 +411,7 @@ def _cmd_units(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     if args.command == "units":
         return _cmd_units(args)
     try:

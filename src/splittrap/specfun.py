@@ -1,6 +1,6 @@
 """Special functions for the split-trap eigenproblem.
 
-Provides the gamma function, 1/gamma and its derivative, the confluent
+Provides gamma, 1/gamma and its derivative, sin(pi x), the confluent
 hypergeometric (Kummer) functions M and U at z >= 0, and the normalized
 Hermite functions, for the parameter ranges the trap solver visits.
 U is supported for b = 1/2 and a <= 0 only, which is the case generated
@@ -64,17 +64,23 @@ def reciprocal_gamma(x):
     """1/gamma(x), an entire function: zero at the poles of gamma.
 
     Within POLE_TOL of a pole x = -n it is evaluated by the reflection
-    formula, (-1)^n sin(pi delta) gamma(1 - x) / pi with the exact
-    offset delta = x + n, so it falls to zero linearly, not in a step.
+    formula, sin(pi x) gamma(1 - x) / pi with ``sin_pi``, so it falls to
+    zero linearly, not in a step.
     """
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("reciprocal_gamma argument must be finite")
     if _near_pole(x):
-        n = round(x)
-        sign = -1.0 if n % 2 else 1.0
-        return sign * math.sin(math.pi * (x - n)) * math.gamma(1.0 - x) / math.pi
+        return sin_pi(x) * math.gamma(1.0 - x) / math.pi
     return 1.0 / math.gamma(x)
+
+
+def sin_pi(x):
+    """sin(pi x), taken at the exact offset from the nearest integer n as
+    (-1)^n sin(pi (x - n)), so that it is exactly 0 at the integers."""
+    n = round(x)
+    sign = -1.0 if n % 2 else 1.0
+    return sign * math.sin(math.pi * (x - n))
 
 
 def _digamma(x):

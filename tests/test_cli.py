@@ -1,9 +1,12 @@
 """CLI driver: parsing, sweeps, output formats, unit conversion."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import string
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +25,7 @@ from splittrap.cli import (
     ConfinementResonanceError,
     SweepSpec,
     _fmt_value,
-    _parse_couplings,
+    build_parser,
     g1d_from_physical,
     load_config,
     main,
@@ -77,6 +80,23 @@ def test_load_config_rejects_malformed_line(tmp_path):
     path.write_text("mode dvr\n")
     with pytest.raises(ValueError):
         load_config(path)
+
+
+_CONFIG_KEYS = st.text(string.ascii_letters + string.digits + "_-", min_size=1)
+_CONFIG_VALUES = st.text(st.characters(codec="utf-8", exclude_characters="#\n\r"))
+
+
+@given(st.lists(st.tuples(_CONFIG_KEYS, _CONFIG_VALUES), max_size=8),
+       st.sampled_from(["=", " = ", "\t=  "]))
+@settings(max_examples=200, deadline=None)
+def test_load_config_reads_back_every_entry(tmp_path_factory, entries, separator):
+    # Keys are case- and dash-blind, values stripped, and the last entry
+    # for a key wins; comments and blank lines add nothing.
+    path = tmp_path_factory.getbasetemp() / "property.cfg"
+    lines = [f"{key}{separator}{value}  # note" for key, value in entries]
+    path.write_text("# header\n\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    expected = {key.lower().replace("-", "_"): value.strip() for key, value in entries}
+    assert load_config(path) == expected
 
 
 def test_g1d_from_physical_reference_point():
@@ -226,18 +246,47 @@ def test_cli_parallel_workers_match_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-def test_cli_config_file_equivalence(tmp_path):
-    flags = tmp_path / "flags.csv"
-    configured = tmp_path / "configured.csv"
-    assert main(["sweep", "--mode", "dvr", "--kappa", "0", "2", "--g1d", "1", "5",
-                 "--outputs", "energy,entropy", "--format", "csv",
-                 "--out", str(flags)]) == 0
+# Every flag of sweep but --config, with values that each reach the output.
+_DVR_SWEEP = {"mode": "dvr", "kappa": "0 2", "g1d": "1 inf", "outputs": "energy,entropy,momentum",
+              "format": "json", "n-points": "41", "dx": "0.2", "k-span": "6", "k-points": "21"}
+_SPECTRUM_SWEEP = {"mode": "spectrum", "kappa": "0.5 inf", "levels": "3", "format": "csv"}
+_CONFIG_CASES = {
+    **{key: (_DVR_SWEEP, (key,)) for key in _DVR_SWEEP},
+    "workers": ({**_DVR_SWEEP, "workers": "2"}, ("workers",)),
+    "levels": (_SPECTRUM_SWEEP, ("levels",)),
+    "out": (_SPECTRUM_SWEEP, ("out",)),
+    "all": (_DVR_SWEEP, tuple(_DVR_SWEEP)),
+}
+
+
+def _flag_tokens(flags):
+    return [tok for key, value in flags.items() for tok in (f"--{key}", *value.split())]
+
+
+@pytest.mark.parametrize("case", list(_CONFIG_CASES))
+def test_cli_config_file_equivalence(tmp_path, case):
+    # Each config entry is read as the flag it names, so moving flags of
+    # sweep into a config file leaves the output bytes as they are;
+    # kappa and g1d values may be separated by commas.
+    flags, keys = _CONFIG_CASES[case]
+    by_flags, by_config = tmp_path / "flags.out", tmp_path / "config.out"
+    assert main(["sweep", *_flag_tokens(flags), "--out", str(by_flags)]) == 0
+    entries = {**flags, "out": str(by_config)}
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(
-        "mode = dvr\nkappa = 0 2\ng1d = 1 5\noutputs = energy,entropy\nformat = csv\n"
-    )
-    assert main(["sweep", "--config", str(cfg), "--out", str(configured)]) == 0
-    assert flags.read_bytes() == configured.read_bytes()
+    cfg.write_text("".join(f"{key.replace('-', '_')} = {', '.join(entries[key].split())}\n"
+                           for key in keys))
+    rest = {key: value for key, value in entries.items() if key not in keys}
+    assert main(["sweep", "--config", str(cfg), *_flag_tokens(rest)]) == 0
+    assert by_flags.read_bytes() == by_config.read_bytes()
+
+
+def test_cli_flags_override_config(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("mode = spectrum\nkappa = 5\nlevels = 9\n")
+    assert main(["sweep", "--kappa", "0", "--config", str(cfg), "--levels", "2"]) == 0
+    overridden = capsys.readouterr().out
+    assert main(["spectrum", "--kappa", "0", "--levels", "2"]) == 0
+    assert overridden == capsys.readouterr().out
 
 
 def test_cli_json_round_trip(tmp_path):
@@ -353,7 +402,7 @@ def test_cli_json_rspd_needs_out(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_spectrum_150_levels(capsys):
-    for kappa, levels in (("1", 150), ("1", 300), ("inf", 300)):
+    for kappa, levels in (("1", 150), ("1", 300), ("inf", 300), ("1", 343)):
         assert main(["spectrum", "--kappa", kappa, "--levels", str(levels)]) == 0
         rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
         assert [int(row[3]) for row in rows] == list(range(levels))
@@ -362,15 +411,14 @@ def test_cli_spectrum_150_levels(capsys):
 
 
 def test_cli_spectrum_failure_record_carries_only_kappa(capsys):
-    # At j = 171 reciprocal_gamma overflows in even_energy (Gamma(172)
-    # exceeds a float), so 400 levels fail; the failed point's record
-    # keeps its kappa alone.
-    assert main(["spectrum", "--kappa", "1", "--levels", "400", "--format", "json"]) == 2
+    # From j = 4096 one ulp of E exceeds the bisection tolerance, so 8193
+    # levels fail; the failed point's record keeps its kappa alone.
+    assert main(["spectrum", "--kappa", "1", "--levels", "8193", "--format", "json"]) == 2
     captured = capsys.readouterr()
     assert json.loads(captured.out)["points"] == [{"kappa": "1"}]
     (failure,) = json.loads(captured.err)["failures"]
     assert (failure["kappa"], failure["g1d"]) == ("1", "")
-    assert failure["error"].startswith("OverflowError")
+    assert failure["error"].startswith("BracketError")
 
 
 def test_cli_failure_manifest(tmp_path):
@@ -408,11 +456,59 @@ def _exit_code(args):
         ["dvr", "--kappa", "0", "--g1d", "1", "--workers", "0"],
         ["tonks", "--kappa", "0", "--outputs", "wavelength"],
         ["dvr", "--kappa", "0", "--g1d", "-1"],
+        ["dvr", "--kappa", "0", "--g1d", "1", "--dx", "0"],
+        ["spectrum", "--kappa", "0", "--levels", "0"],
+        ["sweep", "--mode", "spectrum", "--kappa", "0", "--outputs", "entropy"],
     ],
 )
 def test_cli_validation_exit_code(args, capsys):
     assert _exit_code(args) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        "format = xml\n",
+        "npoints = 41\n",
+        "g1d = 1\n",
+        "kappa = 0, -1\n",
+        "mode tonks\n",
+        None,
+    ],
+    ids=["bad-choice", "unknown-key", "key-of-another-subcommand", "bad-coupling", "malformed",
+         "missing-file"],
+)
+def test_cli_config_validation_exit_code(tmp_path, capsys, entries):
+    cfg = tmp_path / "run.cfg"
+    if entries is not None:
+        cfg.write_text(entries)
+    assert _exit_code(["tonks", "--kappa", "0", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "tonks", "dvr", "sweep", "units"])
+def test_cli_help_renders_for_every_subcommand(command, capsys):
+    assert _exit_code([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: splittrap {command} ")
+
+
+_DVR_PARSER = build_parser()
+
+
+def _couplings_from_flags(token):
+    # --kappa and --g1d as the dvr subparser reads them; the parser's
+    # error message comes back as the text of a ValueError.
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr):
+            args = _DVR_PARSER.parse_args(["dvr", f"--kappa={token}", f"--g1d={token}"])
+    except SystemExit:
+        raise ValueError(stderr.getvalue()) from None
+    assert args.kappa == args.g1d
+    return args.kappa
 
 
 @given(st.floats())
@@ -422,12 +518,12 @@ def test_coupling_parser_accepts_exactly_non_negative(value):
     # exactly when it is >= 0, inf included; NaN and negatives are not.
     token = repr(value)
     if not value >= 0.0:
-        with pytest.raises(ValueError):
-            _parse_couplings([token])
+        with pytest.raises(ValueError, match="invalid coupling value"):
+            _couplings_from_flags(token)
         return
-    assert _parse_couplings([token]) == (value,)
+    assert _couplings_from_flags(token) == [value]
     label = _fmt_value(value)
-    (again,) = _parse_couplings([label])
+    (again,) = _couplings_from_flags(label)
     assert _fmt_value(again) == label
     assert again == pytest.approx(value, rel=5e-12, abs=0.0)
 
@@ -444,7 +540,7 @@ def _is_number(text):
 @settings(max_examples=200, deadline=None)
 def test_coupling_parser_rejects_non_numeric_text(text):
     with pytest.raises(ValueError, match="invalid coupling"):
-        _parse_couplings([text])
+        _couplings_from_flags(text)
 
 
 def test_run_sweep_caps_workers_at_point_count(monkeypatch):

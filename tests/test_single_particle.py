@@ -7,8 +7,9 @@ import pytest
 from scipy.integrate import simpson
 
 from splittrap import specfun
-from splittrap.cli import _fmt_value, _parse_couplings
+from splittrap.cli import _fmt_value, build_parser
 from splittrap.single_particle import (
+    BracketError,
     _even_norm,
     check_coupling,
     even_energy,
@@ -140,10 +141,12 @@ def test_barrier_strength_validation():
 
 
 def test_barrier_strength_parse():
-    assert _parse_couplings(["2.5", "inf", "Infinity"]) == (2.5, math.inf, math.inf)
+    parse = build_parser().parse_args
+    args = parse(["spectrum", "--kappa", "2.5", "inf", "Infinity"])
+    assert args.kappa == [2.5, math.inf, math.inf]
     for bad in ("-1", "nan", "-inf", "junk"):
-        with pytest.raises(ValueError):
-            _parse_couplings([bad])
+        with pytest.raises(SystemExit):
+            parse(["spectrum", f"--kappa={bad}"])
 
 
 def test_even_energy_exact_limits():
@@ -157,6 +160,31 @@ def test_even_energy_exact_limits():
 def test_even_energy_reference_roots(key, expected):
     kappa, j = key
     assert even_energy(kappa, j) == pytest.approx(expected, abs=1e-10)
+
+
+# Levels from j = 171, where Gamma(j + 1) exceeds a float, frozen from the
+# same 40-digit mpmath bisection of h(E).
+HIGH_EVEN_ROOTS = {
+    (1e-9, 300): 600.50000000001836997,
+    (1.0, 171): 342.52431129012734069,
+    (1.0, 1000): 2000.5100637205802628,
+    (1e3, 2000): 4001.443199924578431,
+    (1e9, 3000): 6001.4999999302530812,
+    (1e-3, 4095): 8190.5000049740473739,
+}
+
+
+@pytest.mark.parametrize("key,expected", sorted(HIGH_EVEN_ROOTS.items()))
+def test_even_energy_high_levels(key, expected):
+    kappa, j = key
+    assert even_energy(kappa, j) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_even_energy_level_limit():
+    # From j = 4096 on, one ulp of E (1.8e-12) is wider than the bisection
+    # tolerance, so 8192 levels is the most spectrum gives at finite kappa.
+    with pytest.raises(BracketError, match="level 4096"):
+        even_energy(1.0, 4096)
 
 
 @pytest.mark.parametrize("kappa", [1e-300, 1e-16, 1e-14, 1e-12, 1e-10, 1e-9, 3e-9])
