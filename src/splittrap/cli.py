@@ -13,10 +13,10 @@ point into one result, and hands those results, in sweep order, to the
 writers: the CSV or JSON table, the sidecar files and the failure manifest.
 
 Outputs are byte-deterministic for a fixed spec: fixed 12-significant-
-digit formatting, fixed point ordering, and a deterministic start
-vector inside the grid eigensolver.  Exit codes: 0 on success, 1 on
-validation errors, 2 when any solver fails (partial results are still
-written, with a failure manifest alongside).
+digit formatting, fixed point ordering, and a grid eigensolver start
+vector set by the mesh and the couplings alone.  Exit codes: 0 on
+success, 1 on validation errors, 2 when any solver fails (partial
+results are still written, with a failure manifest alongside).
 """
 
 import argparse
@@ -245,6 +245,14 @@ def coupling(text):
     return check_coupling(text, "coupling")
 
 
+class _Couplings(argparse.Action):
+    # argparse strips the '--' from '--kappa=--' and passes no values at all.
+    def __call__(self, parser, namespace, values, option_string=None):
+        if not values:
+            parser.error(f"argument {option_string}: invalid coupling value: no number given")
+        setattr(namespace, self.dest, values)
+
+
 def count(text):
     """A --levels or --workers value: an integer >= 1."""
     if int(text) < 1:
@@ -260,7 +268,7 @@ def _output_list(text):
 
 
 def _add_common_flags(parser, *, with_grid=True):
-    parser.add_argument("--kappa", nargs="+", type=coupling, required=True,
+    parser.add_argument("--kappa", nargs="+", type=coupling, action=_Couplings, required=True,
                         help="barrier strengths; numbers or 'inf'")
     parser.add_argument("--out", default=None, help="output file path")
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
@@ -295,13 +303,13 @@ def build_parser():
 
     p_dvr = sub.add_parser("dvr", help="grid solver at any coupling")
     _add_common_flags(p_dvr)
-    p_dvr.add_argument("--g1d", nargs="+", type=coupling, required=True,
+    p_dvr.add_argument("--g1d", nargs="+", type=coupling, action=_Couplings, required=True,
                        help="contact couplings; numbers or 'inf' (hard core)")
 
     p_sweep = sub.add_parser("sweep", help="cartesian parameter sweep")
     _add_common_flags(p_sweep)
     p_sweep.add_argument("--mode", choices=_MODES, required=True)
-    p_sweep.add_argument("--g1d", nargs="+", type=coupling, default=None)
+    p_sweep.add_argument("--g1d", nargs="+", type=coupling, action=_Couplings, default=None)
     p_sweep.add_argument("--levels", type=count, default=6)
 
     p_units = sub.add_parser("units", help="physical to scaled coupling")
@@ -376,6 +384,8 @@ def _spec_from_args(args):
     spacing = mesh[1] if flags.get("dx") is None else args.dx
     if mode != "spectrum":
         dvr.build_grid(n_points, spacing)
+    if wants_momentum:
+        analysis.uniform_k_grid(args.k_points, args.k_span)
     return SweepSpec(
         mode=mode,
         barriers=tuple(args.kappa),

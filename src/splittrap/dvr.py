@@ -34,12 +34,15 @@ h (x) 1 + 1 (x) h plus the contact term c on the N diagonal points x = y,
 with the one-body h = T + x^2/2 + kappa_eff/dx delta_{x0} and
 c = g1d_eff/dx; _hamiltonian is the one place that builds these pieces.
 apply_hamiltonian applies H to the N x N amplitude array.  ground_state
-runs Lanczos on the exact inverse (H - sigma)^-1: one N x N eigh of h
-inverts the separable part with four N x N products (the fast
-diagonalization method of Lynch, Rice & Thomas, Numer. Math. 6, 185
-(1964)), and the Woodbury identity adds the contact term through an
-N x N capacitance matrix.  The ground state and the gap to the next
-bosonic level come out of the two largest eigenvalues of that inverse.
+runs Lanczos on the exact inverse (H - sigma)^-1, acting on the
+coefficients B of psi = U B U^T in the eigenbasis h = U diag(eps) U^T
+of one N x N eigh: there the separable part is inverted elementwise
+(the fast diagonalization method of Lynch, Rice & Thomas, Numer. Math.
+6, 185 (1964)), and the Woodbury identity adds the contact term through
+an N x N capacitance matrix, at two N x N products a step.  The ground
+state and the gap to the next bosonic level come out of the two largest
+eigenvalues of that inverse; only the ground state is mapped back to
+the mesh.
 """
 
 import math
@@ -158,14 +161,16 @@ def _apply(t, w, c, x):
 
 
 def _shifted_inverse(t, w, c):
-    """Shift sigma below the spectrum and x -> (H - sigma)^-1 x.
+    """Eigenbasis u of h, shift sigma below the spectrum, and B -> (H - sigma)^-1 B.
 
-    The one-body eigenbasis h = U diag(eps) U^T inverts the separable
-    part A = h (x) 1 + 1 (x) h - sigma with four N x N products, and the
-    Woodbury identity adds the contact term, which lives on the N
-    diagonal points only, through the N x N capacitance I + c K with
-    K_ab = <aa|A^-1|bb> (factored once).  sigma = 2 eps_0 - 1/2 is a
-    strict lower bound because c >= 0.  Outputs are symmetrized, so the
+    The inverse acts on the coefficients B of psi = U B U^T, with
+    h = U diag(eps) U^T.  There the separable part A = h (x) 1 + 1 (x) h
+    - sigma inverts elementwise, A^-1 B = d * B with d_ij =
+    1 / (eps_i + eps_j - sigma), and the Woodbury identity adds the
+    contact term, which lives on the N diagonal points only, through the
+    N x N capacitance I + c K with K_ab = <aa|A^-1|bb> (factored once):
+    one N x N product out to psi_aa, one back.  sigma = 2 eps_0 - 1/2 is
+    a strict lower bound because c >= 0.  Outputs are symmetrized, so the
     exchange-antisymmetric sector maps to zero.
     """
     eps, u = np.linalg.eigh(t + np.diag(w))
@@ -178,14 +183,13 @@ def _shifted_inverse(t, w, c):
         k[a] = np.sum((ua @ d) * ua, axis=1)
     capacitance = cho_factor(np.eye(eps.size) + c * k)
 
-    def inverse(x):
-        b = u.T @ x @ u
-        on_contact = np.sum((u @ (d * b)) * u, axis=1)
-        b -= (u.T * (c * cho_solve(capacitance, on_contact))) @ u
-        y = u @ (d * b) @ u.T
+    def inverse(b):
+        y = d * b
+        on_contact = np.sum((u @ y) * u, axis=1)
+        y -= d * ((u.T * (c * cho_solve(capacitance, on_contact))) @ u)
         return 0.5 * (y + y.T)
 
-    return sigma, inverse
+    return u, d, sigma, inverse
 
 
 def apply_hamiltonian(vec, grid, kappa, g1d):
@@ -231,17 +235,19 @@ def ground_state(grid, kappa, g1d):
 
     Lanczos on the exact inverse (H - sigma)^-1 of _shifted_inverse,
     whose largest eigenvalues nu give the lowest energies sigma + 1/nu;
-    the iteration runs to a relative eigenvalue tolerance of 1e-10
-    (``_EIGEN_TOL``).  The inverse is confined to the exchange-symmetric sector: the raw
-    matrix also carries antisymmetric states, and near the strong
-    coupling regime one of those dips below the symmetric ground state
-    on a coarse mesh.  The start vector, a Gaussian product centred off
-    the origin, has no spatial parity, so both parity classes of the
-    symmetric sector are in reach and ``gap`` is the distance to the
-    first excited bosonic level.  The ground state of the parity-
-    symmetric H is even under (x, y) -> (-x, -y); the returned
-    amplitudes are averaged with their reflection, like the exchange
-    average, so they are parity-even to the last bit.
+    it runs on the one-body eigenbasis coefficients B to a relative
+    eigenvalue tolerance of 1e-10 (``_EIGEN_TOL``), and only its Ritz
+    vector is mapped to the mesh, as psi = U B U^T.  The inverse is
+    confined to the exchange-symmetric sector: the raw matrix also
+    carries antisymmetric states, and near the strong coupling regime
+    one of those dips below the symmetric ground state on a coarse mesh.
+    The start vector d is exchange-symmetric and nonzero on every pair
+    of one-body levels, so both parity classes of the symmetric sector
+    are in reach and ``gap`` is the distance to the first excited
+    bosonic level.  The ground state of the parity-symmetric H is even
+    under (x, y) -> (-x, -y); the returned amplitudes are averaged with
+    their reflection, like the exchange average, so they are parity-even
+    to the last bit.
 
     Parameters
     ----------
@@ -265,25 +271,22 @@ def ground_state(grid, kappa, g1d):
     """
     kappa, g1d, t, w, c = _hamiltonian(grid, kappa, g1d)
     n = grid.n_points
-    sigma, inverse = _shifted_inverse(t, w, c)
+    u, d, sigma, inverse = _shifted_inverse(t, w, c)
 
     def matvec(vec):
         return inverse(vec.reshape(n, n)).ravel()
 
     op = LinearOperator((n * n, n * n), matvec=matvec, dtype=float)
-    q = grid.points - 0.25
-    v0 = np.exp(-0.5 * (q[:, None] ** 2 + q[None, :] ** 2)).ravel()
-    v0 /= np.linalg.norm(v0)
     failure = (
         f"ground-state iteration failed at kappa={kappa}, g1d={g1d}, N={n}, dx={grid.spacing}"
     )
     try:
-        nu, vecs = eigsh(op, k=2, which="LA", v0=v0, tol=_EIGEN_TOL)
+        nu, vecs = eigsh(op, k=2, which="LA", v0=d.ravel() / np.linalg.norm(d), tol=_EIGEN_TOL)
     except ArpackNoConvergence as exc:
         raise ConvergenceError(f"{failure}: {exc}") from exc
     energy = sigma + 1.0 / nu[1]
 
-    psi = vecs[:, 1].reshape(n, n)
+    psi = u @ vecs[:, 1].reshape(n, n) @ u.T
     psi = 0.5 * (psi + psi.T)
     psi = 0.5 * (psi + psi[::-1, ::-1])
     psi /= math.sqrt(np.sum(psi * psi)) * grid.spacing

@@ -13,7 +13,6 @@ the infinite-barrier limit (hard-core pair and non-interacting pair).
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,13 +31,6 @@ DEFAULT_ANALYTIC_SPACING = 0.08
 def default_analysis_grid():
     """Mesh used for analytic-route observables: 161 points, dx = 0.08."""
     return build_grid(DEFAULT_ANALYTIC_POINTS, DEFAULT_ANALYTIC_SPACING)
-
-
-@lru_cache(maxsize=64)
-def _tonks_state_cached(kappa):
-    even = even_state(kappa, 0)
-    odd = odd_state(1)
-    return TonksState(kappa, even.energy + odd.energy, even, odd)
 
 
 @dataclass(frozen=True)
@@ -73,7 +65,10 @@ class TonksState:
 
 def tonks_state(kappa):
     """Hard-core pair state at barrier strength kappa (a float, math.inf allowed)."""
-    return _tonks_state_cached(check_coupling(kappa))
+    kappa = check_coupling(kappa)
+    even = even_state(kappa, 0)
+    odd = odd_state(1)
+    return TonksState(kappa, even.energy + odd.energy, even, odd)
 
 
 def tonks_energy(kappa):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import hbar
 
@@ -401,6 +401,20 @@ def test_cli_json_rspd_needs_out(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_momentum_grid_checked_before_any_point(tmp_path, capsys):
+    # A momentum grid that uniform_k_grid rejects is a validation error:
+    # exit 1 before any point runs, with no table and no failure manifest.
+    out = tmp_path / "tg.json"
+    for bad in (["--k-points", "1"], ["--k-span", "-3"]):
+        assert main(["tonks", "--kappa", "0", "--outputs", "energy,momentum", *bad,
+                     "--format", "json", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: k ")
+        assert "failures" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_spectrum_150_levels(capsys):
     for kappa, levels in (("1", 150), ("1", 300), ("inf", 300), ("1", 343)):
         assert main(["spectrum", "--kappa", kappa, "--levels", str(levels)]) == 0
@@ -537,6 +551,7 @@ def _is_number(text):
 
 
 @given(st.text().filter(lambda text: not _is_number(text)))
+@example("--")
 @settings(max_examples=200, deadline=None)
 def test_coupling_parser_rejects_non_numeric_text(text):
     with pytest.raises(ValueError, match="invalid coupling"):

@@ -179,12 +179,12 @@ def test_ground_state_convergence_error(monkeypatch):
 
 def test_ground_state_residual_guard(monkeypatch):
     # ARPACK's eigenvalues paired with a vector that is not their
-    # eigenvector (the kappa = g1d = 0 ground state, at kappa = 1,
+    # eigenvector (the coefficient vector |00>, both particles in the
+    # lowest one-body level: the g1d = 0 ground state, at kappa = 1,
     # g1d = 5) fail the residual check.
     grid = build_grid(41, 0.16)
-    q = grid.points
-    wrong = np.exp(-0.5 * (q[:, None] ** 2 + q[None, :] ** 2)).ravel()
-    wrong /= np.linalg.norm(wrong)
+    wrong = np.zeros(41 * 41)
+    wrong[0] = 1.0
     real_eigsh = dvr.eigsh
 
     def wrong_pair(op, k, **kwargs):
@@ -204,17 +204,19 @@ def test_ground_state_residual_guard(monkeypatch):
 def test_shifted_inverse_solves_hamiltonian(kappa, g1d):
     # The solver's inverse and apply_hamiltonian come from the same
     # pieces of _hamiltonian: (H - sigma) inv(x) = x on the symmetric
-    # sector, and the antisymmetric sector maps to zero.
+    # sector, and the antisymmetric sector maps to zero.  The inverse
+    # acts on one-body eigenbasis coefficients, so mesh arrays go in as
+    # U^T x U and come out as U y U^T.
     grid = build_grid(41, 0.16)
-    sigma, inverse = dvr._shifted_inverse(*dvr._hamiltonian(grid, kappa, g1d)[2:])
+    u, _, sigma, inverse = dvr._shifted_inverse(*dvr._hamiltonian(grid, kappa, g1d)[2:])
     rng = np.random.default_rng(41)
     for _ in range(3):
         a = rng.standard_normal((41, 41))
         x = a + a.T
-        y = inverse(x)
+        y = u @ inverse(u.T @ x @ u) @ u.T
         back = dvr.apply_hamiltonian(y.ravel(), grid, kappa, g1d) - sigma * y.ravel()
         assert np.max(np.abs(back - x.ravel())) <= 1e-10 * np.max(np.abs(x))
-        assert np.max(np.abs(inverse(a - a.T))) <= 1e-13 * np.max(np.abs(y))
+        assert np.max(np.abs(inverse(u.T @ (a - a.T) @ u))) <= 1e-13 * np.max(np.abs(y))
 
 
 def _symmetric_spectrum(grid, kappa, g1d):
