@@ -34,7 +34,6 @@ from .single_particle import (
     even_energy,
     even_state,
     odd_energy,
-    odd_state,
     spectrum,
 )
 from .tonks import (
@@ -78,7 +77,6 @@ __all__ = [
     "momentum_tg_infinite_barrier",
     "natural_orbitals",
     "odd_energy",
-    "odd_state",
     "rspd_from_state",
     "schmidt_number",
     "spectrum",

@@ -5,7 +5,7 @@ Subcommands
 spectrum : single-particle levels over one or more barrier strengths
 tonks    : analytic hard-core pair observables
 dvr      : grid-solver pair observables at any coupling, hard core included
-sweep    : cartesian (kappa, g1d) sweeps in any of the three modes
+sweep    : ``sweep --mode M ...`` is ``M ...``: it takes exactly M's flags
 units    : convert a physical trap setup to the scaled 1D coupling
 
 A run parses its flags into a ``SweepSpec``, evaluates each (kappa, g1d)
@@ -32,10 +32,7 @@ from pathlib import Path
 
 from . import analysis, dvr, tonks
 from .single_particle import check_coupling, spectrum
-from .units import (  # noqa: F401  (also re-exported from here)
-    CONFINEMENT_CONSTANT, HBAR, ConfinementResonanceError, CouplingResult, TrapUnits,
-    g1d_from_physical,
-)
+from .units import g1d_from_physical
 
 _MODES = ("spectrum", "tonks", "dvr")
 _OUTPUTS = ("energy", "rspd", "momentum", "entropy", "schmidt")
@@ -306,11 +303,11 @@ def build_parser():
     p_dvr.add_argument("--g1d", nargs="+", type=coupling, action=_Couplings, required=True,
                        help="contact couplings; numbers or 'inf' (hard core)")
 
-    p_sweep = sub.add_parser("sweep", help="cartesian parameter sweep")
-    _add_common_flags(p_sweep)
+    p_sweep = sub.add_parser(
+        "sweep", help="run one of the three modes",
+        description="'sweep --mode M ...' runs 'M ...' and takes exactly the flags of M; "
+                    "see 'splittrap M --help'.")
     p_sweep.add_argument("--mode", choices=_MODES, required=True)
-    p_sweep.add_argument("--g1d", nargs="+", type=coupling, action=_Couplings, default=None)
-    p_sweep.add_argument("--levels", type=count, default=6)
 
     p_units = sub.add_parser("units", help="physical to scaled coupling")
     p_units.add_argument("--omega-perp", type=float, required=True,
@@ -358,19 +355,20 @@ def _parse_args(argv):
         flag = "--" + key.replace("_", "-")
         split = key in ("kappa", "g1d")
         tokens += [flag, *value.replace(",", " ").split()] if split else [f"{flag}={value}"]
-    return parser.parse_args(argv[:1] + tokens + argv[1:])
+    tokens = argv[:1] + tokens + argv[1:]
+    # 'sweep --mode M ...' is handed to M's own parser.
+    args, rest = parser.parse_known_args(tokens)
+    if args.command == "sweep":
+        tokens = [args.mode, *rest]
+    return parser.parse_args(tokens)
 
 
 def _spec_from_args(args):
     # argparse has checked every flag on its own; left here are the rules
     # that span several flags, and the mesh default.
     flags = vars(args)
-    mode = flags.get("mode", args.command)
+    mode = args.command
     outputs = flags.get("outputs", ("energy",))
-    if mode == "spectrum" and set(outputs) - {"energy"}:
-        raise ValueError("spectrum mode only supports the energy output")
-    if mode == "dvr" and not args.g1d:
-        raise ValueError("dvr mode needs at least one --g1d value")
     wants_momentum = "momentum" in outputs
     # rspd matrices always go to sidecar files; csv momentum curves do too.
     if not args.out and ("rspd" in outputs or (wants_momentum and args.fmt == "csv")):

@@ -47,7 +47,6 @@ the mesh.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -62,6 +61,11 @@ _DEGENERACY_GAP = 1e-6
 _RESIDUAL_BOUND = 1e-6
 # Relative eigenvalue tolerance of the Krylov iteration.
 _EIGEN_TOL = 1e-10
+# Entries within this relative distance of max |psi| tie for the sign
+# fix, which takes the first of them in row-major order: at (inf, 0) four
+# extrema of opposite signs agree to rounding, and argmax would let the
+# rounding pick the sign.
+_PEAK_TIE = 1e-8
 
 
 class GridError(ValueError):
@@ -116,20 +120,15 @@ def build_grid(n_points, spacing):
     return Grid(n_points, spacing)
 
 
-@lru_cache(maxsize=32)
-def _kinetic_matrix_cached(n_points, spacing):
-    idx = np.arange(n_points)
-    delta = idx[:, None] - idx[None, :]
-    with np.errstate(divide="ignore"):
-        t = np.where(delta == 0, math.pi**2 / 6.0, (-1.0) ** delta / delta.astype(float) ** 2)
-    t /= spacing**2
-    t.setflags(write=False)
-    return t
-
-
 def kinetic_matrix(grid):
-    """One-particle sinc-DVR kinetic matrix (1/2 d^2/dx^2 included)."""
-    return _kinetic_matrix_cached(grid.n_points, grid.spacing)
+    """One-particle sinc-DVR kinetic matrix (1/2 d^2/dx^2 included).
+
+    T is Toeplitz, T_ij = row[|i - j|], so it is gathered from its first row.
+    """
+    m = np.arange(grid.n_points)
+    row = (-1.0) ** m / np.maximum(m, 1).astype(float) ** 2
+    row[0] = math.pi**2 / 6.0
+    return row[np.abs(m[:, None] - m[None, :])] / grid.spacing**2
 
 
 def _hamiltonian(grid, kappa, g1d):
@@ -211,7 +210,8 @@ class TwoBodyState:
     """Ground state on the product mesh.
 
     ``amplitudes`` is the N x N array Psi(q_i, q_j) normalized so that
-    sum(Psi^2) * dx^2 = 1, sign-fixed to be positive at its peak.
+    sum(Psi^2) * dx^2 = 1, sign-fixed to be positive at its first peak
+    in row-major order, where entries within 1e-8 of max |Psi| tie.
     ``kappa`` and ``g1d`` are the bare couplings, math.inf for the
     limits.  ``gap`` is the distance to the next exchange-symmetric
     eigenvalue, of either spatial parity; a gap below 1e-6 marks the
@@ -293,8 +293,9 @@ def ground_state(grid, kappa, g1d):
     residual = np.linalg.norm(_apply(t, w, c, psi) - energy * psi) * grid.spacing
     if not residual <= _RESIDUAL_BOUND:
         raise ConvergenceError(f"{failure}: residual ||H psi - E psi|| = {residual:.3e}")
-    peak = np.unravel_index(np.argmax(np.abs(psi)), psi.shape)
-    if psi[peak] < 0.0:
+    magnitude = np.abs(psi).ravel()
+    peak = np.argmax(magnitude >= (1.0 - _PEAK_TIE) * magnitude.max())
+    if psi.flat[peak] < 0.0:
         psi = -psi
     psi.setflags(write=False)
     return TwoBodyState(

@@ -82,8 +82,7 @@ class EigenState:
     n = 0, 2, 4, ... (the j-th even level has n = 2j), odd levels the
     exact oscillator index n = 1, 3, 5, ...  ``kappa`` is the barrier
     strength, math.inf for the impenetrable barrier.  Odd levels do not
-    feel it: ``spectrum`` gives them the kappa it was asked for, and
-    ``odd_state`` gives 0.
+    feel it, but carry the kappa that ``spectrum`` was asked for.
     """
 
     parity: str
@@ -173,11 +172,6 @@ def even_state(kappa, j):
     """The j-th even level as an EigenState."""
     kappa = check_coupling(kappa)
     return EigenState("even", 2 * int(j), even_energy(kappa, j), kappa)
-
-
-def odd_state(n):
-    """Odd level n (n odd); independent of the barrier."""
-    return EigenState("odd", int(n), odd_energy(n), 0.0)
 
 
 def eigenfunction(state, x):

@@ -19,7 +19,7 @@ import numpy as np
 from . import specfun
 from .analysis import rspd_from_amplitudes
 from .dvr import GridError, build_grid
-from .single_particle import EigenState, check_coupling, eigenfunction, even_state, odd_state
+from .single_particle import EigenState, eigenfunction, spectrum
 
 _MIN_RSPD_SPAN = 6.0
 _TRACE_ERROR_LIMIT = 1e-3
@@ -54,21 +54,14 @@ class TonksState:
         phi1_b = eigenfunction(self.odd_orbital, x2)
         return np.abs(phi0_a * phi1_b - phi0_b * phi1_a) / math.sqrt(2.0)
 
-    def wavefunction_on_grid(self, grid):
-        """Psi sampled on the product mesh, as an (N, N) array."""
-        q = grid.points
-        phi0 = eigenfunction(self.even_orbital, q)
-        phi1 = eigenfunction(self.odd_orbital, q)
-        det = np.outer(phi0, phi1) - np.outer(phi1, phi0)
-        return np.abs(det) / math.sqrt(2.0)
-
 
 def tonks_state(kappa):
-    """Hard-core pair state at barrier strength kappa (a float, math.inf allowed)."""
-    kappa = check_coupling(kappa)
-    even = even_state(kappa, 0)
-    odd = odd_state(1)
-    return TonksState(kappa, even.energy + odd.energy, even, odd)
+    """Hard-core pair state at barrier strength kappa (a float, math.inf allowed).
+
+    Its orbitals are the two lowest levels of ``spectrum(kappa, 2)``.
+    """
+    even, odd = spectrum(kappa, 2)
+    return TonksState(even.kappa, even.energy + odd.energy, even, odd)
 
 
 def tonks_energy(kappa):
@@ -110,7 +103,8 @@ def tonks_rspd(kappa, grid=None):
             f"grid spans [-{grid.span:.3g}, {grid.span:.3g}] but the pair "
             "density needs at least [-6, 6]"
         )
-    psi = tonks_state(kappa).wavefunction_on_grid(grid)
+    q = grid.points
+    psi = tonks_state(kappa).wavefunction(q[:, None], q[None, :])
     raw_norm = np.sum(psi * psi) * grid.spacing**2
     if abs(raw_norm - 1.0) > _TRACE_ERROR_LIMIT:
         raise GridError(

@@ -23,7 +23,6 @@ from splittrap.single_particle import (
     even_energy,
     even_state,
     odd_energy,
-    odd_state,
     spectrum,
 )
 

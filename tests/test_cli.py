@@ -21,16 +21,14 @@ import splittrap
 from splittrap import analysis, tonks
 from splittrap import cli
 from splittrap.cli import (
-    CONFINEMENT_CONSTANT,
-    ConfinementResonanceError,
     SweepSpec,
     _fmt_value,
     build_parser,
-    g1d_from_physical,
     load_config,
     main,
     run_sweep,
 )
+from splittrap.units import CONFINEMENT_CONSTANT, ConfinementResonanceError, g1d_from_physical
 
 RB_MASS = 1.45e-25
 OMEGA_PERP = 6.0e5
@@ -473,11 +471,37 @@ def _exit_code(args):
         ["dvr", "--kappa", "0", "--g1d", "1", "--dx", "0"],
         ["spectrum", "--kappa", "0", "--levels", "0"],
         ["sweep", "--mode", "spectrum", "--kappa", "0", "--outputs", "entropy"],
+        ["sweep", "--mode", "tonks", "--kappa", "0", "--g1d", "1"],
+        ["sweep", "--mode", "spectrum", "--kappa", "0", "--n-points", "41"],
+        ["sweep", "--mode", "dvr", "--kappa", "0", "--g1d", "0", "--levels", "3"],
     ],
 )
 def test_cli_validation_exit_code(args, capsys):
     assert _exit_code(args) == 1
     assert "error" in capsys.readouterr().err
+
+
+_MODE_RUNS = {
+    "spectrum": ["spectrum", "--kappa", "0.5", "inf", "--levels", "3"],
+    "tonks": ["tonks", "--kappa", "0", "inf", "--n-points", "121", "--dx", "0.1",
+              "--outputs", "energy,rspd,momentum,entropy", "--k-points", "21"],
+    "dvr": ["dvr", "--kappa", "0", "2", "--g1d", "1", "inf", "--n-points", "41", "--dx", "0.2",
+            "--outputs", "energy,schmidt", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("mode", list(_MODE_RUNS))
+def test_cli_sweep_mode_is_the_mode(tmp_path, mode):
+    # 'sweep --mode M ...' is 'M ...': the same table and sidecar bytes.
+    command = _MODE_RUNS[mode]
+    runs = {}
+    for name, argv in (("mode", command), ("sweep", ["sweep", "--mode", *command])):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        assert main([*argv, "--out", str(run_dir / "run.out")]) == 0
+        runs[name] = {path.name: path.read_bytes() for path in sorted(run_dir.iterdir())}
+    assert len(runs["mode"]) == (5 if mode == "tonks" else 1)
+    assert runs["sweep"] == runs["mode"]
 
 
 @pytest.mark.parametrize(

@@ -128,6 +128,18 @@ def test_ground_state_normalization_and_symmetry(solve):
         assert psi[peak] > 0.0
 
 
+@pytest.mark.parametrize("n_points,spacing", [(41, 0.3), (81, 0.16)])
+def test_sign_fixed_at_first_peak_in_row_major_order(solve, n_points, spacing):
+    # At (inf, 0) the four extrema, two of each sign, agree to rounding,
+    # so the sign is taken at the first of them in row-major order rather
+    # than wherever rounding puts the largest.
+    psi = solve(math.inf, 0.0, n_points, spacing).amplitudes
+    magnitude = np.abs(psi).ravel()
+    peaks = np.flatnonzero(magnitude >= (1.0 - 1e-8) * magnitude.max())
+    assert peaks.size == 4
+    assert psi.flat[peaks[0]] > 0.0
+
+
 @pytest.mark.parametrize("kappa", [0.0, 1.0, math.inf])
 @pytest.mark.parametrize("g1d", [0.0, 5.0, math.inf])
 def test_ground_state_parity_even(solve, kappa, g1d):

@@ -16,7 +16,6 @@ from splittrap.single_particle import (
     even_state,
     eigenfunction,
     odd_energy,
-    odd_state,
     spectrum,
 )
 
@@ -260,8 +259,9 @@ def test_hermite_norms(n, expected):
     # norm is their ratio to numpy's Hermite series H_n(x) e^(-x^2/2).
     x = np.array([-2.9, -1.3, 0.4, 1.7, 3.2])
     unnormalized = np.polynomial.hermite.hermval(x, [0] * n + [1]) * np.exp(-0.5 * x * x)
-    odd = odd_state(n).wavefunction(x)
-    split = even_state(math.inf, (n - 1) // 2).wavefunction(x)
+    *_, mirrored, odd_level = spectrum(math.inf, n + 1)
+    odd = odd_level.wavefunction(x)
+    split = mirrored.wavefunction(x)
     np.testing.assert_allclose(odd / unnormalized, expected, rtol=1e-13, atol=0.0)
     np.testing.assert_array_equal(split, np.sign(x) * odd)
 
@@ -285,7 +285,7 @@ def test_ground_state_eigenfunction_is_gaussian_at_zero_barrier():
 
 
 def test_odd_eigenfunction_node_at_origin():
-    state = odd_state(1)
+    state = spectrum(1.0, 2)[1]
     assert state.wavefunction(0.0) == 0.0
     assert state.wavefunction(1.0) > 0.0
 
@@ -374,4 +374,4 @@ def test_spectrum_level_i_is_oscillator_index_i(kappa):
 def test_even_state_index_convention():
     assert even_state(1.0, 0).n == 0
     assert even_state(1.0, 1).n == 2
-    assert odd_state(3).n == 3
+    assert spectrum(1.0, 4)[3].n == 3

@@ -8,7 +8,7 @@ from scipy.integrate import trapezoid
 
 from splittrap import analysis, tonks
 from splittrap.dvr import GridError, build_grid
-from splittrap.single_particle import even_state, odd_state
+from splittrap.single_particle import even_state, odd_energy, spectrum
 
 
 def test_pair_energy_limits_exact():
@@ -26,8 +26,14 @@ def test_pair_energy_caption_values():
 
 @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, 3.0, 10.0, pytest.param(math.inf, id="kappa5")])
 def test_bose_fermi_energy_identity(kappa):
-    expected = even_state(kappa, 0).energy + odd_state(1).energy
+    expected = even_state(kappa, 0).energy + odd_energy(1)
     assert tonks.tonks_energy(kappa) == expected
+
+
+def test_orbitals_carry_the_barrier():
+    state = tonks.tonks_state(2.0)
+    assert state.even_orbital.kappa == 2.0
+    assert state.odd_orbital.kappa == 2.0
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0, pytest.param(math.inf, id="kappa2")])
@@ -53,7 +59,8 @@ def test_wavefunction_unit_norm(kappa):
     state = tonks.tonks_state(kappa)
     norms = []
     for n_points, dx in ((801, 0.02), (1601, 0.01)):
-        psi = state.wavefunction_on_grid(build_grid(n_points, dx))
+        q = build_grid(n_points, dx).points
+        psi = state.wavefunction(q[:, None], q[None, :])
         norms.append(float(np.sum(psi * psi)) * dx * dx)
     richardson = (4.0 * norms[1] - norms[0]) / 3.0
     assert richardson == pytest.approx(1.0, abs=1e-6)
@@ -81,7 +88,7 @@ def test_rspd_zero_barrier_diagonal_closed_form():
     rho = tonks.tonks_rspd(0.0)
     x = rho.grid.points
     phi0 = even_state(0.0, 0).wavefunction(x)
-    phi1 = odd_state(1).wavefunction(x)
+    phi1 = spectrum(0.0, 2)[1].wavefunction(x)
     expected = 0.5 * (phi0 * phi0 + phi1 * phi1)
     np.testing.assert_allclose(np.diag(rho.values), expected, rtol=0.0, atol=1e-8)
 
