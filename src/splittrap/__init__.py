@@ -46,7 +46,7 @@ from .tonks import (
     tonks_state,
     tonks_wavefunction,
 )
-from .units import ConfinementResonanceError, TrapUnits, g1d_from_physical
+from .units import ConfinementResonanceError, g1d_from_physical
 
 __version__ = "0.1.0"
 
@@ -61,7 +61,6 @@ __all__ = [
     "MomentumDistribution",
     "NaturalDecomposition",
     "TonksState",
-    "TrapUnits",
     "TwoBodyState",
     "apply_hamiltonian",
     "build_grid",

@@ -92,14 +92,9 @@ class MomentumDistribution:
         return float(np.trapezoid(self.densities, self.k_values))
 
 
-def rspd_from_amplitudes(psi, grid):
-    """Reduced density matrix rho = dx psi psi^T of normalized N x N amplitudes."""
-    return DensityMatrix(amplitudes=psi, grid=grid)
-
-
 def rspd_from_state(state):
     """Reduced density matrix of a DVR TwoBodyState by mesh quadrature."""
-    return rspd_from_amplitudes(state.amplitudes, state.grid)
+    return DensityMatrix(state.amplitudes, state.grid)
 
 
 def natural_orbitals(rho):

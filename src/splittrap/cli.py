@@ -8,11 +8,12 @@ dvr      : grid-solver pair observables at any coupling, hard core included
 sweep    : ``sweep --mode M ...`` is ``M ...``: it takes exactly M's flags
 units    : convert a physical trap setup to the scaled 1D coupling
 
-A run parses its flags into a ``SweepSpec``, evaluates each (kappa, g1d)
-point into one result, and hands those results, in sweep order, to the
-writers: the CSV or JSON table, the sidecar files and the failure manifest.
+A run checks the flags argparse parsed, evaluates each (kappa, g1d) point
+they name into one result, and hands those results, in sweep order, to
+the writers: the CSV or JSON table, the sidecar files and the failure
+manifest.
 
-Outputs are byte-deterministic for a fixed spec: fixed 12-significant-
+Outputs are byte-deterministic for fixed flags: fixed 12-significant-
 digit formatting, fixed point ordering, and a grid eigensolver start
 vector set by the mesh and the couplings alone.  Exit codes: 0 on
 success, 1 on validation errors, 2 when any solver fails (partial
@@ -30,6 +31,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis, dvr, tonks
 from .single_particle import check_coupling, spectrum
 from .units import g1d_from_physical
@@ -40,24 +43,6 @@ _SPECTRUM_COLUMNS = ("kappa", "level", "parity", "n", "energy")
 _SWEEP_COLUMNS = ("kappa", "g1d", "energy", "entropy", "schmidt")
 _UNITS_FIELDS = (("g1d", "in hbar omega d"), ("g1d_si", "J m"), ("a1d", "m"), ("length", "m"),
                  ("transverse_length", "m"))
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Validated description of one sweep run."""
-
-    mode: str
-    barriers: tuple
-    couplings: tuple
-    outputs: tuple
-    n_points: int
-    spacing: float
-    k_points: int
-    k_span: float
-    levels: int
-    out: str
-    fmt: str
-    workers: int
 
 
 @dataclass
@@ -96,7 +81,7 @@ def _round12(value):
     return float(f"{value:.12g}")
 
 
-def _evaluate_point(spec, point):
+def _evaluate_point(args, point):
     kappa, g1d = point
     label = {"kappa": _fmt_value(kappa)}
     if g1d is not None:
@@ -104,39 +89,39 @@ def _evaluate_point(spec, point):
         # float, so that JSON output holds no bare Infinity.
         label["g1d"] = "inf" if g1d == math.inf else g1d
     try:
-        if spec.mode == "spectrum":
-            states = spectrum(kappa, spec.levels)
+        if args.command == "spectrum":
+            states = spectrum(kappa, args.levels)
             return {"records": [
                 {**label, "level": i, "parity": s.parity, "n": s.n, "energy": s.energy}
                 for i, s in enumerate(states)
             ]}
 
-        wants_density = bool(set(spec.outputs) - {"energy"})
-        grid = dvr.build_grid(spec.n_points, spec.spacing)
+        wants_density = bool(set(args.outputs) - {"energy"})
+        grid = dvr.build_grid(args.n_points, args.dx)
         record = dict(label)
         out = {"records": [record]}
-        if spec.mode == "tonks":
+        if args.command == "tonks":
             state = tonks.tonks_state(kappa)
-            if "energy" in spec.outputs:
+            if "energy" in args.outputs:
                 record["energy"] = state.pair_energy
             rho = tonks.tonks_rspd(kappa, grid) if wants_density else None
         else:
             state = dvr.ground_state(grid, kappa, g1d)
-            if "energy" in spec.outputs:
+            if "energy" in args.outputs:
                 record["energy"] = state.energy
                 record["near_degenerate"] = state.near_degenerate
             rho = analysis.rspd_from_state(state) if wants_density else None
 
         if rho is not None:
             decomposition = analysis.natural_orbitals(rho)
-            if "entropy" in spec.outputs:
+            if "entropy" in args.outputs:
                 record["entropy"] = analysis.von_neumann_entropy(decomposition)
-            if "schmidt" in spec.outputs:
+            if "schmidt" in args.outputs:
                 record["schmidt"] = analysis.schmidt_number(decomposition)
-            if "rspd" in spec.outputs:
+            if "rspd" in args.outputs:
                 out["rspd"] = rho.values
-            if "momentum" in spec.outputs:
-                k = analysis.uniform_k_grid(spec.k_points, spec.k_span)
+            if "momentum" in args.outputs:
+                k = analysis.uniform_k_grid(args.k_points, args.k_span)
                 dist = analysis.momentum_distribution(decomposition, k)
                 out["momentum"] = (dist.k_values, dist.densities)
         return out
@@ -144,24 +129,31 @@ def _evaluate_point(spec, point):
         return {"error": f"{type(exc).__name__}: {exc}", "records": [label]}
 
 
-def run_sweep(spec):
-    """Evaluate every point of a sweep, in sweep order; solver failures
-    are collected, not raised, so partial results survive."""
-    couplings = {"spectrum": (None,), "tonks": (math.inf,)}.get(spec.mode, spec.couplings)
-    points = [(kappa, g1d) for kappa in spec.barriers for g1d in couplings]
-    evaluate = functools.partial(_evaluate_point, spec)
+def _points(args):
+    # (kappa, g1d) in sweep order; spectrum points have no coupling, and
+    # the Tonks pair sits at g1d = inf.
+    couplings = {"spectrum": (None,), "tonks": (math.inf,)}.get(args.command) or args.g1d
+    return [(kappa, g1d) for kappa in args.kappa for g1d in couplings]
+
+
+def run_sweep(args):
+    """Evaluate every point that the parsed and checked flags ``args``
+    name, in sweep order; solver failures are collected, not raised, so
+    partial results survive."""
+    points = _points(args)
+    evaluate = functools.partial(_evaluate_point, args)
     # Never more workers than points: the fork start method forks every
     # worker on the first submit.
-    workers = min(spec.workers, len(points))
+    workers = min(args.workers, len(points))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return SweepResult(list(pool.map(evaluate, points)))
     return SweepResult(list(map(evaluate, points)))
 
 
-def _write_csv(spec, result, stream):
+def _write_csv(args, result, stream):
     writer = csv.writer(stream, lineterminator="\n")
-    columns = _SPECTRUM_COLUMNS if spec.mode == "spectrum" else _SWEEP_COLUMNS
+    columns = _SPECTRUM_COLUMNS if args.command == "spectrum" else _SWEEP_COLUMNS
     writer.writerow(columns)
     for record in result.records:
         writer.writerow([_fmt_value(record[c]) if c in record else "" for c in columns])
@@ -175,57 +167,45 @@ def _json_record(record, momentum):
     return out
 
 
-def _write_json(spec, result, stream):
+def _write_json(args, result, stream):
     payload = {
-        "mode": spec.mode,
+        "mode": args.command,
         "points": [
             _json_record(record, point.get("momentum"))
             for point in result.points
             for record in point["records"]
         ],
     }
-    if spec.mode != "spectrum":
-        payload["grid"] = {"n_points": spec.n_points, "spacing": _round12(spec.spacing)}
+    if args.command != "spectrum":
+        payload["grid"] = {"n_points": args.n_points, "spacing": _round12(args.dx)}
     json.dump(payload, stream, indent=2)
     stream.write("\n")
 
 
-def _sidecar_path(spec, point, kind, suffix):
+def _sidecar_path(args, point, kind, suffix):
     labels = _labels(point)
-    stem = Path(spec.out)
+    stem = Path(args.out)
     return stem.with_name(f"{stem.stem}-{kind}-kappa{labels['kappa']}-g{labels['g1d']}{suffix}")
 
 
-def _write_matrix(path, spec, values):
-    n = values.shape[0]
-    with open(path, "w") as fh:
-        fh.write(f"{n} {_fmt_value(spec.spacing)}\n")
-        for row in values:
-            fh.write(" ".join(f"{v:.12g}" for v in row) + "\n")
-
-
-def _write_curve(path, k, densities):
-    with open(path, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("k", "n"))
-        for kv, nv in zip(k, densities):
-            writer.writerow((f"{kv:.12g}", f"{nv:.12g}"))
-
-
-def _write_outputs(spec, result):
-    with open(spec.out, "w") if spec.out else contextlib.nullcontext(sys.stdout) as stream:
-        (_write_csv if spec.fmt == "csv" else _write_json)(spec, result, stream)
+def _write_outputs(args, result):
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as stream:
+        (_write_csv if args.fmt == "csv" else _write_json)(args, result, stream)
     for point in result.points:
         if "rspd" in point:
-            _write_matrix(_sidecar_path(spec, point, "rspd", ".txt"), spec, point["rspd"])
-        if "momentum" in point and spec.fmt == "csv":
-            _write_curve(_sidecar_path(spec, point, "momentum", ".csv"), *point["momentum"])
+            rho = point["rspd"]
+            np.savetxt(_sidecar_path(args, point, "rspd", ".txt"), rho, fmt="%.12g",
+                       header=f"{len(rho)} {args.dx:.12g}", comments="")
+        if "momentum" in point and args.fmt == "csv":
+            np.savetxt(_sidecar_path(args, point, "momentum", ".csv"),
+                       np.column_stack(point["momentum"]), fmt="%.12g", delimiter=",",
+                       header="k,n", comments="")
 
 
-def _write_failures(spec, result):
+def _write_failures(args, result):
     manifest = json.dumps({"failures": result.failures}, indent=2) + "\n"
-    if spec.out:
-        Path(spec.out).with_suffix(".failures.json").write_text(manifest)
+    if args.out:
+        Path(args.out).with_suffix(".failures.json").write_text(manifest)
     sys.stderr.write(manifest)
 
 
@@ -259,7 +239,7 @@ def count(text):
 
 def _output_list(text):
     outputs = tuple(text.lower().replace(",", " ").split())
-    if set(outputs) - set(_OUTPUTS):
+    if not outputs or set(outputs) - set(_OUTPUTS):
         raise argparse.ArgumentTypeError(f"outputs come from {_OUTPUTS}, got {text!r}")
     return outputs
 
@@ -363,41 +343,32 @@ def _parse_args(argv):
     return parser.parse_args(tokens)
 
 
-def _spec_from_args(args):
+def _check_flags(args):
     # argparse has checked every flag on its own; left here are the rules
-    # that span several flags, and the mesh default.
-    flags = vars(args)
-    mode = args.command
-    outputs = flags.get("outputs", ("energy",))
-    wants_momentum = "momentum" in outputs
-    # rspd matrices always go to sidecar files; csv momentum curves do too.
-    if not args.out and ("rspd" in outputs or (wants_momentum and args.fmt == "csv")):
-        raise ValueError("rspd and csv momentum outputs need --out to name their files")
+    # that span several flags, and the mesh default, set on args.
+    if args.command == "spectrum":
+        return
+    wants_momentum = "momentum" in args.outputs
+    # rspd matrices always go to sidecar files; csv momentum curves do too,
+    # and a sidecar file is named by its point's labels.
+    if "rspd" in args.outputs or (wants_momentum and args.fmt == "csv"):
+        if not args.out:
+            raise ValueError("rspd and csv momentum outputs need --out to name their files")
+        labels = [(_fmt_value(kappa), _fmt_value(g1d)) for kappa, g1d in _points(args)]
+        repeated = [label for label in labels if labels.count(label) > 1]
+        if repeated:
+            raise ValueError("two points are labelled kappa = {}, g1d = {}: their sidecar "
+                             "files would share a name".format(*repeated[0]))
 
-    if mode == "tonks":
+    if args.command == "tonks":
         mesh = tonks.DEFAULT_ANALYTIC_POINTS, tonks.DEFAULT_ANALYTIC_SPACING
     else:
         mesh = (61 if wants_momentum else 81), 0.16
-    n_points = mesh[0] if flags.get("n_points") is None else args.n_points
-    spacing = mesh[1] if flags.get("dx") is None else args.dx
-    if mode != "spectrum":
-        dvr.build_grid(n_points, spacing)
+    args.n_points = mesh[0] if args.n_points is None else args.n_points
+    args.dx = mesh[1] if args.dx is None else args.dx
+    dvr.build_grid(args.n_points, args.dx)
     if wants_momentum:
         analysis.uniform_k_grid(args.k_points, args.k_span)
-    return SweepSpec(
-        mode=mode,
-        barriers=tuple(args.kappa),
-        couplings=tuple(args.g1d) if mode == "dvr" else (),
-        outputs=outputs,
-        n_points=n_points,
-        spacing=spacing,
-        k_points=flags.get("k_points"),
-        k_span=flags.get("k_span"),
-        levels=flags.get("levels"),
-        out=args.out,
-        fmt=args.fmt,
-        workers=args.workers,
-    )
 
 
 def _cmd_units(args):
@@ -423,14 +394,14 @@ def main(argv=None):
     if args.command == "units":
         return _cmd_units(args)
     try:
-        spec = _spec_from_args(args)
-        result = run_sweep(spec)
+        _check_flags(args)
+        result = run_sweep(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_outputs(spec, result)
+    _write_outputs(args, result)
     if result.failures:
-        _write_failures(spec, result)
+        _write_failures(args, result)
         return 2
     return 0
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .analysis import rspd_from_amplitudes
+from .analysis import DensityMatrix
 from .dvr import GridError, build_grid
 from .single_particle import EigenState, eigenfunction, spectrum
 
@@ -113,7 +113,7 @@ def tonks_rspd(kappa, grid=None):
         )
     # Re-normalize on the mesh so the density trace is exact; the raw
     # deviation above is the mesh-quality signal.
-    return rspd_from_amplitudes(psi / math.sqrt(raw_norm), grid)
+    return DensityMatrix(psi / math.sqrt(raw_norm), grid)
 
 
 def _momentum_bracket(k2):

@@ -18,21 +18,6 @@ class ConfinementResonanceError(ValueError):
 
 
 @dataclass(frozen=True)
-class TrapUnits:
-    """Physical trap parameters in SI units."""
-
-    omega_perp: float
-    omega: float
-    mass: float
-
-    def __post_init__(self):
-        for name in ("omega_perp", "omega", "mass"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
-@dataclass(frozen=True)
 class CouplingResult:
     g1d: float
     g1d_si: float
@@ -60,12 +45,14 @@ def g1d_from_physical(omega_perp, omega, mass, a3d):
     ConfinementResonanceError
         When 1 - C a3d / d_perp vanishes to within 1e-9 (relative).
     """
-    units = TrapUnits(omega_perp=omega_perp, omega=omega, mass=mass)
+    for name, value in (("omega_perp", omega_perp), ("omega", omega), ("mass", mass)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     a3d = float(a3d)
     if not math.isfinite(a3d) or a3d == 0.0:
         raise ValueError(f"a3d must be finite and nonzero, got {a3d!r}")
-    d_perp = math.sqrt(HBAR / (units.mass * units.omega_perp))
-    d = math.sqrt(HBAR / (units.mass * units.omega))
+    d_perp = math.sqrt(HBAR / (mass * omega_perp))
+    d = math.sqrt(HBAR / (mass * omega))
     resonance_term = 1.0 - CONFINEMENT_CONSTANT * a3d / d_perp
     if abs(resonance_term) <= 1e-9:
         raise ConfinementResonanceError(
@@ -73,10 +60,10 @@ def g1d_from_physical(omega_perp, omega, mass, a3d):
             "confinement-induced resonance"
         )
     a1d = -(d_perp**2 / (2.0 * a3d)) * resonance_term
-    g1d_si = -2.0 * HBAR**2 / (units.mass * a1d)
-    g1d = g1d_si / (HBAR * units.omega * d)
+    g1d_si = -2.0 * HBAR**2 / (mass * a1d)
+    g1d = g1d_si / (HBAR * omega * d)
     notes = []
-    if units.omega_perp / units.omega < 10.0:
+    if omega_perp / omega < 10.0:
         notes.append(
             "weak anisotropy: omega_perp / omega < 10, the 1D reduction is marginal"
         )

@@ -505,7 +505,7 @@ def test_criterion_7_property_suite(solve, tonks_decomposition):
             out = Path(tmp) / "round.csv"
             assert main(["dvr", "--kappa", "1", "--g1d", "1",
                          "--outputs", "energy,entropy", "--out", str(out)]) == 0
-            row = next(csv_mod.DictReader(out.open()))
+            row = next(csv_mod.DictReader(out.read_text().splitlines()))
         state = solve(1.0, 1.0)
         entropy = analysis.von_neumann_entropy(
             analysis.natural_orbitals(analysis.rspd_from_state(state))

@@ -98,7 +98,7 @@ def test_natural_orbitals_rejects_bad_input():
     amplitudes = np.eye(5)
     amplitudes[0, 1] = amplitudes[4, 3] = 1.0
     with pytest.raises(ValueError, match="not symmetric"):
-        analysis.natural_orbitals(analysis.rspd_from_amplitudes(amplitudes, build_grid(5, 0.5)))
+        analysis.natural_orbitals(analysis.DensityMatrix(amplitudes, build_grid(5, 0.5)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,7 +116,7 @@ def test_natural_orbitals_fold_matches_full_spectrum(half, rank, spacing, seed):
     psi = 0.5 * (psi + psi.T)
     psi = 0.5 * (psi + psi[::-1, ::-1])
     psi /= math.sqrt(np.sum(psi * psi)) * spacing
-    rho = analysis.rspd_from_amplitudes(psi, build_grid(n, spacing))
+    rho = analysis.DensityMatrix(psi, build_grid(n, spacing))
     decomposition = analysis.natural_orbitals(rho)
 
     occ = decomposition.occupations
@@ -162,7 +162,7 @@ def test_natural_orbitals_small_occupations_exact():
     psi = 0.5 * (psi + psi.T)
     psi = 0.5 * (psi + psi[::-1, ::-1])
 
-    rho = analysis.rspd_from_amplitudes(psi, build_grid(n, dx))
+    rho = analysis.DensityMatrix(psi, build_grid(n, dx))
     found = analysis.natural_orbitals(rho).occupations
     assert found[:17] == pytest.approx(occupations, rel=1e-8, abs=0.0)
 
@@ -181,9 +181,9 @@ def test_observables_never_form_the_density_matrix(solve):
 def test_natural_orbitals_rejects_parity_breaking_input():
     amplitudes = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
     with pytest.raises(ValueError, match="parity"):
-        analysis.natural_orbitals(analysis.rspd_from_amplitudes(amplitudes, build_grid(5, 0.5)))
+        analysis.natural_orbitals(analysis.DensityMatrix(amplitudes, build_grid(5, 0.5)))
     with pytest.raises(ValueError, match="odd mesh"):
-        analysis.natural_orbitals(analysis.rspd_from_amplitudes(np.eye(4), Grid(4, 0.5)))
+        analysis.natural_orbitals(analysis.DensityMatrix(np.eye(4), Grid(4, 0.5)))
 
 
 def test_tonks_zero_barrier_occupations(tonks_decomposition):

@@ -1,5 +1,6 @@
 """CLI driver: parsing, sweeps, output formats, unit conversion."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -21,7 +22,6 @@ import splittrap
 from splittrap import analysis, tonks
 from splittrap import cli
 from splittrap.cli import (
-    SweepSpec,
     _fmt_value,
     build_parser,
     load_config,
@@ -36,13 +36,14 @@ OMEGA = 6.0e3
 
 
 def _spec(**overrides):
+    # Checked flags as run_sweep takes them, under argparse's dest names.
     base = dict(
-        mode="tonks",
-        barriers=(0.0,),
-        couplings=(),
+        command="tonks",
+        kappa=(0.0,),
+        g1d=(),
         outputs=("energy",),
         n_points=161,
-        spacing=0.08,
+        dx=0.08,
         k_points=401,
         k_span=8.0,
         levels=6,
@@ -51,7 +52,7 @@ def _spec(**overrides):
         workers=1,
     )
     base.update(overrides)
-    return SweepSpec(**base)
+    return argparse.Namespace(**base)
 
 
 def test_load_config(tmp_path):
@@ -135,10 +136,16 @@ def test_g1d_from_physical_resonance():
 
 
 def test_g1d_from_physical_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a3d must be finite and nonzero"):
         g1d_from_physical(OMEGA_PERP, OMEGA, RB_MASS, 0.0)
-    with pytest.raises(ValueError):
-        g1d_from_physical(-1.0, OMEGA, RB_MASS, 5e-9)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["omega_perp", "omega", "mass"])
+def test_g1d_from_physical_rejects_trap_parameter(name, bad):
+    setup = {"omega_perp": OMEGA_PERP, "omega": OMEGA, "mass": RB_MASS, "a3d": 5e-9}
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {bad!r}$"):
+        g1d_from_physical(**{**setup, name: bad})
 
 
 def test_g1d_from_physical_weak_anisotropy_note():
@@ -147,7 +154,7 @@ def test_g1d_from_physical_weak_anisotropy_note():
 
 
 def test_run_sweep_tonks_energies():
-    spec = _spec(barriers=(0.0, 1.0, 2.0, math.inf))
+    spec = _spec(kappa=(0.0, 1.0, 2.0, math.inf))
     result = run_sweep(spec)
     energies = [record["energy"] for record in result.records]
     assert energies[0] == 2.0
@@ -159,12 +166,12 @@ def test_run_sweep_tonks_energies():
 
 def test_run_sweep_dvr_non_interacting():
     spec = _spec(
-        mode="dvr",
-        barriers=(0.0,),
-        couplings=(0.0,),
+        command="dvr",
+        kappa=(0.0,),
+        g1d=(0.0,),
         outputs=("energy", "entropy"),
         n_points=81,
-        spacing=0.16,
+        dx=0.16,
     )
     result = run_sweep(spec)
     record = result.records[0]
@@ -181,7 +188,7 @@ def test_run_sweep_entropy_saturation(solve):
 
 
 def test_run_sweep_spectrum_records():
-    spec = _spec(mode="spectrum", barriers=(0.0,), levels=4)
+    spec = _spec(command="spectrum", kappa=(0.0,), levels=4)
     result = run_sweep(spec)
     assert [r["energy"] for r in result.records] == pytest.approx([0.5, 1.5, 2.5, 3.5])
     assert [r["parity"] for r in result.records] == ["even", "odd", "even", "odd"]
@@ -189,12 +196,12 @@ def test_run_sweep_spectrum_records():
 
 def test_run_sweep_deterministic_records():
     spec = _spec(
-        mode="dvr",
-        barriers=(0.0, 2.0),
-        couplings=(1.0, 5.0),
+        command="dvr",
+        kappa=(0.0, 2.0),
+        g1d=(1.0, 5.0),
         outputs=("energy", "entropy"),
         n_points=81,
-        spacing=0.16,
+        dx=0.16,
     )
     first = run_sweep(spec)
     second = run_sweep(spec)
@@ -203,10 +210,10 @@ def test_run_sweep_deterministic_records():
 
 def test_run_sweep_collects_failures():
     spec = _spec(
-        barriers=(0.0, 1.0),
+        kappa=(0.0, 1.0),
         outputs=("energy", "entropy"),
         n_points=41,
-        spacing=0.16,
+        dx=0.16,
     )
     result = run_sweep(spec)
     assert len(result.failures) == 2
@@ -218,7 +225,7 @@ def test_cli_spectrum_csv(tmp_path, capsys):
     out = tmp_path / "levels.csv"
     code = main(["spectrum", "--kappa", "0", "inf", "--levels", "3", "--out", str(out)])
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [r["kappa"] for r in rows] == ["0", "0", "0", "inf", "inf", "inf"]
     assert [float(r["energy"]) for r in rows[:3]] == [0.5, 1.5, 2.5]
     assert [r["parity"] for r in rows[3:]] == ["even", "odd", "even"]
@@ -296,12 +303,12 @@ def test_cli_json_round_trip(tmp_path):
     point = payload["points"][0]
     assert payload["grid"] == {"n_points": 61, "spacing": 0.16}
     spec = _spec(
-        mode="dvr",
-        barriers=(0.0,),
-        couplings=(1.0,),
+        command="dvr",
+        kappa=(0.0,),
+        g1d=(1.0,),
         outputs=("energy", "momentum", "entropy"),
         n_points=61,
-        spacing=0.16,
+        dx=0.16,
     )
     record = run_sweep(spec).records[0]
     assert point["energy"] == float(f"{record['energy']:.12g}")
@@ -319,7 +326,7 @@ def test_cli_matrix_and_curve_sidecars(tmp_path):
                  "energy,rspd,momentum", "--out", str(out)])
     assert code == 0
     matrix_path = tmp_path / "tg-rspd-kappainf-ginf.txt"
-    header = matrix_path.open().readline().split()
+    header = matrix_path.read_text().split("\n", 1)[0].split()
     assert header == ["161", "0.08"]
     values = np.loadtxt(matrix_path, skiprows=1)
     assert values.shape == (161, 161)
@@ -399,6 +406,25 @@ def test_cli_json_rspd_needs_out(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args,label", [
+    (["tonks", "--kappa", "1", "1.0000000000001", "--outputs", "energy,rspd"], "1, g1d = inf"),
+    (["tonks", "--kappa", "0", "2", "2", "--outputs", "momentum"], "2, g1d = inf"),
+    (["dvr", "--kappa", "0", "--g1d", "5", "5.0", "--outputs", "rspd", "--format", "json"],
+     "0, g1d = 5"),
+])
+def test_cli_rejects_points_that_share_a_sidecar_name(tmp_path, capsys, monkeypatch, args, label):
+    # Two points with one (kappa, g1d) label would write one sidecar file
+    # twice: exit 1 before any point runs (a point that ran would fail on
+    # the missing evaluator), with nothing written.
+    monkeypatch.setattr(cli, "_evaluate_point", None)
+    assert main([*args, "--out", str(tmp_path / "x.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: two points are labelled kappa = {label}: "
+                            "their sidecar files would share a name\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_momentum_grid_checked_before_any_point(tmp_path, capsys):
     # A momentum grid that uniform_k_grid rejects is a validation error:
     # exit 1 before any point runs, with no table and no failure manifest.
@@ -439,7 +465,7 @@ def test_cli_failure_manifest(tmp_path):
                  "--n-points", "41", "--dx", "0.16",
                  "--outputs", "energy,entropy", "--out", str(out)])
     assert code == 2
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [row["energy"] for row in rows] == ["", ""]
     manifest = json.loads((tmp_path / "fail.failures.json").read_text())
     assert len(manifest["failures"]) == 2
@@ -474,6 +500,8 @@ def _exit_code(args):
         ["sweep", "--mode", "tonks", "--kappa", "0", "--g1d", "1"],
         ["sweep", "--mode", "spectrum", "--kappa", "0", "--n-points", "41"],
         ["sweep", "--mode", "dvr", "--kappa", "0", "--g1d", "0", "--levels", "3"],
+        ["tonks", "--kappa", "0", "--outputs", ","],
+        ["dvr", "--kappa", "0", "--g1d", "1", "--outputs", "", "--format", "json"],
     ],
 )
 def test_cli_validation_exit_code(args, capsys):
@@ -601,10 +629,10 @@ def test_run_sweep_caps_workers_at_point_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    spec = _spec(mode="spectrum", barriers=(0.0, 1.0, math.inf), levels=2, workers=500)
+    spec = _spec(command="spectrum", kappa=(0.0, 1.0, math.inf), levels=2, workers=500)
     assert [r["kappa"] for r in run_sweep(spec).records[::2]] == ["0", "1", "inf"]
     assert pools == [3]
-    run_sweep(_spec(mode="spectrum", barriers=(1.0,), levels=2, workers=500))
+    run_sweep(_spec(command="spectrum", kappa=(1.0,), levels=2, workers=500))
     assert pools == [3]
 
 
@@ -617,7 +645,7 @@ def test_cli_infinite_couplings_on_grid(tmp_path, capsys):
     out = tmp_path / "hard.csv"
     assert main(args + ["--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [(r["kappa"], r["g1d"]) for r in rows] == [("0", "inf"), ("inf", "inf")]
     assert float(rows[0]["energy"]) == pytest.approx(2.0, abs=2e-4)
     assert float(rows[1]["energy"]) == pytest.approx(3.0, abs=2e-4)
@@ -630,7 +658,7 @@ def test_cli_infinite_couplings_on_grid(tmp_path, capsys):
 def test_run_sweep_failure_labels_infinite_coupling():
     # An even point count fails inside the point evaluation, not in the
     # spec check, so this exercises the failure record.
-    spec = _spec(mode="dvr", couplings=(math.inf,), n_points=80, spacing=0.16)
+    spec = _spec(command="dvr", g1d=(math.inf,), n_points=80, dx=0.16)
     result = run_sweep(spec)
     assert result.records == [{"kappa": "0", "g1d": "inf"}]
     assert result.failures[0]["g1d"] == "inf"
