@@ -25,6 +25,7 @@ from .dvr import (
     apply_hamiltonian,
     build_grid,
     ground_state,
+    ground_state_solver,
     kinetic_matrix,
 )
 from .single_particle import (
@@ -70,6 +71,7 @@ __all__ = [
     "even_state",
     "g1d_from_physical",
     "ground_state",
+    "ground_state_solver",
     "kinetic_matrix",
     "momentum_distribution",
     "momentum_noninteracting_infinite_barrier",

@@ -9,13 +9,13 @@ sweep    : ``sweep --mode M ...`` is ``M ...``: it takes exactly M's flags
 units    : convert a physical trap setup to the scaled 1D coupling
 
 A run checks the flags argparse parsed, evaluates each (kappa, g1d) point
-they name into one result, and hands those results, in sweep order, to
-the writers: the CSV or JSON table, the sidecar files and the failure
-manifest.
+they name into one result, one kappa row at a time, and hands those
+results, in sweep order, to the writers: the CSV or JSON table, the
+sidecar files and the failure manifest.
 
 Outputs are byte-deterministic for fixed flags: fixed 12-significant-
 digit formatting, fixed point ordering, and a grid eigensolver start
-vector set by the mesh and the couplings alone.  Exit codes: 0 on
+vector set by the mesh and the barrier alone.  Exit codes: 0 on
 success, 1 on validation errors, 2 when any solver fails (partial
 results are still written, with a failure manifest alongside).
 """
@@ -81,13 +81,24 @@ def _round12(value):
     return float(f"{value:.12g}")
 
 
-def _evaluate_point(args, point):
-    kappa, g1d = point
+def _label(kappa, g1d):
     label = {"kappa": _fmt_value(kappa)}
     if g1d is not None:
         # An infinite coupling is written as the label "inf", never as a
         # float, so that JSON output holds no bare Infinity.
         label["g1d"] = "inf" if g1d == math.inf else g1d
+    return label
+
+
+def _failure(exc, label):
+    return {"error": f"{type(exc).__name__}: {exc}", "records": [label]}
+
+
+_SOLVER_ERRORS = (ValueError, ArithmeticError, RuntimeError)
+
+
+def _evaluate_point(args, solve, kappa, g1d):
+    label = _label(kappa, g1d)
     try:
         if args.command == "spectrum":
             states = spectrum(kappa, args.levels)
@@ -97,16 +108,16 @@ def _evaluate_point(args, point):
             ]}
 
         wants_density = bool(set(args.outputs) - {"energy"})
-        grid = dvr.build_grid(args.n_points, args.dx)
         record = dict(label)
         out = {"records": [record]}
         if args.command == "tonks":
             state = tonks.tonks_state(kappa)
             if "energy" in args.outputs:
                 record["energy"] = state.pair_energy
+            grid = dvr.build_grid(args.n_points, args.dx)
             rho = tonks.tonks_rspd(kappa, grid) if wants_density else None
         else:
-            state = dvr.ground_state(grid, kappa, g1d)
+            state = solve(g1d)
             if "energy" in args.outputs:
                 record["energy"] = state.energy
                 record["near_degenerate"] = state.near_degenerate
@@ -125,30 +136,49 @@ def _evaluate_point(args, point):
                 dist = analysis.momentum_distribution(decomposition, k)
                 out["momentum"] = (dist.k_values, dist.densities)
         return out
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
-        return {"error": f"{type(exc).__name__}: {exc}", "records": [label]}
+    except _SOLVER_ERRORS as exc:
+        return _failure(exc, label)
+
+
+def _couplings(args):
+    # The g1d of each point in a kappa row: spectrum points have none,
+    # and the Tonks pair sits at g1d = inf.
+    return {"spectrum": (None,), "tonks": (math.inf,)}.get(args.command) or args.g1d
 
 
 def _points(args):
-    # (kappa, g1d) in sweep order; spectrum points have no coupling, and
-    # the Tonks pair sits at g1d = inf.
-    couplings = {"spectrum": (None,), "tonks": (math.inf,)}.get(args.command) or args.g1d
-    return [(kappa, g1d) for kappa in args.kappa for g1d in couplings]
+    # (kappa, g1d) in sweep order.
+    return [(kappa, g1d) for kappa in args.kappa for g1d in _couplings(args)]
+
+
+def _evaluate_row(args, kappa):
+    # One task: the points at one kappa, in sweep order.  The grid solver
+    # factors the one-body operator once for the whole row; if that
+    # fails, every point of the row carries the failure.
+    couplings = _couplings(args)
+    solve = None
+    if args.command == "dvr":
+        try:
+            solve = dvr.ground_state_solver(dvr.build_grid(args.n_points, args.dx), kappa)
+        except _SOLVER_ERRORS as exc:
+            return [_failure(exc, _label(kappa, g1d)) for g1d in couplings]
+    return [_evaluate_point(args, solve, kappa, g1d) for g1d in couplings]
 
 
 def run_sweep(args):
     """Evaluate every point that the parsed and checked flags ``args``
-    name, in sweep order; solver failures are collected, not raised, so
-    partial results survive."""
-    points = _points(args)
-    evaluate = functools.partial(_evaluate_point, args)
-    # Never more workers than points: the fork start method forks every
+    name, in sweep order, one kappa row per task; solver failures are
+    collected, not raised, so partial results survive."""
+    evaluate = functools.partial(_evaluate_row, args)
+    # Never more workers than rows: the fork start method forks every
     # worker on the first submit.
-    workers = min(args.workers, len(points))
+    workers = min(args.workers, len(args.kappa))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return SweepResult(list(pool.map(evaluate, points)))
-    return SweepResult(list(map(evaluate, points)))
+            rows = list(pool.map(evaluate, args.kappa))
+    else:
+        rows = list(map(evaluate, args.kappa))
+    return SweepResult([point for row in rows for point in row])
 
 
 def _write_csv(args, result, stream):

@@ -32,17 +32,22 @@ converge at third order in dx.
 The full N^2 x N^2 matrix is never materialized.  H splits as
 h (x) 1 + 1 (x) h plus the contact term c on the N diagonal points x = y,
 with the one-body h = T + x^2/2 + kappa_eff/dx delta_{x0} and
-c = g1d_eff/dx; _hamiltonian is the one place that builds these pieces.
-apply_hamiltonian applies H to the N x N amplitude array.  ground_state
-runs Lanczos on the exact inverse (H - sigma)^-1, acting on the
-coefficients B of psi = U B U^T in the eigenbasis h = U diag(eps) U^T
-of one N x N eigh: there the separable part is inverted elementwise
-(the fast diagonalization method of Lynch, Rice & Thomas, Numer. Math.
-6, 185 (1964)), and the Woodbury identity adds the contact term through
-an N x N capacitance matrix, at two N x N products a step.  The ground
-state and the gap to the next bosonic level come out of the two largest
-eigenvalues of that inverse; only the ground state is mapped back to
-the mesh.
+c = g1d_eff/dx; _one_body and _contact are the one place that builds
+these pieces.  apply_hamiltonian applies H to the N x N amplitude array.
+The ground state comes from Lanczos on the exact inverse (H - sigma)^-1,
+acting on the coefficients B of psi = U B U^T in the eigenbasis
+h = U diag(eps) U^T of one N x N eigh: there the separable part is
+inverted elementwise (the fast diagonalization method of Lynch, Rice &
+Thomas, Numer. Math. 6, 185 (1964)), and the Woodbury identity adds the
+contact term through an N x N capacitance matrix, at two N x N products
+a step.  The ground state and the gap to the next bosonic level come out
+of the two largest eigenvalues of that inverse; only the ground state is
+mapped back to the mesh.
+
+Only the capacitance depends on g1d.  Per kappa, ground_state_solver
+builds h, its eigh, the shift sigma, the elementwise inverse d and the
+matrix K behind the capacitance; per g1d, it factors the capacitance and
+runs the Lanczos iteration.  ground_state is the one-coupling case.
 """
 
 import math
@@ -131,26 +136,28 @@ def kinetic_matrix(grid):
     return row[np.abs(m[:, None] - m[None, :])] / grid.spacing**2
 
 
-def _hamiltonian(grid, kappa, g1d):
-    """Validated couplings and the three pieces of H.
-
-    H = h (x) 1 + 1 (x) h + c sum_a |aa><aa| with the one-body operator
-    h = T + diag(w); returns (kappa, g1d, T, w, c).
-    """
+def _one_body(grid, kappa):
+    """Validated kappa and the one-body operator h = T + diag(w); returns (kappa, T, w)."""
     kappa = check_coupling(kappa, "kappa")
-    g1d = check_coupling(g1d, "g1d")
     dx = grid.spacing
     if math.isinf(kappa):
         kappa_eff = math.pi**2 / (2.0 * dx)
     else:
         kappa_eff = kappa / (1.0 + 2.0 * kappa * dx / math.pi**2)
+    w = 0.5 * grid.points**2
+    w[grid.center_index] += kappa_eff / dx
+    return kappa, kinetic_matrix(grid), w
+
+
+def _contact(grid, g1d):
+    """Validated g1d and the contact strength c = g1d_eff / dx; returns (g1d, c)."""
+    g1d = check_coupling(g1d, "g1d")
+    dx = grid.spacing
     if math.isinf(g1d):
         g1d_eff = math.pi**2 / dx
     else:
         g1d_eff = g1d / (1.0 + g1d * dx / math.pi**2)
-    w = 0.5 * grid.points**2
-    w[grid.center_index] += kappa_eff / dx
-    return kappa, g1d, kinetic_matrix(grid), w, g1d_eff / dx
+    return g1d, g1d_eff / dx
 
 
 def _apply(t, w, c, x):
@@ -159,18 +166,21 @@ def _apply(t, w, c, x):
     return t @ x + x @ t + v * x
 
 
-def _shifted_inverse(t, w, c):
-    """Eigenbasis u of h, shift sigma below the spectrum, and B -> (H - sigma)^-1 B.
+def _shifted_inverse(t, w):
+    """Eigenbasis u of h, shift sigma below the spectrum, and c -> (B -> (H - sigma)^-1 B).
 
     The inverse acts on the coefficients B of psi = U B U^T, with
     h = U diag(eps) U^T.  There the separable part A = h (x) 1 + 1 (x) h
     - sigma inverts elementwise, A^-1 B = d * B with d_ij =
     1 / (eps_i + eps_j - sigma), and the Woodbury identity adds the
     contact term, which lives on the N diagonal points only, through the
-    N x N capacitance I + c K with K_ab = <aa|A^-1|bb> (factored once):
-    one N x N product out to psi_aa, one back.  sigma = 2 eps_0 - 1/2 is
-    a strict lower bound because c >= 0.  Outputs are symmetrized, so the
-    exchange-antisymmetric sector maps to zero.
+    N x N capacitance I + c K with K_ab = <aa|A^-1|bb>: one N x N product
+    out to psi_aa, one back.  sigma = 2 eps_0 - 1/2 is a strict lower
+    bound because c >= 0.  The eigh, sigma, d and K depend on the
+    one-body operator alone and are built here, once per kappa; the
+    returned ``at_contact(c)`` factors the capacitance of one coupling
+    and returns that coupling's inverse.  Outputs are symmetrized, so
+    the exchange-antisymmetric sector maps to zero.
     """
     eps, u = np.linalg.eigh(t + np.diag(w))
     sigma = 2.0 * eps[0] - 0.5
@@ -180,15 +190,19 @@ def _shifted_inverse(t, w, c):
     for a in range(eps.size):
         ua = u * u[a]
         k[a] = np.sum((ua @ d) * ua, axis=1)
-    capacitance = cho_factor(np.eye(eps.size) + c * k)
 
-    def inverse(b):
-        y = d * b
-        on_contact = np.sum((u @ y) * u, axis=1)
-        y -= d * ((u.T * (c * cho_solve(capacitance, on_contact))) @ u)
-        return 0.5 * (y + y.T)
+    def at_contact(c):
+        capacitance = cho_factor(np.eye(eps.size) + c * k)
 
-    return u, d, sigma, inverse
+        def inverse(b):
+            y = d * b
+            on_contact = np.sum((u @ y) * u, axis=1)
+            y -= d * ((u.T * (c * cho_solve(capacitance, on_contact))) @ u)
+            return 0.5 * (y + y.T)
+
+        return inverse
+
+    return u, d, sigma, at_contact
 
 
 def apply_hamiltonian(vec, grid, kappa, g1d):
@@ -197,7 +211,8 @@ def apply_hamiltonian(vec, grid, kappa, g1d):
     ``vec`` holds the row-major flattened amplitudes on the N x N
     product mesh.  kappa and g1d may be infinite.
     """
-    _, _, t, w, c = _hamiltonian(grid, kappa, g1d)
+    _, t, w = _one_body(grid, kappa)
+    _, c = _contact(grid, g1d)
     vec = np.asarray(vec, dtype=float)
     n = grid.n_points
     if vec.shape != (n * n,):
@@ -230,79 +245,103 @@ class TwoBodyState:
         return self.gap < _DEGENERACY_GAP
 
 
-def ground_state(grid, kappa, g1d):
-    """Lowest bosonic eigenpair of the two-body split-trap Hamiltonian.
+def ground_state_solver(grid, kappa):
+    """Solver for the lowest bosonic eigenpairs at one barrier: g1d -> TwoBodyState.
 
-    Lanczos on the exact inverse (H - sigma)^-1 of _shifted_inverse,
-    whose largest eigenvalues nu give the lowest energies sigma + 1/nu;
-    it runs on the one-body eigenbasis coefficients B to a relative
-    eigenvalue tolerance of 1e-10 (``_EIGEN_TOL``), and only its Ritz
-    vector is mapped to the mesh, as psi = U B U^T.  The inverse is
-    confined to the exchange-symmetric sector: the raw matrix also
-    carries antisymmetric states, and near the strong coupling regime
-    one of those dips below the symmetric ground state on a coarse mesh.
-    The start vector d is exchange-symmetric and nonzero on every pair
-    of one-body levels, so both parity classes of the symmetric sector
-    are in reach and ``gap`` is the distance to the first excited
-    bosonic level.  The ground state of the parity-symmetric H is even
-    under (x, y) -> (-x, -y); the returned amplitudes are averaged with
-    their reflection, like the exchange average, so they are parity-even
-    to the last bit.
+    Everything that depends on kappa alone is built here, once: the
+    one-body operator h, its eigh, the shift sigma, d and K of
+    _shifted_inverse, and the start vector.  Each call of the returned
+    function factors its coupling's capacitance and runs Lanczos on the
+    exact inverse (H - sigma)^-1, whose largest eigenvalues nu give the
+    lowest energies sigma + 1/nu; it runs on the one-body eigenbasis
+    coefficients B to a relative eigenvalue tolerance of 1e-10
+    (``_EIGEN_TOL``), and only its Ritz vector is mapped to the mesh, as
+    psi = U B U^T.  A call gives the same bits as ``ground_state`` at
+    that coupling, and a failed call leaves the solver usable for other
+    couplings.
+
+    The inverse is confined to the exchange-symmetric sector: the raw
+    matrix also carries antisymmetric states, and near the strong
+    coupling regime one of those dips below the symmetric ground state
+    on a coarse mesh.  The start vector d is exchange-symmetric and
+    nonzero on every pair of one-body levels, so both parity classes of
+    the symmetric sector are in reach and ``gap`` is the distance to the
+    first excited bosonic level.  The ground state of the
+    parity-symmetric H is even under (x, y) -> (-x, -y); the returned
+    amplitudes are averaged with their reflection, like the exchange
+    average, so they are parity-even to the last bit.
 
     Parameters
     ----------
     grid : Grid
     kappa : float
         Barrier strength, >= 0; math.inf gives the impenetrable barrier.
-    g1d : float
-        Contact coupling, >= 0; math.inf gives the hard-core limit.
 
     Returns
     -------
-    TwoBodyState
+    callable
+        ``solve(g1d)`` with the contact coupling g1d >= 0, math.inf for
+        the hard-core limit, returning a TwoBodyState.
 
     Raises
     ------
     ValueError
-        If kappa or g1d is negative or NaN.
+        If kappa is negative or NaN; ``solve`` raises it for such a g1d.
     ConvergenceError
-        If the Krylov iteration does not converge, or the residual
-        ||H psi - E psi|| of the returned pair exceeds 1e-6.
+        From ``solve``, if the Krylov iteration does not converge, or the
+        residual ||H psi - E psi|| of the returned pair exceeds 1e-6.
     """
-    kappa, g1d, t, w, c = _hamiltonian(grid, kappa, g1d)
+    kappa, t, w = _one_body(grid, kappa)
     n = grid.n_points
-    u, d, sigma, inverse = _shifted_inverse(t, w, c)
+    u, d, sigma, at_contact = _shifted_inverse(t, w)
+    v0 = d.ravel() / np.linalg.norm(d)
 
-    def matvec(vec):
-        return inverse(vec.reshape(n, n)).ravel()
+    def solve(g1d):
+        g1d, c = _contact(grid, g1d)
+        inverse = at_contact(c)
 
-    op = LinearOperator((n * n, n * n), matvec=matvec, dtype=float)
-    failure = (
-        f"ground-state iteration failed at kappa={kappa}, g1d={g1d}, N={n}, dx={grid.spacing}"
-    )
-    try:
-        nu, vecs = eigsh(op, k=2, which="LA", v0=d.ravel() / np.linalg.norm(d), tol=_EIGEN_TOL)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError(f"{failure}: {exc}") from exc
-    energy = sigma + 1.0 / nu[1]
+        def matvec(vec):
+            return inverse(vec.reshape(n, n)).ravel()
 
-    psi = u @ vecs[:, 1].reshape(n, n) @ u.T
-    psi = 0.5 * (psi + psi.T)
-    psi = 0.5 * (psi + psi[::-1, ::-1])
-    psi /= math.sqrt(np.sum(psi * psi)) * grid.spacing
-    residual = np.linalg.norm(_apply(t, w, c, psi) - energy * psi) * grid.spacing
-    if not residual <= _RESIDUAL_BOUND:
-        raise ConvergenceError(f"{failure}: residual ||H psi - E psi|| = {residual:.3e}")
-    magnitude = np.abs(psi).ravel()
-    peak = np.argmax(magnitude >= (1.0 - _PEAK_TIE) * magnitude.max())
-    if psi.flat[peak] < 0.0:
-        psi = -psi
-    psi.setflags(write=False)
-    return TwoBodyState(
-        energy=float(energy),
-        amplitudes=psi,
-        grid=grid,
-        kappa=kappa,
-        g1d=g1d,
-        gap=float(1.0 / nu[0] - 1.0 / nu[1]),
-    )
+        op = LinearOperator((n * n, n * n), matvec=matvec, dtype=float)
+        failure = (
+            f"ground-state iteration failed at kappa={kappa}, g1d={g1d}, N={n}, "
+            f"dx={grid.spacing}"
+        )
+        try:
+            nu, vecs = eigsh(op, k=2, which="LA", v0=v0, tol=_EIGEN_TOL)
+        except ArpackNoConvergence as exc:
+            raise ConvergenceError(f"{failure}: {exc}") from exc
+        energy = sigma + 1.0 / nu[1]
+
+        psi = u @ vecs[:, 1].reshape(n, n) @ u.T
+        psi = 0.5 * (psi + psi.T)
+        psi = 0.5 * (psi + psi[::-1, ::-1])
+        psi /= math.sqrt(np.sum(psi * psi)) * grid.spacing
+        residual = np.linalg.norm(_apply(t, w, c, psi) - energy * psi) * grid.spacing
+        if not residual <= _RESIDUAL_BOUND:
+            raise ConvergenceError(f"{failure}: residual ||H psi - E psi|| = {residual:.3e}")
+        magnitude = np.abs(psi).ravel()
+        peak = np.argmax(magnitude >= (1.0 - _PEAK_TIE) * magnitude.max())
+        if psi.flat[peak] < 0.0:
+            psi = -psi
+        psi.setflags(write=False)
+        return TwoBodyState(
+            energy=float(energy),
+            amplitudes=psi,
+            grid=grid,
+            kappa=kappa,
+            g1d=g1d,
+            gap=float(1.0 / nu[0] - 1.0 / nu[1]),
+        )
+
+    return solve
+
+
+def ground_state(grid, kappa, g1d):
+    """Lowest bosonic eigenpair at barrier kappa and contact coupling g1d.
+
+    ``ground_state_solver(grid, kappa)(g1d)``: see there for the method,
+    the arguments and the errors.
+    """
+    return ground_state_solver(grid, kappa)(g1d)

@@ -47,12 +47,19 @@ class TonksState:
     even_orbital: EigenState
     odd_orbital: EigenState
 
+    def orbitals(self, x):
+        """The even and the odd orbital at x."""
+        return eigenfunction(self.even_orbital, x), eigenfunction(self.odd_orbital, x)
+
     def wavefunction(self, x1, x2):
-        phi0_a = eigenfunction(self.even_orbital, x1)
-        phi0_b = eigenfunction(self.even_orbital, x2)
-        phi1_a = eigenfunction(self.odd_orbital, x1)
-        phi1_b = eigenfunction(self.odd_orbital, x2)
-        return np.abs(phi0_a * phi1_b - phi0_b * phi1_a) / math.sqrt(2.0)
+        return _slater(self.orbitals(x1), self.orbitals(x2))
+
+
+def _slater(at_x1, at_x2):
+    # |phi_0(x1) phi_1(x2) - phi_0(x2) phi_1(x1)| / sqrt 2 from the two
+    # orbitals at x1 and at x2.
+    (phi0_a, phi1_a), (phi0_b, phi1_b) = at_x1, at_x2
+    return np.abs(phi0_a * phi1_b - phi0_b * phi1_a) / math.sqrt(2.0)
 
 
 def tonks_state(kappa):
@@ -103,8 +110,9 @@ def tonks_rspd(kappa, grid=None):
             f"grid spans [-{grid.span:.3g}, {grid.span:.3g}] but the pair "
             "density needs at least [-6, 6]"
         )
-    q = grid.points
-    psi = tonks_state(kappa).wavefunction(q[:, None], q[None, :])
+    # Each orbital is evaluated once on the mesh; Psi is their outer products.
+    phi0, phi1 = tonks_state(kappa).orbitals(grid.points)
+    psi = _slater((phi0[:, None], phi1[:, None]), (phi0, phi1))
     raw_norm = np.sum(psi * psi) * grid.spacing**2
     if abs(raw_norm - 1.0) > _TRACE_ERROR_LIMIT:
         raise GridError(

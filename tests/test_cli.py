@@ -17,9 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import hbar
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import splittrap
-from splittrap import analysis, tonks
+from splittrap import analysis, dvr, tonks
 from splittrap import cli
 from splittrap.cli import (
     _fmt_value,
@@ -634,6 +635,12 @@ def test_run_sweep_caps_workers_at_point_count(monkeypatch):
     assert pools == [3]
     run_sweep(_spec(command="spectrum", kappa=(1.0,), levels=2, workers=500))
     assert pools == [3]
+    # A grid task is a whole kappa row: 2 rows of 3 couplings take 2 workers.
+    spec = _spec(command="dvr", kappa=(0.0, 1.0), g1d=(0.0, 1.0, 5.0), n_points=41, dx=0.3,
+                 workers=500)
+    assert [(r["kappa"], r["g1d"]) for r in run_sweep(spec).records] == [
+        ("0", 0.0), ("0", 1.0), ("0", 5.0), ("1", 0.0), ("1", 1.0), ("1", 5.0)]
+    assert pools == [3, 2]
 
 
 def _reject_constant(name):
@@ -662,6 +669,34 @@ def test_run_sweep_failure_labels_infinite_coupling():
     result = run_sweep(spec)
     assert result.records == [{"kappa": "0", "g1d": "inf"}]
     assert result.failures[0]["g1d"] == "inf"
+
+
+def test_cli_failed_coupling_keeps_the_rest_of_its_row(tmp_path, capsys, monkeypatch):
+    # The Krylov iteration fails at (kappa, g1d) = (1, 5) alone, the
+    # fifth solve in sweep order.  The other couplings of that kappa row
+    # share its one-body factorization and keep their energies.
+    args = ["dvr", "--kappa", "0", "1", "--g1d", "0", "5", "20", "--n-points", "41",
+            "--dx", "0.3", "--outputs", "energy,entropy"]
+    expected = tmp_path / "expected.csv"
+    assert main(args + ["--out", str(expected)]) == 0
+    real_eigsh = dvr.eigsh
+    calls = []
+
+    def fail_fifth(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 5:
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(dvr, "eigsh", fail_fifth)
+    out = tmp_path / "failed.csv"
+    assert main(args + ["--out", str(out)]) == 2
+    failures = json.loads(out.with_suffix(".failures.json").read_text())["failures"]
+    assert [(f["kappa"], f["g1d"]) for f in failures] == [("1", "5")]
+    assert failures[0]["error"].startswith("ConvergenceError")
+    rows, lines = expected.read_text().splitlines(), out.read_text().splitlines()
+    assert lines[5] == "1,5,,,"
+    assert lines[:5] + lines[6:] == rows[:5] + rows[6:]
 
 
 def test_cli_spectrum_tiny_barrier(capsys):

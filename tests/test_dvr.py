@@ -215,12 +215,14 @@ def test_ground_state_residual_guard(monkeypatch):
 )
 def test_shifted_inverse_solves_hamiltonian(kappa, g1d):
     # The solver's inverse and apply_hamiltonian come from the same
-    # pieces of _hamiltonian: (H - sigma) inv(x) = x on the symmetric
-    # sector, and the antisymmetric sector maps to zero.  The inverse
-    # acts on one-body eigenbasis coefficients, so mesh arrays go in as
-    # U^T x U and come out as U y U^T.
+    # pieces, _one_body and _contact: (H - sigma) inv(x) = x on the
+    # symmetric sector, and the antisymmetric sector maps to zero.  The
+    # one-body factorization is made first and the coupling added to it,
+    # as the row solver does.  The inverse acts on one-body eigenbasis
+    # coefficients, so mesh arrays go in as U^T x U and come out as U y U^T.
     grid = build_grid(41, 0.16)
-    u, _, sigma, inverse = dvr._shifted_inverse(*dvr._hamiltonian(grid, kappa, g1d)[2:])
+    u, _, sigma, at_contact = dvr._shifted_inverse(*dvr._one_body(grid, kappa)[1:])
+    inverse = at_contact(dvr._contact(grid, g1d)[1])
     rng = np.random.default_rng(41)
     for _ in range(3):
         a = rng.standard_normal((41, 41))
@@ -229,6 +231,20 @@ def test_shifted_inverse_solves_hamiltonian(kappa, g1d):
         back = dvr.apply_hamiltonian(y.ravel(), grid, kappa, g1d) - sigma * y.ravel()
         assert np.max(np.abs(back - x.ravel())) <= 1e-10 * np.max(np.abs(x))
         assert np.max(np.abs(inverse(u.T @ (a - a.T) @ u))) <= 1e-13 * np.max(np.abs(y))
+
+
+@pytest.mark.parametrize("kappa", [0.0, 3.3, math.inf])
+def test_row_solver_matches_single_point_solves_bitwise(kappa):
+    # One factorization per kappa, shared by the row's couplings, gives
+    # the same bits as a fresh factorization per coupling.
+    grid = build_grid(41, 0.2)
+    solve = dvr.ground_state_solver(grid, kappa)
+    for g1d in (0.0, 1.0, 500.0, math.inf):
+        row, single = solve(g1d), dvr.ground_state(grid, kappa, g1d)
+        assert row.energy == single.energy
+        assert row.gap == single.gap
+        assert row.amplitudes.tobytes() == single.amplitudes.tobytes()
+        assert (row.kappa, row.g1d) == (single.kappa, single.g1d) == (kappa, g1d)
 
 
 def _symmetric_spectrum(grid, kappa, g1d):
