@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dvr import Grid
+from .dvr import Grid, _fold
 
 _TRUNCATION_TAIL = 1e-8
 _ENTROPY_FLOOR = 1e-12
@@ -104,17 +104,13 @@ def natural_orbitals(rho):
     W = dx * psi are symmetric, and dx * rho = W^2, so the natural
     orbitals are the eigenvectors of W and the occupations are the
     squares of its eigenvalues.  W must also be parity-symmetric,
-    W(-x, -y) = W(x, y), on an odd mesh whose centre index is c.  In
+    W(-x, -y) = W(x, y), on an odd mesh whose centre index is c.  The
+    fold of the grid solver's one-body operator (``dvr._fold``) splits
+    it into an even block of size c + 1 and an odd block of size c, in
     the orthonormal basis delta_c, (delta_c+i +- delta_c-i) / sqrt(2),
-    i = 1..c, it splits into two blocks:
-
-    - even, W(c+i, c+j) + W(c+i, c-j) for i, j = 0..c, with the row and
-      the column of delta_c scaled by 1/sqrt(2);
-    - odd, W(c+i, c+j) - W(c+i, c-j) for i, j = 1..c.
-
-    Given parity, W is symmetric exactly when both blocks are.  Each
-    block is diagonalized on its own and its eigenvectors are unfolded
-    onto the mesh, so every orbital has definite parity.
+    i = 1..c; given parity, W is symmetric exactly when both blocks are.
+    Each block is diagonalized on its own and its eigenvectors are
+    unfolded onto the mesh, so every orbital has definite parity.
 
     Raises
     ------
@@ -132,12 +128,7 @@ def natural_orbitals(rho):
     if skew > 1e-10:
         raise ValueError(f"amplitudes are not parity-symmetric (max deviation {skew:.3e})")
 
-    right = weighted[c:, c:]
-    mirror = weighted[c:, c::-1]
-    even = right + mirror
-    even[0, :] *= math.sqrt(0.5)
-    even[:, 0] *= math.sqrt(0.5)
-    odd = right[1:, 1:] - mirror[1:, 1:]
+    even, odd = _fold(weighted)
     asym = max(np.max(np.abs(even - even.T)), np.max(np.abs(odd - odd.T), initial=0.0))
     if asym > 1e-10:
         raise ValueError(f"amplitudes are not symmetric (max asymmetry {asym:.3e})")

@@ -34,27 +34,31 @@ h (x) 1 + 1 (x) h plus the contact term c on the N diagonal points x = y,
 with the one-body h = T + x^2/2 + kappa_eff/dx delta_{x0} and
 c = g1d_eff/dx; _one_body and _contact are the one place that builds
 these pieces.  apply_hamiltonian applies H to the N x N amplitude array.
-The ground state comes from Lanczos on the exact inverse (H - sigma)^-1,
-acting on the coefficients B of psi = U B U^T in the eigenbasis
-h = U diag(eps) U^T of one N x N eigh: there the separable part is
-inverted elementwise (the fast diagonalization method of Lynch, Rice &
-Thomas, Numer. Math. 6, 185 (1964)), and the Woodbury identity adds the
-contact term through an N x N capacitance matrix, at two N x N products
-a step.  The ground state and the gap to the next bosonic level come out
-of the two largest eigenvalues of that inverse; only the ground state is
-mapped back to the mesh.
+The barrier sits at the trap centre, so h is parity-symmetric and H
+commutes with total parity, (x, y) -> (-x, -y).  The ground state comes
+from Lanczos on the exact inverse (H - sigma)^-1 in each parity sector
+of the exchange-symmetric states, acting on the coefficients B of
+psi = U B U^T in the eigenbasis of h, which two eigh of its folded even
+and odd blocks (sizes (N + 1)/2 and (N - 1)/2) give.  There the
+separable part is inverted elementwise (the fast diagonalization method
+of Lynch, Rice & Thomas, Numer. Math. 6, 185 (1964)), and the Woodbury
+identity adds the contact term through one capacitance matrix per
+sector, of size (N + 1)/2, at two or four half-size products a step.
+The even sector gives the ground state and the next even level, the odd
+sector its lowest level, and the gap is the nearer of the two; only the
+ground state is mapped back to the mesh.
 
-Only the capacitance depends on g1d.  Per kappa, ground_state_solver
-builds h, its eigh, the shift sigma, the elementwise inverse d and the
-matrix K behind the capacitance; per g1d, it factors the capacitance and
-runs the Lanczos iteration.  ground_state is the one-coupling case.
+Only the capacitances depend on g1d.  Per kappa, ground_state_solver
+builds h, its two eigh, the shift sigma, the elementwise inverses d and
+the matrices K behind the capacitances, 3 N^4 / 16 multiply-adds; per
+g1d, it inverts the two capacitances and runs the two Lanczos
+iterations.  ground_state is the one-coupling case.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .single_particle import check_coupling
@@ -166,43 +170,112 @@ def _apply(t, w, c, x):
     return t @ x + x @ t + v * x
 
 
-def _shifted_inverse(t, w):
-    """Eigenbasis u of h, shift sigma below the spectrum, and c -> (B -> (H - sigma)^-1 B).
+def _fold(m):
+    """Even and odd blocks of a parity-symmetric matrix on an odd mesh.
 
-    The inverse acts on the coefficients B of psi = U B U^T, with
-    h = U diag(eps) U^T.  There the separable part A = h (x) 1 + 1 (x) h
-    - sigma inverts elementwise, A^-1 B = d * B with d_ij =
-    1 / (eps_i + eps_j - sigma), and the Woodbury identity adds the
-    contact term, which lives on the N diagonal points only, through the
-    N x N capacitance I + c K with K_ab = <aa|A^-1|bb>: one N x N product
-    out to psi_aa, one back.  sigma = 2 eps_0 - 1/2 is a strict lower
-    bound because c >= 0.  The eigh, sigma, d and K depend on the
-    one-body operator alone and are built here, once per kappa; the
-    returned ``at_contact(c)`` factors the capacitance of one coupling
-    and returns that coupling's inverse.  Outputs are symmetrized, so
-    the exchange-antisymmetric sector maps to zero.
+    m(-x, -y) = m(x, y), with centre index c.  In the orthonormal basis
+    delta_c, (delta_c+i +- delta_c-i) / sqrt(2), i = 1..c, m splits into
+
+    - even, m(c+i, c+j) + m(c+i, c-j) for i, j = 0..c, with the row and
+      the column of delta_c scaled by 1/sqrt(2);
+    - odd, m(c+i, c+j) - m(c+i, c-j) for i, j = 1..c.
+
+    Given parity, m is symmetric exactly when both blocks are.
     """
-    eps, u = np.linalg.eigh(t + np.diag(w))
-    sigma = 2.0 * eps[0] - 0.5
-    d = 1.0 / (eps[:, None] + eps[None, :] - sigma)
-    # K_ab = sum_ij U_ai U_aj U_bi U_bj d_ij, one row at a time.
-    k = np.empty_like(d)
-    for a in range(eps.size):
-        ua = u * u[a]
-        k[a] = np.sum((ua @ d) * ua, axis=1)
+    c = m.shape[0] // 2
+    right = m[c:, c:]
+    mirror = m[c:, c::-1]
+    even = right + mirror
+    even[0, :] *= math.sqrt(0.5)
+    even[:, 0] *= math.sqrt(0.5)
+    return even, right[1:, 1:] - mirror[1:, 1:]
+
+
+def _woodbury(k, weight):
+    # (W^-1 + K)^-1 written so that it stays finite at W = 0.
+    s = np.sqrt(weight)
+    return s[:, None] * np.linalg.inv(np.eye(s.size) + s[:, None] * k * s) * s
+
+
+def _shifted_inverse(t, w):
+    """Half-mesh eigenvectors, shift sigma and c -> both sectors' (H - sigma)^-1.
+
+    h = T + diag(w) is parity-symmetric, so _fold splits it into an even
+    block of size n = (N + 1)/2 and an odd block of size n - 1, each
+    taken through its own eigh.  ``e`` and ``o`` are the rows x >= 0 of
+    the even and odd one-body eigenvectors on the mesh (the rows x < 0
+    are their mirror images, with a sign flip for ``o``, whose row
+    x = 0 is zero).  In that eigenbasis the exchange-symmetric pair
+    coefficients split by total parity into
+
+    - the even sector, blocks B_ee and B_oo, both symmetric, with
+      psi = U_e B_ee U_e^T + U_o B_oo U_o^T;
+    - the odd sector, block X = B_eo with B_oe = X^T, with
+      psi = U_e X U_o^T + U_o X^T U_e^T.
+
+    The separable part A = h (x) 1 + 1 (x) h - sigma inverts elementwise
+    in each block, A^-1 B = d * B with d_ij = 1 / (eps_i + eps_j -
+    sigma).  The contact term touches psi only on the diagonal x = y, and
+    in each sector only its n points x >= 0, where psi_aa is
+    diag(e B_ee e^T + o B_oo o^T) or 2 diag(e X o^T); a point x > 0
+    stands for its mirror image too, which doubles its weight.  So the
+    Woodbury identity adds the contact term through one n x n
+    capacitance per sector, over K_ab = <a|A^-1|b> of those diagonal
+    samples; building both K costs 3 N^4 / 16 multiply-adds.  sigma =
+    2 eps_0 - 1/2, with eps_0 the lowest one-body level, is a strict
+    lower bound because c >= 0.  The eigh, sigma, d and K depend on the
+    one-body operator alone and are built here, once per kappa; the
+    returned ``at_contact(c)`` inverts both capacitances of one coupling
+    once, explicitly, and returns that coupling's even and odd inverses,
+    which act on the flat coefficients, (B_ee, B_oo) and X.  The even
+    inverse symmetrizes its output, so the exchange-antisymmetric states
+    of that sector map to zero.  ``start`` holds both sectors' start
+    vectors, the normalized d.
+    """
+    h_even, h_odd = _fold(t + np.diag(w))
+    eps_e, v_e = np.linalg.eigh(h_even)
+    eps_o, v_o = np.linalg.eigh(h_odd)
+    n = eps_e.size
+    e = v_e.copy()
+    e[1:] *= math.sqrt(0.5)
+    o = np.zeros((n, n - 1))
+    o[1:] = v_o * math.sqrt(0.5)
+    sigma = 2.0 * min(eps_e[0], eps_o[0]) - 0.5
+    d_ee = 1.0 / (eps_e[:, None] + eps_e[None, :] - sigma)
+    d_oo = 1.0 / (eps_o[:, None] + eps_o[None, :] - sigma)
+    d_eo = 1.0 / (eps_e[:, None] + eps_o[None, :] - sigma)
+    # K_ab = sum_ij L_ai R_aj d_ij L_bi R_bj for each block (L, R), one row at a time.
+    k_even = np.empty((n, n))
+    k_odd = np.empty((n, n))
+    for a in range(n):
+        ea, oa = e * e[a], o * o[a]
+        k_even[a] = np.sum((ea @ d_ee) * ea, axis=1) + np.sum((oa @ d_oo) * oa, axis=1)
+        k_odd[a] = np.sum((ea @ d_eo) * oa, axis=1)
+    multiplicity = np.full(n, 2.0)
+    multiplicity[0] = 1.0
+    even_start = np.concatenate((d_ee.ravel(), d_oo.ravel()))
+    start = (even_start / np.linalg.norm(even_start), d_eo.ravel() / np.linalg.norm(d_eo))
 
     def at_contact(c):
-        capacitance = cho_factor(np.eye(eps.size) + c * k)
+        q_even = _woodbury(k_even, c * multiplicity)
+        # In the odd sector psi_aa = 2 diag(e X o^T)_a and |B|^2 = 2 |X|^2.
+        q_odd = _woodbury(k_odd, 2.0 * c * multiplicity)
 
-        def inverse(b):
-            y = d * b
-            on_contact = np.sum((u @ y) * u, axis=1)
-            y -= d * ((u.T * (c * cho_solve(capacitance, on_contact))) @ u)
-            return 0.5 * (y + y.T)
+        def even_inverse(b):
+            y_ee, y_oo = d_ee * b[: n * n].reshape(n, n), d_oo * b[n * n :].reshape(n - 1, n - 1)
+            z = q_even @ (np.sum((e @ y_ee) * e, axis=1) + np.sum((o @ y_oo) * o, axis=1))
+            y_ee -= d_ee * ((e.T * z) @ e)
+            y_oo -= d_oo * ((o.T * z) @ o)
+            return np.concatenate(((0.5 * (y_ee + y_ee.T)).ravel(), (0.5 * (y_oo + y_oo.T)).ravel()))
 
-        return inverse
+        def odd_inverse(b):
+            x = d_eo * b.reshape(n, n - 1)
+            x -= d_eo * ((e.T * (q_odd @ np.sum((e @ x) * o, axis=1))) @ o)
+            return x.ravel()
 
-    return u, d, sigma, at_contact
+        return even_inverse, odd_inverse
+
+    return e, o, sigma, start, at_contact
 
 
 def apply_hamiltonian(vec, grid, kappa, g1d):
@@ -249,27 +322,29 @@ def ground_state_solver(grid, kappa):
     """Solver for the lowest bosonic eigenpairs at one barrier: g1d -> TwoBodyState.
 
     Everything that depends on kappa alone is built here, once: the
-    one-body operator h, its eigh, the shift sigma, d and K of
-    _shifted_inverse, and the start vector.  Each call of the returned
-    function factors its coupling's capacitance and runs Lanczos on the
-    exact inverse (H - sigma)^-1, whose largest eigenvalues nu give the
-    lowest energies sigma + 1/nu; it runs on the one-body eigenbasis
-    coefficients B to a relative eigenvalue tolerance of 1e-10
-    (``_EIGEN_TOL``), and only its Ritz vector is mapped to the mesh, as
-    psi = U B U^T.  A call gives the same bits as ``ground_state`` at
-    that coupling, and a failed call leaves the solver usable for other
-    couplings.
+    one-body operator h, the eigh of its even and odd blocks, the shift
+    sigma, d and K of _shifted_inverse, and the start vectors.  Each call
+    of the returned function inverts its coupling's two capacitances and
+    runs Lanczos on the exact inverse (H - sigma)^-1 in each parity
+    sector, whose largest eigenvalues nu give the lowest energies sigma +
+    1/nu: two of them in the even sector, of dimension (N + 1)^2 / 4 +
+    (N - 1)^2 / 4, and one in the odd sector, of dimension (N^2 - 1) / 4.
+    Both run on the one-body eigenbasis coefficients to a relative
+    eigenvalue tolerance of 1e-10 (``_EIGEN_TOL``), and only the even
+    sector's Ritz vector is mapped to the mesh.  A call gives the same
+    bits as ``ground_state`` at that coupling, and a failed call leaves
+    the solver usable for other couplings.
 
-    The inverse is confined to the exchange-symmetric sector: the raw
+    Both inverses are confined to exchange-symmetric states: the raw
     matrix also carries antisymmetric states, and near the strong
     coupling regime one of those dips below the symmetric ground state
-    on a coarse mesh.  The start vector d is exchange-symmetric and
-    nonzero on every pair of one-body levels, so both parity classes of
-    the symmetric sector are in reach and ``gap`` is the distance to the
-    first excited bosonic level.  The ground state of the
-    parity-symmetric H is even under (x, y) -> (-x, -y); the returned
-    amplitudes are averaged with their reflection, like the exchange
-    average, so they are parity-even to the last bit.
+    on a coarse mesh.  Each start vector, the sector's part of d, is
+    nonzero on every pair of one-body levels of its sector.  The ground
+    state is parity-even, and ``gap`` is the distance from it to the
+    nearer of the next even level and the lowest odd one, the first
+    excited bosonic level.  The map back computes the rows x >= 0 of psi
+    and copies the rows x < 0 from them, so the amplitudes are
+    parity-even to the last bit with no averaging over the reflection.
 
     Parameters
     ----------
@@ -292,31 +367,37 @@ def ground_state_solver(grid, kappa):
         residual ||H psi - E psi|| of the returned pair exceeds 1e-6.
     """
     kappa, t, w = _one_body(grid, kappa)
-    n = grid.n_points
-    u, d, sigma, at_contact = _shifted_inverse(t, w)
-    v0 = d.ravel() / np.linalg.norm(d)
+    e, o, sigma, (even_start, odd_start), at_contact = _shifted_inverse(t, w)
+    n = e.shape[0]
+    c_index = grid.center_index
 
     def solve(g1d):
         g1d, c = _contact(grid, g1d)
-        inverse = at_contact(c)
-
-        def matvec(vec):
-            return inverse(vec.reshape(n, n)).ravel()
-
-        op = LinearOperator((n * n, n * n), matvec=matvec, dtype=float)
+        even_inverse, odd_inverse = at_contact(c)
+        even = LinearOperator((even_start.size,) * 2, matvec=even_inverse, dtype=float)
+        odd = LinearOperator((odd_start.size,) * 2, matvec=odd_inverse, dtype=float)
         failure = (
-            f"ground-state iteration failed at kappa={kappa}, g1d={g1d}, N={n}, "
+            f"ground-state iteration failed at kappa={kappa}, g1d={g1d}, N={grid.n_points}, "
             f"dx={grid.spacing}"
         )
         try:
-            nu, vecs = eigsh(op, k=2, which="LA", v0=v0, tol=_EIGEN_TOL)
+            nu, vecs = eigsh(even, k=2, which="LA", v0=even_start, tol=_EIGEN_TOL)
+            nu_odd = eigsh(
+                odd, k=1, which="LA", v0=odd_start, tol=_EIGEN_TOL, return_eigenvectors=False
+            )
         except ArpackNoConvergence as exc:
             raise ConvergenceError(f"{failure}: {exc}") from exc
         energy = sigma + 1.0 / nu[1]
 
-        psi = u @ vecs[:, 1].reshape(n, n) @ u.T
+        # The quadrants x, y >= 0 and x >= 0 >= y, then the rows x < 0 as
+        # their mirror image, so psi(-x, -y) = psi(x, y) holds exactly.
+        even_part = e @ vecs[: n * n, 1].reshape(n, n) @ e.T
+        odd_part = o @ vecs[n * n :, 1].reshape(n - 1, n - 1) @ o.T
+        psi = np.empty((grid.n_points, grid.n_points))
+        psi[c_index:, c_index:] = even_part + odd_part
+        psi[c_index:, c_index::-1] = even_part - odd_part
+        psi[c_index - 1 :: -1] = psi[c_index + 1 :, ::-1]
         psi = 0.5 * (psi + psi.T)
-        psi = 0.5 * (psi + psi[::-1, ::-1])
         psi /= math.sqrt(np.sum(psi * psi)) * grid.spacing
         residual = np.linalg.norm(_apply(t, w, c, psi) - energy * psi) * grid.spacing
         if not residual <= _RESIDUAL_BOUND:
@@ -332,7 +413,7 @@ def ground_state_solver(grid, kappa):
             grid=grid,
             kappa=kappa,
             g1d=g1d,
-            gap=float(1.0 / nu[0] - 1.0 / nu[1]),
+            gap=float(min(1.0 / nu[0], 1.0 / nu_odd[0]) - 1.0 / nu[1]),
         )
 
     return solve

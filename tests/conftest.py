@@ -4,8 +4,8 @@ DVR solves and analytic density matrices are deterministic pure
 functions of their parameters, so one cache per session is safe and
 keeps the property tests (which revisit the same parameter grids) from
 repeating a solve dozens of times: each DVR solve builds the one-body
-eigenbasis and the contact capacitance of its mesh again, which costs
-0.1 s on the 161 / 0.08 mesh and 0.9 s on 321 / 0.04.
+eigenbasis and the contact capacitances of its mesh again, which costs
+0.04 s on the 161 / 0.08 mesh and 0.3 s on 321 / 0.04.
 """
 
 import pytest

@@ -672,23 +672,32 @@ def test_run_sweep_failure_labels_infinite_coupling():
 
 
 def test_cli_failed_coupling_keeps_the_rest_of_its_row(tmp_path, capsys, monkeypatch):
-    # The Krylov iteration fails at (kappa, g1d) = (1, 5) alone, the
-    # fifth solve in sweep order.  The other couplings of that kappa row
-    # share its one-body factorization and keep their energies.
+    # The Krylov iteration fails at (kappa, g1d) = (1, 5) alone.  The
+    # other couplings of that kappa row share its one-body factorization
+    # and keep their energies.
     args = ["dvr", "--kappa", "0", "1", "--g1d", "0", "5", "20", "--n-points", "41",
             "--dx", "0.3", "--outputs", "energy,entropy"]
     expected = tmp_path / "expected.csv"
     assert main(args + ["--out", str(expected)]) == 0
-    real_eigsh = dvr.eigsh
-    calls = []
+    real_solver, real_eigsh = dvr.ground_state_solver, dvr.eigsh
+    point = []
 
-    def fail_fifth(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 5:
+    def solver(grid, kappa):
+        solve = real_solver(grid, kappa)
+
+        def solve_point(g1d):
+            point[:] = [(kappa, g1d)]
+            return solve(g1d)
+
+        return solve_point
+
+    def fail_at_point(*args, **kwargs):
+        if point == [(1.0, 5.0)]:
             raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
         return real_eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(dvr, "eigsh", fail_fifth)
+    monkeypatch.setattr(dvr, "ground_state_solver", solver)
+    monkeypatch.setattr(dvr, "eigsh", fail_at_point)
     out = tmp_path / "failed.csv"
     assert main(args + ["--out", str(out)]) == 2
     failures = json.loads(out.with_suffix(".failures.json").read_text())["failures"]

@@ -191,18 +191,20 @@ def test_ground_state_convergence_error(monkeypatch):
 
 def test_ground_state_residual_guard(monkeypatch):
     # ARPACK's eigenvalues paired with a vector that is not their
-    # eigenvector (the coefficient vector |00>, both particles in the
-    # lowest one-body level: the g1d = 0 ground state, at kappa = 1,
-    # g1d = 5) fail the residual check.
+    # eigenvector (the even-sector coefficient vector |00>, both particles
+    # in the lowest one-body level: the g1d = 0 ground state, at kappa = 1,
+    # g1d = 5) fail the residual check.  The odd sector's call returns
+    # eigenvalues only and is left alone.
     grid = build_grid(41, 0.16)
-    wrong = np.zeros(41 * 41)
-    wrong[0] = 1.0
     real_eigsh = dvr.eigsh
 
     def wrong_pair(op, k, **kwargs):
+        if k == 1:
+            return real_eigsh(op, k, **kwargs)
         nu, vecs = real_eigsh(op, k, **kwargs)
         vecs = vecs.copy()
-        vecs[:, np.argmax(nu)] = wrong
+        vecs[:, np.argmax(nu)] = 0.0
+        vecs[0, np.argmax(nu)] = 1.0
         return nu, vecs
 
     monkeypatch.setattr(dvr, "eigsh", wrong_pair)
@@ -211,26 +213,63 @@ def test_ground_state_residual_guard(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "kappa,g1d", [(0.0, 0.0), (1.0, 5.0), (10.0, 500.0), (math.inf, math.inf)]
+    "kappa,g1d,n_points,spacing",
+    [
+        (0.0, 0.0, 41, 0.16),
+        (1.0, 5.0, 41, 0.16),
+        (10.0, 500.0, 41, 0.16),
+        (math.inf, math.inf, 41, 0.16),
+        # The stiffest capacitance, c = pi^2 / dx^2, for its explicit inverse.
+        (math.inf, math.inf, 161, 0.08),
+    ],
+    ids=["0.0-0.0", "1.0-5.0", "10.0-500.0", "inf-inf", "inf-inf-161-0.08"],
 )
-def test_shifted_inverse_solves_hamiltonian(kappa, g1d):
-    # The solver's inverse and apply_hamiltonian come from the same
-    # pieces, _one_body and _contact: (H - sigma) inv(x) = x on the
-    # symmetric sector, and the antisymmetric sector maps to zero.  The
+def test_shifted_inverse_solves_hamiltonian(kappa, g1d, n_points, spacing):
+    # The solver's inverses and apply_hamiltonian come from the same
+    # pieces, _one_body and _contact: (H - sigma) inv(x) = x for symmetric
+    # x of either total parity, each through its own sector's inverse, and
+    # the antisymmetric states of the even sector map to zero.  The
     # one-body factorization is made first and the coupling added to it,
-    # as the row solver does.  The inverse acts on one-body eigenbasis
-    # coefficients, so mesh arrays go in as U^T x U and come out as U y U^T.
-    grid = build_grid(41, 0.16)
-    u, _, sigma, at_contact = dvr._shifted_inverse(*dvr._one_body(grid, kappa)[1:])
-    inverse = at_contact(dvr._contact(grid, g1d)[1])
+    # as the row solver does.  The inverses act on one-body eigenbasis
+    # coefficients, so mesh arrays go in as U_e^T x U_e and U_o^T x U_o
+    # (even sector) or U_e^T x U_o (odd sector) and come back through
+    # U_e and U_o, the half-mesh rows e and o unfolded onto the mesh.
+    grid = build_grid(n_points, spacing)
+    e, o, sigma, _, at_contact = dvr._shifted_inverse(*dvr._one_body(grid, kappa)[1:])
+    even_inverse, odd_inverse = at_contact(dvr._contact(grid, g1d)[1])
+    u_e, u_o = np.vstack((e[:0:-1], e)), np.vstack((-o[:0:-1], o))
+    m = e.shape[0]
+
+    def even(x):
+        y = even_inverse(np.concatenate(((u_e.T @ x @ u_e).ravel(), (u_o.T @ x @ u_o).ravel())))
+        return y, u_e @ y[: m * m].reshape(m, m) @ u_e.T + u_o @ y[m * m :].reshape(m - 1, m - 1) @ u_o.T
+
+    def odd(x):
+        y = u_e @ odd_inverse((u_e.T @ x @ u_o).ravel()).reshape(m, m - 1) @ u_o.T
+        return y + y.T
+
     rng = np.random.default_rng(41)
     for _ in range(3):
-        a = rng.standard_normal((41, 41))
+        a = rng.standard_normal((n_points, n_points))
         x = a + a.T
-        y = u @ inverse(u.T @ x @ u) @ u.T
-        back = dvr.apply_hamiltonian(y.ravel(), grid, kappa, g1d) - sigma * y.ravel()
-        assert np.max(np.abs(back - x.ravel())) <= 1e-10 * np.max(np.abs(x))
-        assert np.max(np.abs(inverse(u.T @ (a - a.T) @ u))) <= 1e-13 * np.max(np.abs(y))
+        x_even, x_odd = x + x[::-1, ::-1], x - x[::-1, ::-1]
+        y_even, y_odd = even(x_even)[1], odd(x_odd)
+        for x, y in ((x_even, y_even), (x_odd, y_odd)):
+            back = dvr.apply_hamiltonian(y.ravel(), grid, kappa, g1d) - sigma * y.ravel()
+            assert np.max(np.abs(back - x.ravel())) <= 1e-10 * np.max(np.abs(x))
+        assert np.max(np.abs(even(a - a.T)[0])) <= 1e-13 * np.max(np.abs(y_even))
+
+
+def test_fold_blocks_keep_the_spectrum():
+    # The even and odd blocks of a parity-symmetric matrix together carry
+    # its whole spectrum.
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((31, 31))
+    m = a + a.T
+    m = m + m[::-1, ::-1]
+    even, odd = dvr._fold(m)
+    folded = np.sort(np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd))))
+    np.testing.assert_allclose(folded, np.linalg.eigvalsh(m), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 3.3, math.inf])
