@@ -1,13 +1,30 @@
 """Special functions for the split-trap eigenproblem.
 
-Provides gamma, 1/gamma and its derivative, sin(pi x), the confluent
+Provides gamma, 1/gamma, sin(pi x), the digamma function, the confluent
 hypergeometric (Kummer) functions M and U at z >= 0, and the normalized
-Hermite functions, for the parameter ranges the trap solver visits.
+parabolic-cylinder functions, with the Hermite functions as their
+integer case, for the parameter ranges the trap solver visits.
 U is supported for b = 1/2 and a <= 0 only, which is the case generated
 by even parity states: a = 1/4 - E/2 and every even level has E >= 1/2.
 
-All functions accept scalars; ``kummer_m``, ``kummer_u`` and
-``hermite_function`` also accept numpy arrays for the coordinate.
+Every single-particle level is D_nu(sqrt(2)|x|) of order nu = E - 1/2,
+up to a sign (``single_particle``).  With e_nu = D_nu(sqrt(2)|x|) /
+sqrt(Gamma(nu + 1)), a = -nu/2, s = sin(pi a) and c = cos(pi a), the
+Wronskian norm of ``single_particle`` taken through the reflection
+formulas for Gamma and psi (DLMF 5.5.3, 5.5.4) and the duplication
+formula (DLMF 5.5.5) is
+
+    int e_nu^2 dx = (t1 - t0) / (2 sqrt(pi)),
+    t1 = 2sc psi(1/2 - a) + 2 pi s^2,    t0 = 2sc psi(1 - a) - 2 pi c^2,
+
+over the whole line.  It has no Gamma of a large argument, and since
+s^2 + c^2 = 1 it is sqrt(pi) - sin(pi nu) [psi(1/2 + nu/2) -
+psi(1 + nu/2)] / (2 sqrt(pi)): sqrt(pi) at integer nu, where ``sin_pi``
+is exactly 0.
+
+All functions accept scalars; ``kummer_m``, ``kummer_u``,
+``parabolic_cylinder`` and ``hermite_function`` also accept numpy arrays
+for the coordinate.
 """
 
 import math
@@ -25,6 +42,7 @@ _U_ASYMPTOTIC_Z = 18.0
 _U_ASYMPTOTIC_MAX_TERMS = 300
 
 _SQRT_PI = math.sqrt(math.pi)
+_LN2 = math.log(2.0)
 
 
 class PoleError(ValueError):
@@ -95,29 +113,6 @@ def _digamma(x):
     tail = inv2 * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 * (1.0 / 252 - inv2 * (
         1.0 / 240 - inv2 * (1.0 / 132 - inv2 * (691.0 / 32760 - inv2 / 12))))))
     return shift + math.log(x) - 0.5 / x - tail
-
-
-def reciprocal_gamma_derivative(x):
-    """d/dx of 1/gamma(x), that is -psi(x)/gamma(x), an entire function.
-
-    For x < 1/2 the reflection formulas for gamma and psi (DLMF 5.5.3,
-    5.5.4) give the pole-free form
-
-        psi(x)/gamma(x) = [psi(1 - x) sin(pi x) - pi cos(pi x)] gamma(1 - x) / pi,
-
-    with the trigonometric factors taken at the exact offset from the
-    nearest integer, so x = -n returns (-1)^n n! with no special case.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("reciprocal_gamma_derivative argument must be finite")
-    if x >= 0.5:
-        return -_digamma(x) / math.gamma(x)
-    n = round(x)
-    delta = math.pi * (x - n)
-    sign = -1.0 if n % 2 else 1.0
-    bracket = _digamma(1.0 - x) * math.sin(delta) - math.pi * math.cos(delta)
-    return -sign * bracket * math.gamma(1.0 - x) / math.pi
 
 
 def _as_array(z):
@@ -231,19 +226,59 @@ def kummer_u(a, b, z):
     return float(out) if scalar else out
 
 
+def _line_norm(nu):
+    # int e_nu^2 dx over the line, e_nu = D_nu(sqrt(2)|x|) / sqrt(Gamma(nu + 1)),
+    # in the closed form of the module docstring.
+    psi = _digamma
+    return _SQRT_PI - sin_pi(nu) * (psi(0.5 + 0.5 * nu) - psi(1.0 + 0.5 * nu)) / (2.0 * _SQRT_PI)
+
+
+def parabolic_cylinder(nu, x):
+    """Normalized parabolic-cylinder function D_nu(sqrt(2)|x|) / ||D_nu|| for real nu >= 0.
+
+    e_m = D_m(sqrt(2)|x|) / sqrt(Gamma(m + 1)) obeys the Hermite recurrence
+    e_{m+1} = sqrt(2/(m+1)) |x| e_m - sqrt(m/(m+1)) e_{m-1} (DLMF 12.8.1),
+    which is stable upward in m (Gil, Segura & Temme, ACM TOMS 32, 70
+    (2006)).  It climbs from nu0 = nu - floor(nu) and nu0 + 1, where
+    D_m(sqrt(2)|x|) = 2^(m/2) e^(-x^2/2) U(-m/2, 1/2, x^2) with U from
+    ``kummer_u`` at a in [-1, 0], or exactly U(0, 1/2, z) = 1 and
+    U(-1/2, 1/2, z) = sqrt(z) at integer nu.  It runs on e_m e^(x^2/2)
+    with a power-of-two exponent per point, so nothing under- or
+    overflows before the final e^(-x^2/2).  The norm is the closed form
+    of the module docstring.  x is a float or an ndarray.
+    """
+    nu = float(nu)
+    if not nu >= 0.0:
+        raise ValueError(f"parabolic-cylinder order must be >= 0, got {nu!r}")
+    xarr, scalar = _as_array(x)
+    r = np.abs(xarr)
+    z = r * r
+    order = math.floor(nu)
+    frac = nu - order
+    if frac == 0.0:
+        lower, upper = np.ones_like(z), math.sqrt(2.0) * r
+    else:
+        lower, upper = (2.0 ** (0.5 * m) / math.sqrt(math.gamma(m + 1.0))
+                        * kummer_u(-0.5 * m, 0.5, z) for m in (frac, frac + 1.0))
+    exponent = np.zeros_like(z)
+    for m in np.arange(order) + frac + 1.0:
+        step = math.sqrt(2.0 / (m + 1.0)) * r * upper - math.sqrt(m / (m + 1.0)) * lower
+        mantissa, shift = np.frexp(step)
+        lower, upper = np.ldexp(upper, -shift), mantissa
+        exponent += shift
+    out = lower * np.exp(exponent * _LN2 - 0.5 * z) / math.sqrt(_line_norm(nu))
+    return float(out) if scalar else out
+
+
 def hermite_function(n, x):
     """Normalized Hermite function psi_n(x) = H_n(x) e^(-x^2/2) / sqrt(2^n n! sqrt(pi)).
 
-    For integer n >= 0 and float or ndarray x, by the recurrence (DLMF 18.9)
-    psi_{k+1} = sqrt(2/(k+1)) x psi_k - sqrt(k/(k+1)) psi_{k-1} from
-    psi_0 = pi^(-1/4) e^(-x^2/2), which never forms 2^n n! and has no cap.
+    For integer n >= 0 and float or ndarray x it is the integer case of
+    ``parabolic_cylinder``, psi_n(|x|), times (-1)^n at x < 0; it never
+    forms 2^n n! and has no cap.
     """
     if n != int(n) or n < 0:
         raise ValueError(f"hermite degree must be a non-negative integer, got {n!r}")
     xarr, scalar = _as_array(x)
-    psi_prev = np.zeros_like(xarr)
-    psi = math.pi**-0.25 * np.exp(-0.5 * xarr * xarr)
-    for k in range(int(n)):
-        step = math.sqrt(2.0 / (k + 1)) * xarr * psi - math.sqrt(k / (k + 1)) * psi_prev
-        psi, psi_prev = step, psi
-    return float(psi) if scalar else psi
+    values = parabolic_cylinder(n, xarr) * np.sign(xarr) ** (int(n) % 2)
+    return float(values) if scalar else values

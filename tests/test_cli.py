@@ -766,3 +766,11 @@ def test_cli_import_leaves_out_scipy_integrate():
         "-c", "import sys, splittrap.cli; print('scipy.integrate' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_level_modules_import_no_scipy():
+    # The single-particle levels run on numpy alone.
+    proc = _fresh_python("-c", "import sys, splittrap.specfun, splittrap.single_particle; "
+                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -7,9 +7,9 @@ import pytest
 import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from splittrap import dvr, tonks
+from splittrap import analysis, dvr, specfun, tonks
 from splittrap.dvr import ConvergenceError, GridError, TwoBodyState, build_grid
-from splittrap.single_particle import even_energy
+from splittrap.single_particle import eigenfunction, even_energy, even_state
 
 MONO_GRID = (0.0, 1.0, 2.0, 5.0, 10.0)
 
@@ -347,6 +347,37 @@ def test_separation_oracle_zero_barrier(solve, g, bound):
     state = solve(0.0, g)
     oracle = 0.5 + even_energy(g / math.sqrt(2.0), 0)
     assert abs(state.energy - oracle) <= bound
+
+
+def _separated_entropy(g, n_points, spacing):
+    # At kappa = 0 the exact pair is psi_0(X) phi(r), X = (x + y)/sqrt 2 and
+    # r = (x - y)/sqrt 2, with phi the even level at barrier g/sqrt 2.  On
+    # the mesh, x + y and x - y take 2N - 1 values, (i +- j) dx / sqrt 2.
+    grid = build_grid(n_points, spacing)
+    t = (np.arange(2 * n_points - 1) - (n_points - 1)) * spacing / math.sqrt(2.0)
+    centre = specfun.hermite_function(0, t)
+    relative = eigenfunction(even_state(g / math.sqrt(2.0), 0), t)
+    i = np.arange(n_points)
+    psi = centre[i[:, None] + i] * relative[i[:, None] - i + n_points - 1]
+    psi /= math.sqrt(np.sum(psi * psi)) * spacing
+    return analysis.von_neumann_entropy(analysis.natural_orbitals(analysis.DensityMatrix(psi, grid)))
+
+
+@pytest.mark.parametrize("g", [1.0, 5.0, 20.0, 500.0, math.inf])
+def test_grid_entropy_matches_separated_pair(solve, g):
+    # The sampled exact state carries the O(dx^2) bias of its cusp at x = y,
+    # so the reference is the Richardson value over 401/0.03 and 801/0.015.
+    # The grid entropy on 161/0.08 measured -1.1e-5 (g = 1) to -6.3e-5
+    # (g = inf) from it.
+    coarse, fine = _separated_entropy(g, 401, 0.03), _separated_entropy(g, 801, 0.015)
+    reference = fine + (fine - coarse) / 3.0
+    if math.isinf(g):
+        # The hard-core limit S(kappa = 0) = 0.9851396; 1.7e-6 measured.
+        assert abs(reference - 0.9851396) <= 2e-6
+    state = solve(0.0, g, 161, 0.08)
+    grid_entropy = analysis.von_neumann_entropy(
+        analysis.natural_orbitals(analysis.rspd_from_state(state)))
+    assert abs(grid_entropy - reference) <= 1e-4
 
 
 def test_product_state_zero_barrier(solve):

@@ -1,6 +1,8 @@
 """Single-particle levels and eigenfunctions of the delta-split trap."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from splittrap import specfun
 from splittrap.cli import _fmt_value, build_parser
 from splittrap.single_particle import (
     BracketError,
-    _even_norm,
+    EigenState,
     check_coupling,
     even_energy,
     even_state,
@@ -42,6 +44,14 @@ EVEN_ROOTS = {
     (100.0, 2): 5.4788909457275,
 }
 
+
+# Even levels at kappa in {0.5, 1, 3.3, 100} and j in {0, 1, 2, 5, 10, 16, 20,
+# 30, 40}, frozen from mpmath at 30 digits: pcfd(nu, sqrt(2) x) at
+# nu = E - 1/2 for the float energy stored with each level, divided by the
+# square root of its quadrature norm 2 int_0^inf pcfd(nu, sqrt(2) x)^2 dx
+# (mpmath.quad over [0, 2, 5, 10, inf]), on x = 0, 0.5, ..., 10.
+EVEN_LEVELS_MPMATH = json.loads(
+    (Path(__file__).parent / "data" / "even_levels_mpmath.json").read_text())
 
 # Even-level norm constants 1/sqrt(int phi^2), phi = exp(-x^2/2) U(a, 1/2, x^2)
 # and a = 1/4 - E/2, at the float kappa shown: E is a 40-digit mpmath
@@ -249,8 +259,37 @@ def test_paper_caption_energies():
 
 @pytest.mark.parametrize("key,expected", sorted(EVEN_NORM_REFERENCE.items()))
 def test_even_norm_reference(key, expected):
+    # phi = 2^(-nu/2) sqrt(Gamma(nu + 1)) e_nu with nu = E - 1/2, so
+    # int phi^2 = 2^(-nu) Gamma(nu + 1) int e_nu^2, the closed form that
+    # normalizes every level.
     kappa, j = key
-    assert _even_norm(even_energy(kappa, j)) == pytest.approx(expected, rel=1e-13, abs=0.0)
+    nu = even_energy(kappa, j) - 0.5
+    norm = 1.0 / math.sqrt(2.0**-nu * math.gamma(nu + 1.0) * specfun._line_norm(nu))
+    assert norm == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "level", EVEN_LEVELS_MPMATH["levels"], ids=lambda row: f"{row['kappa']:g}-j{row['j']}")
+def test_even_level_matches_mpmath(level):
+    # kummer_u's own error, up to 7.4e-10 relative just below its z = 18
+    # switch, enters through the two starts of the recurrence; 6.3e-12 of
+    # the peak measured (kappa = 3.3, j = 40).
+    kappa, j, energy = level["kappa"], level["j"], level["energy"]
+    assert even_energy(kappa, j) == pytest.approx(energy, rel=1e-15)
+    reference = np.array(level["values"])
+    values = eigenfunction(EigenState("even", 2 * j, energy, kappa), EVEN_LEVELS_MPMATH["x"])
+    assert np.max(np.abs(values - reference)) <= 1e-10 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("kappa", [1.0, 100.0])
+def test_even_level_400_is_normalized(kappa):
+    # E = 800.5 to 801.5: the level reaches x = 40, far past where
+    # e^(-x^2/2) underflows.  The half-line trapezoid sum is off by the
+    # O(dx^2) term of the slope jump at x = 0: 2e-8 and 3e-7 measured.
+    dx = 0.002
+    values = even_state(kappa, 400).wavefunction(np.arange(30001) * dx)
+    half_line = dx * (np.sum(values**2) - 0.5 * (values[0] ** 2 + values[-1] ** 2))
+    assert abs(2.0 * half_line - 1.0) <= 1e-6
 
 
 @pytest.mark.parametrize("n,expected", sorted(HERMITE_NORM_REFERENCE.items()))
@@ -266,13 +305,15 @@ def test_hermite_norms(n, expected):
     np.testing.assert_array_equal(split, np.sign(x) * odd)
 
 
-@pytest.mark.parametrize("n", [61, 151, 301])
+@pytest.mark.parametrize("n", [61, 151, 301, 801, 1201])
 def test_hermite_function_orthonormal_at_high_degree(n):
     # Quadrature overlaps of psi_{n-2}, psi_n, psi_{n+2} on a mesh that
-    # holds every oscillation (turning point sqrt(2n + 5) < 25): the
+    # holds every oscillation (turning point sqrt(2n + 5) < 50): the
     # trapezoid sum of these smooth decaying functions is spectrally exact.
+    # Past |x| = 38.6, where e^(-x^2/2) underflows, the levels from n = 700
+    # on still carry weight.
     dx = 0.01
-    x = np.arange(-4000, 4001) * dx
+    x = np.arange(-6000, 6001) * dx
     values = [specfun.hermite_function(m, x) for m in (n - 2, n, n + 2)]
     gram = np.array([[np.sum(a * b) * dx for b in values] for a in values])
     np.testing.assert_allclose(gram, np.eye(3), rtol=0.0, atol=1e-12)

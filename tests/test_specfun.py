@@ -1,4 +1,4 @@
-"""Special-function kernel: gamma, Kummer M and U, Hermite functions."""
+"""Special-function kernel: gamma, Kummer M and U, parabolic-cylinder and Hermite functions."""
 
 import math
 
@@ -58,7 +58,8 @@ M_NEGATIVE_REFERENCE = {
 # d/dx 1/Gamma(x) = -psi(x)/Gamma(x), computed once with mpmath.diff of
 # mpmath.rgamma at 40 digits and frozen: positive x, negative non-integer
 # x, and x within 1e-15 of the poles -n of Gamma (n <= 6), where the
-# function is finite and equals (-1)^n n! at x = -n.
+# function is finite and equals (-1)^n n! at x = -n.  It checks psi and
+# sin(pi x), which the parabolic-cylinder norm is built from.
 RGAMMA_DERIVATIVE_REFERENCE = {
     0.5: 1.107791903872871,
     1.0: 0.57721566490153286,
@@ -125,13 +126,16 @@ def test_reciprocal_gamma_zero_at_poles():
 
 @pytest.mark.parametrize("x,expected", sorted(RGAMMA_DERIVATIVE_REFERENCE.items()))
 def test_reciprocal_gamma_derivative_reference(x, expected):
+    # -psi(x) / Gamma(x) from _digamma, which takes x >= 1/2; below that,
+    # the reflection formulas for Gamma and psi (DLMF 5.5.3, 5.5.4) give
+    # the pole-free -[psi(1 - x) sin(pi x) - pi cos(pi x)] Gamma(1 - x) / pi.
     # The loosest row is x = -0.5, near a zero of psi: 3.5e-15 measured.
-    assert specfun.reciprocal_gamma_derivative(x) == pytest.approx(expected, rel=1e-14, abs=0.0)
-
-
-def test_reciprocal_gamma_derivative_rejects_non_finite():
-    with pytest.raises(ValueError):
-        specfun.reciprocal_gamma_derivative(float("nan"))
+    if x >= 0.5:
+        value = -specfun._digamma(x) / math.gamma(x)
+    else:
+        bracket = specfun._digamma(1.0 - x) * specfun.sin_pi(x) - math.pi * specfun.sin_pi(x + 0.5)
+        value = -bracket * math.gamma(1.0 - x) / math.pi
+    assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 def test_kummer_m_trivial_cases():
     assert specfun.kummer_m(0.5, 1.5, 0.0) == 1.0
@@ -253,6 +257,23 @@ def test_hermite_base_cases():
     assert psi(0, 3.7) == pytest.approx(quarter * math.exp(-0.5 * 3.7**2), rel=1e-15)
     assert psi(1, 2.0) == pytest.approx(quarter * 2.0**1.5 * math.exp(-2.0), rel=1e-15)
     assert psi(2, 1.0) == pytest.approx(quarter * math.exp(-0.5) / math.sqrt(2.0), rel=1e-15)
+
+
+def test_parabolic_cylinder_rejects_bad_order():
+    for bad in (-0.5, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            specfun.parabolic_cylinder(bad, 0.0)
+
+
+def test_parabolic_cylinder_integer_orders_are_hermite_functions(monkeypatch):
+    # At integer order the level is psi_n(|x|), started exactly and never
+    # through kummer_u.
+    monkeypatch.setattr(specfun, "kummer_u", None)
+    x = np.linspace(-6.0, 6.0, 25)
+    for n in range(8):
+        np.testing.assert_allclose(specfun.parabolic_cylinder(n, x), _hermite_oracle(n, np.abs(x)),
+                                   rtol=1e-13, atol=1e-16)
+    assert specfun._line_norm(7.0) == math.sqrt(math.pi)
 
 
 def test_hermite_rejects_bad_degree():
