@@ -3,8 +3,8 @@
 Takes a grid-sampled two-body wavefunction (from either the analytic
 Tonks route or the DVR solver) through the chain
 
-    pair amplitudes -> natural orbitals -> momentum distribution
-                                        -> entanglement measures
+    pair amplitudes -> natural occupations -> entanglement measures
+                    -> momentum distribution
 
 All quadrature is trapezoid-on-the-mesh; the Fourier transform to
 momentum space is a direct quadrature sum, not an FFT, so any k grid
@@ -12,19 +12,23 @@ may be requested.
 
 For two bosons the symmetric amplitudes are their own natural-orbital
 decomposition, psi(x, y) = sum_i s_i phi_i(x) phi_i(y) with occupations
-s_i^2 (Paskauskas & You, Phys. Rev. A 64, 042310 (2001)).  So
-``natural_orbitals`` diagonalizes dx * psi, so an occupation lambda is
-off by about eps * sqrt(lambda), not eps, and never forms
-rho = dx psi psi^T; only reading ``DensityMatrix.values`` does.
+s_i^2 (Paskauskas & You, Phys. Rev. A 64, 042310 (2001)).  So the
+occupations are the squared eigenvalues of W = dx * psi, an occupation
+lambda is off by about eps * sqrt(lambda), not eps, and rho = dx psi
+psi^T is never formed; only reading ``DensityMatrix.values`` does.
+Entropy and the Schmidt number read the occupations alone, and
+dx * rho = W^2 gives n(k) from W itself, so no observable needs the
+orbitals: ``NaturalDecomposition.orbitals`` is computed on first read.
 
 The barrier sits at the trap centre, so the pair state is parity-even,
 psi(-x, -y) = psi(x, y), and every natural orbital is even or odd.
 ``natural_orbitals`` uses this: on the odd symmetric mesh it folds
 dx * psi into an even block of size (N + 1)/2 and an odd block of size
-(N - 1)/2 and diagonalizes each on its own, which costs about a quarter
-of one N x N eigensolve.  It rejects amplitudes that are not
-parity-symmetric.  The orbitals are real, so n(-k) = n(k), and
-``momentum_distribution`` evaluates k >= 0 only.
+(N - 1)/2 and takes the eigenvalues of each on its own, and
+``momentum_distribution`` transforms the two blocks, which halves the
+transform.  It rejects amplitudes that are not parity-symmetric.  W is
+real, so n(-k) = n(k), and ``momentum_distribution`` evaluates k >= 0
+only.
 """
 
 import math
@@ -36,7 +40,6 @@ import numpy as np
 
 from .dvr import Grid, _fold
 
-_TRUNCATION_TAIL = 1e-8
 _ENTROPY_FLOOR = 1e-12
 _SCHMIDT_THRESHOLD = 1e-6
 
@@ -67,16 +70,40 @@ class DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class NaturalDecomposition:
-    """Eigen-decomposition of a reduced density matrix.
+    """Natural occupations of a two-boson state, with its parity fold.
 
     ``occupations`` are sorted in descending order and sum to the trace
-    of the input (1 for a normalized state); ``orbitals[:, i]`` is the
-    grid-sampled natural orbital psi_i with quadrature norm 1.
+    of the input (1 for a normalized state).  ``even`` and ``odd`` are
+    the symmetrized fold blocks of W = dx * psi (see
+    ``natural_orbitals``).  ``orbitals[:, i]``, the grid-sampled natural
+    orbital psi_i with quadrature norm 1, is formed on first read by
+    ``eigh`` of the two blocks.
     """
 
     occupations: np.ndarray
-    orbitals: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
     grid: Grid
+
+    @cached_property
+    def orbitals(self):
+        even_vals, even_vecs = np.linalg.eigh(self.even)
+        odd_vals, odd_vecs = np.linalg.eigh(self.odd)
+        order = np.argsort(np.concatenate((even_vals, odd_vals)) ** 2, kind="stable")[::-1]
+        # Even orbitals in columns 0..c, odd ones after, then put in order.
+        dx = self.grid.spacing
+        n, c = self.occupations.size, odd_vals.size
+        weights = np.full((c + 1, 1), 1.0 / math.sqrt(2.0 * dx))
+        weights[0] = 1.0 / math.sqrt(dx)
+        unfolded = np.empty((n, n))
+        unfolded[c:, : c + 1] = even_vecs * weights
+        unfolded[c::-1, : c + 1] = unfolded[c:, : c + 1]
+        unfolded[c + 1 :, c + 1 :] = odd_vecs * weights[1:]
+        unfolded[c - 1 :: -1, c + 1 :] = -unfolded[c + 1 :, c + 1 :]
+        unfolded[c, c + 1 :] = 0.0
+        orbitals = unfolded[:, order]
+        orbitals.setflags(write=False)
+        return orbitals
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +125,7 @@ def rspd_from_state(state):
 
 
 def natural_orbitals(rho):
-    """Natural orbitals and occupations of a two-boson density matrix.
+    """Natural occupations of a two-boson density matrix.
 
     Reads only ``rho.amplitudes``.  The quadrature-weighted amplitudes
     W = dx * psi are symmetric, and dx * rho = W^2, so the natural
@@ -109,8 +136,10 @@ def natural_orbitals(rho):
     it into an even block of size c + 1 and an odd block of size c, in
     the orthonormal basis delta_c, (delta_c+i +- delta_c-i) / sqrt(2),
     i = 1..c; given parity, W is symmetric exactly when both blocks are.
-    Each block is diagonalized on its own and its eigenvectors are
-    unfolded onto the mesh, so every orbital has definite parity.
+    The occupations are the squared eigenvalues of the two blocks
+    (``eigvalsh``, no eigenvectors); the decomposition keeps the blocks,
+    and its ``orbitals`` unfold their eigenvectors onto the mesh when
+    first read, so every orbital has definite parity.
 
     Raises
     ------
@@ -132,25 +161,13 @@ def natural_orbitals(rho):
     asym = max(np.max(np.abs(even - even.T)), np.max(np.abs(odd - odd.T), initial=0.0))
     if asym > 1e-10:
         raise ValueError(f"amplitudes are not symmetric (max asymmetry {asym:.3e})")
-    even_vals, even_vecs = np.linalg.eigh(0.5 * (even + even.T))
-    odd_vals, odd_vecs = np.linalg.eigh(0.5 * (odd + odd.T))
-    vals = np.concatenate((even_vals, odd_vals)) ** 2
-    order = np.argsort(vals, kind="stable")[::-1]
-    occupations = vals[order]
-
-    # Even orbitals in columns 0..c, odd ones after, then put in order.
-    weights = np.full((c + 1, 1), 1.0 / math.sqrt(2.0 * dx))
-    weights[0] = 1.0 / math.sqrt(dx)
-    unfolded = np.empty((n, n))
-    unfolded[c:, : c + 1] = even_vecs * weights
-    unfolded[c::-1, : c + 1] = unfolded[c:, : c + 1]
-    unfolded[c + 1 :, c + 1 :] = odd_vecs * weights[1:]
-    unfolded[c - 1 :: -1, c + 1 :] = -unfolded[c + 1 :, c + 1 :]
-    unfolded[c, c + 1 :] = 0.0
-    orbitals = unfolded[:, order]
-    occupations.setflags(write=False)
-    orbitals.setflags(write=False)
-    return NaturalDecomposition(occupations=occupations, orbitals=orbitals, grid=rho.grid)
+    even = 0.5 * (even + even.T)
+    odd = 0.5 * (odd + odd.T)
+    vals = np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd))) ** 2
+    occupations = np.sort(vals)[::-1]
+    for block in (occupations, even, odd):
+        block.setflags(write=False)
+    return NaturalDecomposition(occupations=occupations, even=even, odd=odd, grid=rho.grid)
 
 
 def uniform_k_grid(count, span):
@@ -164,14 +181,18 @@ def uniform_k_grid(count, span):
 
 
 def momentum_distribution(decomposition, k_values):
-    """Momentum density n(k) = sum_i lambda_i |mu_i(k)|^2.
+    """Momentum density n(k) = sum_i lambda_i |mu_i(k)|^2 over every orbital.
 
     mu_i(k) is the direct-quadrature Fourier transform
-    (2 pi)^(-1/2) * dx * sum_j psi_i(q_j) exp(-i k q_j).  Orbitals are
-    included until the cumulative occupation reaches 1 - 1e-8.  The
-    orbitals are real, so |mu_i(k)|^2 is the sum of the squared cosine
-    and sine transforms and is even in k: only the k >= 0 half of the
-    grid is evaluated, and n(-k) is its mirror image.
+    (2 pi)^(-1/2) * dx * sum_j psi_i(q_j) exp(-i k q_j).  With
+    W = dx * psi and dx * rho = W^2, the sum is (dx / 2 pi) |W f_k|^2,
+    f_k = exp(-i k q), which needs no orbital.  In the parity fold of W
+    (``natural_orbitals``) f_k has the real even part a_k = (1,
+    sqrt(2) cos k x_i) and the imaginary odd part b_k = sqrt(2) sin k x_i,
+    i = 1..c, so n(k) = (dx / 2 pi) (|E a_k|^2 + |O b_k|^2) over the
+    even and odd blocks E and O.  This is even in k: only the k >= 0
+    half of the grid is evaluated, and n(-k) is its mirror image.
+    ``retained_orbitals`` is the number of orbitals the sum covers, N.
 
     A warning is raised when |k| exceeds the mesh Nyquist limit
     pi / dx, beyond which the quadrature transform is periodic rather
@@ -197,22 +218,18 @@ def momentum_distribution(decomposition, k_values):
             stacklevel=2,
         )
 
-    occ = decomposition.occupations
-    cumulative = np.cumsum(occ)
-    retained = int(np.searchsorted(cumulative, 1.0 - _TRUNCATION_TAIL) + 1)
-    retained = min(retained, occ.size)
-
-    positive = k[k.size // 2 :]
-    angles = np.outer(positive, decomposition.grid.points)
-    orbitals = decomposition.orbitals[:, :retained]
-    scale = dx / math.sqrt(2.0 * math.pi)
-    cos_part = (np.cos(angles) @ orbitals) * scale
-    sin_part = (np.sin(angles) @ orbitals) * scale
-    half = (cos_part**2 + sin_part**2) @ occ[:retained]
+    # Rows x_0 = 0, x_1..x_c of a_k / sqrt(2) and b_k / sqrt(2), so the
+    # prefactor doubles to dx / pi.
+    angles = np.outer(decomposition.grid.points[decomposition.odd.shape[0] :], k[k.size // 2 :])
+    cos_part = np.cos(angles)
+    cos_part[0] = math.sqrt(0.5)
+    even = decomposition.even @ cos_part
+    odd = decomposition.odd @ np.sin(angles[1:])
+    half = (dx / math.pi) * (np.sum(even * even, axis=0) + np.sum(odd * odd, axis=0))
     densities = np.concatenate((half[::-1][: k.size - half.size], half))
     densities.setflags(write=False)
     return MomentumDistribution(
-        k_values=k.copy(), densities=densities, retained_orbitals=retained
+        k_values=k.copy(), densities=densities, retained_orbitals=decomposition.occupations.size
     )
 
 

@@ -441,12 +441,14 @@ def test_criterion_7_property_suite(solve, tonks_decomposition):
         spacing = decomposition.grid.spacing
         count = 2 * decomposition.grid.n_points + 1
         k = analysis.uniform_k_grid(count, math.pi / spacing)
-        retained = analysis.momentum_distribution(decomposition, k).retained_orbitals
+        cumulative = np.cumsum(decomposition.occupations)
+        retained = int(np.searchsorted(cumulative, 1.0 - 1e-8) + 1)
         for i in range(retained):
-            single = analysis.NaturalDecomposition(
-                occupations=np.array([1.0]),
-                orbitals=decomposition.orbitals[:, i : i + 1],
-                grid=decomposition.grid,
+            # One orbital enters as the product amplitudes phi phi^T,
+            # whose only occupation is 1.
+            phi = decomposition.orbitals[:, i]
+            single = analysis.natural_orbitals(
+                analysis.DensityMatrix(np.outer(phi, phi), decomposition.grid)
             )
             weight = analysis.momentum_distribution(single, k).integral
             assert abs(weight - 1.0) <= 1e-4, f"orbital {i}: {weight:.6f}"

@@ -1,6 +1,7 @@
 """Observable chain: RSPD, natural orbitals, momentum, entropy."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 from splittrap import analysis, tonks
-from splittrap.analysis import NaturalDecomposition
 from splittrap.dvr import Grid, build_grid
 
 
@@ -19,7 +19,7 @@ def _full_eigh_decomposition(rho):
     weighted = dx * rho.values
     vals, vecs = np.linalg.eigh(0.5 * (weighted + weighted.T))
     order = np.argsort(vals)[::-1]
-    return NaturalDecomposition(
+    return SimpleNamespace(
         occupations=np.clip(vals[order], 0.0, None),
         orbitals=vecs[:, order] / math.sqrt(dx),
         grid=rho.grid,
@@ -27,13 +27,16 @@ def _full_eigh_decomposition(rho):
 
 
 def _synthetic_decomposition(occupations, n_points=5, spacing=0.5):
-    grid = build_grid(n_points, spacing)
-    orbitals = np.eye(n_points)[:, : len(occupations)] / math.sqrt(spacing)
-    return NaturalDecomposition(
-        occupations=np.asarray(occupations, dtype=float),
-        orbitals=orbitals,
-        grid=grid,
-    )
+    # W = dx * psi is diagonal in the even fold basis delta_c,
+    # (delta_c+i + delta_c-i) / sqrt(2), with eigenvalues sqrt(occupations).
+    c = n_points // 2
+    basis = np.zeros((n_points, len(occupations)))
+    basis[c, 0] = 1.0
+    for i in range(1, len(occupations)):
+        basis[c + i, i] = basis[c - i, i] = math.sqrt(0.5)
+    weighted = (basis * np.sqrt(occupations)) @ basis.T
+    rho = analysis.DensityMatrix(weighted / spacing, build_grid(n_points, spacing))
+    return analysis.natural_orbitals(rho)
 
 
 def test_rspd_from_product_state(solve):
@@ -239,16 +242,30 @@ def test_momentum_distribution_matches_complex_phase_sum(tonks_decomposition, co
     decomposition = tonks_decomposition(1.0)
     k = analysis.uniform_k_grid(count, 8.0)
     dist = analysis.momentum_distribution(decomposition, k)
-    # Oracle: the complex-phase quadrature over the whole k grid.
-    dx = decomposition.grid.spacing
-    retained = dist.retained_orbitals
-    phases = np.exp(-1j * np.outer(k, decomposition.grid.points))
-    mu = phases @ decomposition.orbitals[:, :retained] * (dx / math.sqrt(2.0 * math.pi))
-    expected = (np.abs(mu) ** 2) @ decomposition.occupations[:retained]
+    # Oracle: the complex-phase quadrature over the whole k grid, summed
+    # over every orbital of one eigh of the full density matrix.
+    full = _full_eigh_decomposition(tonks.tonks_rspd(1.0))
+    dx = full.grid.spacing
+    phases = np.exp(-1j * np.outer(k, full.grid.points))
+    mu = phases @ full.orbitals * (dx / math.sqrt(2.0 * math.pi))
+    expected = (np.abs(mu) ** 2) @ full.occupations
     np.testing.assert_allclose(
         dist.densities, expected, rtol=0.0, atol=1e-13 * np.max(expected)
     )
     assert np.array_equal(dist.densities, dist.densities[::-1])
+    assert dist.retained_orbitals == full.occupations.size
+
+
+def test_momentum_grid_route_product_state_closed_form(solve):
+    # At kappa = g1d = 0 both bosons sit in the oscillator ground state, so
+    # n(k) = |phi_0(k)|^2 = exp(-k^2) / sqrt(pi).  The 81/0.16 span holds
+    # the Gaussian to well below the bound (1.5e-10 measured).
+    decomposition = analysis.natural_orbitals(analysis.rspd_from_state(solve(0.0, 0.0)))
+    k = analysis.uniform_k_grid(401, 8.0)
+    densities = analysis.momentum_distribution(decomposition, k).densities
+    np.testing.assert_allclose(
+        densities, np.exp(-k * k) / math.sqrt(math.pi), rtol=0.0, atol=1e-9
+    )
 
 
 @pytest.mark.parametrize("kappa", [0.0, 10.0])
@@ -273,7 +290,8 @@ def test_parseval_per_orbital(tonks_decomposition):
     decomposition = tonks_decomposition(1.0)
     dx = decomposition.grid.spacing
     k = analysis.uniform_k_grid(2 * decomposition.grid.n_points + 1, math.pi / dx)
-    retained = analysis.momentum_distribution(decomposition, k).retained_orbitals
+    # Every orbital up to a cumulative occupation of 1 - 1e-8.
+    retained = int(np.searchsorted(np.cumsum(decomposition.occupations), 1.0 - 1e-8) + 1)
     phases = np.exp(-1j * np.outer(k, decomposition.grid.points))
     mu = phases @ decomposition.orbitals[:, :retained] * (dx / math.sqrt(2.0 * math.pi))
     integrals = trapezoid(np.abs(mu) ** 2, k, axis=0)

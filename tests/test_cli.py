@@ -358,6 +358,43 @@ def test_cli_tonks_json_momentum_per_point(tmp_path):
     assert points[0]["momentum"] != points[1]["momentum"]
 
 
+def test_cli_observables_take_no_eigenvectors(capsys, monkeypatch):
+    # Entropy, Schmidt number and momentum come from eigenvalues and the
+    # fold blocks alone; the orbitals are formed only when read.
+    eigh_calls = []
+    eigh = np.linalg.eigh
+
+    def counted_eigh(*args, **kwargs):
+        eigh_calls.append(1)
+        return eigh(*args, **kwargs)
+
+    made = []
+    natural_orbitals = analysis.natural_orbitals
+
+    def recorded(rho):
+        made.append((rho, natural_orbitals(rho)))
+        return made[-1][1]
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(analysis, "natural_orbitals", recorded)
+    assert main(["tonks", "--kappa", "0", "3.3", "inf",
+                 "--outputs", "energy,entropy,schmidt,momentum", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["points"]) == 3
+    assert len(made) == 3 and not eigh_calls
+    for rho, decomposition in made:
+        assert "orbitals" not in vars(decomposition)
+        orbitals = decomposition.orbitals
+        assert decomposition.orbitals is orbitals
+        dx = decomposition.grid.spacing
+        recon = (orbitals * decomposition.occupations) @ orbitals.T
+        assert np.max(np.abs(recon - rho.values)) <= 1e-8
+        overlaps = dx * (orbitals.T @ orbitals)
+        assert np.max(np.abs(overlaps - np.eye(overlaps.shape[0]))) <= 1e-6
+        for column in orbitals.T:
+            assert np.array_equal(column, column[::-1]) or np.array_equal(column, -column[::-1])
+    assert len(eigh_calls) == 2 * len(made)
+
+
 def test_cli_dvr_sidecar_names(tmp_path):
     out = tmp_path / "pair.csv"
     assert main(["dvr", "--kappa", "1", "--g1d", "5", "inf",

@@ -1,5 +1,6 @@
 """Grid discretization and two-body ground-state solver."""
 
+import functools
 import math
 
 import numpy as np
@@ -363,21 +364,31 @@ def _separated_entropy(g, n_points, spacing):
     return analysis.von_neumann_entropy(analysis.natural_orbitals(analysis.DensityMatrix(psi, grid)))
 
 
+@functools.cache
+def _kappa_zero_solver(n_points, spacing):
+    return dvr.ground_state_solver(build_grid(n_points, spacing), 0.0)
+
+
 @pytest.mark.parametrize("g", [1.0, 5.0, 20.0, 500.0, math.inf])
 def test_grid_entropy_matches_separated_pair(solve, g):
     # The sampled exact state carries the O(dx^2) bias of its cusp at x = y,
     # so the reference is the Richardson value over 401/0.03 and 801/0.015.
     # The grid entropy on 161/0.08 measured -1.1e-5 (g = 1) to -6.3e-5
-    # (g = inf) from it.
+    # (g = inf) from it, and on 321/0.04 -1.8e-6 (g = 1) to -1.08e-5
+    # (g = 500).
     coarse, fine = _separated_entropy(g, 401, 0.03), _separated_entropy(g, 801, 0.015)
     reference = fine + (fine - coarse) / 3.0
+
+    def grid_entropy(state):
+        return analysis.von_neumann_entropy(
+            analysis.natural_orbitals(analysis.rspd_from_state(state)))
+
     if math.isinf(g):
         # The hard-core limit S(kappa = 0) = 0.9851396; 1.7e-6 measured.
         assert abs(reference - 0.9851396) <= 2e-6
-    state = solve(0.0, g, 161, 0.08)
-    grid_entropy = analysis.von_neumann_entropy(
-        analysis.natural_orbitals(analysis.rspd_from_state(state)))
-    assert abs(grid_entropy - reference) <= 1e-4
+    else:
+        assert abs(grid_entropy(_kappa_zero_solver(321, 0.04)(g)) - reference) <= 1.5e-5
+    assert abs(grid_entropy(solve(0.0, g, 161, 0.08)) - reference) <= 1e-4
 
 
 def test_product_state_zero_barrier(solve):
