@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dvr import Grid, _fold
+from .dvr import Grid, _fold, _half_rows
 
 _ENTROPY_FLOOR = 1e-12
 _SCHMIDT_THRESHOLD = 1e-6
@@ -90,18 +90,11 @@ class NaturalDecomposition:
         even_vals, even_vecs = np.linalg.eigh(self.even)
         odd_vals, odd_vecs = np.linalg.eigh(self.odd)
         order = np.argsort(np.concatenate((even_vals, odd_vals)) ** 2, kind="stable")[::-1]
-        # Even orbitals in columns 0..c, odd ones after, then put in order.
-        dx = self.grid.spacing
-        n, c = self.occupations.size, odd_vals.size
-        weights = np.full((c + 1, 1), 1.0 / math.sqrt(2.0 * dx))
-        weights[0] = 1.0 / math.sqrt(dx)
-        unfolded = np.empty((n, n))
-        unfolded[c:, : c + 1] = even_vecs * weights
-        unfolded[c::-1, : c + 1] = unfolded[c:, : c + 1]
-        unfolded[c + 1 :, c + 1 :] = odd_vecs * weights[1:]
-        unfolded[c - 1 :: -1, c + 1 :] = -unfolded[c + 1 :, c + 1 :]
-        unfolded[c, c + 1 :] = 0.0
-        orbitals = unfolded[:, order]
+        # Even orbitals in columns 0..c, odd ones after: the rows x >= 0,
+        # then the rows x < 0 mirrored, then the columns put in order.
+        half = np.hstack(_half_rows(even_vecs, odd_vecs)) / math.sqrt(self.grid.spacing)
+        parity = np.repeat([1.0, -1.0], (even_vals.size, odd_vals.size))
+        orbitals = np.vstack((half[:0:-1] * parity, half))[:, order]
         orbitals.setflags(write=False)
         return orbitals
 

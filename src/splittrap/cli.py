@@ -8,10 +8,11 @@ dvr      : grid-solver pair observables at any coupling, hard core included
 sweep    : ``sweep --mode M ...`` is ``M ...``: it takes exactly M's flags
 units    : convert a physical trap setup to the scaled 1D coupling
 
-A run checks the flags argparse parsed, evaluates each (kappa, g1d) point
-they name into one result, one kappa row at a time, and hands those
-results, in sweep order, to the writers: the CSV or JSON table, the
-sidecar files and the failure manifest.
+A run checks the flags argparse parsed and builds, once, the mesh and
+the k grid they name.  It then evaluates each (kappa, g1d) point they
+name into one result, one kappa row at a time, and hands the list of
+those results, in sweep order, to the writers: the CSV or JSON table,
+the sidecar files and the failure manifest.
 
 Outputs are byte-deterministic for fixed flags: fixed 12-significant-
 digit formatting, fixed point ordering, and a grid eigensolver start
@@ -28,7 +29,6 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,36 +45,8 @@ _UNITS_FIELDS = (("g1d", "in hbar omega d"), ("g1d_si", "J m"), ("a1d", "m"), ("
                  ("transverse_length", "m"))
 
 
-@dataclass
-class SweepResult:
-    """One result per sweep point, in sweep order: a dict with the point's
-    ``records`` and, when it has them, its ``rspd`` matrix, its
-    ``momentum`` curve ``(k, n)`` or its solver ``error``."""
-
-    points: list
-
-    @property
-    def records(self):
-        return [record for point in self.points for record in point["records"]]
-
-    @property
-    def failures(self):
-        return [dict(_labels(point), error=point["error"]) for point in self.points
-                if "error" in point]
-
-
-def _labels(point):
-    # The kappa and g1d labels that name a point's sidecar files and failure entry.
-    first = point["records"][0]
-    return {"kappa": first["kappa"], "g1d": _fmt_value(first.get("g1d", ""))}
-
-
 def _fmt_value(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.12g}"
+    return value if isinstance(value, str) else f"{value:.12g}"
 
 
 def _round12(value):
@@ -114,8 +86,7 @@ def _evaluate_point(args, solve, kappa, g1d):
             state = tonks.tonks_state(kappa)
             if "energy" in args.outputs:
                 record["energy"] = state.pair_energy
-            grid = dvr.build_grid(args.n_points, args.dx)
-            rho = tonks.tonks_rspd(kappa, grid) if wants_density else None
+            rho = tonks.tonks_rspd(kappa, args.grid) if wants_density else None
         else:
             state = solve(g1d)
             if "energy" in args.outputs:
@@ -132,8 +103,7 @@ def _evaluate_point(args, solve, kappa, g1d):
             if "rspd" in args.outputs:
                 out["rspd"] = rho.values
             if "momentum" in args.outputs:
-                k = analysis.uniform_k_grid(args.k_points, args.k_span)
-                dist = analysis.momentum_distribution(decomposition, k)
+                dist = analysis.momentum_distribution(decomposition, args.k_grid)
                 out["momentum"] = (dist.k_values, dist.densities)
         return out
     except _SOLVER_ERRORS as exc:
@@ -146,9 +116,11 @@ def _couplings(args):
     return {"spectrum": (None,), "tonks": (math.inf,)}.get(args.command) or args.g1d
 
 
-def _points(args):
-    # (kappa, g1d) in sweep order.
-    return [(kappa, g1d) for kappa in args.kappa for g1d in _couplings(args)]
+def _labels(args):
+    # The (kappa, g1d) labels of each point, in sweep order, that name its
+    # sidecar files and its failure entry; a spectrum point has g1d "".
+    return [(_fmt_value(kappa), "" if g1d is None else _fmt_value(g1d))
+            for kappa in args.kappa for g1d in _couplings(args)]
 
 
 def _evaluate_row(args, kappa):
@@ -159,16 +131,22 @@ def _evaluate_row(args, kappa):
     solve = None
     if args.command == "dvr":
         try:
-            solve = dvr.ground_state_solver(dvr.build_grid(args.n_points, args.dx), kappa)
+            solve = dvr.ground_state_solver(args.grid, kappa)
         except _SOLVER_ERRORS as exc:
             return [_failure(exc, _label(kappa, g1d)) for g1d in couplings]
     return [_evaluate_point(args, solve, kappa, g1d) for g1d in couplings]
 
 
 def run_sweep(args):
-    """Evaluate every point that the parsed and checked flags ``args``
-    name, in sweep order, one kappa row per task; solver failures are
-    collected, not raised, so partial results survive."""
+    """Evaluate every point that the flags ``args`` name, one kappa row
+    per task, and return their results as a list in sweep order.
+
+    ``args`` has been through ``_check_flags``, which keeps the mesh and
+    the k grid on it, built once for the whole sweep.  Each result is a
+    dict with the point's ``records`` and, when it has them, its
+    ``rspd`` matrix, its ``momentum`` curve ``(k, n)`` or its solver
+    ``error``: solver failures are collected, not raised, so partial
+    results survive."""
     evaluate = functools.partial(_evaluate_row, args)
     # Never more workers than rows: the fork start method forks every
     # worker on the first submit.
@@ -178,15 +156,15 @@ def run_sweep(args):
             rows = list(pool.map(evaluate, args.kappa))
     else:
         rows = list(map(evaluate, args.kappa))
-    return SweepResult([point for row in rows for point in row])
+    return [point for row in rows for point in row]
 
 
-def _write_csv(args, result, stream):
+def _write_csv(args, points, stream):
     writer = csv.writer(stream, lineterminator="\n")
     columns = _SPECTRUM_COLUMNS if args.command == "spectrum" else _SWEEP_COLUMNS
     writer.writerow(columns)
-    for record in result.records:
-        writer.writerow([_fmt_value(record[c]) if c in record else "" for c in columns])
+    writer.writerows([_fmt_value(record[c]) if c in record else "" for c in columns]
+                     for point in points for record in point["records"])
 
 
 def _json_record(record, momentum):
@@ -197,43 +175,43 @@ def _json_record(record, momentum):
     return out
 
 
-def _write_json(args, result, stream):
-    payload = {
-        "mode": args.command,
-        "points": [
-            _json_record(record, point.get("momentum"))
-            for point in result.points
-            for record in point["records"]
-        ],
-    }
+def _write_json(args, points, stream):
+    records = [_json_record(record, point.get("momentum"))
+               for point in points for record in point["records"]]
+    payload = {"mode": args.command, "points": records}
     if args.command != "spectrum":
         payload["grid"] = {"n_points": args.n_points, "spacing": _round12(args.dx)}
     json.dump(payload, stream, indent=2)
     stream.write("\n")
 
 
-def _sidecar_path(args, point, kind, suffix):
-    labels = _labels(point)
+def _sidecar_path(args, kappa, g1d, kind, suffix):
     stem = Path(args.out)
-    return stem.with_name(f"{stem.stem}-{kind}-kappa{labels['kappa']}-g{labels['g1d']}{suffix}")
+    return stem.with_name(f"{stem.stem}-{kind}-kappa{kappa}-g{g1d}{suffix}")
 
 
-def _write_outputs(args, result):
+def _write_outputs(args, points):
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as stream:
-        (_write_csv if args.fmt == "csv" else _write_json)(args, result, stream)
-    for point in result.points:
+        (_write_csv if args.fmt == "csv" else _write_json)(args, points, stream)
+    for (kappa, g1d), point in zip(_labels(args), points):
         if "rspd" in point:
             rho = point["rspd"]
-            np.savetxt(_sidecar_path(args, point, "rspd", ".txt"), rho, fmt="%.12g",
+            np.savetxt(_sidecar_path(args, kappa, g1d, "rspd", ".txt"), rho, fmt="%.12g",
                        header=f"{len(rho)} {args.dx:.12g}", comments="")
         if "momentum" in point and args.fmt == "csv":
-            np.savetxt(_sidecar_path(args, point, "momentum", ".csv"),
+            np.savetxt(_sidecar_path(args, kappa, g1d, "momentum", ".csv"),
                        np.column_stack(point["momentum"]), fmt="%.12g", delimiter=",",
                        header="k,n", comments="")
 
 
-def _write_failures(args, result):
-    manifest = json.dumps({"failures": result.failures}, indent=2) + "\n"
+def _failures(args, points):
+    # The failure manifest's entries: the labels and the error of each failed point.
+    return [{"kappa": kappa, "g1d": g1d, "error": point["error"]}
+            for (kappa, g1d), point in zip(_labels(args), points) if "error" in point]
+
+
+def _write_failures(args, failures):
+    manifest = json.dumps({"failures": failures}, indent=2) + "\n"
     if args.out:
         Path(args.out).with_suffix(".failures.json").write_text(manifest)
     sys.stderr.write(manifest)
@@ -375,7 +353,8 @@ def _parse_args(argv):
 
 def _check_flags(args):
     # argparse has checked every flag on its own; left here are the rules
-    # that span several flags, and the mesh default, set on args.
+    # that span several flags.  The mesh, its default filled in, and the
+    # k grid are built here, once, and kept on args for every point.
     if args.command == "spectrum":
         return
     wants_momentum = "momentum" in args.outputs
@@ -384,7 +363,7 @@ def _check_flags(args):
     if "rspd" in args.outputs or (wants_momentum and args.fmt == "csv"):
         if not args.out:
             raise ValueError("rspd and csv momentum outputs need --out to name their files")
-        labels = [(_fmt_value(kappa), _fmt_value(g1d)) for kappa, g1d in _points(args)]
+        labels = _labels(args)
         repeated = [label for label in labels if labels.count(label) > 1]
         if repeated:
             raise ValueError("two points are labelled kappa = {}, g1d = {}: their sidecar "
@@ -396,9 +375,12 @@ def _check_flags(args):
         mesh = (61 if wants_momentum else 81), 0.16
     args.n_points = mesh[0] if args.n_points is None else args.n_points
     args.dx = mesh[1] if args.dx is None else args.dx
-    dvr.build_grid(args.n_points, args.dx)
-    if wants_momentum:
-        analysis.uniform_k_grid(args.k_points, args.k_span)
+    args.grid = dvr.build_grid(args.n_points, args.dx)
+    args.k_grid = analysis.uniform_k_grid(args.k_points, args.k_span) if wants_momentum else None
+    # Whether the mesh covers the Tonks pair depends on the flags alone; its
+    # trace check depends on kappa and stays with each point.
+    if args.command == "tonks" and set(args.outputs) - {"energy"}:
+        tonks.check_rspd_span(args.grid)
 
 
 def _cmd_units(args):
@@ -425,13 +407,14 @@ def main(argv=None):
         return _cmd_units(args)
     try:
         _check_flags(args)
-        result = run_sweep(args)
+        points = run_sweep(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_outputs(args, result)
-    if result.failures:
-        _write_failures(args, result)
+    _write_outputs(args, points)
+    failures = _failures(args, points)
+    if failures:
+        _write_failures(args, failures)
         return 2
     return 0
 

@@ -191,6 +191,22 @@ def _fold(m):
     return even, right[1:, 1:] - mirror[1:, 1:]
 
 
+def _half_rows(even, odd):
+    """Rows x >= 0 on the mesh of the even and odd fold-basis vectors.
+
+    ``even`` and ``odd`` hold vectors of the two _fold blocks in their
+    columns.  On the mesh row x_0 = 0 is an even vector's first entry and
+    row x_i, i >= 1, its entry i times sqrt(1/2); an odd vector has row 0
+    zero and row x_i its entry i - 1 times sqrt(1/2).  The rows x < 0 are
+    the mirror images, with a sign flip for the odd vectors.
+    """
+    e = even.copy()
+    e[1:] *= math.sqrt(0.5)
+    o = np.zeros((e.shape[0], odd.shape[1]))
+    o[1:] = odd * math.sqrt(0.5)
+    return e, o
+
+
 def _woodbury(k, weight):
     # (W^-1 + K)^-1 written so that it stays finite at W = 0.
     s = np.sqrt(weight)
@@ -203,10 +219,9 @@ def _shifted_inverse(t, w):
     h = T + diag(w) is parity-symmetric, so _fold splits it into an even
     block of size n = (N + 1)/2 and an odd block of size n - 1, each
     taken through its own eigh.  ``e`` and ``o`` are the rows x >= 0 of
-    the even and odd one-body eigenvectors on the mesh (the rows x < 0
-    are their mirror images, with a sign flip for ``o``, whose row
-    x = 0 is zero).  In that eigenbasis the exchange-symmetric pair
-    coefficients split by total parity into
+    the even and odd one-body eigenvectors on the mesh (``_half_rows``).
+    In that eigenbasis the exchange-symmetric pair coefficients split by
+    total parity into
 
     - the even sector, blocks B_ee and B_oo, both symmetric, with
       psi = U_e B_ee U_e^T + U_o B_oo U_o^T;
@@ -236,10 +251,7 @@ def _shifted_inverse(t, w):
     eps_e, v_e = np.linalg.eigh(h_even)
     eps_o, v_o = np.linalg.eigh(h_odd)
     n = eps_e.size
-    e = v_e.copy()
-    e[1:] *= math.sqrt(0.5)
-    o = np.zeros((n, n - 1))
-    o[1:] = v_o * math.sqrt(0.5)
+    e, o = _half_rows(v_e, v_o)
     sigma = 2.0 * min(eps_e[0], eps_o[0]) - 0.5
     d_ee = 1.0 / (eps_e[:, None] + eps_e[None, :] - sigma)
     d_oo = 1.0 / (eps_o[:, None] + eps_o[None, :] - sigma)

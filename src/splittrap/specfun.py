@@ -233,16 +233,21 @@ def _line_norm(nu):
     return _SQRT_PI - sin_pi(nu) * (psi(0.5 + 0.5 * nu) - psi(1.0 + 0.5 * nu)) / (2.0 * _SQRT_PI)
 
 
+def _kummer_start(m, z):
+    # e_m e^(x^2/2) = 2^(m/2) U(-m/2, 1/2, x^2) / sqrt(Gamma(m + 1)) at z = x^2.
+    return 2.0 ** (0.5 * m) / math.sqrt(math.gamma(m + 1.0)) * kummer_u(-0.5 * m, 0.5, z)
+
+
 def parabolic_cylinder(nu, x):
     """Normalized parabolic-cylinder function D_nu(sqrt(2)|x|) / ||D_nu|| for real nu >= 0.
 
     e_m = D_m(sqrt(2)|x|) / sqrt(Gamma(m + 1)) obeys the Hermite recurrence
     e_{m+1} = sqrt(2/(m+1)) |x| e_m - sqrt(m/(m+1)) e_{m-1} (DLMF 12.8.1),
     which is stable upward in m (Gil, Segura & Temme, ACM TOMS 32, 70
-    (2006)).  It climbs from nu0 = nu - floor(nu) and nu0 + 1, where
-    D_m(sqrt(2)|x|) = 2^(m/2) e^(-x^2/2) U(-m/2, 1/2, x^2) with U from
-    ``kummer_u`` at a in [-1, 0], or exactly U(0, 1/2, z) = 1 and
-    U(-1/2, 1/2, z) = sqrt(z) at integer nu.  It runs on e_m e^(x^2/2)
+    (2006)).  It climbs from nu0 = nu - floor(nu) and, if nu >= 1, from
+    nu0 + 1, where D_m(sqrt(2)|x|) = 2^(m/2) e^(-x^2/2) U(-m/2, 1/2, x^2)
+    with U from ``kummer_u`` at a in [-1, 0], or exactly U(0, 1/2, z) = 1
+    and U(-1/2, 1/2, z) = sqrt(z) at integer nu.  It runs on e_m e^(x^2/2)
     with a power-of-two exponent per point, so nothing under- or
     overflows before the final e^(-x^2/2).  The norm is the closed form
     of the module docstring.  x is a float or an ndarray.
@@ -258,8 +263,9 @@ def parabolic_cylinder(nu, x):
     if frac == 0.0:
         lower, upper = np.ones_like(z), math.sqrt(2.0) * r
     else:
-        lower, upper = (2.0 ** (0.5 * m) / math.sqrt(math.gamma(m + 1.0))
-                        * kummer_u(-0.5 * m, 0.5, z) for m in (frac, frac + 1.0))
+        # The start at nu0 + 1 is read only if the recurrence climbs.
+        lower = _kummer_start(frac, z)
+        upper = _kummer_start(frac + 1.0, z) if order else None
     exponent = np.zeros_like(z)
     for m in np.arange(order) + frac + 1.0:
         step = math.sqrt(2.0 / (m + 1.0)) * r * upper - math.sqrt(m / (m + 1.0)) * lower

@@ -81,6 +81,15 @@ def tonks_wavefunction(kappa, x1, x2):
     return tonks_state(kappa).wavefunction(x1, x2)
 
 
+def check_rspd_span(grid):
+    """Raise GridError if ``grid`` does not cover [-6, 6], the span the pair density needs."""
+    if grid.span < _MIN_RSPD_SPAN - 1e-12:
+        raise GridError(
+            f"grid spans [-{grid.span:.3g}, {grid.span:.3g}] but the pair "
+            "density needs at least [-6, 6]"
+        )
+
+
 def tonks_rspd(kappa, grid=None):
     """Reduced single-particle density matrix of the hard-core pair.
 
@@ -105,11 +114,7 @@ def tonks_rspd(kappa, grid=None):
     """
     if grid is None:
         grid = default_analysis_grid()
-    if grid.span < _MIN_RSPD_SPAN - 1e-12:
-        raise GridError(
-            f"grid spans [-{grid.span:.3g}, {grid.span:.3g}] but the pair "
-            "density needs at least [-6, 6]"
-        )
+    check_rspd_span(grid)
     # Each orbital is evaluated once on the mesh; Psi is their outer products.
     phi0, phi1 = tonks_state(kappa).orbitals(grid.points)
     psi = _slater((phi0[:, None], phi1[:, None]), (phi0, phi1))

@@ -37,7 +37,8 @@ OMEGA = 6.0e3
 
 
 def _spec(**overrides):
-    # Checked flags as run_sweep takes them, under argparse's dest names.
+    # Flags under argparse's dest names, checked by _check_flags as the CLI
+    # does, which keeps the mesh and the k grid on them for run_sweep.
     base = dict(
         command="tonks",
         kappa=(0.0,),
@@ -53,7 +54,13 @@ def _spec(**overrides):
         workers=1,
     )
     base.update(overrides)
-    return argparse.Namespace(**base)
+    spec = argparse.Namespace(**base)
+    cli._check_flags(spec)
+    return spec
+
+
+def _records(points):
+    return [record for point in points for record in point["records"]]
 
 
 def test_load_config(tmp_path):
@@ -156,13 +163,13 @@ def test_g1d_from_physical_weak_anisotropy_note():
 
 def test_run_sweep_tonks_energies():
     spec = _spec(kappa=(0.0, 1.0, 2.0, math.inf))
-    result = run_sweep(spec)
-    energies = [record["energy"] for record in result.records]
+    points = run_sweep(spec)
+    energies = [record["energy"] for record in _records(points)]
     assert energies[0] == 2.0
     assert energies[1] == pytest.approx(2.39274404531, abs=1e-9)
     assert energies[2] == pytest.approx(2.58389812228, abs=1e-9)
     assert energies[3] == 3.0
-    assert not result.failures
+    assert not any("error" in point for point in points)
 
 
 def test_run_sweep_dvr_non_interacting():
@@ -174,8 +181,7 @@ def test_run_sweep_dvr_non_interacting():
         n_points=81,
         dx=0.16,
     )
-    result = run_sweep(spec)
-    record = result.records[0]
+    record = _records(run_sweep(spec))[0]
     assert record["energy"] == pytest.approx(1.0, abs=1e-3)
     assert record["entropy"] == 0.0
     assert record["near_degenerate"] is False
@@ -190,9 +196,9 @@ def test_run_sweep_entropy_saturation(solve):
 
 def test_run_sweep_spectrum_records():
     spec = _spec(command="spectrum", kappa=(0.0,), levels=4)
-    result = run_sweep(spec)
-    assert [r["energy"] for r in result.records] == pytest.approx([0.5, 1.5, 2.5, 3.5])
-    assert [r["parity"] for r in result.records] == ["even", "odd", "even", "odd"]
+    records = _records(run_sweep(spec))
+    assert [r["energy"] for r in records] == pytest.approx([0.5, 1.5, 2.5, 3.5])
+    assert [r["parity"] for r in records] == ["even", "odd", "even", "odd"]
 
 
 def test_run_sweep_deterministic_records():
@@ -206,20 +212,23 @@ def test_run_sweep_deterministic_records():
     )
     first = run_sweep(spec)
     second = run_sweep(spec)
-    assert first.records == second.records
+    assert _records(first) == _records(second)
 
 
 def test_run_sweep_collects_failures():
+    # The 13-point, dx = 1 mesh covers [-6, 6], so the flags pass, but its
+    # quadrature misses the pair's norm by far more than 1e-3 at each kappa.
     spec = _spec(
         kappa=(0.0, 1.0),
         outputs=("energy", "entropy"),
-        n_points=41,
-        dx=0.16,
+        n_points=13,
+        dx=1.0,
     )
-    result = run_sweep(spec)
-    assert len(result.failures) == 2
-    assert all("GridError" in f["error"] for f in result.failures)
-    assert all("energy" not in record for record in result.records)
+    points = run_sweep(spec)
+    failures = cli._failures(spec, points)
+    assert [(f["kappa"], f["g1d"]) for f in failures] == [("0", "inf"), ("1", "inf")]
+    assert all(f["error"].startswith("GridError: quadrature norm") for f in failures)
+    assert all("energy" not in record for record in _records(points))
 
 
 def test_cli_spectrum_csv(tmp_path, capsys):
@@ -310,8 +319,9 @@ def test_cli_json_round_trip(tmp_path):
         outputs=("energy", "momentum", "entropy"),
         n_points=61,
         dx=0.16,
+        fmt="json",
     )
-    record = run_sweep(spec).records[0]
+    record = _records(run_sweep(spec))[0]
     assert point["energy"] == float(f"{record['energy']:.12g}")
     assert point["entropy"] == float(f"{record['entropy']:.12g}")
     assert len(point["momentum"]["k"]) == 401
@@ -477,6 +487,53 @@ def test_cli_momentum_grid_checked_before_any_point(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_tonks_mesh_too_short_is_a_flag_error(tmp_path, capsys, monkeypatch):
+    # The pair density needs the mesh to cover [-6, 6], which the flags
+    # alone decide: exit 1 before any point runs (a point that ran would
+    # fail on the missing evaluator), with no table and no failure manifest.
+    args = ["tonks", "--kappa", "1", "3", "--n-points", "41", "--dx", "0.1"]
+    out = tmp_path / "short.csv"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_evaluate_point", None)
+        assert main([*args, "--outputs", "energy,entropy", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: grid spans [-2, 2] but the pair density needs at "
+                            "least [-6, 6]\n")
+    assert list(tmp_path.iterdir()) == []
+    # The energy alone needs no mesh.
+    assert main([*args, "--outputs", "energy", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [(r["kappa"], r["g1d"]) for r in rows] == [("1", "inf"), ("3", "inf")]
+    assert all(r["energy"] for r in rows)
+
+
+@pytest.mark.parametrize("args", [
+    ["dvr", "--kappa", "0", "1", "inf", "--g1d", "1", "inf", "--n-points", "41", "--dx", "0.3",
+     "--outputs", "energy,entropy,momentum", "--k-points", "21", "--format", "json"],
+    ["tonks", "--kappa", "0", "3.3", "inf", "--outputs", "entropy,momentum", "--k-points", "21",
+     "--format", "json"],
+])
+def test_cli_builds_mesh_and_k_grid_once(monkeypatch, capsys, args):
+    # The flag check builds the mesh and the k grid, and every kappa row
+    # and point reads them from there.
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*a, **kw):
+            calls.append(name)
+            return fn(*a, **kw)
+        return wrapper
+
+    monkeypatch.setattr(dvr, "build_grid", counted("mesh", dvr.build_grid))
+    monkeypatch.setattr(analysis, "uniform_k_grid", counted("k", analysis.uniform_k_grid))
+    assert main(args) == 0
+    assert sorted(calls) == ["k", "mesh"]
+    points = json.loads(capsys.readouterr().out)["points"]
+    assert len(points) == (6 if args[0] == "dvr" else 3)
+    assert all(len(p["momentum"]["k"]) == 21 for p in points)
+
+
 def test_cli_spectrum_150_levels(capsys):
     for kappa, levels in (("1", 150), ("1", 300), ("inf", 300), ("1", 343)):
         assert main(["spectrum", "--kappa", kappa, "--levels", str(levels)]) == 0
@@ -498,9 +555,11 @@ def test_cli_spectrum_failure_record_carries_only_kappa(capsys):
 
 
 def test_cli_failure_manifest(tmp_path):
+    # The 13-point, dx = 1 mesh covers [-6, 6] but is too coarse for the
+    # pair's norm at each kappa: both points fail, after the flag check.
     out = tmp_path / "fail.csv"
     code = main(["sweep", "--mode", "tonks", "--kappa", "0", "1",
-                 "--n-points", "41", "--dx", "0.16",
+                 "--n-points", "13", "--dx", "1.0",
                  "--outputs", "energy,entropy", "--out", str(out)])
     assert code == 2
     rows = list(csv.DictReader(out.read_text().splitlines()))
@@ -668,14 +727,14 @@ def test_run_sweep_caps_workers_at_point_count(monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     spec = _spec(command="spectrum", kappa=(0.0, 1.0, math.inf), levels=2, workers=500)
-    assert [r["kappa"] for r in run_sweep(spec).records[::2]] == ["0", "1", "inf"]
+    assert [r["kappa"] for r in _records(run_sweep(spec))[::2]] == ["0", "1", "inf"]
     assert pools == [3]
     run_sweep(_spec(command="spectrum", kappa=(1.0,), levels=2, workers=500))
     assert pools == [3]
     # A grid task is a whole kappa row: 2 rows of 3 couplings take 2 workers.
     spec = _spec(command="dvr", kappa=(0.0, 1.0), g1d=(0.0, 1.0, 5.0), n_points=41, dx=0.3,
                  workers=500)
-    assert [(r["kappa"], r["g1d"]) for r in run_sweep(spec).records] == [
+    assert [(r["kappa"], r["g1d"]) for r in _records(run_sweep(spec))] == [
         ("0", 0.0), ("0", 1.0), ("0", 5.0), ("1", 0.0), ("1", 1.0), ("1", 5.0)]
     assert pools == [3, 2]
 
@@ -699,13 +758,17 @@ def test_cli_infinite_couplings_on_grid(tmp_path, capsys):
     assert [p["g1d"] for p in payload["points"]] == ["inf", "inf"]
 
 
-def test_run_sweep_failure_labels_infinite_coupling():
-    # An even point count fails inside the point evaluation, not in the
-    # spec check, so this exercises the failure record.
-    spec = _spec(command="dvr", g1d=(math.inf,), n_points=80, dx=0.16)
-    result = run_sweep(spec)
-    assert result.records == [{"kappa": "0", "g1d": "inf"}]
-    assert result.failures[0]["g1d"] == "inf"
+def test_run_sweep_failure_labels_infinite_coupling(monkeypatch):
+    # The Krylov iteration fails inside the point evaluation, after the
+    # flags were checked, so this exercises the failure record.
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    spec = _spec(command="dvr", g1d=(math.inf,), n_points=41, dx=0.3)
+    monkeypatch.setattr(dvr, "eigsh", no_convergence)
+    points = run_sweep(spec)
+    assert _records(points) == [{"kappa": "0", "g1d": "inf"}]
+    assert cli._failures(spec, points)[0]["g1d"] == "inf"
 
 
 def test_cli_failed_coupling_keeps_the_rest_of_its_row(tmp_path, capsys, monkeypatch):

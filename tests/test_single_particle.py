@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -290,6 +291,45 @@ def test_even_level_400_is_normalized(kappa):
     values = even_state(kappa, 400).wavefunction(np.arange(30001) * dx)
     half_line = dx * (np.sum(values**2) - 0.5 * (values[0] ** 2 + values[-1] ** 2))
     assert abs(2.0 * half_line - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize("kappa", [1.0, 100.0])
+@pytest.mark.parametrize("j", [100, 200, 300])
+def test_high_even_levels_match_mpmath(kappa, j):
+    # The forward recurrence past j = 40, at x inside, at and past the
+    # turning point t = sqrt(2 nu + 1), against 30-digit pcfd up to a
+    # common factor (the norm is the j = 400 test's).  The unnormalized
+    # D_nu overflows a float near nu = 400, so the ratios to the sample at
+    # the peak are taken inside mpmath.  3.6e-14 of the peak measured.
+    state = even_state(kappa, j)
+    nu = state.energy - 0.5
+    t = math.sqrt(2.0 * nu + 1.0)
+    x = np.array([0.0, 0.5, 3.0, 10.0, 0.7 * t, t, t + 2.0, t + 5.0])
+    values = eigenfunction(state, x)
+    peak = int(np.argmax(np.abs(values)))
+    with mpmath.workdps(30):
+        d = [mpmath.pcfd(nu, mpmath.sqrt(2) * mpmath.mpf(xi)) for xi in x]
+        ratios = np.array([float(di / d[peak]) for di in d])
+    assert np.max(np.abs(values - ratios * values[peak])) <= 1e-12 * abs(values[peak])
+
+
+def test_lowest_even_level_evaluates_one_kummer_u(monkeypatch):
+    # At floor(nu) = 0 the recurrence takes no step, so only the start at
+    # nu0 is evaluated: the even orbital of every finite-kappa Tonks pair.
+    calls = []
+    kummer_u = specfun.kummer_u
+
+    def counted(a, b, z):
+        calls.append(a)
+        return kummer_u(a, b, z)
+
+    monkeypatch.setattr(specfun, "kummer_u", counted)
+    x = np.linspace(-6.0, 6.0, 13)
+    values = eigenfunction(even_state(3.3, 0), x)
+    assert len(calls) == 1
+    assert np.all(values > 0.0)
+    eigenfunction(even_state(3.3, 1), x)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("n,expected", sorted(HERMITE_NORM_REFERENCE.items()))
