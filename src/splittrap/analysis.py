@@ -1,10 +1,20 @@
 """Reduced single-particle observables for two-body ground states.
 
-Takes a grid-sampled two-body wavefunction (from either the analytic
-Tonks route or the DVR solver) through the chain
+The barrier sits at the trap centre, so the pair state is parity-even,
+psi(-x, -y) = psi(x, y), and every natural orbital is even or odd.  On
+the odd symmetric mesh the quadrature-weighted amplitudes W = dx * psi
+fold (``dvr._fold``) into an even block of size (N + 1)/2 and an odd
+block of size (N - 1)/2, and the chain enters there:
 
-    pair amplitudes -> natural occupations -> entanglement measures
-                    -> momentum distribution
+    parity blocks of W -> natural occupations -> entanglement measures
+                       -> momentum distribution
+
+A ``DensityMatrix`` holds the two blocks.  The analytic Tonks route
+builds them from the two orbitals on x >= 0 (``tonks.tonks_rspd``); the
+grid route's amplitudes go through ``DensityMatrix.from_amplitudes``,
+which rejects an even mesh and amplitudes that are not parity-symmetric
+or not symmetric.  psi on the whole mesh, and rho = dx psi psi^T, are
+formed only when ``amplitudes`` and ``values`` are read.
 
 All quadrature is trapezoid-on-the-mesh; the Fourier transform to
 momentum space is a direct quadrature sum, not an FFT, so any k grid
@@ -13,22 +23,14 @@ may be requested.
 For two bosons the symmetric amplitudes are their own natural-orbital
 decomposition, psi(x, y) = sum_i s_i phi_i(x) phi_i(y) with occupations
 s_i^2 (Paskauskas & You, Phys. Rev. A 64, 042310 (2001)).  So the
-occupations are the squared eigenvalues of W = dx * psi, an occupation
-lambda is off by about eps * sqrt(lambda), not eps, and rho = dx psi
-psi^T is never formed; only reading ``DensityMatrix.values`` does.
-Entropy and the Schmidt number read the occupations alone, and
-dx * rho = W^2 gives n(k) from W itself, so no observable needs the
-orbitals: ``NaturalDecomposition.orbitals`` is computed on first read.
-
-The barrier sits at the trap centre, so the pair state is parity-even,
-psi(-x, -y) = psi(x, y), and every natural orbital is even or odd.
-``natural_orbitals`` uses this: on the odd symmetric mesh it folds
-dx * psi into an even block of size (N + 1)/2 and an odd block of size
-(N - 1)/2 and takes the eigenvalues of each on its own, and
-``momentum_distribution`` transforms the two blocks, which halves the
-transform.  It rejects amplitudes that are not parity-symmetric.  W is
-real, so n(-k) = n(k), and ``momentum_distribution`` evaluates k >= 0
-only.
+occupations are the squared eigenvalues of W, which are those of its
+two blocks (``eigvalsh`` of each, in ``natural_orbitals``), and an
+occupation lambda is off by about eps * sqrt(lambda), not eps.  Entropy
+and the Schmidt number read the occupations alone, and dx * rho = W^2
+gives n(k) from the blocks themselves (``momentum_distribution``), which
+halves the transform, so no observable needs the orbitals:
+``NaturalDecomposition.orbitals`` is computed on first read.  W is real,
+so n(-k) = n(k), and ``momentum_distribution`` evaluates k >= 0 only.
 """
 
 import math
@@ -38,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dvr import Grid, _fold, _half_rows
+from .dvr import Grid, _fold, _half_rows, _unfold
 
 _ENTROPY_FLOOR = 1e-12
 _SCHMIDT_THRESHOLD = 1e-6
@@ -48,14 +50,59 @@ _SCHMIDT_THRESHOLD = 1e-6
 class DensityMatrix:
     """Reduced single-particle density matrix of a two-boson state.
 
-    Holds the symmetric pair amplitudes psi(q_i, q_j), with
-    dx^2 sum(psi^2) = 1 for a normalized state.  ``values[i, j]``,
-    rho(q_i, q_j) = dx sum_k psi(q_i, q_k) psi(q_j, q_k), is formed on
-    first read.
+    Holds the two parity blocks of the quadrature-weighted amplitudes
+    W = dx * psi, ``even`` of size c + 1 and ``odd`` of size c on a mesh
+    of 2c + 1 points, in the fold basis of ``dvr._fold``; both are
+    symmetric, and their squared Frobenius norms sum to dx^2 sum(psi^2),
+    1 for a normalized state.  ``from_amplitudes`` builds them from
+    psi(q_i, q_j).  ``amplitudes``, psi unfolded onto the mesh, and
+    ``values[i, j]``, rho(q_i, q_j) = dx sum_k psi(q_i, q_k) psi(q_j, q_k),
+    are formed on first read.
     """
 
-    amplitudes: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
     grid: Grid
+
+    @classmethod
+    def from_amplitudes(cls, amplitudes, grid):
+        """Density matrix of the symmetric, parity-even amplitudes psi on an odd mesh.
+
+        W = dx * psi must be parity-symmetric, W(-x, -y) = W(x, y), on a
+        mesh with a centre point; ``dvr._fold`` then splits it into its
+        even and odd blocks, and given parity W is symmetric exactly
+        when both blocks are.  The blocks kept are their symmetric parts,
+        and ``amplitudes`` reads psi as given.
+
+        Raises
+        ------
+        ValueError
+            If W is not parity-symmetric or not symmetric beyond 1e-10, or
+            the mesh has an even point count.
+        """
+        n = amplitudes.shape[0]
+        if n % 2 == 0:
+            raise ValueError(f"parity fold needs an odd mesh with a centre point, got {n} points")
+        weighted = grid.spacing * amplitudes
+        skew = np.max(np.abs(weighted[n // 2 :] - weighted[n // 2 :: -1, ::-1]))
+        if skew > 1e-10:
+            raise ValueError(f"amplitudes are not parity-symmetric (max deviation {skew:.3e})")
+        even, odd = _fold(weighted)
+        asym = max(np.max(np.abs(even - even.T)), np.max(np.abs(odd - odd.T), initial=0.0))
+        if asym > 1e-10:
+            raise ValueError(f"amplitudes are not symmetric (max asymmetry {asym:.3e})")
+        rho = cls(0.5 * (even + even.T), 0.5 * (odd + odd.T), grid)
+        # rho reads psi itself, not its unfolded copy, so its bits stay.
+        vars(rho)["amplitudes"] = amplitudes
+        return rho
+
+    @cached_property
+    def amplitudes(self):
+        # W = U_e E U_e^T + U_o O U_o^T over the fold bases U_e and U_o:
+        # the even and odd parts on x, y >= 0 take their rows x >= 0 on
+        # both sides.
+        parts = _half_rows(*(m.T for m in _half_rows(self.even, self.odd)))
+        return _unfold(*parts) / self.grid.spacing
 
     @cached_property
     def values(self):
@@ -65,7 +112,7 @@ class DensityMatrix:
 
     @property
     def trace(self):
-        return float(np.vdot(self.amplitudes, self.amplitudes)) * self.grid.spacing**2
+        return float(np.sum(self.even * self.even) + np.sum(self.odd * self.odd))
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,8 +121,8 @@ class NaturalDecomposition:
 
     ``occupations`` are sorted in descending order and sum to the trace
     of the input (1 for a normalized state).  ``even`` and ``odd`` are
-    the symmetrized fold blocks of W = dx * psi (see
-    ``natural_orbitals``).  ``orbitals[:, i]``, the grid-sampled natural
+    the fold blocks of W = dx * psi that the density matrix holds (see
+    ``DensityMatrix``).  ``orbitals[:, i]``, the grid-sampled natural
     orbital psi_i with quadrature norm 1, is formed on first read by
     ``eigh`` of the two blocks.
     """
@@ -114,53 +161,27 @@ class MomentumDistribution:
 
 def rspd_from_state(state):
     """Reduced density matrix of a DVR TwoBodyState by mesh quadrature."""
-    return DensityMatrix(state.amplitudes, state.grid)
+    return DensityMatrix.from_amplitudes(state.amplitudes, state.grid)
 
 
 def natural_orbitals(rho):
     """Natural occupations of a two-boson density matrix.
 
-    Reads only ``rho.amplitudes``.  The quadrature-weighted amplitudes
-    W = dx * psi are symmetric, and dx * rho = W^2, so the natural
-    orbitals are the eigenvectors of W and the occupations are the
-    squares of its eigenvalues.  W must also be parity-symmetric,
-    W(-x, -y) = W(x, y), on an odd mesh whose centre index is c.  The
-    fold of the grid solver's one-body operator (``dvr._fold``) splits
-    it into an even block of size c + 1 and an odd block of size c, in
-    the orthonormal basis delta_c, (delta_c+i +- delta_c-i) / sqrt(2),
-    i = 1..c; given parity, W is symmetric exactly when both blocks are.
-    The occupations are the squared eigenvalues of the two blocks
-    (``eigvalsh``, no eigenvectors); the decomposition keeps the blocks,
-    and its ``orbitals`` unfold their eigenvectors onto the mesh when
-    first read, so every orbital has definite parity.
-
-    Raises
-    ------
-    ValueError
-        If W is not parity-symmetric or not symmetric beyond 1e-10, or
-        the mesh has an even point count.
+    Reads only the blocks ``rho.even`` and ``rho.odd``.  The
+    quadrature-weighted amplitudes W = dx * psi are symmetric, and
+    dx * rho = W^2, so the natural orbitals are the eigenvectors of W
+    and the occupations are the squares of its eigenvalues, which are
+    those of its two parity blocks.  They come from ``eigvalsh`` of each
+    block, with no eigenvectors; the decomposition keeps the blocks, and
+    its ``orbitals`` unfold their eigenvectors onto the mesh when first
+    read, so every orbital has definite parity.  The blocks, shared with
+    ``rho``, become read-only.
     """
-    dx = rho.grid.spacing
-    n = rho.amplitudes.shape[0]
-    if n % 2 == 0:
-        raise ValueError(f"parity fold needs an odd mesh with a centre point, got {n} points")
-    c = n // 2
-    weighted = dx * rho.amplitudes
-    skew = np.max(np.abs(weighted[c:] - weighted[c::-1, ::-1]))
-    if skew > 1e-10:
-        raise ValueError(f"amplitudes are not parity-symmetric (max deviation {skew:.3e})")
-
-    even, odd = _fold(weighted)
-    asym = max(np.max(np.abs(even - even.T)), np.max(np.abs(odd - odd.T), initial=0.0))
-    if asym > 1e-10:
-        raise ValueError(f"amplitudes are not symmetric (max asymmetry {asym:.3e})")
-    even = 0.5 * (even + even.T)
-    odd = 0.5 * (odd + odd.T)
-    vals = np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd))) ** 2
+    vals = np.concatenate((np.linalg.eigvalsh(rho.even), np.linalg.eigvalsh(rho.odd))) ** 2
     occupations = np.sort(vals)[::-1]
-    for block in (occupations, even, odd):
+    for block in (occupations, rho.even, rho.odd):
         block.setflags(write=False)
-    return NaturalDecomposition(occupations=occupations, even=even, odd=odd, grid=rho.grid)
+    return NaturalDecomposition(occupations=occupations, even=rho.even, odd=rho.odd, grid=rho.grid)
 
 
 def uniform_k_grid(count, span):
@@ -180,7 +201,7 @@ def momentum_distribution(decomposition, k_values):
     (2 pi)^(-1/2) * dx * sum_j psi_i(q_j) exp(-i k q_j).  With
     W = dx * psi and dx * rho = W^2, the sum is (dx / 2 pi) |W f_k|^2,
     f_k = exp(-i k q), which needs no orbital.  In the parity fold of W
-    (``natural_orbitals``) f_k has the real even part a_k = (1,
+    (``DensityMatrix``) f_k has the real even part a_k = (1,
     sqrt(2) cos k x_i) and the imaginary odd part b_k = sqrt(2) sin k x_i,
     i = 1..c, so n(k) = (dx / 2 pi) (|E a_k|^2 + |O b_k|^2) over the
     even and odd blocks E and O.  This is even in k: only the k >= 0
@@ -237,10 +258,8 @@ def von_neumann_entropy(decomposition):
     """
     occ = decomposition.occupations
     occ = occ[(occ >= _ENTROPY_FLOOR) & (np.abs(occ - 1.0) > _ENTROPY_FLOOR)]
-    if occ.size == 0:
-        return 0.0
-    # Occupations above 1 only arise from an unnormalized input; keep
-    # the result non-negative regardless.
+    # No occupation left sums to -0.0, and occupations above 1 only arise
+    # from an unnormalized input; the result is a non-negative float either way.
     value = float(-np.sum(occ * np.log2(occ)))
     return value if value > 0.0 else 0.0
 

@@ -191,6 +191,19 @@ def _fold(m):
     return even, right[1:, 1:] - mirror[1:, 1:]
 
 
+def _unfold(even_part, odd_part):
+    """Parity-symmetric N x N matrix from its even and odd parts on x, y >= 0.
+
+    Its quadrant x, y >= 0 is the sum of the two parts, its quadrant
+    x >= 0 > y their difference with the columns mirrored, and its rows
+    x < 0 the mirror image of the rows x > 0, so m(-x, -y) = m(x, y)
+    holds to the last bit.  The odd part must vanish on y = 0, as the
+    odd fold vectors do (``_half_rows``).
+    """
+    half = np.hstack(((even_part - odd_part)[:, :0:-1], even_part + odd_part))
+    return np.vstack((half[:0:-1, ::-1], half))
+
+
 def _half_rows(even, odd):
     """Rows x >= 0 on the mesh of the even and odd fold-basis vectors.
 
@@ -381,7 +394,6 @@ def ground_state_solver(grid, kappa):
     kappa, t, w = _one_body(grid, kappa)
     e, o, sigma, (even_start, odd_start), at_contact = _shifted_inverse(t, w)
     n = e.shape[0]
-    c_index = grid.center_index
 
     def solve(g1d):
         g1d, c = _contact(grid, g1d)
@@ -401,14 +413,8 @@ def ground_state_solver(grid, kappa):
             raise ConvergenceError(f"{failure}: {exc}") from exc
         energy = sigma + 1.0 / nu[1]
 
-        # The quadrants x, y >= 0 and x >= 0 >= y, then the rows x < 0 as
-        # their mirror image, so psi(-x, -y) = psi(x, y) holds exactly.
-        even_part = e @ vecs[: n * n, 1].reshape(n, n) @ e.T
-        odd_part = o @ vecs[n * n :, 1].reshape(n - 1, n - 1) @ o.T
-        psi = np.empty((grid.n_points, grid.n_points))
-        psi[c_index:, c_index:] = even_part + odd_part
-        psi[c_index:, c_index::-1] = even_part - odd_part
-        psi[c_index - 1 :: -1] = psi[c_index + 1 :, ::-1]
+        psi = _unfold(e @ vecs[: n * n, 1].reshape(n, n) @ e.T,
+                      o @ vecs[n * n :, 1].reshape(n - 1, n - 1) @ o.T)
         psi = 0.5 * (psi + psi.T)
         psi /= math.sqrt(np.sum(psi * psi)) * grid.spacing
         residual = np.linalg.norm(_apply(t, w, c, psi) - energy * psi) * grid.spacing

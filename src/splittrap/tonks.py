@@ -52,14 +52,8 @@ class TonksState:
         return eigenfunction(self.even_orbital, x), eigenfunction(self.odd_orbital, x)
 
     def wavefunction(self, x1, x2):
-        return _slater(self.orbitals(x1), self.orbitals(x2))
-
-
-def _slater(at_x1, at_x2):
-    # |phi_0(x1) phi_1(x2) - phi_0(x2) phi_1(x1)| / sqrt 2 from the two
-    # orbitals at x1 and at x2.
-    (phi0_a, phi1_a), (phi0_b, phi1_b) = at_x1, at_x2
-    return np.abs(phi0_a * phi1_b - phi0_b * phi1_a) / math.sqrt(2.0)
+        (phi0_a, phi1_a), (phi0_b, phi1_b) = self.orbitals(x1), self.orbitals(x2)
+        return np.abs(phi0_a * phi1_b - phi0_b * phi1_a) / math.sqrt(2.0)
 
 
 def tonks_state(kappa):
@@ -94,9 +88,28 @@ def tonks_rspd(kappa, grid=None):
     """Reduced single-particle density matrix of the hard-core pair.
 
     rho(x, x') = integral Psi(x, y) Psi(x', y) dy by trapezoid-equivalent
-    quadrature on the mesh.  The result holds the sampled Psi,
-    re-normalized on the mesh; rho itself is formed only if its
-    ``values`` are read.
+    quadrature on the mesh.  The result holds the two parity blocks of
+    W = dx * Psi (``DensityMatrix``), re-normalized on the mesh; Psi on
+    the whole mesh and rho itself are formed only if they are read.
+
+    The blocks come from the orbitals on the rows x >= 0 alone.  There
+    D(x, y) = A - B and D(x, -y) = -A - B, with A = phi_0(x) phi_1(y) and
+    B = phi_1(x) phi_0(y), because phi_0 is even and phi_1 odd; and
+    |A - B| + |A + B| = 2 max(|A|, |B|), |A - B| - |A + B| =
+    -2 sgn(AB) min(|A|, |B|), as one sees by squaring the sides.  The
+    fold (``dvr._fold``) takes the sum of Psi(x, y) and Psi(x, -y) to
+    the even block and their difference to the odd block, so with
+    Psi = |D| / sqrt(2)
+
+        even = sqrt(2) dx max(|A|, |B|), the row and column of x = 0
+               scaled by sqrt(1/2),
+        odd  = -sqrt(2) dx sgn(AB) min(|A|, |B|) for x, y > 0.
+
+    Both are symmetric exactly.  The fold is orthonormal, so the raw
+    quadrature norm dx^2 sum(Psi^2) is the sum of their squared norms,
+    and that is the Gram determinant of the two orbitals on the mesh,
+    (dx sum phi_0^2)(dx sum phi_1^2), since their mesh overlap vanishes
+    by parity: the norm takes O(N) work, not O(N^2).
 
     Parameters
     ----------
@@ -115,18 +128,26 @@ def tonks_rspd(kappa, grid=None):
     if grid is None:
         grid = default_analysis_grid()
     check_rspd_span(grid)
-    # Each orbital is evaluated once on the mesh; Psi is their outer products.
-    phi0, phi1 = tonks_state(kappa).orbitals(grid.points)
-    psi = _slater((phi0[:, None], phi1[:, None]), (phi0, phi1))
-    raw_norm = np.sum(psi * psi) * grid.spacing**2
+    phi0, phi1 = tonks_state(kappa).orbitals(grid.points[grid.center_index :])
+    # phi_1(0) = 0, so the sqrt(1/2) on the row and the column of x = 0
+    # is phi_0(0)'s.  Then 2 sum(phi0^2) is phi_0's mesh sum over x < 0,
+    # x = 0 and x > 0 together.
+    phi0[0] *= math.sqrt(0.5)
+    raw_norm = 4.0 * grid.spacing**2 * np.sum(phi0 * phi0) * np.sum(phi1 * phi1)
     if abs(raw_norm - 1.0) > _TRACE_ERROR_LIMIT:
         raise GridError(
             f"quadrature norm {raw_norm:.6f} deviates from 1 by more than "
             f"{_TRACE_ERROR_LIMIT}; the mesh is too coarse for the pair density"
         )
-    # Re-normalize on the mesh so the density trace is exact; the raw
-    # deviation above is the mesh-quality signal.
-    return DensityMatrix(psi / math.sqrt(raw_norm), grid)
+    # a = sqrt(2) dx A and a^T = sqrt(2) dx B, re-normalized on the mesh
+    # so the density trace is exact; the raw deviation above is the
+    # mesh-quality signal.  The scale goes on after the product, so that
+    # at kappa = inf, where phi_0 = phi_1 on x >= 0, A = B to the last
+    # bit and Psi(x, y) unfolds to an exact 0 for x, y > 0.
+    a = phi0[:, None] * phi1 * (math.sqrt(2.0) * grid.spacing / math.sqrt(raw_norm))
+    magnitude = np.abs(a)
+    odd = np.copysign(np.minimum(magnitude, magnitude.T), -a * a.T)[1:, 1:]
+    return DensityMatrix(np.maximum(magnitude, magnitude.T), odd, grid)
 
 
 def _momentum_bracket(k2):
@@ -153,18 +174,23 @@ def _momentum_bracket(k2):
     return out
 
 
+def _closed_form(k, density):
+    # density(k^2, bracket) on scalar or array k.
+    karr = np.asarray(k, dtype=float)
+    k2 = karr * karr
+    out = density(k2, _momentum_bracket(k2))
+    return float(out) if karr.ndim == 0 else out
+
+
 def momentum_tg_infinite_barrier(k):
     """Closed-form momentum density of the hard-core pair at kappa = inf.
 
     n(k) = (2 / pi^(3/2)) { [1 - k^2 e^(-k^2/2) M(1/2, 3/2, k^2/2)]^2
                             + (pi/2) k^2 e^(-k^2) }
     """
-    karr = np.asarray(k, dtype=float)
-    scalar = karr.ndim == 0
-    k2 = karr * karr
-    bracket = _momentum_bracket(k2)
-    out = (2.0 / math.pi**1.5) * (bracket**2 + 0.5 * math.pi * k2 * np.exp(-k2))
-    return float(out) if scalar else out
+    return _closed_form(
+        k, lambda k2, bracket: (2.0 / math.pi**1.5) * (bracket**2 + 0.5 * math.pi * k2 * np.exp(-k2))
+    )
 
 
 def momentum_noninteracting_infinite_barrier(k):
@@ -172,9 +198,4 @@ def momentum_noninteracting_infinite_barrier(k):
 
     n(k) = (4 / pi^(3/2)) [1 - k^2 e^(-k^2/2) M(1/2, 3/2, k^2/2)]^2
     """
-    karr = np.asarray(k, dtype=float)
-    scalar = karr.ndim == 0
-    k2 = karr * karr
-    bracket = _momentum_bracket(k2)
-    out = (4.0 / math.pi**1.5) * bracket**2
-    return float(out) if scalar else out
+    return _closed_form(k, lambda k2, bracket: (4.0 / math.pi**1.5) * bracket**2)

@@ -448,7 +448,7 @@ def test_criterion_7_property_suite(solve, tonks_decomposition):
             # whose only occupation is 1.
             phi = decomposition.orbitals[:, i]
             single = analysis.natural_orbitals(
-                analysis.DensityMatrix(np.outer(phi, phi), decomposition.grid)
+                analysis.DensityMatrix.from_amplitudes(np.outer(phi, phi), decomposition.grid)
             )
             weight = analysis.momentum_distribution(single, k).integral
             assert abs(weight - 1.0) <= 1e-4, f"orbital {i}: {weight:.6f}"

@@ -35,7 +35,7 @@ def _synthetic_decomposition(occupations, n_points=5, spacing=0.5):
     for i in range(1, len(occupations)):
         basis[c + i, i] = basis[c - i, i] = math.sqrt(0.5)
     weighted = (basis * np.sqrt(occupations)) @ basis.T
-    rho = analysis.DensityMatrix(weighted / spacing, build_grid(n_points, spacing))
+    rho = analysis.DensityMatrix.from_amplitudes(weighted / spacing, build_grid(n_points, spacing))
     return analysis.natural_orbitals(rho)
 
 
@@ -98,10 +98,11 @@ def test_natural_orbitals_reconstruction(tonks_decomposition):
 
 def test_natural_orbitals_rejects_bad_input():
     # Parity-symmetric but asymmetric: the (0, 1) entry and its mirror (4, 3).
+    # The checked constructor rejects it before natural_orbitals sees it.
     amplitudes = np.eye(5)
     amplitudes[0, 1] = amplitudes[4, 3] = 1.0
     with pytest.raises(ValueError, match="not symmetric"):
-        analysis.natural_orbitals(analysis.DensityMatrix(amplitudes, build_grid(5, 0.5)))
+        analysis.DensityMatrix.from_amplitudes(amplitudes, build_grid(5, 0.5))
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,7 +120,7 @@ def test_natural_orbitals_fold_matches_full_spectrum(half, rank, spacing, seed):
     psi = 0.5 * (psi + psi.T)
     psi = 0.5 * (psi + psi[::-1, ::-1])
     psi /= math.sqrt(np.sum(psi * psi)) * spacing
-    rho = analysis.DensityMatrix(psi, build_grid(n, spacing))
+    rho = analysis.DensityMatrix.from_amplitudes(psi, build_grid(n, spacing))
     decomposition = analysis.natural_orbitals(rho)
 
     occ = decomposition.occupations
@@ -165,7 +166,7 @@ def test_natural_orbitals_small_occupations_exact():
     psi = 0.5 * (psi + psi.T)
     psi = 0.5 * (psi + psi[::-1, ::-1])
 
-    rho = analysis.DensityMatrix(psi, build_grid(n, dx))
+    rho = analysis.DensityMatrix.from_amplitudes(psi, build_grid(n, dx))
     found = analysis.natural_orbitals(rho).occupations
     assert found[:17] == pytest.approx(occupations, rel=1e-8, abs=0.0)
 
@@ -182,11 +183,12 @@ def test_observables_never_form_the_density_matrix(solve):
 
 
 def test_natural_orbitals_rejects_parity_breaking_input():
+    # The checked constructor rejects both before natural_orbitals sees them.
     amplitudes = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
     with pytest.raises(ValueError, match="parity"):
-        analysis.natural_orbitals(analysis.DensityMatrix(amplitudes, build_grid(5, 0.5)))
+        analysis.DensityMatrix.from_amplitudes(amplitudes, build_grid(5, 0.5))
     with pytest.raises(ValueError, match="odd mesh"):
-        analysis.natural_orbitals(analysis.DensityMatrix(np.eye(4), Grid(4, 0.5)))
+        analysis.DensityMatrix.from_amplitudes(np.eye(4), Grid(4, 0.5))
 
 
 def test_tonks_zero_barrier_occupations(tonks_decomposition):

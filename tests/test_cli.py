@@ -861,6 +861,20 @@ def test_cli_module_runs_clean_under_warnings_as_errors():
     assert "usage: splittrap" in proc.stdout
 
 
+def test_cli_tonks_observables_form_no_full_mesh_array(capsys, monkeypatch):
+    # Entropy, Schmidt number and momentum read the two half-size parity
+    # blocks alone.  Psi and rho on the whole mesh are N x N: reading
+    # either on this path fails the run.
+    def forbidden(self):
+        raise AssertionError("an N x N array was formed")
+
+    monkeypatch.setattr(analysis.DensityMatrix, "amplitudes", property(forbidden))
+    monkeypatch.setattr(analysis.DensityMatrix, "values", property(forbidden))
+    assert main(["tonks", "--kappa", "0", "3.3", "inf", "--k-points", "41",
+                 "--outputs", "energy,entropy,schmidt,momentum", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["points"]) == 3
+
+
 def test_cli_import_leaves_out_scipy_integrate():
     proc = _fresh_python(
         "-c", "import sys, splittrap.cli; print('scipy.integrate' in sys.modules)")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import quad
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from splittrap import analysis, dvr, specfun, tonks
@@ -361,7 +362,8 @@ def _separated_entropy(g, n_points, spacing):
     i = np.arange(n_points)
     psi = centre[i[:, None] + i] * relative[i[:, None] - i + n_points - 1]
     psi /= math.sqrt(np.sum(psi * psi)) * spacing
-    return analysis.von_neumann_entropy(analysis.natural_orbitals(analysis.DensityMatrix(psi, grid)))
+    rho = analysis.DensityMatrix.from_amplitudes(psi, grid)
+    return analysis.von_neumann_entropy(analysis.natural_orbitals(rho))
 
 
 @functools.cache
@@ -481,3 +483,26 @@ def test_tg_proxy_zero_barrier_on_refined_mesh(solve):
     # and the renormalized mesh error is far smaller, so the refined
     # mesh must land inside the 0.02 window.
     assert solve(0.0, 500.0, 161, 0.08).energy == pytest.approx(2.0, abs=0.02)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 3.3, 10.0])
+def test_weak_coupling_energy_is_first_order_in_the_contact(kappa):
+    # E(g) = 2 eps_0(kappa) + g int phi_0^4 dx + O(g^2): the contact shifts
+    # the product ground state phi_0(x) phi_0(y) by g int phi_0(x)^4 dx at
+    # first order.  A two-g fit on 161/0.08, E = e + s g through g and 2g:
+    #   s = (E(2g) - E(g)) / g,   e = E(g) - s g.
+    # The O(g^2) term c g^2 biases s by 3 c g, c = -0.11 to -0.46 here:
+    # measured s / int phi_0^4 - 1 = -8.3e-5, -1.2e-4, -2.0e-4, -4.6e-4 at
+    # g = 1e-4, and the mesh moves e - 2 eps_0 to 2.2e-9, 3.3e-6, 1.3e-5,
+    # 2.0e-5 for kappa = 0, 1, 3.3, 10.
+    g = 1e-4
+    solve = dvr.ground_state_solver(build_grid(161, 0.08), kappa)
+    e_g, e_2g = solve(g).energy, solve(2.0 * g).energy
+    slope = (e_2g - e_g) / g
+    intercept = e_g - slope * g
+    level = even_state(kappa, 0)
+    # phi_0 is even and smooth on x > 0; phi_0^4 < 1e-120 past x = 12.
+    quartic = 2.0 * quad(lambda x: eigenfunction(level, x) ** 4, 0.0, 12.0,
+                         epsabs=1e-14, epsrel=1e-13)[0]
+    assert abs(intercept - 2.0 * level.energy) <= 4e-5
+    assert abs(slope / quartic - 1.0) <= 1e-3

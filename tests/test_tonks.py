@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from splittrap import analysis, tonks
+from splittrap import analysis, dvr, tonks
 from splittrap.dvr import GridError, build_grid
 from splittrap.single_particle import even_state, odd_energy, spectrum
 
@@ -98,6 +98,26 @@ def test_rspd_infinite_barrier_quadrants_vanish():
     x = rho.grid.points
     negative_quadrant = np.outer(x, x) < 0.0
     assert np.all(rho.values[negative_quadrant] == 0.0)
+
+
+@pytest.mark.parametrize("n_points, spacing", [(161, 0.08), (1201, 0.01)])
+@pytest.mark.parametrize("kappa", [0.0, 3.3, 42.12, pytest.param(math.inf, id="kappa3")])
+def test_rspd_blocks_match_fold_of_sampled_pair(n_points, spacing, kappa):
+    # Oracle: Psi sampled on the whole mesh by TonksState.wavefunction,
+    # normalized there and folded as dx * Psi; tonks_rspd builds the same
+    # two blocks from the orbitals on x >= 0 alone.
+    grid = build_grid(n_points, spacing)
+    q = grid.points
+    psi = tonks.tonks_state(kappa).wavefunction(q[:, None], q[None, :])
+    psi /= math.sqrt(np.sum(psi * psi)) * spacing
+    even, odd = dvr._fold(spacing * psi)
+    rho = tonks.tonks_rspd(kappa, grid)
+    assert np.max(np.abs(rho.even - even)) <= 1e-15
+    assert np.max(np.abs(rho.odd - odd)) <= 1e-15
+    expected = np.sort(np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd))) ** 2)
+    occupations = analysis.natural_orbitals(rho).occupations
+    assert np.max(np.abs(occupations - expected[::-1])) <= 1e-14
+    assert np.max(np.abs(rho.amplitudes - psi)) <= 1e-15
 
 
 def test_rspd_rejects_small_span():
