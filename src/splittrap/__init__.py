@@ -16,12 +16,11 @@ _NAMES = {
                  "momentum_distribution", "natural_orbitals", "rspd_from_state",
                  "schmidt_number", "uniform_k_grid", "von_neumann_entropy"),
     "dvr": ("ConvergenceError", "Grid", "GridError", "TwoBodyState", "apply_hamiltonian",
-            "build_grid", "ground_state", "ground_state_solver", "kinetic_matrix"),
+            "build_grid", "ground_state", "ground_state_solver"),
     "single_particle": ("BracketError", "EigenState", "eigenfunction", "even_energy",
                         "even_state", "odd_energy", "spectrum"),
-    "tonks": ("TonksState", "default_analysis_grid", "momentum_noninteracting_infinite_barrier",
-              "momentum_tg_infinite_barrier", "tonks_energy", "tonks_rspd", "tonks_state",
-              "tonks_wavefunction"),
+    "tonks": ("TonksState", "momentum_noninteracting_infinite_barrier",
+              "momentum_tg_infinite_barrier", "tonks_energy", "tonks_rspd", "tonks_state"),
     "units": ("ConfinementResonanceError", "g1d_from_physical"),
 }
 _MODULE = {name: module for module, names in _NAMES.items() for name in names}

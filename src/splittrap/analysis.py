@@ -110,10 +110,6 @@ class DensityMatrix:
         rho = self.grid.spacing * (psi @ psi.T)
         return 0.5 * (rho + rho.T)
 
-    @property
-    def trace(self):
-        return float(np.sum(self.even * self.even) + np.sum(self.odd * self.odd))
-
 
 @dataclass(frozen=True, eq=False)
 class NaturalDecomposition:
@@ -153,10 +149,6 @@ class MomentumDistribution:
     k_values: np.ndarray
     densities: np.ndarray
     retained_orbitals: int
-
-    @property
-    def integral(self):
-        return float(np.trapezoid(self.densities, self.k_values))
 
 
 def rspd_from_state(state):

@@ -86,7 +86,7 @@ def _evaluate_point(args, solve, kappa, g1d):
             state = tonks.tonks_state(kappa)
             if "energy" in args.outputs:
                 record["energy"] = state.pair_energy
-            rho = tonks.tonks_rspd(kappa, args.grid) if wants_density else None
+            rho = tonks.tonks_rspd(state, args.grid) if wants_density else None
         else:
             state = solve(g1d)
             if "energy" in args.outputs:
@@ -369,10 +369,8 @@ def _check_flags(args):
             raise ValueError("two points are labelled kappa = {}, g1d = {}: their sidecar "
                              "files would share a name".format(*repeated[0]))
 
-    if args.command == "tonks":
-        mesh = tonks.DEFAULT_ANALYTIC_POINTS, tonks.DEFAULT_ANALYTIC_SPACING
-    else:
-        mesh = (61 if wants_momentum else 81), 0.16
+    # The library takes its mesh from the caller; the default meshes live here alone.
+    mesh = (161, 0.08) if args.command == "tonks" else ((61 if wants_momentum else 81), 0.16)
     args.n_points = mesh[0] if args.n_points is None else args.n_points
     args.dx = mesh[1] if args.dx is None else args.dx
     args.grid = dvr.build_grid(args.n_points, args.dx)

@@ -129,19 +129,12 @@ def build_grid(n_points, spacing):
     return Grid(n_points, spacing)
 
 
-def kinetic_matrix(grid):
-    """One-particle sinc-DVR kinetic matrix (1/2 d^2/dx^2 included).
-
-    T is Toeplitz, T_ij = row[|i - j|], so it is gathered from its first row.
-    """
-    m = np.arange(grid.n_points)
-    row = (-1.0) ** m / np.maximum(m, 1).astype(float) ** 2
-    row[0] = math.pi**2 / 6.0
-    return row[np.abs(m[:, None] - m[None, :])] / grid.spacing**2
-
-
 def _one_body(grid, kappa):
-    """Validated kappa and the one-body operator h = T + diag(w); returns (kappa, T, w)."""
+    """Validated kappa and the one-body operator h = T + diag(w); returns (kappa, T, w).
+
+    T is the sinc-DVR kinetic matrix (1/2 d^2/dx^2 included).  It is
+    Toeplitz, T_ij = row[|i - j|], so it is gathered from its first row.
+    """
     kappa = check_coupling(kappa, "kappa")
     dx = grid.spacing
     if math.isinf(kappa):
@@ -150,7 +143,10 @@ def _one_body(grid, kappa):
         kappa_eff = kappa / (1.0 + 2.0 * kappa * dx / math.pi**2)
     w = 0.5 * grid.points**2
     w[grid.center_index] += kappa_eff / dx
-    return kappa, kinetic_matrix(grid), w
+    m = np.arange(grid.n_points)
+    row = (-1.0) ** m / np.maximum(m, 1).astype(float) ** 2
+    row[0] = math.pi**2 / 6.0
+    return kappa, row[np.abs(m[:, None] - m[None, :])] / dx**2, w
 
 
 def _contact(grid, g1d):

@@ -67,7 +67,7 @@ def check_coupling(value, name="kappa"):
 
     kappa = inf is the impenetrable barrier, g1d = inf the hard core.
     Raises ValueError for text that is not a number, NaN and negative
-    values.
+    values; -0 reads as 0.
     """
     try:
         number = float(value)
@@ -75,7 +75,8 @@ def check_coupling(value, name="kappa"):
         raise ValueError(f"invalid {name} {value!r}") from exc
     if not number >= 0.0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
-    return number
+    # abs clears the sign bit of -0.0, which would otherwise print as "-0".
+    return abs(number)
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,6 @@ class EigenState:
     n: int
     energy: float
     kappa: float
-
-    def wavefunction(self, x):
-        return eigenfunction(self, x)
 
 
 def _even_h(energy, kappa):

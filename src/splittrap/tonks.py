@@ -7,8 +7,11 @@ single-particle levels,
     Psi(x1, x2) = |phi_0(x1) phi_1(x2) - phi_0(x2) phi_1(x1)| / sqrt(2),
 
 valid for every barrier strength including the infinite-barrier limit.
-The module also carries the two closed-form momentum distributions of
-the infinite-barrier limit (hard-core pair and non-interacting pair).
+``tonks_state`` solves the two levels once; ``tonks_rspd`` takes that
+state and the mesh the caller names, so a point's energy and its
+density matrix share one solve.  The module also carries the two
+closed-form momentum distributions of the infinite-barrier limit
+(hard-core pair and non-interacting pair).
 """
 
 import math
@@ -18,19 +21,11 @@ import numpy as np
 
 from . import specfun
 from .analysis import DensityMatrix
-from .dvr import GridError, build_grid
+from .dvr import GridError
 from .single_particle import EigenState, eigenfunction, spectrum
 
 _MIN_RSPD_SPAN = 6.0
 _TRACE_ERROR_LIMIT = 1e-3
-
-DEFAULT_ANALYTIC_POINTS = 161
-DEFAULT_ANALYTIC_SPACING = 0.08
-
-
-def default_analysis_grid():
-    """Mesh used for analytic-route observables: 161 points, dx = 0.08."""
-    return build_grid(DEFAULT_ANALYTIC_POINTS, DEFAULT_ANALYTIC_SPACING)
 
 
 @dataclass(frozen=True)
@@ -52,6 +47,7 @@ class TonksState:
         return eigenfunction(self.even_orbital, x), eigenfunction(self.odd_orbital, x)
 
     def wavefunction(self, x1, x2):
+        """Pair wavefunction at coordinates x1, x2 (scalars or arrays)."""
         (phi0_a, phi1_a), (phi0_b, phi1_b) = self.orbitals(x1), self.orbitals(x2)
         return np.abs(phi0_a * phi1_b - phi0_b * phi1_a) / math.sqrt(2.0)
 
@@ -70,11 +66,6 @@ def tonks_energy(kappa):
     return tonks_state(kappa).pair_energy
 
 
-def tonks_wavefunction(kappa, x1, x2):
-    """Hard-core pair wavefunction at coordinates x1, x2 (scalars or arrays)."""
-    return tonks_state(kappa).wavefunction(x1, x2)
-
-
 def check_rspd_span(grid):
     """Raise GridError if ``grid`` does not cover [-6, 6], the span the pair density needs."""
     if grid.span < _MIN_RSPD_SPAN - 1e-12:
@@ -84,7 +75,7 @@ def check_rspd_span(grid):
         )
 
 
-def tonks_rspd(kappa, grid=None):
+def tonks_rspd(state, grid):
     """Reduced single-particle density matrix of the hard-core pair.
 
     rho(x, x') = integral Psi(x, y) Psi(x', y) dy by trapezoid-equivalent
@@ -113,11 +104,11 @@ def tonks_rspd(kappa, grid=None):
 
     Parameters
     ----------
-    kappa : float
-        Barrier strength, >= 0; math.inf is the impenetrable barrier.
-    grid : Grid, optional
-        Symmetric mesh covering at least [-6, 6]; defaults to the
-        161-point, dx = 0.08 analysis mesh.
+    state : TonksState
+        The pair at one barrier strength, as ``tonks_state`` returns it.
+    grid : Grid
+        Symmetric mesh covering at least [-6, 6]; the CLI's default for
+        this route is 161 points at dx = 0.08.
 
     Raises
     ------
@@ -125,10 +116,8 @@ def tonks_rspd(kappa, grid=None):
         If the mesh does not cover [-6, 6], or is so coarse that the
         quadrature trace misses 1 by more than 1e-3.
     """
-    if grid is None:
-        grid = default_analysis_grid()
     check_rspd_span(grid)
-    phi0, phi1 = tonks_state(kappa).orbitals(grid.points[grid.center_index :])
+    phi0, phi1 = state.orbitals(grid.points[grid.center_index :])
     # phi_1(0) = 0, so the sqrt(1/2) on the row and the column of x = 0
     # is phi_0(0)'s.  Then 2 sum(phi0^2) is phi_0's mesh sum over x < 0,
     # x = 0 and x > 0 together.

@@ -14,6 +14,8 @@ from splittrap import analysis, dvr, tonks
 
 _STATES = {}
 _TONKS_DECOMPS = {}
+# The CLI's default mesh for the analytic route.
+_TONKS_GRID = dvr.build_grid(161, 0.08)
 
 
 def _solve(kappa, g1d, n_points=81, spacing=0.16):
@@ -27,7 +29,8 @@ def _solve(kappa, g1d, n_points=81, spacing=0.16):
 def _tonks_decomposition(kappa):
     key = float(kappa)
     if key not in _TONKS_DECOMPS:
-        _TONKS_DECOMPS[key] = analysis.natural_orbitals(tonks.tonks_rspd(kappa))
+        rho = tonks.tonks_rspd(tonks.tonks_state(kappa), _TONKS_GRID)
+        _TONKS_DECOMPS[key] = analysis.natural_orbitals(rho)
     return _TONKS_DECOMPS[key]
 
 
@@ -39,5 +42,11 @@ def solve():
 
 @pytest.fixture(scope="session")
 def tonks_decomposition():
-    """Cached natural-orbital decomposition of the analytic pair."""
+    """Cached natural-orbital decomposition of the analytic pair on ``tonks_grid``."""
     return _tonks_decomposition
+
+
+@pytest.fixture(scope="session")
+def tonks_grid():
+    """The 161-point, dx = 0.08 mesh of the analytic route."""
+    return _TONKS_GRID

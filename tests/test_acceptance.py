@@ -8,6 +8,7 @@ keeps the stated tolerance rather than widening it.  README.md lists
 the numbers.
 """
 
+import functools
 import math
 import tempfile
 import time
@@ -20,11 +21,17 @@ from scipy.special import dawsn
 from splittrap import analysis, dvr, specfun, tonks
 from splittrap.cli import main
 from splittrap.single_particle import (
+    eigenfunction,
     even_energy,
     even_state,
     odd_energy,
     spectrum,
 )
+
+
+def _weight(dist):
+    # Trapezoid integral of a momentum distribution over its k grid.
+    return float(np.trapezoid(dist.densities, dist.k_values))
 
 
 def _finish(number, ok, detail, started, budget):
@@ -102,7 +109,8 @@ def test_criterion_5_entropy_landmarks():
 
     def entropy(kappa):
         if kappa not in cache:
-            decomposition = analysis.natural_orbitals(tonks.tonks_rspd(kappa, grid))
+            rho = tonks.tonks_rspd(tonks.tonks_state(kappa), grid)
+            decomposition = analysis.natural_orbitals(rho)
             cache[kappa] = analysis.von_neumann_entropy(decomposition)
         return cache[kappa]
 
@@ -127,7 +135,7 @@ def test_criterion_5_entropy_landmarks():
     else:
         peak = float(scan[top])
 
-    hard = analysis.natural_orbitals(tonks.tonks_rspd(math.inf, grid))
+    hard = analysis.natural_orbitals(tonks.tonks_rspd(tonks.tonks_state(math.inf), grid))
     s_inf = analysis.von_neumann_entropy(hard)
     schmidt = analysis.schmidt_number(hard)
 
@@ -147,13 +155,13 @@ def test_criterion_5_entropy_landmarks():
     _finish(5, ok, detail, started, 120.0)
 
 
-def test_criterion_6_momentum_profiles(solve):
+def test_criterion_6_momentum_profiles(solve, tonks_grid):
     started = time.perf_counter()
     k_cmp = analysis.uniform_k_grid(401, 4.0)
     hard_profile = tonks.momentum_tg_infinite_barrier(k_cmp)
     free_profile = tonks.momentum_noninteracting_infinite_barrier(k_cmp)
 
-    analytic = analysis.natural_orbitals(tonks.tonks_rspd(10.0))
+    analytic = analysis.natural_orbitals(tonks.tonks_rspd(tonks.tonks_state(10.0), tonks_grid))
     decomps = {
         (kappa, g): analysis.natural_orbitals(
             analysis.rspd_from_state(solve(kappa, g, 61, 0.16))
@@ -194,10 +202,10 @@ def test_criterion_6_momentum_profiles(solve):
     k_analytic = analysis.uniform_k_grid(4001, 39.25)
     k_grid_route = analysis.uniform_k_grid(2001, 19.6)
     integral_devs = [
-        abs(analysis.momentum_distribution(analytic, k_analytic).integral - 1.0)
+        abs(_weight(analysis.momentum_distribution(analytic, k_analytic)) - 1.0)
     ]
     integral_devs += [
-        abs(analysis.momentum_distribution(dec, k_grid_route).integral - 1.0)
+        abs(_weight(analysis.momentum_distribution(dec, k_grid_route)) - 1.0)
         for dec in decomps.values()
     ]
 
@@ -230,7 +238,7 @@ def test_criterion_6_momentum_profiles(solve):
     _finish(6, ok, detail, started, 120.0)
 
 
-def test_criterion_7_property_suite(solve, tonks_decomposition):
+def test_criterion_7_property_suite(solve, tonks_decomposition, tonks_grid):
     started = time.perf_counter()
     failures = []
     checks = []
@@ -304,7 +312,7 @@ def test_criterion_7_property_suite(solve, tonks_decomposition):
         for kappa in (0.5, 1.0, 5.0, 10.0):
             for j in (0, 1):
                 state = even_state(kappa, j)
-                phi = state.wavefunction
+                phi = functools.partial(eigenfunction, state)
                 right = (-3 * phi(0.0) + 4 * phi(h) - phi(2 * h)) / (2 * h)
                 left = (3 * phi(0.0) - 4 * phi(-h) + phi(-2 * h)) / (2 * h)
                 jump = right - left
@@ -317,7 +325,7 @@ def test_criterion_7_property_suite(solve, tonks_decomposition):
         xs = np.arange(-12.0, 12.0 + 1e-9, 4e-3)
         for kappa in (0.0, 1.0, 10.0):
             states = spectrum(kappa, 6)
-            table = np.array([s.wavefunction(xs) for s in states])
+            table = np.array([eigenfunction(s, xs) for s in states])
             gram = simpson(table[:, None, :] * table[None, :, :], x=xs, axis=2)
             worst = np.max(np.abs(gram - np.eye(6)))
             assert worst <= 1e-8, f"kappa={kappa:g}: {worst:.1e}"
@@ -343,13 +351,13 @@ def test_criterion_7_property_suite(solve, tonks_decomposition):
 
     def rspd_positive():
         for kappa in (0.0, 1.0, 5.0, 10.0):
-            rho = tonks.tonks_rspd(kappa)
+            rho = tonks.tonks_rspd(tonks.tonks_state(kappa), tonks_grid)
             low = float(np.min(np.linalg.eigvalsh(rho.values) * rho.grid.spacing))
             assert low >= -1e-10, f"kappa={kappa:g}: {low:.1e}"
 
     def hard_core_momentum_routes():
         k = analysis.uniform_k_grid(301, 6.0)
-        hard = analysis.natural_orbitals(tonks.tonks_rspd(math.inf))
+        hard = analysis.natural_orbitals(tonks.tonks_rspd(tonks.tonks_state(math.inf), tonks_grid))
         transform = analysis.momentum_distribution(hard, k).densities
         sup = float(np.max(np.abs(transform - tonks.momentum_tg_infinite_barrier(k))))
         assert sup <= 0.02, f"sup {sup:.1e}"
@@ -428,7 +436,7 @@ def test_criterion_7_property_suite(solve, tonks_decomposition):
 
     # --- observables --------------------------------------------------------
     def reconstruction():
-        rho = tonks.tonks_rspd(1.0)
+        rho = tonks.tonks_rspd(tonks.tonks_state(1.0), tonks_grid)
         decomposition = analysis.natural_orbitals(rho)
         rebuilt = (decomposition.orbitals * decomposition.occupations) @ decomposition.orbitals.T
         sup = float(np.max(np.abs(rebuilt - rho.values)))
@@ -450,7 +458,7 @@ def test_criterion_7_property_suite(solve, tonks_decomposition):
             single = analysis.natural_orbitals(
                 analysis.DensityMatrix.from_amplitudes(np.outer(phi, phi), decomposition.grid)
             )
-            weight = analysis.momentum_distribution(single, k).integral
+            weight = _weight(analysis.momentum_distribution(single, k))
             assert abs(weight - 1.0) <= 1e-4, f"orbital {i}: {weight:.6f}"
 
     def entropy_bounds():

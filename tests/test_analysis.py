@@ -42,7 +42,8 @@ def _synthetic_decomposition(occupations, n_points=5, spacing=0.5):
 def test_rspd_from_product_state(solve):
     state = solve(0.0, 0.0)
     rho = analysis.rspd_from_state(state)
-    assert rho.trace == pytest.approx(1.0, abs=1e-10)
+    trace = np.sum(rho.even * rho.even) + np.sum(rho.odd * rho.odd)
+    assert trace == pytest.approx(1.0, abs=1e-10)
     q = state.grid.points
     phi0 = math.pi**-0.25 * np.exp(-0.5 * q * q)
     assert np.max(np.abs(rho.values - np.outer(phi0, phi0))) <= 1e-8
@@ -53,12 +54,12 @@ def test_rspd_from_product_state(solve):
 
 def test_rspd_strong_coupling_matches_analytic_route(solve):
     grid_rho = analysis.rspd_from_state(solve(0.0, 500.0))
-    analytic_rho = tonks.tonks_rspd(0.0, build_grid(81, 0.16))
+    analytic_rho = tonks.tonks_rspd(tonks.tonks_state(0.0), build_grid(81, 0.16))
     sup = np.max(np.abs(grid_rho.values - analytic_rho.values))
     assert sup <= 0.02
 
 
-def test_off_diagonal_quadrant_mass(solve):
+def test_off_diagonal_quadrant_mass(solve, tonks_grid):
     # The exact infinite-barrier quadrants vanish identically.  At
     # kappa = 10 tunnelling still leaves absolute quadrant mass; the
     # grid route at g = 500 must reproduce the analytic hard-core value
@@ -70,10 +71,10 @@ def test_off_diagonal_quadrant_mass(solve):
         return float(np.sum(np.abs(rho.values)[mask])) * rho.grid.spacing**2
 
     grid_mass = quadrant_mass(analysis.rspd_from_state(solve(10.0, 500.0)))
-    analytic_mass = quadrant_mass(tonks.tonks_rspd(10.0, build_grid(81, 0.16)))
+    analytic_mass = quadrant_mass(tonks.tonks_rspd(tonks.tonks_state(10.0), build_grid(81, 0.16)))
     assert abs(grid_mass - analytic_mass) <= 0.02
 
-    exact = tonks.tonks_rspd(math.inf)
+    exact = tonks.tonks_rspd(tonks.tonks_state(math.inf), tonks_grid)
     exact_mask = np.outer(exact.grid.points, exact.grid.points) < 0.0
     assert np.all(exact.values[exact_mask] == 0.0)
 
@@ -89,9 +90,9 @@ def test_natural_orbitals_spectral_properties(tonks_decomposition):
     assert np.max(np.abs(overlaps - np.eye(overlaps.shape[0]))) <= 1e-6
 
 
-def test_natural_orbitals_reconstruction(tonks_decomposition):
+def test_natural_orbitals_reconstruction(tonks_decomposition, tonks_grid):
     decomposition = tonks_decomposition(1.0)
-    rho = tonks.tonks_rspd(1.0)
+    rho = tonks.tonks_rspd(tonks.tonks_state(1.0), tonks_grid)
     recon = (decomposition.orbitals * decomposition.occupations) @ decomposition.orbitals.T
     assert np.max(np.abs(recon - rho.values)) <= 1e-8
 
@@ -138,7 +139,7 @@ def test_natural_orbitals_fold_matches_full_spectrum(half, rank, spacing, seed):
 
 @pytest.mark.parametrize("kappa", [0.0, 3.3, pytest.param(math.inf, id="kappa2")])
 def test_natural_orbitals_fold_matches_full_eigh_on_tonks(kappa):
-    rho = tonks.tonks_rspd(kappa, build_grid(401, 0.03))
+    rho = tonks.tonks_rspd(tonks.tonks_state(kappa), build_grid(401, 0.03))
     folded = analysis.natural_orbitals(rho)
     full = _full_eigh_decomposition(rho)
     np.testing.assert_allclose(folded.occupations, full.occupations, rtol=0.0, atol=1e-12)
@@ -174,7 +175,8 @@ def test_natural_orbitals_small_occupations_exact():
 def test_observables_never_form_the_density_matrix(solve):
     grid = build_grid(1201, 0.01)
     k = analysis.uniform_k_grid(41, 8.0)
-    for rho in (tonks.tonks_rspd(3.3, grid), analysis.rspd_from_state(solve(1.0, 1.0))):
+    analytic = tonks.tonks_rspd(tonks.tonks_state(3.3), grid)
+    for rho in (analytic, analysis.rspd_from_state(solve(1.0, 1.0))):
         decomposition = analysis.natural_orbitals(rho)
         analysis.von_neumann_entropy(decomposition)
         analysis.schmidt_number(decomposition)
@@ -240,13 +242,13 @@ def test_momentum_distribution_basic_properties(tonks_decomposition):
 
 
 @pytest.mark.parametrize("count", [401, 400])
-def test_momentum_distribution_matches_complex_phase_sum(tonks_decomposition, count):
+def test_momentum_distribution_matches_complex_phase_sum(tonks_decomposition, tonks_grid, count):
     decomposition = tonks_decomposition(1.0)
     k = analysis.uniform_k_grid(count, 8.0)
     dist = analysis.momentum_distribution(decomposition, k)
     # Oracle: the complex-phase quadrature over the whole k grid, summed
     # over every orbital of one eigh of the full density matrix.
-    full = _full_eigh_decomposition(tonks.tonks_rspd(1.0))
+    full = _full_eigh_decomposition(tonks.tonks_rspd(tonks.tonks_state(1.0), tonks_grid))
     dx = full.grid.spacing
     phases = np.exp(-1j * np.outer(k, full.grid.points))
     mu = phases @ full.orbitals * (dx / math.sqrt(2.0 * math.pi))
@@ -276,7 +278,7 @@ def test_momentum_integral_on_nyquist_window_analytic(tonks_decomposition, kappa
     dx = decomposition.grid.spacing
     k = analysis.uniform_k_grid(2 * decomposition.grid.n_points + 1, math.pi / dx)
     dist = analysis.momentum_distribution(decomposition, k)
-    assert dist.integral == pytest.approx(1.0, abs=1e-4)
+    assert np.trapezoid(dist.densities, dist.k_values) == pytest.approx(1.0, abs=1e-4)
 
 
 @pytest.mark.parametrize("kappa,g", [(1.0, 1.0), (10.0, 500.0)])
@@ -285,7 +287,7 @@ def test_momentum_integral_on_nyquist_window_grid_route(solve, kappa, g):
     dx = decomposition.grid.spacing
     k = analysis.uniform_k_grid(2 * decomposition.grid.n_points + 1, math.pi / dx)
     dist = analysis.momentum_distribution(decomposition, k)
-    assert dist.integral == pytest.approx(1.0, abs=1e-4)
+    assert np.trapezoid(dist.densities, dist.k_values) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_parseval_per_orbital(tonks_decomposition):

@@ -20,7 +20,7 @@ from scipy.constants import hbar
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import splittrap
-from splittrap import analysis, dvr, tonks
+from splittrap import analysis, dvr, single_particle, tonks
 from splittrap import cli
 from splittrap.cli import (
     _fmt_value,
@@ -348,7 +348,7 @@ def test_cli_matrix_and_curve_sidecars(tmp_path):
     assert np.trapezoid(curve[:, 1], curve[:, 0]) == pytest.approx(1.0, abs=5e-3)
 
 
-def test_cli_tonks_json_momentum_per_point(tmp_path):
+def test_cli_tonks_json_momentum_per_point(tmp_path, tonks_grid):
     # Each point carries the curve of its own barrier, and a repeated
     # kappa gets a curve of its own.
     out = tmp_path / "tg.json"
@@ -359,7 +359,7 @@ def test_cli_tonks_json_momentum_per_point(tmp_path):
     assert [p["kappa"] for p in points] == kappas
     k = analysis.uniform_k_grid(41, 8.0)
     for point in points:
-        rho = tonks.tonks_rspd(float(point["kappa"]))
+        rho = tonks.tonks_rspd(tonks.tonks_state(float(point["kappa"])), tonks_grid)
         dist = analysis.momentum_distribution(analysis.natural_orbitals(rho), k)
         assert point["momentum"] == {
             "k": [float(f"{v:.12g}") for v in k],
@@ -471,6 +471,38 @@ def test_cli_rejects_points_that_share_a_sidecar_name(tmp_path, capsys, monkeypa
     assert captured.err == (f"error: two points are labelled kappa = {label}: "
                             "their sidecar files would share a name\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_negative_zero_coupling_reads_as_zero(tmp_path, capsys):
+    # -0 is the coupling 0 and is labelled "0", so with sidecars
+    # "--kappa -0 0" names one point twice.
+    assert main(["tonks", "--kappa", "-0", "0", "--outputs", "energy"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "0"]
+    assert main(["dvr", "--kappa", "0", "--g1d", "-0", "--format", "json"]) == 0
+    text = capsys.readouterr().out
+    assert '"g1d": 0.0,' in text
+    assert math.copysign(1.0, json.loads(text)["points"][0]["g1d"]) == 1.0
+    assert main(["tonks", "--kappa", "-0", "0", "--outputs", "energy,rspd",
+                 "--out", str(tmp_path / "x.csv")]) == 1
+    assert "two points are labelled kappa = 0, g1d = inf" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_tonks_point_solves_its_levels_once(capsys, monkeypatch):
+    # The density matrix is built from the state solved for the energy:
+    # one even-level bisection per finite-barrier point.
+    calls = []
+    even_energy = single_particle.even_energy
+
+    def counted(*args):
+        calls.append(args)
+        return even_energy(*args)
+
+    monkeypatch.setattr(single_particle, "even_energy", counted)
+    assert main(["tonks", "--kappa", "0.5", "3.3", "42", "--outputs", "energy,entropy"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    assert len(calls) == 3
 
 
 def test_cli_momentum_grid_checked_before_any_point(tmp_path, capsys):
@@ -684,8 +716,9 @@ def test_coupling_parser_accepts_exactly_non_negative(value):
         with pytest.raises(ValueError, match="invalid coupling value"):
             _couplings_from_flags(token)
         return
-    assert _couplings_from_flags(token) == [value]
-    label = _fmt_value(value)
+    (parsed,) = _couplings_from_flags(token)
+    assert parsed == value
+    label = _fmt_value(parsed)
     (again,) = _couplings_from_flags(label)
     assert _fmt_value(again) == label
     assert again == pytest.approx(value, rel=5e-12, abs=0.0)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad, trapezoid
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from splittrap import analysis, dvr, specfun, tonks
@@ -43,7 +43,7 @@ def test_build_grid_rejects_bad_mesh(n_points, spacing):
 
 def test_kinetic_matrix_elements():
     grid = build_grid(5, 0.5)
-    t = dvr.kinetic_matrix(grid)
+    _, t, _ = dvr._one_body(grid, 0.0)
     assert t[0, 0] == pytest.approx(math.pi**2 / 6.0 / 0.25)
     assert t[0, 1] == pytest.approx(-1.0 / 0.25)
     assert t[0, 2] == pytest.approx(1.0 / (4.0 * 0.25))
@@ -506,3 +506,41 @@ def test_weak_coupling_energy_is_first_order_in_the_contact(kappa):
                          epsabs=1e-14, epsrel=1e-13)[0]
     assert abs(intercept - 2.0 * level.energy) <= 4e-5
     assert abs(slope / quartic - 1.0) <= 1e-3
+
+
+def _tonks_wronskian_weight(kappa):
+    # alpha = 2 int Wr^2 dy, with Wr(x) = 2 (E_0 - E_1) int_{-inf}^x phi_0 phi_1 dy
+    # the Wronskian of the two Tonks orbitals (its derivative is
+    # 2 (E_0 - E_1) phi_0 phi_1), by the trapezoid rule on [-12, 12].
+    x = np.linspace(-12.0, 12.0, 240001)
+    state = tonks.tonks_state(kappa)
+    phi0, phi1 = state.orbitals(x)
+    split = state.even_orbital.energy - state.odd_orbital.energy
+    wronskian = 2.0 * split * cumulative_trapezoid(phi0 * phi1, x, initial=0.0)
+    return 2.0 * trapezoid(wronskian * wronskian, x)
+
+
+def test_tonks_wronskian_weight_zero_barrier_closed_form():
+    # At kappa = 0 the strong-coupling weight alpha = 2 int Wr^2 dy of the
+    # oscillator pair is 2 sqrt(2/pi), the hard-core end of the Busch
+    # relation; measured 1.7e-9 relative on this quadrature.
+    expected = 2.0 * math.sqrt(2.0 / math.pi)
+    assert _tonks_wronskian_weight(0.0) == pytest.approx(expected, rel=1e-8)
+
+
+@pytest.mark.parametrize("kappa,bound", [(0.0, 5e-5), (1.0, 3e-5), (3.3, 2e-4), (10.0, 3e-3)])
+def test_strong_coupling_energy_approaches_the_tonks_pair(kappa, bound):
+    # E(g) = E(inf) - alpha / g + O(g^-2): the cusp condition 2 d_r Psi(0+)
+    # = g Psi(0) and Hellmann-Feynman dE/dg = int Psi(y, y)^2 dy.  On
+    # 161/0.08, with E(inf) the grid's own hard-core energy, a two-g fit
+    # of y(g) = (E(g) - E(inf)) g = -alpha + beta / g through g = 200 and
+    # 1000:
+    #   beta = (y(200) - y(1000)) / (1/200 - 1/1000),   alpha = beta / 200 - y(200).
+    # Measured |alpha_fit / alpha - 1| = 1.4e-5, 6.4e-6, 5.0e-5 and 9.4e-4
+    # for kappa = 0, 1, 3.3 and 10.
+    solve = dvr.ground_state_solver(build_grid(161, 0.08), kappa)
+    e_inf = solve(math.inf).energy
+    y = {g: (solve(g).energy - e_inf) * g for g in (200.0, 1000.0)}
+    beta = (y[200.0] - y[1000.0]) / (1.0 / 200.0 - 1.0 / 1000.0)
+    alpha = beta / 200.0 - y[200.0]
+    assert abs(alpha / _tonks_wronskian_weight(kappa) - 1.0) <= bound

@@ -147,6 +147,10 @@ def test_barrier_strength_validation():
     assert check_coupling("Infinity") == math.inf
     assert check_coupling("2.5") == 2.5
     assert check_coupling(0) == 0.0
+    # -0 reads as 0, sign bit clear, so it is labelled "0", not "-0".
+    for negative_zero in ("-0", -0.0):
+        assert math.copysign(1.0, check_coupling(negative_zero)) == 1.0
+    assert _fmt_value(check_coupling("-0")) == "0"
     assert _fmt_value(check_coupling("inf")) == "inf"
 
 
@@ -288,7 +292,7 @@ def test_even_level_400_is_normalized(kappa):
     # e^(-x^2/2) underflows.  The half-line trapezoid sum is off by the
     # O(dx^2) term of the slope jump at x = 0: 2e-8 and 3e-7 measured.
     dx = 0.002
-    values = even_state(kappa, 400).wavefunction(np.arange(30001) * dx)
+    values = eigenfunction(even_state(kappa, 400), np.arange(30001) * dx)
     half_line = dx * (np.sum(values**2) - 0.5 * (values[0] ** 2 + values[-1] ** 2))
     assert abs(2.0 * half_line - 1.0) <= 1e-6
 
@@ -339,8 +343,8 @@ def test_hermite_norms(n, expected):
     x = np.array([-2.9, -1.3, 0.4, 1.7, 3.2])
     unnormalized = np.polynomial.hermite.hermval(x, [0] * n + [1]) * np.exp(-0.5 * x * x)
     *_, mirrored, odd_level = spectrum(math.inf, n + 1)
-    odd = odd_level.wavefunction(x)
-    split = mirrored.wavefunction(x)
+    odd = eigenfunction(odd_level, x)
+    split = eigenfunction(mirrored, x)
     np.testing.assert_allclose(odd / unnormalized, expected, rtol=1e-13, atol=0.0)
     np.testing.assert_array_equal(split, np.sign(x) * odd)
 
@@ -362,13 +366,13 @@ def test_ground_state_eigenfunction_is_gaussian_at_zero_barrier():
     state = even_state(0.0, 0)
     x = np.linspace(-4.0, 4.0, 41)
     expected = math.pi**-0.25 * np.exp(-0.5 * x * x)
-    np.testing.assert_allclose(state.wavefunction(x), expected, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(eigenfunction(state, x), expected, rtol=1e-9, atol=1e-12)
 
 
 def test_odd_eigenfunction_node_at_origin():
     state = spectrum(1.0, 2)[1]
-    assert state.wavefunction(0.0) == 0.0
-    assert state.wavefunction(1.0) > 0.0
+    assert eigenfunction(state, 0.0) == 0.0
+    assert eigenfunction(state, 1.0) > 0.0
 
 
 def test_infinite_barrier_eigenfunction_closed_form():
@@ -381,13 +385,13 @@ def test_infinite_barrier_eigenfunction_closed_form():
         norm = 1.0 / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
         expected = norm * np.sign(x) * hermite * np.exp(-0.5 * x * x)
         state = even_state(math.inf, j)
-        np.testing.assert_allclose(state.wavefunction(x), expected, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(eigenfunction(state, x), expected, rtol=1e-9, atol=1e-12)
 
 
 def _lowest_states(kappa, count):
     states = spectrum(kappa, count)
     x = np.arange(-12.0, 12.0 + 2e-3, 4e-3)
-    return [s.wavefunction(x) for s in states], x
+    return [eigenfunction(s, x) for s in states], x
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0, 10.0, math.inf])
@@ -407,12 +411,12 @@ def test_derivative_jump_condition(kappa):
     # the 1e-4 check.
     state = even_state(kappa, 0)
     h = 1e-4
-    right = (-3.0 * state.wavefunction(0.0) + 4.0 * state.wavefunction(h)
-             - state.wavefunction(2.0 * h)) / (2.0 * h)
-    left = (3.0 * state.wavefunction(0.0) - 4.0 * state.wavefunction(-h)
-            + state.wavefunction(-2.0 * h)) / (2.0 * h)
+    right = (-3.0 * eigenfunction(state, 0.0) + 4.0 * eigenfunction(state, h)
+             - eigenfunction(state, 2.0 * h)) / (2.0 * h)
+    left = (3.0 * eigenfunction(state, 0.0) - 4.0 * eigenfunction(state, -h)
+            + eigenfunction(state, -2.0 * h)) / (2.0 * h)
     jump = right - left
-    expected = 2.0 * kappa * state.wavefunction(0.0)
+    expected = 2.0 * kappa * eigenfunction(state, 0.0)
     assert jump == pytest.approx(expected, rel=1e-4)
 
 

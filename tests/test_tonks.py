@@ -8,7 +8,7 @@ from scipy.integrate import trapezoid
 
 from splittrap import analysis, dvr, tonks
 from splittrap.dvr import GridError, build_grid
-from splittrap.single_particle import even_state, odd_energy, spectrum
+from splittrap.single_particle import eigenfunction, even_state, odd_energy, spectrum
 
 
 def test_pair_energy_limits_exact():
@@ -38,16 +38,18 @@ def test_orbitals_carry_the_barrier():
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0, pytest.param(math.inf, id="kappa2")])
 def test_wavefunction_diagonal_node(kappa):
+    state = tonks.tonks_state(kappa)
     for x in (-2.0, 0.0, 0.3, 1.7):
-        assert tonks.tonks_wavefunction(kappa, x, x) == 0.0
+        assert state.wavefunction(x, x) == 0.0
 
 
 def test_wavefunction_exchange_symmetric_and_non_negative():
     rng = np.random.default_rng(7)
     pts = rng.uniform(-4.0, 4.0, size=(40, 2))
     for kappa in (0.0, 2.0, math.inf):
-        a = tonks.tonks_wavefunction(kappa, pts[:, 0], pts[:, 1])
-        b = tonks.tonks_wavefunction(kappa, pts[:, 1], pts[:, 0])
+        state = tonks.tonks_state(kappa)
+        a = state.wavefunction(pts[:, 0], pts[:, 1])
+        b = state.wavefunction(pts[:, 1], pts[:, 0])
         np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-14)
         assert np.all(a >= 0.0)
 
@@ -66,35 +68,36 @@ def test_wavefunction_unit_norm(kappa):
     assert richardson == pytest.approx(1.0, abs=1e-6)
 
 
-def test_rspd_trace_and_symmetries():
+def test_rspd_trace_and_symmetries(tonks_grid):
     for kappa in (0.0, 1.0, 5.0, math.inf):
-        rho = tonks.tonks_rspd(kappa)
-        assert rho.trace == pytest.approx(1.0, abs=1e-12)
+        rho = tonks.tonks_rspd(tonks.tonks_state(kappa), tonks_grid)
+        trace = np.sum(rho.even * rho.even) + np.sum(rho.odd * rho.odd)
+        assert trace == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(rho.values, rho.values.T, rtol=0.0, atol=1e-14)
         flipped = rho.values[::-1, ::-1]
         np.testing.assert_allclose(rho.values, flipped, rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0, pytest.param(math.inf, id="kappa2")])
-def test_rspd_positive_semidefinite(kappa):
-    rho = tonks.tonks_rspd(kappa)
+def test_rspd_positive_semidefinite(kappa, tonks_grid):
+    rho = tonks.tonks_rspd(tonks.tonks_state(kappa), tonks_grid)
     eigenvalues = np.linalg.eigvalsh(rho.grid.spacing * rho.values)
     assert eigenvalues.min() >= -1e-10
 
 
-def test_rspd_zero_barrier_diagonal_closed_form():
+def test_rspd_zero_barrier_diagonal_closed_form(tonks_grid):
     # Integrating out one coordinate at kappa = 0 leaves the density
     # n(x) = (phi_0^2 + phi_1^2)/2 on the diagonal.
-    rho = tonks.tonks_rspd(0.0)
+    rho = tonks.tonks_rspd(tonks.tonks_state(0.0), tonks_grid)
     x = rho.grid.points
-    phi0 = even_state(0.0, 0).wavefunction(x)
-    phi1 = spectrum(0.0, 2)[1].wavefunction(x)
+    phi0 = eigenfunction(even_state(0.0, 0), x)
+    phi1 = eigenfunction(spectrum(0.0, 2)[1], x)
     expected = 0.5 * (phi0 * phi0 + phi1 * phi1)
     np.testing.assert_allclose(np.diag(rho.values), expected, rtol=0.0, atol=1e-8)
 
 
-def test_rspd_infinite_barrier_quadrants_vanish():
-    rho = tonks.tonks_rspd(math.inf)
+def test_rspd_infinite_barrier_quadrants_vanish(tonks_grid):
+    rho = tonks.tonks_rspd(tonks.tonks_state(math.inf), tonks_grid)
     x = rho.grid.points
     negative_quadrant = np.outer(x, x) < 0.0
     assert np.all(rho.values[negative_quadrant] == 0.0)
@@ -108,10 +111,11 @@ def test_rspd_blocks_match_fold_of_sampled_pair(n_points, spacing, kappa):
     # two blocks from the orbitals on x >= 0 alone.
     grid = build_grid(n_points, spacing)
     q = grid.points
-    psi = tonks.tonks_state(kappa).wavefunction(q[:, None], q[None, :])
+    state = tonks.tonks_state(kappa)
+    psi = state.wavefunction(q[:, None], q[None, :])
     psi /= math.sqrt(np.sum(psi * psi)) * spacing
     even, odd = dvr._fold(spacing * psi)
-    rho = tonks.tonks_rspd(kappa, grid)
+    rho = tonks.tonks_rspd(state, grid)
     assert np.max(np.abs(rho.even - even)) <= 1e-15
     assert np.max(np.abs(rho.odd - odd)) <= 1e-15
     expected = np.sort(np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd))) ** 2)
@@ -122,23 +126,16 @@ def test_rspd_blocks_match_fold_of_sampled_pair(n_points, spacing, kappa):
 
 def test_rspd_rejects_small_span():
     with pytest.raises(GridError):
-        tonks.tonks_rspd(0.0, build_grid(41, 0.16))
+        tonks.tonks_rspd(tonks.tonks_state(0.0), build_grid(41, 0.16))
 
 
 def test_rspd_rejects_coarse_mesh():
     # On the 81-point, dx = 0.16 mesh the barrier cusp costs the raw
     # quadrature norm more than the 1e-3 trace budget.
     with pytest.raises(GridError):
-        tonks.tonks_rspd(1.0, build_grid(81, 0.16))
+        tonks.tonks_rspd(tonks.tonks_state(1.0), build_grid(81, 0.16))
     with pytest.raises(GridError):
-        tonks.tonks_rspd(5.0, build_grid(81, 0.16))
-
-
-def test_default_analysis_grid():
-    grid = tonks.default_analysis_grid()
-    assert grid.n_points == 161
-    assert grid.spacing == 0.08
-    assert grid.span == pytest.approx(6.4)
+        tonks.tonks_rspd(tonks.tonks_state(5.0), build_grid(81, 0.16))
 
 
 def test_momentum_closed_forms_at_zero():
@@ -190,21 +187,23 @@ def test_momentum_closed_form_normalization():
         assert trapezoid(fn(k20), k20) == pytest.approx(1.0, abs=1e-4)
 
 
-def test_fourier_route_matches_closed_form():
+def test_fourier_route_matches_closed_form(tonks_grid):
     # Pipeline n(k) from the infinite-barrier density matrix against
     # the closed form, sup over |k| <= 6.
     k = analysis.uniform_k_grid(601, 6.0)
-    decomposition = analysis.natural_orbitals(tonks.tonks_rspd(math.inf))
+    rho = tonks.tonks_rspd(tonks.tonks_state(math.inf), tonks_grid)
+    decomposition = analysis.natural_orbitals(rho)
     densities = analysis.momentum_distribution(decomposition, k).densities
     sup = np.max(np.abs(densities - tonks.momentum_tg_infinite_barrier(k)))
     assert sup <= 0.02
 
 
-def test_momentum_width_broadens_with_barrier():
+def test_momentum_width_broadens_with_barrier(tonks_grid):
     k = analysis.uniform_k_grid(401, 8.0)
 
     def fwhm(kappa):
-        decomposition = analysis.natural_orbitals(tonks.tonks_rspd(kappa))
+        rho = tonks.tonks_rspd(tonks.tonks_state(kappa), tonks_grid)
+        decomposition = analysis.natural_orbitals(rho)
         densities = analysis.momentum_distribution(decomposition, k).densities
         above = k[densities >= 0.5 * densities.max()]
         return above[-1] - above[0]
