@@ -12,9 +12,9 @@ a module, ``splittrap.specfun`` say, loads only what that module imports.
 import importlib
 
 _NAMES = {
-    "analysis": ("DensityMatrix", "MomentumDistribution", "NaturalDecomposition",
-                 "momentum_distribution", "natural_orbitals", "rspd_from_state",
-                 "schmidt_number", "uniform_k_grid", "von_neumann_entropy"),
+    "analysis": ("DensityMatrix", "MomentumDistribution", "momentum_distribution",
+                 "natural_orbitals", "rspd_from_state", "schmidt_number", "uniform_k_grid",
+                 "von_neumann_entropy"),
     "dvr": ("ConvergenceError", "Grid", "GridError", "TwoBodyState", "apply_hamiltonian",
             "build_grid", "ground_state", "ground_state_solver"),
     "single_particle": ("BracketError", "EigenState", "eigenfunction", "even_energy",

@@ -9,12 +9,16 @@ block of size (N - 1)/2, and the chain enters there:
     parity blocks of W -> natural occupations -> entanglement measures
                        -> momentum distribution
 
-A ``DensityMatrix`` holds the two blocks.  The analytic Tonks route
-builds them from the two orbitals on x >= 0 (``tonks.tonks_rspd``); the
-grid route's amplitudes go through ``DensityMatrix.from_amplitudes``,
-which rejects an even mesh and amplitudes that are not parity-symmetric
-or not symmetric.  psi on the whole mesh, and rho = dx psi psi^T, are
-formed only when ``amplitudes`` and ``values`` are read.
+A ``DensityMatrix`` holds the two blocks, and both routes build them
+directly: the analytic Tonks route from the two orbitals on x >= 0
+(``tonks.tonks_rspd``), the grid route from its Ritz vector in the
+one-body eigenbasis (``dvr.ground_state_solver``), so
+``rspd_from_state`` only wraps the state's blocks.
+``DensityMatrix.from_amplitudes`` is the checked constructor for
+amplitudes from elsewhere: it rejects an even mesh and amplitudes that
+are not parity-symmetric or not symmetric.  psi on the whole mesh, rho
+= dx psi psi^T and the natural orbitals are formed only when
+``amplitudes``, ``values`` and ``orbitals`` are read.
 
 All quadrature is trapezoid-on-the-mesh; the Fourier transform to
 momentum space is a direct quadrature sum, not an FFT, so any k grid
@@ -28,8 +32,7 @@ two blocks (``eigvalsh`` of each, in ``natural_orbitals``), and an
 occupation lambda is off by about eps * sqrt(lambda), not eps.  Entropy
 and the Schmidt number read the occupations alone, and dx * rho = W^2
 gives n(k) from the blocks themselves (``momentum_distribution``), which
-halves the transform, so no observable needs the orbitals:
-``NaturalDecomposition.orbitals`` is computed on first read.  W is real,
+halves the transform, so no observable needs the orbitals.  W is real,
 so n(-k) = n(k), and ``momentum_distribution`` evaluates k >= 0 only.
 """
 
@@ -55,9 +58,12 @@ class DensityMatrix:
     of 2c + 1 points, in the fold basis of ``dvr._fold``; both are
     symmetric, and their squared Frobenius norms sum to dx^2 sum(psi^2),
     1 for a normalized state.  ``from_amplitudes`` builds them from
-    psi(q_i, q_j).  ``amplitudes``, psi unfolded onto the mesh, and
-    ``values[i, j]``, rho(q_i, q_j) = dx sum_k psi(q_i, q_k) psi(q_j, q_k),
-    are formed on first read.
+    psi(q_i, q_j).  Formed on first read are ``amplitudes``, psi unfolded
+    onto the mesh (``dvr._unfold``); ``values[i, j]``, rho(q_i, q_j) =
+    dx sum_k psi(q_i, q_k) psi(q_j, q_k); and ``orbitals[:, i]``, the
+    natural orbital psi_i on the mesh with quadrature norm 1, by ``eigh``
+    of the two blocks, so each has definite parity, in the order of the
+    occupations of ``natural_orbitals``.
     """
 
     even: np.ndarray
@@ -72,7 +78,8 @@ class DensityMatrix:
         mesh with a centre point; ``dvr._fold`` then splits it into its
         even and odd blocks, and given parity W is symmetric exactly
         when both blocks are.  The blocks kept are their symmetric parts,
-        and ``amplitudes`` reads psi as given.
+        so ``amplitudes`` reads psi unfolded from them, which differs from
+        the input only by that symmetrization and rounding.
 
         Raises
         ------
@@ -91,42 +98,17 @@ class DensityMatrix:
         asym = max(np.max(np.abs(even - even.T)), np.max(np.abs(odd - odd.T), initial=0.0))
         if asym > 1e-10:
             raise ValueError(f"amplitudes are not symmetric (max asymmetry {asym:.3e})")
-        rho = cls(0.5 * (even + even.T), 0.5 * (odd + odd.T), grid)
-        # rho reads psi itself, not its unfolded copy, so its bits stay.
-        vars(rho)["amplitudes"] = amplitudes
-        return rho
+        return cls(0.5 * (even + even.T), 0.5 * (odd + odd.T), grid)
 
     @cached_property
     def amplitudes(self):
-        # W = U_e E U_e^T + U_o O U_o^T over the fold bases U_e and U_o:
-        # the even and odd parts on x, y >= 0 take their rows x >= 0 on
-        # both sides.
-        parts = _half_rows(*(m.T for m in _half_rows(self.even, self.odd)))
-        return _unfold(*parts) / self.grid.spacing
+        return _unfold(self.even, self.odd) / self.grid.spacing
 
     @cached_property
     def values(self):
         psi = self.amplitudes
         rho = self.grid.spacing * (psi @ psi.T)
         return 0.5 * (rho + rho.T)
-
-
-@dataclass(frozen=True, eq=False)
-class NaturalDecomposition:
-    """Natural occupations of a two-boson state, with its parity fold.
-
-    ``occupations`` are sorted in descending order and sum to the trace
-    of the input (1 for a normalized state).  ``even`` and ``odd`` are
-    the fold blocks of W = dx * psi that the density matrix holds (see
-    ``DensityMatrix``).  ``orbitals[:, i]``, the grid-sampled natural
-    orbital psi_i with quadrature norm 1, is formed on first read by
-    ``eigh`` of the two blocks.
-    """
-
-    occupations: np.ndarray
-    even: np.ndarray
-    odd: np.ndarray
-    grid: Grid
 
     @cached_property
     def orbitals(self):
@@ -152,28 +134,26 @@ class MomentumDistribution:
 
 
 def rspd_from_state(state):
-    """Reduced density matrix of a DVR TwoBodyState by mesh quadrature."""
-    return DensityMatrix.from_amplitudes(state.amplitudes, state.grid)
+    """Reduced density matrix of a DVR TwoBodyState: the parity blocks its solver built."""
+    return DensityMatrix(state.even, state.odd, state.grid)
 
 
 def natural_orbitals(rho):
-    """Natural occupations of a two-boson density matrix.
+    """Natural occupations of a two-boson density matrix, sorted in descending order.
 
     Reads only the blocks ``rho.even`` and ``rho.odd``.  The
     quadrature-weighted amplitudes W = dx * psi are symmetric, and
     dx * rho = W^2, so the natural orbitals are the eigenvectors of W
     and the occupations are the squares of its eigenvalues, which are
     those of its two parity blocks.  They come from ``eigvalsh`` of each
-    block, with no eigenvectors; the decomposition keeps the blocks, and
-    its ``orbitals`` unfold their eigenvectors onto the mesh when first
-    read, so every orbital has definite parity.  The blocks, shared with
-    ``rho``, become read-only.
+    block, with no eigenvectors (``rho.orbitals`` forms those), and sum
+    to the squared norm of W, 1 for a normalized state.  The returned
+    array is read-only.
     """
     vals = np.concatenate((np.linalg.eigvalsh(rho.even), np.linalg.eigvalsh(rho.odd))) ** 2
     occupations = np.sort(vals)[::-1]
-    for block in (occupations, rho.even, rho.odd):
-        block.setflags(write=False)
-    return NaturalDecomposition(occupations=occupations, even=rho.even, odd=rho.odd, grid=rho.grid)
+    occupations.setflags(write=False)
+    return occupations
 
 
 def uniform_k_grid(count, span):
@@ -186,8 +166,8 @@ def uniform_k_grid(count, span):
     return np.linspace(-span, span, int(count))
 
 
-def momentum_distribution(decomposition, k_values):
-    """Momentum density n(k) = sum_i lambda_i |mu_i(k)|^2 over every orbital.
+def momentum_distribution(rho, k_values):
+    """Momentum density n(k) = sum_i lambda_i |mu_i(k)|^2 over every orbital of ``rho``.
 
     mu_i(k) is the direct-quadrature Fourier transform
     (2 pi)^(-1/2) * dx * sum_j psi_i(q_j) exp(-i k q_j).  With
@@ -196,8 +176,9 @@ def momentum_distribution(decomposition, k_values):
     (``DensityMatrix``) f_k has the real even part a_k = (1,
     sqrt(2) cos k x_i) and the imaginary odd part b_k = sqrt(2) sin k x_i,
     i = 1..c, so n(k) = (dx / 2 pi) (|E a_k|^2 + |O b_k|^2) over the
-    even and odd blocks E and O.  This is even in k: only the k >= 0
-    half of the grid is evaluated, and n(-k) is its mirror image.
+    even and odd blocks E and O of ``rho``, the only part of it read.
+    This is even in k: only the k >= 0 half of the grid is evaluated,
+    and n(-k) is its mirror image.
     ``retained_orbitals`` is the number of orbitals the sum covers, N.
 
     A warning is raised when |k| exceeds the mesh Nyquist limit
@@ -215,7 +196,7 @@ def momentum_distribution(decomposition, k_values):
     steps = np.diff(k)
     if np.max(steps) - np.min(steps) > 1e-9 * scale:
         raise ValueError("k_values must be uniformly spaced")
-    dx = decomposition.grid.spacing
+    dx = rho.grid.spacing
     nyquist = math.pi / dx
     if np.max(np.abs(k)) > nyquist * (1.0 + 1e-12):
         warnings.warn(
@@ -226,21 +207,21 @@ def momentum_distribution(decomposition, k_values):
 
     # Rows x_0 = 0, x_1..x_c of a_k / sqrt(2) and b_k / sqrt(2), so the
     # prefactor doubles to dx / pi.
-    angles = np.outer(decomposition.grid.points[decomposition.odd.shape[0] :], k[k.size // 2 :])
+    angles = np.outer(rho.grid.points[rho.odd.shape[0] :], k[k.size // 2 :])
     cos_part = np.cos(angles)
     cos_part[0] = math.sqrt(0.5)
-    even = decomposition.even @ cos_part
-    odd = decomposition.odd @ np.sin(angles[1:])
+    even = rho.even @ cos_part
+    odd = rho.odd @ np.sin(angles[1:])
     half = (dx / math.pi) * (np.sum(even * even, axis=0) + np.sum(odd * odd, axis=0))
     densities = np.concatenate((half[::-1][: k.size - half.size], half))
     densities.setflags(write=False)
     return MomentumDistribution(
-        k_values=k.copy(), densities=densities, retained_orbitals=decomposition.occupations.size
+        k_values=k.copy(), densities=densities, retained_orbitals=rho.grid.n_points
     )
 
 
-def von_neumann_entropy(decomposition):
-    """Base-2 von Neumann entropy of the occupation spectrum.
+def von_neumann_entropy(occupations):
+    """Base-2 von Neumann entropy of the occupations from ``natural_orbitals``.
 
     Occupations below 1e-12 are skipped; they contribute nothing at
     double precision and would otherwise poison the logarithm.  In the
@@ -248,14 +229,14 @@ def von_neumann_entropy(decomposition):
     contribute nothing, so a product state reads exactly 0 even when
     the eigensolver returns its occupation as 1 - eps or 1 + eps.
     """
-    occ = decomposition.occupations
-    occ = occ[(occ >= _ENTROPY_FLOOR) & (np.abs(occ - 1.0) > _ENTROPY_FLOOR)]
+    live = (occupations >= _ENTROPY_FLOOR) & (np.abs(occupations - 1.0) > _ENTROPY_FLOOR)
+    occ = occupations[live]
     # No occupation left sums to -0.0, and occupations above 1 only arise
     # from an unnormalized input; the result is a non-negative float either way.
     value = float(-np.sum(occ * np.log2(occ)))
     return value if value > 0.0 else 0.0
 
 
-def schmidt_number(decomposition):
-    """Number of occupations strictly above 1e-6."""
-    return int(np.sum(decomposition.occupations > _SCHMIDT_THRESHOLD))
+def schmidt_number(occupations):
+    """Number of occupations from ``natural_orbitals`` strictly above 1e-6."""
+    return int(np.sum(occupations > _SCHMIDT_THRESHOLD))

@@ -95,15 +95,15 @@ def _evaluate_point(args, solve, kappa, g1d):
             rho = analysis.rspd_from_state(state) if wants_density else None
 
         if rho is not None:
-            decomposition = analysis.natural_orbitals(rho)
+            occupations = analysis.natural_orbitals(rho)
             if "entropy" in args.outputs:
-                record["entropy"] = analysis.von_neumann_entropy(decomposition)
+                record["entropy"] = analysis.von_neumann_entropy(occupations)
             if "schmidt" in args.outputs:
-                record["schmidt"] = analysis.schmidt_number(decomposition)
+                record["schmidt"] = analysis.schmidt_number(occupations)
             if "rspd" in args.outputs:
                 out["rspd"] = rho.values
             if "momentum" in args.outputs:
-                dist = analysis.momentum_distribution(decomposition, args.k_grid)
+                dist = analysis.momentum_distribution(rho, args.k_grid)
                 out["momentum"] = (dist.k_values, dist.densities)
         return out
     except _SOLVER_ERRORS as exc:

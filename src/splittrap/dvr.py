@@ -45,8 +45,12 @@ of Lynch, Rice & Thomas, Numer. Math. 6, 185 (1964)), and the Woodbury
 identity adds the contact term through one capacitance matrix per
 sector, of size (N + 1)/2, at two or four half-size products a step.
 The even sector gives the ground state and the next even level, the odd
-sector its lowest level, and the gap is the nearer of the two; only the
-ground state is mapped back to the mesh.
+sector its lowest level, and the gap is the nearer of the two.  Only the
+ground state is mapped back: its coefficients become the two _fold
+blocks of W = dx psi, v_e B_ee v_e^T and v_o B_oo v_o^T over the
+eigenvectors v_e and v_o of the folded blocks of h, which the
+observable chain reads as they are (``analysis.DensityMatrix``), and
+psi on the mesh is unfolded from them (``_unfold``).
 
 Only the capacitances depend on g1d.  Per kappa, ground_state_solver
 builds h, its two eigh, the shift sigma, the elementwise inverses d and
@@ -187,19 +191,6 @@ def _fold(m):
     return even, right[1:, 1:] - mirror[1:, 1:]
 
 
-def _unfold(even_part, odd_part):
-    """Parity-symmetric N x N matrix from its even and odd parts on x, y >= 0.
-
-    Its quadrant x, y >= 0 is the sum of the two parts, its quadrant
-    x >= 0 > y their difference with the columns mirrored, and its rows
-    x < 0 the mirror image of the rows x > 0, so m(-x, -y) = m(x, y)
-    holds to the last bit.  The odd part must vanish on y = 0, as the
-    odd fold vectors do (``_half_rows``).
-    """
-    half = np.hstack(((even_part - odd_part)[:, :0:-1], even_part + odd_part))
-    return np.vstack((half[:0:-1, ::-1], half))
-
-
 def _half_rows(even, odd):
     """Rows x >= 0 on the mesh of the even and odd fold-basis vectors.
 
@@ -216,6 +207,21 @@ def _half_rows(even, odd):
     return e, o
 
 
+def _unfold(even, odd):
+    """Parity-symmetric N x N matrix m whose _fold blocks are ``even`` and ``odd``.
+
+    m = U_e even U_e^T + U_o odd U_o^T over the fold bases, whose rows
+    x >= 0 ``_half_rows`` gives: that quadrant of m is the sum of the
+    even and odd parts, its quadrant x >= 0 > y their difference with the
+    columns mirrored, and its rows x < 0 the mirror image of the rows
+    x > 0, so m(-x, -y) = m(x, y) holds to the last bit, and m is
+    symmetric exactly when both blocks are.
+    """
+    e, o = _half_rows(*(m.T for m in _half_rows(even, odd)))
+    half = np.hstack(((e - o)[:, :0:-1], e + o))
+    return np.vstack((half[:0:-1, ::-1], half))
+
+
 def _woodbury(k, weight):
     # (W^-1 + K)^-1 written so that it stays finite at W = 0.
     s = np.sqrt(weight)
@@ -223,17 +229,18 @@ def _woodbury(k, weight):
 
 
 def _shifted_inverse(t, w):
-    """Half-mesh eigenvectors, shift sigma and c -> both sectors' (H - sigma)^-1.
+    """Fold-basis eigenvectors, shift sigma and c -> both sectors' (H - sigma)^-1.
 
     h = T + diag(w) is parity-symmetric, so _fold splits it into an even
     block of size n = (N + 1)/2 and an odd block of size n - 1, each
-    taken through its own eigh.  ``e`` and ``o`` are the rows x >= 0 of
-    the even and odd one-body eigenvectors on the mesh (``_half_rows``).
-    In that eigenbasis the exchange-symmetric pair coefficients split by
-    total parity into
+    taken through its own eigh, whose eigenvectors v_e and v_o are
+    returned.  U_e and U_o are those vectors on the mesh, and ``e`` and
+    ``o`` their rows x >= 0 (``_half_rows``).  In that eigenbasis the
+    exchange-symmetric pair coefficients split by total parity into
 
     - the even sector, blocks B_ee and B_oo, both symmetric, with
-      psi = U_e B_ee U_e^T + U_o B_oo U_o^T;
+      psi = U_e B_ee U_e^T + U_o B_oo U_o^T, whose _fold blocks are
+      v_e B_ee v_e^T and v_o B_oo v_o^T;
     - the odd sector, block X = B_eo with B_oe = X^T, with
       psi = U_e X U_o^T + U_o X^T U_e^T.
 
@@ -296,7 +303,7 @@ def _shifted_inverse(t, w):
 
         return even_inverse, odd_inverse
 
-    return e, o, sigma, start, at_contact
+    return v_e, v_o, sigma, start, at_contact
 
 
 def apply_hamiltonian(vec, grid, kappa, g1d):
@@ -318,9 +325,14 @@ def apply_hamiltonian(vec, grid, kappa, g1d):
 class TwoBodyState:
     """Ground state on the product mesh.
 
-    ``amplitudes`` is the N x N array Psi(q_i, q_j) normalized so that
-    sum(Psi^2) * dx^2 = 1, sign-fixed to be positive at its first peak
-    in row-major order, where entries within 1e-8 of max |Psi| tie.
+    ``even`` and ``odd`` are the two parity blocks of W = dx * Psi in
+    the fold basis of ``_fold``, of sizes (N + 1)/2 and (N - 1)/2, both
+    exactly symmetric, with squared norms that sum to 1.
+    ``amplitudes`` is the N x N array Psi(q_i, q_j) unfolded from them
+    (``_unfold``), so sum(Psi^2) * dx^2 = 1 and Psi is symmetric and
+    parity-even to the last bit.  All three are read-only and
+    sign-fixed together, so that Psi is positive at its first peak in
+    row-major order, where entries within 1e-8 of max |Psi| tie.
     ``kappa`` and ``g1d`` are the bare couplings, math.inf for the
     limits.  ``gap`` is the distance to the next exchange-symmetric
     eigenvalue, of either spatial parity; a gap below 1e-6 marks the
@@ -328,6 +340,8 @@ class TwoBodyState:
     """
 
     energy: float
+    even: np.ndarray
+    odd: np.ndarray
     amplitudes: np.ndarray
     grid: Grid
     kappa: float
@@ -352,7 +366,7 @@ def ground_state_solver(grid, kappa):
     (N - 1)^2 / 4, and one in the odd sector, of dimension (N^2 - 1) / 4.
     Both run on the one-body eigenbasis coefficients to a relative
     eigenvalue tolerance of 1e-10 (``_EIGEN_TOL``), and only the even
-    sector's Ritz vector is mapped to the mesh.  A call gives the same
+    sector's Ritz vector is mapped back.  A call gives the same
     bits as ``ground_state`` at that coupling, and a failed call leaves
     the solver usable for other couplings.
 
@@ -363,9 +377,13 @@ def ground_state_solver(grid, kappa):
     nonzero on every pair of one-body levels of its sector.  The ground
     state is parity-even, and ``gap`` is the distance from it to the
     nearer of the next even level and the lowest odd one, the first
-    excited bosonic level.  The map back computes the rows x >= 0 of psi
-    and copies the rows x < 0 from them, so the amplitudes are
-    parity-even to the last bit with no averaging over the reflection.
+    excited bosonic level.  The map back takes the Ritz vector's blocks
+    B_ee and B_oo to the fold blocks v_e B_ee v_e^T and v_o B_oo v_o^T
+    of W = dx psi, symmetrizes and normalizes them, and unfolds psi from
+    them for the residual check and the sign fix: psi computes its rows
+    x >= 0 and copies the rows x < 0 from them, so it is parity-even to
+    the last bit with no averaging over the reflection, and the blocks
+    are the fold of dx psi to rounding.
 
     Parameters
     ----------
@@ -388,41 +406,46 @@ def ground_state_solver(grid, kappa):
         residual ||H psi - E psi|| of the returned pair exceeds 1e-6.
     """
     kappa, t, w = _one_body(grid, kappa)
-    e, o, sigma, (even_start, odd_start), at_contact = _shifted_inverse(t, w)
-    n = e.shape[0]
+    v_e, v_o, sigma, (even_start, odd_start), at_contact = _shifted_inverse(t, w)
+    n = v_e.shape[0]
 
     def solve(g1d):
         g1d, c = _contact(grid, g1d)
         even_inverse, odd_inverse = at_contact(c)
-        even = LinearOperator((even_start.size,) * 2, matvec=even_inverse, dtype=float)
-        odd = LinearOperator((odd_start.size,) * 2, matvec=odd_inverse, dtype=float)
+        even_op = LinearOperator((even_start.size,) * 2, matvec=even_inverse, dtype=float)
+        odd_op = LinearOperator((odd_start.size,) * 2, matvec=odd_inverse, dtype=float)
         failure = (
             f"ground-state iteration failed at kappa={kappa}, g1d={g1d}, N={grid.n_points}, "
             f"dx={grid.spacing}"
         )
         try:
-            nu, vecs = eigsh(even, k=2, which="LA", v0=even_start, tol=_EIGEN_TOL)
+            nu, vecs = eigsh(even_op, k=2, which="LA", v0=even_start, tol=_EIGEN_TOL)
             nu_odd = eigsh(
-                odd, k=1, which="LA", v0=odd_start, tol=_EIGEN_TOL, return_eigenvectors=False
+                odd_op, k=1, which="LA", v0=odd_start, tol=_EIGEN_TOL, return_eigenvectors=False
             )
         except ArpackNoConvergence as exc:
             raise ConvergenceError(f"{failure}: {exc}") from exc
         energy = sigma + 1.0 / nu[1]
 
-        psi = _unfold(e @ vecs[: n * n, 1].reshape(n, n) @ e.T,
-                      o @ vecs[n * n :, 1].reshape(n - 1, n - 1) @ o.T)
-        psi = 0.5 * (psi + psi.T)
-        psi /= math.sqrt(np.sum(psi * psi)) * grid.spacing
+        even = v_e @ vecs[: n * n, 1].reshape(n, n) @ v_e.T
+        odd = v_o @ vecs[n * n :, 1].reshape(n - 1, n - 1) @ v_o.T
+        even, odd = even + even.T, odd + odd.T
+        norm = math.sqrt(np.sum(even * even) + np.sum(odd * odd))
+        even, odd = even / norm, odd / norm
+        psi = _unfold(even, odd) / grid.spacing
         residual = np.linalg.norm(_apply(t, w, c, psi) - energy * psi) * grid.spacing
         if not residual <= _RESIDUAL_BOUND:
             raise ConvergenceError(f"{failure}: residual ||H psi - E psi|| = {residual:.3e}")
         magnitude = np.abs(psi).ravel()
         peak = np.argmax(magnitude >= (1.0 - _PEAK_TIE) * magnitude.max())
         if psi.flat[peak] < 0.0:
-            psi = -psi
-        psi.setflags(write=False)
+            even, odd, psi = -even, -odd, -psi
+        for block in (even, odd, psi):
+            block.setflags(write=False)
         return TwoBodyState(
             energy=float(energy),
+            even=even,
+            odd=odd,
             amplitudes=psi,
             grid=grid,
             kappa=kappa,

@@ -2,8 +2,8 @@
 
 Provides gamma, 1/gamma, sin(pi x), the digamma function, the confluent
 hypergeometric (Kummer) functions M and U at z >= 0, and the normalized
-parabolic-cylinder functions, with the Hermite functions as their
-integer case, for the parameter ranges the trap solver visits.
+parabolic-cylinder functions, whose integer orders are the Hermite
+functions on |x|, for the parameter ranges the trap solver visits.
 U is supported for b = 1/2 and a <= 0 only, which is the case generated
 by even parity states: a = 1/4 - E/2 and every even level has E >= 1/2.
 
@@ -22,9 +22,8 @@ s^2 + c^2 = 1 it is sqrt(pi) - sin(pi nu) [psi(1/2 + nu/2) -
 psi(1 + nu/2)] / (2 sqrt(pi)): sqrt(pi) at integer nu, where ``sin_pi``
 is exactly 0.
 
-All functions accept scalars; ``kummer_m``, ``kummer_u``,
-``parabolic_cylinder`` and ``hermite_function`` also accept numpy arrays
-for the coordinate.
+All functions accept scalars; ``kummer_m``, ``kummer_u`` and
+``parabolic_cylinder`` also accept numpy arrays for the coordinate.
 """
 
 import math
@@ -275,16 +274,3 @@ def parabolic_cylinder(nu, x):
     out = lower * np.exp(exponent * _LN2 - 0.5 * z) / math.sqrt(_line_norm(nu))
     return float(out) if scalar else out
 
-
-def hermite_function(n, x):
-    """Normalized Hermite function psi_n(x) = H_n(x) e^(-x^2/2) / sqrt(2^n n! sqrt(pi)).
-
-    For integer n >= 0 and float or ndarray x it is the integer case of
-    ``parabolic_cylinder``, psi_n(|x|), times (-1)^n at x < 0; it never
-    forms 2^n n! and has no cap.
-    """
-    if n != int(n) or n < 0:
-        raise ValueError(f"hermite degree must be a non-negative integer, got {n!r}")
-    xarr, scalar = _as_array(x)
-    values = parabolic_cylinder(n, xarr) * np.sign(xarr) ** (int(n) % 2)
-    return float(values) if scalar else values

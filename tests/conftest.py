@@ -10,10 +10,10 @@ eigenbasis and the contact capacitances of its mesh again, which costs
 
 import pytest
 
-from splittrap import analysis, dvr, tonks
+from splittrap import dvr, tonks
 
 _STATES = {}
-_TONKS_DECOMPS = {}
+_TONKS_RHOS = {}
 # The CLI's default mesh for the analytic route.
 _TONKS_GRID = dvr.build_grid(161, 0.08)
 
@@ -26,12 +26,11 @@ def _solve(kappa, g1d, n_points=81, spacing=0.16):
     return _STATES[key]
 
 
-def _tonks_decomposition(kappa):
+def _tonks_rho(kappa):
     key = float(kappa)
-    if key not in _TONKS_DECOMPS:
-        rho = tonks.tonks_rspd(tonks.tonks_state(kappa), _TONKS_GRID)
-        _TONKS_DECOMPS[key] = analysis.natural_orbitals(rho)
-    return _TONKS_DECOMPS[key]
+    if key not in _TONKS_RHOS:
+        _TONKS_RHOS[key] = tonks.tonks_rspd(tonks.tonks_state(kappa), _TONKS_GRID)
+    return _TONKS_RHOS[key]
 
 
 @pytest.fixture(scope="session")
@@ -41,9 +40,9 @@ def solve():
 
 
 @pytest.fixture(scope="session")
-def tonks_decomposition():
-    """Cached natural-orbital decomposition of the analytic pair on ``tonks_grid``."""
-    return _tonks_decomposition
+def tonks_rho():
+    """Cached density matrix of the analytic pair on ``tonks_grid``, keyed by kappa."""
+    return _tonks_rho
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ from scipy.special import dawsn
 from splittrap import analysis, dvr, specfun, tonks
 from splittrap.cli import main
 from splittrap.single_particle import (
+    EigenState,
     eigenfunction,
     even_energy,
     even_state,
@@ -110,8 +111,7 @@ def test_criterion_5_entropy_landmarks():
     def entropy(kappa):
         if kappa not in cache:
             rho = tonks.tonks_rspd(tonks.tonks_state(kappa), grid)
-            decomposition = analysis.natural_orbitals(rho)
-            cache[kappa] = analysis.von_neumann_entropy(decomposition)
+            cache[kappa] = analysis.von_neumann_entropy(analysis.natural_orbitals(rho))
         return cache[kappa]
 
     s_zero = entropy(0.0)
@@ -161,11 +161,9 @@ def test_criterion_6_momentum_profiles(solve, tonks_grid):
     hard_profile = tonks.momentum_tg_infinite_barrier(k_cmp)
     free_profile = tonks.momentum_noninteracting_infinite_barrier(k_cmp)
 
-    analytic = analysis.natural_orbitals(tonks.tonks_rspd(tonks.tonks_state(10.0), tonks_grid))
-    decomps = {
-        (kappa, g): analysis.natural_orbitals(
-            analysis.rspd_from_state(solve(kappa, g, 61, 0.16))
-        )
+    analytic = tonks.tonks_rspd(tonks.tonks_state(10.0), tonks_grid)
+    rhos = {
+        (kappa, g): analysis.rspd_from_state(solve(kappa, g, 61, 0.16))
         for kappa in (5.0, 10.0)
         for g in (0.0, 1.0, 5.0, 500.0)
         if (kappa, g) != (5.0, 5.0) and (kappa, g) != (5.0, 500.0)
@@ -183,7 +181,7 @@ def test_criterion_6_momentum_profiles(solve, tonks_grid):
         "grid(10,500) vs hard-core": float(
             np.max(
                 np.abs(
-                    analysis.momentum_distribution(decomps[(10.0, 500.0)], k_cmp).densities
+                    analysis.momentum_distribution(rhos[(10.0, 500.0)], k_cmp).densities
                     - hard_profile
                 )
             )
@@ -191,7 +189,7 @@ def test_criterion_6_momentum_profiles(solve, tonks_grid):
         "grid(10,0) vs free": float(
             np.max(
                 np.abs(
-                    analysis.momentum_distribution(decomps[(10.0, 0.0)], k_cmp).densities
+                    analysis.momentum_distribution(rhos[(10.0, 0.0)], k_cmp).densities
                     - free_profile
                 )
             )
@@ -205,20 +203,20 @@ def test_criterion_6_momentum_profiles(solve, tonks_grid):
         abs(_weight(analysis.momentum_distribution(analytic, k_analytic)) - 1.0)
     ]
     integral_devs += [
-        abs(_weight(analysis.momentum_distribution(dec, k_grid_route)) - 1.0)
-        for dec in decomps.values()
+        abs(_weight(analysis.momentum_distribution(rho, k_grid_route)) - 1.0)
+        for rho in rhos.values()
     ]
 
     k_peak = analysis.uniform_k_grid(401, 8.0)
 
-    def side_peaks(decomposition):
-        densities = analysis.momentum_distribution(decomposition, k_peak).densities
+    def side_peaks(rho):
+        densities = analysis.momentum_distribution(rho, k_peak).densities
         found, _ = find_peaks(densities, prominence=1e-3)
         return bool(np.any(np.abs(k_peak[found]) > 1.0))
 
-    present = side_peaks(decomps[(5.0, 0.0)]) and side_peaks(decomps[(10.0, 0.0)])
+    present = side_peaks(rhos[(5.0, 0.0)]) and side_peaks(rhos[(10.0, 0.0)])
     absent = not any(
-        side_peaks(decomps[key])
+        side_peaks(rhos[key])
         for key in ((5.0, 1.0), (10.0, 1.0), (10.0, 5.0), (10.0, 500.0))
     )
 
@@ -238,7 +236,7 @@ def test_criterion_6_momentum_profiles(solve, tonks_grid):
     _finish(6, ok, detail, started, 120.0)
 
 
-def test_criterion_7_property_suite(solve, tonks_decomposition, tonks_grid):
+def test_criterion_7_property_suite(solve, tonks_rho, tonks_grid):
     started = time.perf_counter()
     failures = []
     checks = []
@@ -252,13 +250,15 @@ def test_criterion_7_property_suite(solve, tonks_decomposition, tonks_grid):
 
     # --- special functions ---------------------------------------------
     def hermite_recurrence():
-        # The normalized recurrence against numpy's Hermite series.
+        # The integer-order levels, psi_n as the program evaluates it by
+        # the normalized recurrence, against numpy's Hermite series.
         xs = np.linspace(-10.0, 10.0, 41)
         for n in range(51):
             norm = 1.0 / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
             series = np.polynomial.hermite.hermval(xs, [0] * n + [1])
             oracle = norm * series * np.exp(-0.5 * xs**2)
-            error = specfun.hermite_function(n, xs) - oracle
+            level = EigenState("even" if n % 2 == 0 else "odd", n, n + 0.5, 0.0)
+            error = eigenfunction(level, xs) - oracle
             worst = np.max(np.abs(error)) / np.max(np.abs(oracle))
             assert worst <= 1e-10, f"n={n}: rel {worst:.1e}"
 
@@ -357,7 +357,7 @@ def test_criterion_7_property_suite(solve, tonks_decomposition, tonks_grid):
 
     def hard_core_momentum_routes():
         k = analysis.uniform_k_grid(301, 6.0)
-        hard = analysis.natural_orbitals(tonks.tonks_rspd(tonks.tonks_state(math.inf), tonks_grid))
+        hard = tonks.tonks_rspd(tonks.tonks_state(math.inf), tonks_grid)
         transform = analysis.momentum_distribution(hard, k).densities
         sup = float(np.max(np.abs(transform - tonks.momentum_tg_infinite_barrier(k))))
         assert sup <= 0.02, f"sup {sup:.1e}"
@@ -366,7 +366,7 @@ def test_criterion_7_property_suite(solve, tonks_decomposition, tonks_grid):
         k = analysis.uniform_k_grid(401, 8.0)
         widths = []
         for kappa in (0.0, 1.0, 5.0, 10.0):
-            densities = analysis.momentum_distribution(tonks_decomposition(kappa), k).densities
+            densities = analysis.momentum_distribution(tonks_rho(kappa), k).densities
             above = k[densities >= 0.5 * densities.max()]
             widths.append(float(above[-1] - above[0]))
         assert all(a < b for a, b in zip(widths, widths[1:])), f"widths {widths}"
@@ -437,38 +437,32 @@ def test_criterion_7_property_suite(solve, tonks_decomposition, tonks_grid):
     # --- observables --------------------------------------------------------
     def reconstruction():
         rho = tonks.tonks_rspd(tonks.tonks_state(1.0), tonks_grid)
-        decomposition = analysis.natural_orbitals(rho)
-        rebuilt = (decomposition.orbitals * decomposition.occupations) @ decomposition.orbitals.T
+        rebuilt = (rho.orbitals * analysis.natural_orbitals(rho)) @ rho.orbitals.T
         sup = float(np.max(np.abs(rebuilt - rho.values)))
         assert sup <= 1e-8, f"sup {sup:.1e}"
 
     def parseval():
         # span exactly one alias period: the transform magnitude is a
         # trigonometric polynomial there, so the quadrature is exact
-        decomposition = tonks_decomposition(10.0)
-        spacing = decomposition.grid.spacing
-        count = 2 * decomposition.grid.n_points + 1
+        rho = tonks_rho(10.0)
+        spacing = rho.grid.spacing
+        count = 2 * rho.grid.n_points + 1
         k = analysis.uniform_k_grid(count, math.pi / spacing)
-        cumulative = np.cumsum(decomposition.occupations)
+        cumulative = np.cumsum(analysis.natural_orbitals(rho))
         retained = int(np.searchsorted(cumulative, 1.0 - 1e-8) + 1)
         for i in range(retained):
             # One orbital enters as the product amplitudes phi phi^T,
             # whose only occupation is 1.
-            phi = decomposition.orbitals[:, i]
-            single = analysis.natural_orbitals(
-                analysis.DensityMatrix.from_amplitudes(np.outer(phi, phi), decomposition.grid)
-            )
+            phi = rho.orbitals[:, i]
+            single = analysis.DensityMatrix.from_amplitudes(np.outer(phi, phi), rho.grid)
             weight = _weight(analysis.momentum_distribution(single, k))
             assert abs(weight - 1.0) <= 1e-4, f"orbital {i}: {weight:.6f}"
 
     def entropy_bounds():
-        for decomposition in (
-            tonks_decomposition(0.0),
-            tonks_decomposition(10.0),
-            analysis.natural_orbitals(analysis.rspd_from_state(solve(1.0, 1.0))),
-        ):
-            s = analysis.von_neumann_entropy(decomposition)
-            live = int(np.sum(decomposition.occupations > 1e-12))
+        for rho in (tonks_rho(0.0), tonks_rho(10.0), analysis.rspd_from_state(solve(1.0, 1.0))):
+            occupations = analysis.natural_orbitals(rho)
+            s = analysis.von_neumann_entropy(occupations)
+            live = int(np.sum(occupations > 1e-12))
             assert 0.0 <= s <= math.log2(max(live, 2)), f"S={s:.3f}, live {live}"
 
     def entropy_vs_g():

@@ -26,7 +26,7 @@ def _full_eigh_decomposition(rho):
     )
 
 
-def _synthetic_decomposition(occupations, n_points=5, spacing=0.5):
+def _synthetic_occupations(occupations, n_points=5, spacing=0.5):
     # W = dx * psi is diagonal in the even fold basis delta_c,
     # (delta_c+i + delta_c-i) / sqrt(2), with eigenvalues sqrt(occupations).
     c = n_points // 2
@@ -47,9 +47,9 @@ def test_rspd_from_product_state(solve):
     q = state.grid.points
     phi0 = math.pi**-0.25 * np.exp(-0.5 * q * q)
     assert np.max(np.abs(rho.values - np.outer(phi0, phi0))) <= 1e-8
-    decomposition = analysis.natural_orbitals(rho)
-    assert decomposition.occupations[0] == pytest.approx(1.0, abs=1e-10)
-    assert decomposition.occupations[1] <= 1e-10
+    occupations = analysis.natural_orbitals(rho)
+    assert occupations[0] == pytest.approx(1.0, abs=1e-10)
+    assert occupations[1] <= 1e-10
 
 
 def test_rspd_strong_coupling_matches_analytic_route(solve):
@@ -79,21 +79,21 @@ def test_off_diagonal_quadrant_mass(solve, tonks_grid):
     assert np.all(exact.values[exact_mask] == 0.0)
 
 
-def test_natural_orbitals_spectral_properties(tonks_decomposition):
-    decomposition = tonks_decomposition(1.0)
-    occ = decomposition.occupations
+def test_natural_orbitals_spectral_properties(tonks_rho):
+    rho = tonks_rho(1.0)
+    occ = analysis.natural_orbitals(rho)
     assert np.all(np.diff(occ) <= 0.0)
     assert np.all(occ >= 0.0)
     assert float(np.sum(occ)) == pytest.approx(1.0, abs=1e-8)
-    dx = decomposition.grid.spacing
-    overlaps = dx * (decomposition.orbitals.T @ decomposition.orbitals)
+    dx = rho.grid.spacing
+    overlaps = dx * (rho.orbitals.T @ rho.orbitals)
     assert np.max(np.abs(overlaps - np.eye(overlaps.shape[0]))) <= 1e-6
 
 
-def test_natural_orbitals_reconstruction(tonks_decomposition, tonks_grid):
-    decomposition = tonks_decomposition(1.0)
+def test_natural_orbitals_reconstruction(tonks_rho, tonks_grid):
+    orbitals = tonks_rho(1.0).orbitals
     rho = tonks.tonks_rspd(tonks.tonks_state(1.0), tonks_grid)
-    recon = (decomposition.orbitals * decomposition.occupations) @ decomposition.orbitals.T
+    recon = (orbitals * analysis.natural_orbitals(rho)) @ orbitals.T
     assert np.max(np.abs(recon - rho.values)) <= 1e-8
 
 
@@ -122,12 +122,11 @@ def test_natural_orbitals_fold_matches_full_spectrum(half, rank, spacing, seed):
     psi = 0.5 * (psi + psi[::-1, ::-1])
     psi /= math.sqrt(np.sum(psi * psi)) * spacing
     rho = analysis.DensityMatrix.from_amplitudes(psi, build_grid(n, spacing))
-    decomposition = analysis.natural_orbitals(rho)
 
-    occ = decomposition.occupations
+    occ = analysis.natural_orbitals(rho)
     expected = np.linalg.eigvalsh(spacing**2 * (psi @ psi.T))[::-1]
     np.testing.assert_allclose(occ, expected, rtol=0.0, atol=1e-12)
-    orbitals = decomposition.orbitals
+    orbitals = rho.orbitals
     recon = (orbitals * occ) @ orbitals.T
     values = rho.values
     np.testing.assert_allclose(recon, values, rtol=0.0, atol=1e-12 * np.max(np.abs(values)))
@@ -142,11 +141,11 @@ def test_natural_orbitals_fold_matches_full_eigh_on_tonks(kappa):
     rho = tonks.tonks_rspd(tonks.tonks_state(kappa), build_grid(401, 0.03))
     folded = analysis.natural_orbitals(rho)
     full = _full_eigh_decomposition(rho)
-    np.testing.assert_allclose(folded.occupations, full.occupations, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(folded, full.occupations, rtol=0.0, atol=1e-12)
     assert analysis.von_neumann_entropy(folded) == pytest.approx(
-        analysis.von_neumann_entropy(full), rel=0.0, abs=1e-12
+        analysis.von_neumann_entropy(full.occupations), rel=0.0, abs=1e-12
     )
-    assert analysis.schmidt_number(folded) == analysis.schmidt_number(full)
+    assert analysis.schmidt_number(folded) == analysis.schmidt_number(full.occupations)
 
 
 def test_natural_orbitals_small_occupations_exact():
@@ -168,19 +167,24 @@ def test_natural_orbitals_small_occupations_exact():
     psi = 0.5 * (psi + psi[::-1, ::-1])
 
     rho = analysis.DensityMatrix.from_amplitudes(psi, build_grid(n, dx))
-    found = analysis.natural_orbitals(rho).occupations
+    found = analysis.natural_orbitals(rho)
     assert found[:17] == pytest.approx(occupations, rel=1e-8, abs=0.0)
 
 
-def test_observables_never_form_the_density_matrix(solve):
+def test_observables_never_form_the_density_matrix(solve, monkeypatch):
+    # Nor the orbitals: reading them fails the test.
+    def forbidden(self):
+        raise AssertionError("the natural orbitals were formed")
+
+    monkeypatch.setattr(analysis.DensityMatrix, "orbitals", property(forbidden))
     grid = build_grid(1201, 0.01)
     k = analysis.uniform_k_grid(41, 8.0)
     analytic = tonks.tonks_rspd(tonks.tonks_state(3.3), grid)
     for rho in (analytic, analysis.rspd_from_state(solve(1.0, 1.0))):
-        decomposition = analysis.natural_orbitals(rho)
-        analysis.von_neumann_entropy(decomposition)
-        analysis.schmidt_number(decomposition)
-        analysis.momentum_distribution(decomposition, k)
+        occupations = analysis.natural_orbitals(rho)
+        analysis.von_neumann_entropy(occupations)
+        analysis.schmidt_number(occupations)
+        analysis.momentum_distribution(rho, k)
         assert "values" not in vars(rho)
 
 
@@ -193,10 +197,10 @@ def test_natural_orbitals_rejects_parity_breaking_input():
         analysis.DensityMatrix.from_amplitudes(np.eye(4), Grid(4, 0.5))
 
 
-def test_tonks_zero_barrier_occupations(tonks_decomposition):
-    decomposition = tonks_decomposition(0.0)
-    assert decomposition.occupations[0] + decomposition.occupations[1] > 0.95
-    entropy = analysis.von_neumann_entropy(decomposition)
+def test_tonks_zero_barrier_occupations(tonks_rho):
+    occupations = analysis.natural_orbitals(tonks_rho(0.0))
+    assert occupations[0] + occupations[1] > 0.95
+    entropy = analysis.von_neumann_entropy(occupations)
     assert entropy == pytest.approx(0.985, abs=0.005)
 
 
@@ -211,41 +215,39 @@ def test_uniform_k_grid_validation():
         analysis.uniform_k_grid(5, float("inf"))
 
 
-def test_momentum_distribution_validates_k_grid(tonks_decomposition):
-    decomposition = tonks_decomposition(0.0)
+def test_momentum_distribution_validates_k_grid(tonks_rho):
+    rho = tonks_rho(0.0)
     with pytest.raises(ValueError):
-        analysis.momentum_distribution(decomposition, np.array([0.0, 1.0]))
+        analysis.momentum_distribution(rho, np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
-        analysis.momentum_distribution(decomposition, np.array([-1.0, 0.0, 2.0]))
+        analysis.momentum_distribution(rho, np.array([-1.0, 0.0, 2.0]))
     with pytest.raises(ValueError):
-        analysis.momentum_distribution(decomposition, np.array([-2.0, -1.5, 0.0, 1.5, 2.0]))
+        analysis.momentum_distribution(rho, np.array([-2.0, -1.5, 0.0, 1.5, 2.0]))
     with pytest.raises(ValueError):
-        analysis.momentum_distribution(decomposition, np.array([-1.0, 0.0, np.nan]))
+        analysis.momentum_distribution(rho, np.array([-1.0, 0.0, np.nan]))
     with pytest.raises(ValueError):
-        analysis.momentum_distribution(decomposition, np.ones((3, 3)))
+        analysis.momentum_distribution(rho, np.ones((3, 3)))
 
 
 def test_momentum_distribution_nyquist_warning(solve):
-    decomposition = analysis.natural_orbitals(analysis.rspd_from_state(solve(0.0, 1.0)))
+    rho = analysis.rspd_from_state(solve(0.0, 1.0))
     beyond = analysis.uniform_k_grid(101, 25.0)
     with pytest.warns(UserWarning):
-        analysis.momentum_distribution(decomposition, beyond)
+        analysis.momentum_distribution(rho, beyond)
 
 
-def test_momentum_distribution_basic_properties(tonks_decomposition):
-    decomposition = tonks_decomposition(10.0)
+def test_momentum_distribution_basic_properties(tonks_rho):
     k = analysis.uniform_k_grid(401, 8.0)
-    dist = analysis.momentum_distribution(decomposition, k)
+    dist = analysis.momentum_distribution(tonks_rho(10.0), k)
     assert np.all(dist.densities >= 0.0)
     np.testing.assert_allclose(dist.densities, dist.densities[::-1], atol=1e-8)
     assert dist.retained_orbitals >= 2
 
 
 @pytest.mark.parametrize("count", [401, 400])
-def test_momentum_distribution_matches_complex_phase_sum(tonks_decomposition, tonks_grid, count):
-    decomposition = tonks_decomposition(1.0)
+def test_momentum_distribution_matches_complex_phase_sum(tonks_rho, tonks_grid, count):
     k = analysis.uniform_k_grid(count, 8.0)
-    dist = analysis.momentum_distribution(decomposition, k)
+    dist = analysis.momentum_distribution(tonks_rho(1.0), k)
     # Oracle: the complex-phase quadrature over the whole k grid, summed
     # over every orbital of one eigh of the full density matrix.
     full = _full_eigh_decomposition(tonks.tonks_rspd(tonks.tonks_state(1.0), tonks_grid))
@@ -264,63 +266,63 @@ def test_momentum_grid_route_product_state_closed_form(solve):
     # At kappa = g1d = 0 both bosons sit in the oscillator ground state, so
     # n(k) = |phi_0(k)|^2 = exp(-k^2) / sqrt(pi).  The 81/0.16 span holds
     # the Gaussian to well below the bound (1.5e-10 measured).
-    decomposition = analysis.natural_orbitals(analysis.rspd_from_state(solve(0.0, 0.0)))
+    rho = analysis.rspd_from_state(solve(0.0, 0.0))
     k = analysis.uniform_k_grid(401, 8.0)
-    densities = analysis.momentum_distribution(decomposition, k).densities
+    densities = analysis.momentum_distribution(rho, k).densities
     np.testing.assert_allclose(
         densities, np.exp(-k * k) / math.sqrt(math.pi), rtol=0.0, atol=1e-9
     )
 
 
 @pytest.mark.parametrize("kappa", [0.0, 10.0])
-def test_momentum_integral_on_nyquist_window_analytic(tonks_decomposition, kappa):
-    decomposition = tonks_decomposition(kappa)
-    dx = decomposition.grid.spacing
-    k = analysis.uniform_k_grid(2 * decomposition.grid.n_points + 1, math.pi / dx)
-    dist = analysis.momentum_distribution(decomposition, k)
+def test_momentum_integral_on_nyquist_window_analytic(tonks_rho, kappa):
+    rho = tonks_rho(kappa)
+    dx = rho.grid.spacing
+    k = analysis.uniform_k_grid(2 * rho.grid.n_points + 1, math.pi / dx)
+    dist = analysis.momentum_distribution(rho, k)
     assert np.trapezoid(dist.densities, dist.k_values) == pytest.approx(1.0, abs=1e-4)
 
 
 @pytest.mark.parametrize("kappa,g", [(1.0, 1.0), (10.0, 500.0)])
 def test_momentum_integral_on_nyquist_window_grid_route(solve, kappa, g):
-    decomposition = analysis.natural_orbitals(analysis.rspd_from_state(solve(kappa, g)))
-    dx = decomposition.grid.spacing
-    k = analysis.uniform_k_grid(2 * decomposition.grid.n_points + 1, math.pi / dx)
-    dist = analysis.momentum_distribution(decomposition, k)
+    rho = analysis.rspd_from_state(solve(kappa, g))
+    dx = rho.grid.spacing
+    k = analysis.uniform_k_grid(2 * rho.grid.n_points + 1, math.pi / dx)
+    dist = analysis.momentum_distribution(rho, k)
     assert np.trapezoid(dist.densities, dist.k_values) == pytest.approx(1.0, abs=1e-4)
 
 
-def test_parseval_per_orbital(tonks_decomposition):
-    decomposition = tonks_decomposition(1.0)
-    dx = decomposition.grid.spacing
-    k = analysis.uniform_k_grid(2 * decomposition.grid.n_points + 1, math.pi / dx)
+def test_parseval_per_orbital(tonks_rho):
+    rho = tonks_rho(1.0)
+    dx = rho.grid.spacing
+    k = analysis.uniform_k_grid(2 * rho.grid.n_points + 1, math.pi / dx)
     # Every orbital up to a cumulative occupation of 1 - 1e-8.
-    retained = int(np.searchsorted(np.cumsum(decomposition.occupations), 1.0 - 1e-8) + 1)
-    phases = np.exp(-1j * np.outer(k, decomposition.grid.points))
-    mu = phases @ decomposition.orbitals[:, :retained] * (dx / math.sqrt(2.0 * math.pi))
+    retained = int(np.searchsorted(np.cumsum(analysis.natural_orbitals(rho)), 1.0 - 1e-8) + 1)
+    phases = np.exp(-1j * np.outer(k, rho.grid.points))
+    mu = phases @ rho.orbitals[:, :retained] * (dx / math.sqrt(2.0 * math.pi))
     integrals = trapezoid(np.abs(mu) ** 2, k, axis=0)
     np.testing.assert_allclose(integrals, 1.0, atol=1e-4)
 
 
 def test_entropy_synthetic_cases():
-    assert analysis.von_neumann_entropy(_synthetic_decomposition([1.0, 0.0])) == 0.0
+    assert analysis.von_neumann_entropy(_synthetic_occupations([1.0, 0.0])) == 0.0
     assert analysis.von_neumann_entropy(
-        _synthetic_decomposition([0.5, 0.5])
+        _synthetic_occupations([0.5, 0.5])
     ) == pytest.approx(1.0, abs=1e-12)
-    empty = analysis.von_neumann_entropy(_synthetic_decomposition([0.0, 0.0]))
+    empty = analysis.von_neumann_entropy(_synthetic_occupations([0.0, 0.0]))
     assert empty == 0.0
 
 
-def test_entropy_bounds(tonks_decomposition):
-    decomposition = tonks_decomposition(1.0)
-    entropy = analysis.von_neumann_entropy(decomposition)
-    live = int(np.sum(decomposition.occupations >= 1e-12))
+def test_entropy_bounds(tonks_rho):
+    occupations = analysis.natural_orbitals(tonks_rho(1.0))
+    entropy = analysis.von_neumann_entropy(occupations)
+    live = int(np.sum(occupations >= 1e-12))
     assert 0.0 <= entropy <= math.log2(live)
 
 
 def test_entropy_never_negative(solve):
-    decomposition = analysis.natural_orbitals(analysis.rspd_from_state(solve(5.0, 0.0)))
-    value = analysis.von_neumann_entropy(decomposition)
+    occupations = analysis.natural_orbitals(analysis.rspd_from_state(solve(5.0, 0.0)))
+    value = analysis.von_neumann_entropy(occupations)
     assert value == 0.0
     assert math.copysign(1.0, value) == 1.0
 
@@ -348,14 +350,14 @@ def test_entropy_monotone_in_barrier(solve):
 
 
 def test_entropy_saturation(solve):
-    decomposition = analysis.natural_orbitals(analysis.rspd_from_state(solve(10.0, 5.0)))
-    assert analysis.von_neumann_entropy(decomposition) == pytest.approx(1.0, abs=0.03)
+    occupations = analysis.natural_orbitals(analysis.rspd_from_state(solve(10.0, 5.0)))
+    assert analysis.von_neumann_entropy(occupations) == pytest.approx(1.0, abs=0.03)
 
 
-def test_schmidt_number_cases(tonks_decomposition):
-    assert analysis.schmidt_number(_synthetic_decomposition([1.0, 0.0])) == 1
-    infinite = tonks_decomposition(float("inf"))
+def test_schmidt_number_cases(tonks_rho):
+    assert analysis.schmidt_number(_synthetic_occupations([1.0, 0.0])) == 1
+    infinite = analysis.natural_orbitals(tonks_rho(float("inf")))
     assert analysis.schmidt_number(infinite) == 2
-    assert infinite.occupations[2] <= 1e-12
-    crossing = tonks_decomposition(1.33)
+    assert infinite[2] <= 1e-12
+    crossing = analysis.natural_orbitals(tonks_rho(1.33))
     assert analysis.schmidt_number(crossing) > 2

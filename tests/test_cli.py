@@ -188,10 +188,8 @@ def test_run_sweep_dvr_non_interacting():
 
 
 def test_run_sweep_entropy_saturation(solve):
-    decomposition = analysis.natural_orbitals(
-        analysis.rspd_from_state(solve(10.0, 5.0))
-    )
-    assert analysis.von_neumann_entropy(decomposition) == pytest.approx(1.0, abs=0.03)
+    occupations = analysis.natural_orbitals(analysis.rspd_from_state(solve(10.0, 5.0)))
+    assert analysis.von_neumann_entropy(occupations) == pytest.approx(1.0, abs=0.03)
 
 
 def test_run_sweep_spectrum_records():
@@ -360,7 +358,7 @@ def test_cli_tonks_json_momentum_per_point(tmp_path, tonks_grid):
     k = analysis.uniform_k_grid(41, 8.0)
     for point in points:
         rho = tonks.tonks_rspd(tonks.tonks_state(float(point["kappa"])), tonks_grid)
-        dist = analysis.momentum_distribution(analysis.natural_orbitals(rho), k)
+        dist = analysis.momentum_distribution(rho, k)
         assert point["momentum"] == {
             "k": [float(f"{v:.12g}") for v in k],
             "n": [float(f"{v:.12g}") for v in dist.densities],
@@ -370,13 +368,17 @@ def test_cli_tonks_json_momentum_per_point(tmp_path, tonks_grid):
 
 def test_cli_observables_take_no_eigenvectors(capsys, monkeypatch):
     # Entropy, Schmidt number and momentum come from eigenvalues and the
-    # fold blocks alone; the orbitals are formed only when read.
+    # fold blocks alone: reading the orbitals fails the run.  Once the run
+    # is over, the orbitals are formed when read.
     eigh_calls = []
     eigh = np.linalg.eigh
 
     def counted_eigh(*args, **kwargs):
         eigh_calls.append(1)
         return eigh(*args, **kwargs)
+
+    def forbidden(self):
+        raise AssertionError("the natural orbitals were formed")
 
     made = []
     natural_orbitals = analysis.natural_orbitals
@@ -385,18 +387,21 @@ def test_cli_observables_take_no_eigenvectors(capsys, monkeypatch):
         made.append((rho, natural_orbitals(rho)))
         return made[-1][1]
 
+    orbitals_property = vars(analysis.DensityMatrix)["orbitals"]
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(analysis, "natural_orbitals", recorded)
+    monkeypatch.setattr(analysis.DensityMatrix, "orbitals", property(forbidden))
     assert main(["tonks", "--kappa", "0", "3.3", "inf",
                  "--outputs", "energy,entropy,schmidt,momentum", "--format", "json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["points"]) == 3
     assert len(made) == 3 and not eigh_calls
-    for rho, decomposition in made:
-        assert "orbitals" not in vars(decomposition)
-        orbitals = decomposition.orbitals
-        assert decomposition.orbitals is orbitals
-        dx = decomposition.grid.spacing
-        recon = (orbitals * decomposition.occupations) @ orbitals.T
+    monkeypatch.setattr(analysis.DensityMatrix, "orbitals", orbitals_property)
+    for rho, occupations in made:
+        assert "orbitals" not in vars(rho)
+        orbitals = rho.orbitals
+        assert rho.orbitals is orbitals
+        dx = rho.grid.spacing
+        recon = (orbitals * occupations) @ orbitals.T
         assert np.max(np.abs(recon - rho.values)) <= 1e-8
         overlaps = dx * (orbitals.T @ orbitals)
         assert np.max(np.abs(overlaps - np.eye(overlaps.shape[0]))) <= 1e-6
@@ -906,6 +911,19 @@ def test_cli_tonks_observables_form_no_full_mesh_array(capsys, monkeypatch):
     assert main(["tonks", "--kappa", "0", "3.3", "inf", "--k-points", "41",
                  "--outputs", "energy,entropy,schmidt,momentum", "--format", "json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["points"]) == 3
+
+
+def test_cli_grid_observables_skip_the_checked_constructor(capsys, monkeypatch):
+    # The grid solver hands its two parity blocks to the chain as they
+    # are: no point enters DensityMatrix.from_amplitudes or folds psi.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the grid amplitudes were checked and folded")
+
+    monkeypatch.setattr(analysis.DensityMatrix, "from_amplitudes", forbidden)
+    monkeypatch.setattr(analysis, "_fold", forbidden)
+    assert main(["dvr", "--kappa", "0", "3.3", "inf", "--g1d", "0", "5", "inf",
+                 "--outputs", "energy,entropy,schmidt,momentum", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["points"]) == 9
 
 
 def test_cli_import_leaves_out_scipy_integrate():

@@ -9,7 +9,7 @@ import scipy.linalg
 from scipy.integrate import cumulative_trapezoid, quad, trapezoid
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from splittrap import analysis, dvr, specfun, tonks
+from splittrap import analysis, dvr, tonks
 from splittrap.dvr import ConvergenceError, GridError, TwoBodyState, build_grid
 from splittrap.single_particle import eigenfunction, even_energy, even_state
 
@@ -235,9 +235,11 @@ def test_shifted_inverse_solves_hamiltonian(kappa, g1d, n_points, spacing):
     # as the row solver does.  The inverses act on one-body eigenbasis
     # coefficients, so mesh arrays go in as U_e^T x U_e and U_o^T x U_o
     # (even sector) or U_e^T x U_o (odd sector) and come back through
-    # U_e and U_o, the half-mesh rows e and o unfolded onto the mesh.
+    # U_e and U_o, the fold-basis eigenvectors v_e and v_o taken to their
+    # half-mesh rows e and o and unfolded onto the mesh.
     grid = build_grid(n_points, spacing)
-    e, o, sigma, _, at_contact = dvr._shifted_inverse(*dvr._one_body(grid, kappa)[1:])
+    v_e, v_o, sigma, _, at_contact = dvr._shifted_inverse(*dvr._one_body(grid, kappa)[1:])
+    e, o = dvr._half_rows(v_e, v_o)
     even_inverse, odd_inverse = at_contact(dvr._contact(grid, g1d)[1])
     u_e, u_o = np.vstack((e[:0:-1], e)), np.vstack((-o[:0:-1], o))
     m = e.shape[0]
@@ -288,6 +290,23 @@ def test_row_solver_matches_single_point_solves_bitwise(kappa):
         assert (row.kappa, row.g1d) == (single.kappa, single.g1d) == (kappa, g1d)
 
 
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 3.3, math.inf])
+@pytest.mark.parametrize("n_points,spacing", [(81, 0.16), (161, 0.08)])
+def test_solver_blocks_are_the_fold_of_its_amplitudes(solve, kappa, n_points, spacing):
+    # The solver hands over the two parity blocks of W = dx psi, built from
+    # its Ritz vector, and unfolds psi from them: folding dx psi gives the
+    # blocks back, both exactly symmetric, with unit total squared norm.
+    for g1d in (0.0, 5.0, math.inf):
+        state = solve(kappa, g1d, n_points, spacing)
+        even, odd = dvr._fold(spacing * state.amplitudes)
+        assert np.max(np.abs(state.even - even)) <= 1e-15
+        assert np.max(np.abs(state.odd - odd)) <= 1e-15
+        assert np.array_equal(state.even, state.even.T)
+        assert np.array_equal(state.odd, state.odd.T)
+        norm = np.sum(state.even * state.even) + np.sum(state.odd * state.odd)
+        assert abs(norm - 1.0) <= 1e-14
+
+
 def _symmetric_spectrum(grid, kappa, g1d):
     # Two lowest eigenvalues of H on the exchange-symmetric sector, from
     # the dense matrix in the orthonormal basis |ii>, (|ij> + |ji>)/sqrt 2.
@@ -327,8 +346,9 @@ def test_gap_non_interacting_closed_form(solve, kappa):
 def test_near_degenerate_flag():
     grid = build_grid(3, 1.0)
     psi = np.eye(3)
+    even, odd = dvr._fold(psi)
     state = TwoBodyState(
-        energy=1.0, amplitudes=psi, grid=grid, kappa=0.0, g1d=0.0, gap=1e-8
+        energy=1.0, even=even, odd=odd, amplitudes=psi, grid=grid, kappa=0.0, g1d=0.0, gap=1e-8
     )
     assert state.near_degenerate
 
@@ -357,7 +377,7 @@ def _separated_entropy(g, n_points, spacing):
     # the mesh, x + y and x - y take 2N - 1 values, (i +- j) dx / sqrt 2.
     grid = build_grid(n_points, spacing)
     t = (np.arange(2 * n_points - 1) - (n_points - 1)) * spacing / math.sqrt(2.0)
-    centre = specfun.hermite_function(0, t)
+    centre = math.pi**-0.25 * np.exp(-0.5 * t * t)
     relative = eigenfunction(even_state(g / math.sqrt(2.0), 0), t)
     i = np.arange(n_points)
     psi = centre[i[:, None] + i] * relative[i[:, None] - i + n_points - 1]

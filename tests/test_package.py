@@ -13,6 +13,8 @@ REMOVED = (
     ("tonks", "DEFAULT_ANALYTIC_POINTS"),
     ("tonks", "DEFAULT_ANALYTIC_SPACING"),
     ("dvr", "kinetic_matrix"),
+    ("analysis", "NaturalDecomposition"),
+    ("specfun", "hermite_function"),
 )
 
 

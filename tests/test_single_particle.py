@@ -351,14 +351,16 @@ def test_hermite_norms(n, expected):
 
 @pytest.mark.parametrize("n", [61, 151, 301, 801, 1201])
 def test_hermite_function_orthonormal_at_high_degree(n):
-    # Quadrature overlaps of psi_{n-2}, psi_n, psi_{n+2} on a mesh that
+    # Quadrature overlaps of the oscillator levels psi_{n-2}, psi_n,
+    # psi_{n+2}, as the program evaluates them, on a mesh that
     # holds every oscillation (turning point sqrt(2n + 5) < 50): the
     # trapezoid sum of these smooth decaying functions is spectrally exact.
     # Past |x| = 38.6, where e^(-x^2/2) underflows, the levels from n = 700
     # on still carry weight.
     dx = 0.01
     x = np.arange(-6000, 6001) * dx
-    values = [specfun.hermite_function(m, x) for m in (n - 2, n, n + 2)]
+    values = [eigenfunction(EigenState("even" if m % 2 == 0 else "odd", m, m + 0.5, 0.0), x)
+              for m in (n - 2, n, n + 2)]
     gram = np.array([[np.sum(a * b) * dx for b in values] for a in values])
     np.testing.assert_allclose(gram, np.eye(3), rtol=0.0, atol=1e-12)
 

