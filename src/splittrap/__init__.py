@@ -17,8 +17,8 @@ _NAMES = {
                  "von_neumann_entropy"),
     "dvr": ("ConvergenceError", "Grid", "GridError", "TwoBodyState", "apply_hamiltonian",
             "build_grid", "ground_state", "ground_state_solver"),
-    "single_particle": ("BracketError", "EigenState", "eigenfunction", "even_energy",
-                        "even_state", "odd_energy", "spectrum"),
+    "single_particle": ("EigenState", "eigenfunction", "even_energy", "even_state",
+                        "odd_energy", "spectrum"),
     "tonks": ("TonksState", "momentum_noninteracting_infinite_barrier",
               "momentum_tg_infinite_barrier", "tonks_energy", "tonks_rspd", "tonks_state"),
     "units": ("ConfinementResonanceError", "g1d_from_physical"),

@@ -6,18 +6,22 @@ levels come from the root of the gamma-ratio relation
 
     -kappa = 2 Gamma(-E/2 + 3/4) / Gamma(-E/2 + 1/4),
 
-found as the root of the entire function
+that of two atoms with a contact interaction in a harmonic trap (Busch
+et al., Found. Phys. 28, 549 (1998)).  With a = 1/4 - E/2 and
+R(E) = Gamma(3/4 + E/2) / Gamma(1/4 + E/2) > 0, the reflection formula
+turns it into 2 sin(pi a) R(E) + kappa cos(pi a) = 0, which has no pole
+and no factor that overflows.  On the j-th bracket, E = 2j + 1/2 + t
+with 0 <= t <= 1, a = -j - t/2 and the relation reads
+tan(pi t / 2) = kappa / (2 R(E)), so the level is the root of
 
-    h(E) = 2 / Gamma(1/4 - E/2) + kappa / Gamma(3/4 - E/2)
+    g(t) = t - (2/pi) atan(kappa / (2 R(2j + 1/2 + t))),
 
-(the relation multiplied through by 1 / Gamma(3/4 - E/2)), which changes
-sign across the exact bracket [2j + 1/2, 2j + 3/2].  By the reflection
-formula, pi h(E) / Gamma(1/4 + E/2) = 2 sin(pi a) exp(lgamma(3/4 + E/2) -
-lgamma(1/4 + E/2)) + kappa sin(pi (a + 1/2)), a = 1/4 - E/2, which has
-the sign of h and no factor that overflows; the bisection uses it.  Odd
+with g(0) < 0 < g(1) for every 0 < kappa < inf.  R grows with E, and
+d ln R / dE = [psi(3/4 + E/2) - psi(1/4 + E/2)] / 2 falls from its value
+ln 2 at E = 1/2, so the slope of g lies in [1, 1 + ln 2 / pi]: g is
+nearly linear, and secant steps in its sign bracket close it down to
+two adjacent floats in five or six evaluations of g, at any level.  Odd
 levels are barrier-blind harmonic oscillator states with E = n + 1/2.
-The relation is that of two atoms with a contact interaction in a
-harmonic trap (Busch et al., Found. Phys. 28, 549 (1998)).
 
 Every level is one function.  The even level
 phi(x) = exp(-x^2/2) U(a, 1/2, x^2) with a = 1/4 - E/2 solves
@@ -55,13 +59,6 @@ import numpy as np
 
 from . import specfun
 
-_BISECTION_TOL = 1e-12
-
-
-class BracketError(RuntimeError):
-    """Bisection of a level bracket stalls before reaching its tolerance."""
-
-
 def check_coupling(value, name="kappa"):
     """``value`` as a coupling: a float >= 0, with math.inf for the limit.
 
@@ -96,11 +93,10 @@ class EigenState:
     kappa: float
 
 
-def _even_h(energy, kappa):
-    # pi h(E) / Gamma(1/4 + E/2), of the sign of h (module docstring).
+def _even_g(energy, base, kappa):
+    # g(t) at t = energy - base, exact in floats (module docstring).
     ratio = math.exp(math.lgamma(0.75 + 0.5 * energy) - math.lgamma(0.25 + 0.5 * energy))
-    sin_pi = specfun.sin_pi
-    return 2.0 * sin_pi(0.25 - 0.5 * energy) * ratio + kappa * sin_pi(0.75 - 0.5 * energy)
+    return (energy - base) - math.atan(0.5 * kappa / ratio) / (0.5 * math.pi)
 
 
 def even_energy(kappa, j):
@@ -116,8 +112,9 @@ def even_energy(kappa, j):
     Returns
     -------
     float
-        Energy in (2j + 1/2, 2j + 3/2); the closed-form limits
-        2j + 1/2 (kappa = 0) and 2j + 3/2 (infinite) are returned
+        Energy in [2j + 1/2, 2j + 3/2], whichever of the two floats
+        around the root of g is nearer to it by |g|; the closed-form
+        limits 2j + 1/2 (kappa = 0) and 2j + 3/2 (infinite) are returned
         exactly.
     """
     kappa = check_coupling(kappa)
@@ -129,29 +126,32 @@ def even_energy(kappa, j):
     if kappa == 0.0:
         return 2.0 * j + 0.5
 
-    # Bisection on the exact bracket.  h has no poles, and at the ends
-    # only one of its terms survives: the kappa term at the lower end, the
-    # gamma-ratio term at the upper, of opposite signs that alternate
-    # with j.  Iterating past the nominal tolerance down to the
-    # floating-point floor keeps the root exact even for very large or
-    # very small kappa, where it hugs one end of the bracket.
-    lo = 2.0 * j + 0.5
-    hi = 2.0 * j + 1.5
-    lower_sign = math.copysign(1.0, _even_h(lo, kappa))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if _even_h(mid, kappa) * lower_sign > 0.0:
-            lo = mid
+    # Secant steps on g in its sign bracket [lo, hi], from one
+    # fixed-point step at t = 0; a step that leaves the bracket bisects
+    # it, and one that lands on an end moves one float inside.  So every
+    # step lands on a float strictly inside, the loop ends once lo and hi
+    # are adjacent floats, and the nearer one is returned.
+    # g grows faster than t, so g(1) >= 1 + g(0) bounds the unevaluated
+    # end from below.
+    base = 2.0 * j + 0.5
+    lo, g_lo = base, _even_g(base, base, kappa)
+    hi, g_hi = base + 1.0, 1.0 + g_lo
+    energy, value, slope = lo, g_lo, 1.0
+    while g_lo < 0.0 < g_hi and math.nextafter(lo, hi) < hi:
+        guess = energy - value / slope
+        if not lo <= guess <= hi:
+            guess = 0.5 * (lo + hi)
+        if guess == lo or guess == hi:
+            guess = math.nextafter(guess, hi if guess == lo else lo)
+        new = _even_g(guess, base, kappa)
+        # A secant slope below 1, the least slope of g, is rounding noise.
+        slope = max((new - value) / (guess - energy), 1.0)
+        energy, value = guess, new
+        if value < 0.0:
+            lo, g_lo = energy, value
         else:
-            hi = mid
-    if hi - lo > _BISECTION_TOL:
-        raise BracketError(
-            f"bisection stalled on level {j} at kappa = {kappa}: "
-            f"bracket width {hi - lo:.3e}"
-        )
-    return 0.5 * (lo + hi)
+            hi, g_hi = energy, value
+    return lo if -g_lo < g_hi else hi
 
 
 def odd_energy(n):
@@ -184,18 +184,16 @@ def spectrum(kappa, count):
     """Lowest ``count`` levels at barrier strength kappa, by energy.
 
     Level i has oscillator index n = i: the even level j lies in
-    (2j + 1/2, 2j + 3/2] and the odd level 2j + 1 sits at 2j + 3/2, so
+    [2j + 1/2, 2j + 3/2] and the odd level 2j + 1 sits at 2j + 3/2, so
     the parities alternate, and even comes first in the doubly
     degenerate infinite-barrier limit, where the two meet.  Every level
     carries the requested kappa.
 
-    kappa = 0 and kappa = inf have closed-form energies and no level
-    limit.  At finite kappa > 0 at most 8192 levels work: from j = 4096
-    on, one ulp of E (1.8e-12 at E = 8192) exceeds the 1e-12 bisection
-    tolerance, and ``even_energy`` raises BracketError.  The
-    eigenfunctions are verified up to even level j = 40 against mpmath
-    and, through the Hermite functions, up to n = 1201 by their Gram
-    matrix on the mesh.
+    kappa = 0 and kappa = inf have closed-form energies, and every
+    other even energy is within about an ulp of its root, at any level
+    count.  The eigenfunctions are verified up to even level j = 40
+    against mpmath and, through the Hermite functions, up to n = 1201
+    by their Gram matrix on the mesh.
     """
     kappa = check_coupling(kappa)
     if count != int(count) or count < 1:

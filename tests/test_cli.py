@@ -496,7 +496,7 @@ def test_cli_negative_zero_coupling_reads_as_zero(tmp_path, capsys):
 
 def test_cli_tonks_point_solves_its_levels_once(capsys, monkeypatch):
     # The density matrix is built from the state solved for the energy:
-    # one even-level bisection per finite-barrier point.
+    # one even-level solve per finite-barrier point.
     calls = []
     even_energy = single_particle.even_energy
 
@@ -580,15 +580,19 @@ def test_cli_spectrum_150_levels(capsys):
         assert [float(row[4]) for row in odd] == [int(row[3]) + 0.5 for row in odd]
 
 
-def test_cli_spectrum_failure_record_carries_only_kappa(capsys):
-    # From j = 4096 one ulp of E exceeds the bisection tolerance, so 8193
-    # levels fail; the failed point's record keeps its kappa alone.
-    assert main(["spectrum", "--kappa", "1", "--levels", "8193", "--format", "json"]) == 2
+def test_cli_spectrum_failure_record_carries_only_kappa(capsys, monkeypatch):
+    # A level solve that fails fails its point; the failed point's record
+    # keeps its kappa alone.
+    def failing(kappa, j):
+        raise ArithmeticError(f"no root for level {j} at kappa = {kappa}")
+
+    monkeypatch.setattr(single_particle, "even_energy", failing)
+    assert main(["spectrum", "--kappa", "1", "--levels", "3", "--format", "json"]) == 2
     captured = capsys.readouterr()
     assert json.loads(captured.out)["points"] == [{"kappa": "1"}]
     (failure,) = json.loads(captured.err)["failures"]
     assert (failure["kappa"], failure["g1d"]) == ("1", "")
-    assert failure["error"].startswith("BracketError")
+    assert failure["error"].startswith("ArithmeticError")
 
 
 def test_cli_failure_manifest(tmp_path):

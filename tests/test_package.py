@@ -15,6 +15,7 @@ REMOVED = (
     ("dvr", "kinetic_matrix"),
     ("analysis", "NaturalDecomposition"),
     ("specfun", "hermite_function"),
+    ("single_particle", "BracketError"),
 )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from decimal import Decimal
 from pathlib import Path
 
 import mpmath
@@ -9,10 +10,9 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from splittrap import specfun
+from splittrap import single_particle, specfun
 from splittrap.cli import _fmt_value, build_parser
 from splittrap.single_particle import (
-    BracketError,
     EigenState,
     check_coupling,
     even_energy,
@@ -177,28 +177,88 @@ def test_even_energy_reference_roots(key, expected):
 
 
 # Levels from j = 171, where Gamma(j + 1) exceeds a float, frozen from the
-# same 40-digit mpmath bisection of h(E).
+# same 40-digit mpmath bisection.  The last two lie past j = 4095, where
+# one ulp of E exceeds 1e-12; they follow the others, which are in sorted
+# key order, so that the earlier entries keep their test ids.
 HIGH_EVEN_ROOTS = {
     (1e-9, 300): 600.50000000001836997,
+    (1e-3, 4095): 8190.5000049740473739,
     (1.0, 171): 342.52431129012734069,
     (1.0, 1000): 2000.5100637205802628,
     (1e3, 2000): 4001.443199924578431,
     (1e9, 3000): 6001.4999999302530812,
-    (1e-3, 4095): 8190.5000049740473739,
+    (1.0, 4096): 8192.5049733375074423,
+    (1.0, 10000): 20000.503183032295638,
 }
 
 
-@pytest.mark.parametrize("key,expected", sorted(HIGH_EVEN_ROOTS.items()))
+@pytest.mark.parametrize("key,expected", HIGH_EVEN_ROOTS.items())
 def test_even_energy_high_levels(key, expected):
     kappa, j = key
     assert even_energy(kappa, j) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
-def test_even_energy_level_limit():
-    # From j = 4096 on, one ulp of E (1.8e-12) is wider than the bisection
-    # tolerance, so 8192 levels is the most spectrum gives at finite kappa.
-    with pytest.raises(BracketError, match="level 4096"):
-        even_energy(1.0, 4096)
+# Levels j = 0..4 at eight kappa drawn as the levels benchmark draws them
+# (log-uniform over [1e-2, 1e3], 6 significant digits; numpy
+# default_rng(20261019)), frozen from a 40-digit mpmath bisection of
+# g(t) = t - (2/pi) atan(kappa / (2 R(E))).
+WORKLOAD_ROOTS = {
+    0.183506: ("0.5964397947113461817563621", "2.551151604866510429848718",
+               "4.538613547871481356819478", "6.532246697744661208456956",
+               "8.528244274246717724090377"),
+    49.2081: ("1.477239590367769266245609", "3.465802072430646382211776",
+              "5.457235402560656767141358", "7.450107748551879457626153",
+              "9.443881109773994707382436"),
+    0.0550485: ("0.5303984141855178613382508", "2.515479617998484871617633",
+                "4.511630530418368519015933", "6.509697618865755087396164",
+                "8.508487639163696404832863"),
+    4.70574: ("1.285070948415599012900751", "3.185041969014783973819279",
+              "5.119150550239800723639277", "7.070406732455631757796589",
+              "9.032112485129713866561422"),
+    1.04183: ("0.9035967371921797406218668", "2.763755475165448249035764",
+              "4.707841617845258030490404", "6.67658034083610467026293",
+              "8.656069416773456187807448"),
+    614.47: ("1.498164694099959803623748", "3.49724656247207446031757",
+             "5.496557954889723943941876", "7.495984118590350818853139",
+             "9.495482016344063573132449"),
+    491.444: ("1.497705578657647670302006", "3.496557623486993067770606",
+              "5.495696646097211330300964", "7.494979172554905264469067",
+              "9.494351392343805357947863"),
+    0.270064: ("0.6373409012009015268032128", "2.574760832951993654186208",
+               "4.556635743769682995527673", "6.547355718731329677155428",
+               "8.541503034633144993638632"),
+}
+
+
+@pytest.mark.parametrize("kappa", WORKLOAD_ROOTS)
+def test_even_energy_within_two_ulp(kappa):
+    for j, root in enumerate(WORKLOAD_ROOTS[kappa]):
+        energy = even_energy(kappa, j)
+        assert abs(Decimal(energy) - Decimal(root)) <= 2 * Decimal(math.ulp(energy))
+
+
+def test_even_energy_evaluation_count(monkeypatch):
+    # Each evaluation of g makes two lgamma calls.  g's slope lies in
+    # [1, 1.22], so secant steps need five or six evaluations a level over
+    # the levels benchmark's kappa range and far outside it, where a
+    # bisection to the float floor takes about fifty.
+    calls = []
+    lgamma = math.lgamma
+
+    def counted(x):
+        calls.append(x)
+        return lgamma(x)
+
+    monkeypatch.setattr(single_particle.math, "lgamma", counted)
+    kappas = [*np.logspace(-2.0, 3.0, 60), 1e-300, 1e-9, 1e9]
+    evaluations = []
+    for kappa in kappas:
+        for j in range(5):
+            calls.clear()
+            even_energy(float(kappa), j)
+            evaluations.append(len(calls) / 2)
+    assert np.mean(evaluations) <= 6.0
+    assert max(evaluations) <= 12
 
 
 @pytest.mark.parametrize("kappa", [1e-300, 1e-16, 1e-14, 1e-12, 1e-10, 1e-9, 3e-9])

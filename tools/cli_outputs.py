@@ -14,11 +14,11 @@ outputs of two checkouts then compare byte for byte:
     python tools/cli_outputs.py /tmp/after      # from the other
     diff -r /tmp/before /tmp/after
 
-The list holds the command shapes of the benchmark's dvr-sweep and
-tonks-dense workloads, with fixed barriers, and every subcommand and
-output kind besides: ``tonks`` and ``dvr`` with every output and
-``--out``, a two-worker ``dvr`` run, the ``sweep --mode`` alias, a run
-that exits 2, ``spectrum`` and ``units``.
+The list holds the command shapes of the benchmark's three workloads,
+with fixed barriers, and every subcommand and output kind besides:
+``tonks`` and ``dvr`` with every output and ``--out``, a two-worker
+``dvr`` run, the ``sweep --mode`` alias, a run that exits 2,
+``spectrum`` (also with 8200 levels) and ``units``.
 """
 
 import os
@@ -48,6 +48,16 @@ COMMANDS = {
     "tonks-coarse": "tonks --kappa 0 1 5 --n-points 13 --dx 1.0 --outputs energy,entropy "
                     "--out coarse.csv",
     "spectrum": "spectrum --kappa 0 0.5 1 inf --levels 6 --out levels.csv",
+    # The 60 drawn barriers of sweep 0 of a levels benchmark run with seed 1.
+    "levels": "spectrum --kappa 0.0 inf 3.62333 565.351 0.0525773 553.665 0.362374 1.30807 "
+              "137.567 1.11172 5.59717 0.013734 58.5552 4.90588 0.445306 87.5273 0.328076 "
+              "1.85135 0.046796 1.03649 0.104058 0.204912 56.4707 0.252374 2.66658 801.099 "
+              "643.111 42.0678 5.08317 0.242357 0.0635711 707.338 3.8049 0.0379602 13.1054 "
+              "76.4567 11.6149 385.912 0.0157748 4.39487 1.98006 0.0204997 16.0931 183.301 "
+              "9.21945 0.19975 158.273 3.5276 3.58463 58.2306 0.0549048 125.353 26.0876 "
+              "86.1955 0.090799 102.759 0.090494 0.0255719 188.858 202.496 241.371 2.28849 "
+              "--levels 10 --format csv --out sweep.csv",
+    "spectrum-high": "spectrum --kappa 1 --levels 8200",
     "units": "units --omega-perp 6e5 --omega 6e3 --mass 1.45e-25 --a3d 5e-9",
 }
 
