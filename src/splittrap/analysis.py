@@ -21,8 +21,8 @@ are not parity-symmetric or not symmetric.  psi on the whole mesh, rho
 ``amplitudes``, ``values`` and ``orbitals`` are read.
 
 All quadrature is trapezoid-on-the-mesh; the Fourier transform to
-momentum space is a direct quadrature sum, not an FFT, so any k grid
-may be requested.
+momentum space is a direct quadrature sum, not an FFT, so any symmetric
+uniform k grid may be requested.
 
 For two bosons the symmetric amplitudes are their own natural-orbital
 decomposition, psi(x, y) = sum_i s_i phi_i(x) phi_i(y) with occupations

@@ -121,18 +121,14 @@ def even_energy(kappa, j):
     if j != int(j) or j < 0:
         raise ValueError(f"even level index must be a non-negative integer, got {j!r}")
     j = int(j)
-    if math.isinf(kappa):
-        return 2.0 * j + 1.5
-    if kappa == 0.0:
-        return 2.0 * j + 0.5
-
     # Secant steps on g in its sign bracket [lo, hi], from one
     # fixed-point step at t = 0; a step that leaves the bracket bisects
     # it, and one that lands on an end moves one float inside.  So every
     # step lands on a float strictly inside, the loop ends once lo and hi
     # are adjacent floats, and the nearer one is returned.
     # g grows faster than t, so g(1) >= 1 + g(0) bounds the unevaluated
-    # end from below.
+    # end from below.  The limits take no step: g(0) = 0 at kappa = 0,
+    # and g(0) = -1 at kappa = inf makes that bound 0.
     base = 2.0 * j + 0.5
     lo, g_lo = base, _even_g(base, base, kappa)
     hi, g_hi = base + 1.0, 1.0 + g_lo

@@ -280,12 +280,14 @@ def test_criterion_7_property_suite(solve, tonks_rho, tonks_grid):
         assert worst <= 1e-10, f"rel {worst:.1e} for 0 <= z <= 20"
 
     def u_branch_overlap():
+        # At these a, U(a, 1/2, z) = 4^a H_(-2a)(sqrt z), a polynomial,
+        # taken from numpy's Hermite series.
         worst = 0.0
         for a in (-10.0, -7.0, -5.0, -3.0, -2.5, -2.0):
+            coefficients = [0] * round(-2.0 * a) + [1]
             for z in (20.0, 24.0, 28.0, 32.0, 36.0, 40.0):
-                series = specfun._u_connection(a, z)
-                asym = float(specfun._u_asymptotic(a, np.array([z]))[0])
-                worst = max(worst, abs(series / asym - 1.0))
+                hermite = 4.0**a * np.polynomial.hermite.hermval(math.sqrt(z), coefficients)
+                worst = max(worst, abs(specfun.kummer_u(a, 0.5, z) / hermite - 1.0))
         assert worst <= 1e-6, f"rel {worst:.1e}"
 
     check("specfun-hermite-recurrence", hermite_recurrence)

@@ -16,6 +16,7 @@ REMOVED = (
     ("analysis", "NaturalDecomposition"),
     ("specfun", "hermite_function"),
     ("single_particle", "BracketError"),
+    ("specfun", "reciprocal_gamma"),
 )
 
 

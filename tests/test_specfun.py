@@ -11,7 +11,11 @@ from splittrap.single_particle import EigenState, eigenfunction
 from splittrap.specfun import PoleError
 
 # Reference values computed once with mpmath at 40 digits and frozen.
+# The entries from (-0.05, 14.0) on cover a in [-1, 0] over
+# 10 <= z <= 25; they follow the others, which are in sorted key order,
+# so that the earlier entries keep their test ids.
 U_HALF_REFERENCE = {
+    (-10.0, 60.0): 8.8750929967155507e16,
     (-5.5, 0.3): -39.162338132837782,
     (-5.5, 12.0): -20088.650025710258,
     (-5.5, 45.0): 621237512.01181032,
@@ -24,7 +28,34 @@ U_HALF_REFERENCE = {
     (-0.3, 0.3): 0.77944022588787717,
     (-0.3, 25.0): 2.6327304432126176,
     (-0.25, 4.0): 1.4342923222239645,
-    (-10.0, 60.0): 8.8750929967155507e16,
+    (-0.05, 14.0): 1.1428069115019671,
+    (-0.05, 17.0): 1.1536538407313655,
+    (-0.05, 17.9): 1.1565618792177005,
+    (-0.05, 22.0): 1.1682938358178153,
+    (-0.2, 14.0): 1.7022365790806767,
+    (-0.2, 17.0): 1.7683837846543058,
+    (-0.2, 17.9): 1.7864244331092969,
+    (-0.2, 22.0): 1.8605486624022505,
+    (-0.35, 14.0): 2.5277275363317422,
+    (-0.35, 17.0): 2.7037634490981101,
+    (-0.35, 17.9): 2.7526153174278107,
+    (-0.35, 22.0): 2.9571025657942774,
+    (-0.499, 14.0): 3.7319267372878361,
+    (-0.499, 17.0): 4.1115595180410193,
+    (-0.499, 17.9): 4.2187676602536869,
+    (-0.499, 22.0): 4.6760447707252015,
+    (-0.6, 14.0): 4.8510330184991393,
+    (-0.6, 17.0): 5.4544297231486224,
+    (-0.6, 17.9): 5.6268800818453354,
+    (-0.6, 22.0): 6.3720166845239258,
+    (-0.8, 14.0): 8.1176258117728103,
+    (-0.8, 17.0): 9.510621358512051,
+    (-0.8, 17.9): 9.9184169449432273,
+    (-0.8, 22.0): 11.727060165054743,
+    (-0.95, 14.0): 11.895053646774517,
+    (-0.95, 17.0): 14.38382443017737,
+    (-0.95, 17.9): 15.125868786775415,
+    (-0.95, 22.0): 18.483516397676579,
 }
 
 M_HALF_REFERENCE = {
@@ -114,17 +145,6 @@ def test_gamma_reflection(x):
     assert product == pytest.approx(math.pi, rel=1e-10)
 
 
-def test_reciprocal_gamma_zero_at_poles():
-    assert specfun.reciprocal_gamma(0.0) == 0.0
-    assert specfun.reciprocal_gamma(-3.0) == 0.0
-    assert specfun.reciprocal_gamma(2.0) == pytest.approx(1.0, rel=1e-14)
-    # Inside POLE_TOL it falls to zero linearly: 1/gamma(-n + d) = (-1)^n n! d
-    # to first order in d.
-    assert specfun.reciprocal_gamma(1e-300) == pytest.approx(1e-300, rel=1e-12)
-    x = -3.0 + 1e-15
-    assert specfun.reciprocal_gamma(x) == pytest.approx(-6.0 * (x + 3.0), rel=1e-12)
-
-
 @pytest.mark.parametrize("x,expected", sorted(RGAMMA_DERIVATIVE_REFERENCE.items()))
 def test_reciprocal_gamma_derivative_reference(x, expected):
     # -psi(x) / Gamma(x) from _digamma, which takes x >= 1/2; below that,
@@ -202,16 +222,18 @@ def test_kummer_u_ground_state_reduction():
         assert specfun.kummer_u(0.0, 0.5, x * x) == pytest.approx(1.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("key,expected", sorted(U_HALF_REFERENCE.items()))
+@pytest.mark.parametrize("key,expected", U_HALF_REFERENCE.items())
 def test_kummer_u_reference_table(key, expected):
+    # 8.9e-16 relative measured on the a in [-1, 0] entries, 6.7e-16 on
+    # the others.
     a, z = key
-    assert specfun.kummer_u(a, 0.5, z) == pytest.approx(expected, rel=1e-8, abs=0.0)
+    assert specfun.kummer_u(a, 0.5, z) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_kummer_u_polynomial_cases():
     # At a = -m the function is a polynomial: U(-1,1/2,z) = z - 1/2 and
-    # U(-2,1/2,z) = z^2 - 3z + 3/4, exercising every dispatch branch
-    # with an exact closed form.
+    # U(-2,1/2,z) = z^2 - 3z + 3/4, an exact closed form from z = 0.1
+    # to 55.
     z = np.array([0.1, 2.0, 8.5, 17.9, 18.1, 29.0, 31.0, 55.0])
     np.testing.assert_allclose(specfun.kummer_u(-1.0, 0.5, z), z - 0.5, rtol=1e-10)
     np.testing.assert_allclose(
@@ -220,11 +242,11 @@ def test_kummer_u_polynomial_cases():
 
 
 def test_kummer_u_branch_continuity():
-    # Values straddling each internal route switch must agree far
-    # better than the 1e-8 contract.
-    for a, z_switch in ((-0.4, 18.0), (-6.0, 18.0)):
-        below = specfun.kummer_u(a, 0.5, z_switch - 1e-9)
-        above = specfun.kummer_u(a, 0.5, z_switch + 1e-9)
+    # Values 2e-9 apart in z, around z = 18, must agree far better than
+    # the 1e-8 contract.
+    for a, z0 in ((-0.4, 18.0), (-6.0, 18.0)):
+        below = specfun.kummer_u(a, 0.5, z0 - 1e-9)
+        above = specfun.kummer_u(a, 0.5, z0 + 1e-9)
         assert below == pytest.approx(above, rel=1e-7)
 
 
@@ -310,12 +332,10 @@ def test_kummer_transform_family():
 
 @pytest.mark.parametrize("a", [-10.0, -7.0, -5.0, -3.0, -2.5, -2.0])
 def test_kummer_u_overlap_window(a):
-    # The connection formula and the asymptotic expansion must agree in
-    # the z window where the dispatch hands over between them.
-    from splittrap.specfun import _u_asymptotic, _u_connection
-
+    # At these a, U is a polynomial: U(a, 1/2, z) = 4^a H_(-2a)(sqrt z),
+    # taken here from numpy's Hermite series.  2.2e-13 relative measured.
     z = np.linspace(20.0, 40.0, 21)
-    conn = _u_connection(a, z)
-    asym = _u_asymptotic(a, z)
-    rel = np.max(np.abs(conn - asym) / np.abs(asym))
+    order = round(-2.0 * a)
+    hermite = 4.0**a * np.polynomial.hermite.hermval(np.sqrt(z), [0] * order + [1])
+    rel = np.max(np.abs(specfun.kummer_u(a, 0.5, z) - hermite) / np.abs(hermite))
     assert rel < 1e-6
