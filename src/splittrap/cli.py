@@ -91,7 +91,10 @@ def _evaluate_point(args, solve, kappa, g1d):
             state = solve(g1d)
             if "energy" in args.outputs:
                 record["energy"] = state.energy
-                record["near_degenerate"] = state.near_degenerate
+                if args.fmt == "json":
+                    # Only the JSON writer prints the flag, and reading it
+                    # runs the gap's two extra Krylov iterations.
+                    record["near_degenerate"] = state.near_degenerate
             rho = analysis.rspd_from_state(state) if wants_density else None
 
         if rho is not None:

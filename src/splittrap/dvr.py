@@ -44,9 +44,11 @@ separable part is inverted elementwise (the fast diagonalization method
 of Lynch, Rice & Thomas, Numer. Math. 6, 185 (1964)), and the Woodbury
 identity adds the contact term through one capacitance matrix per
 sector, of size (N + 1)/2, at two or four half-size products a step.
-The even sector gives the ground state and the next even level, the odd
-sector its lowest level, and the gap is the nearer of the two.  Only the
-ground state is mapped back: its coefficients become the two _fold
+One Krylov run of the even sector gives the ground state.  The gap is
+computed on first read, by two more runs: the even sector deflated by
+the ground state gives the next even level, the odd sector its lowest
+level, and the gap is the nearer of the two.  Only the ground state is
+mapped back: its coefficients become the two _fold
 blocks of W = dx psi, v_e B_ee v_e^T and v_o B_oo v_o^T over the
 eigenvectors v_e and v_o of the folded blocks of h, which the
 observable chain reads as they are (``analysis.DensityMatrix``), and
@@ -55,12 +57,14 @@ psi on the mesh is unfolded from them (``_unfold``).
 Only the capacitances depend on g1d.  Per kappa, ground_state_solver
 builds h, its two eigh, the shift sigma, the elementwise inverses d and
 the matrices K behind the capacitances, 3 N^4 / 16 multiply-adds; per
-g1d, it inverts the two capacitances and runs the two Lanczos
-iterations.  ground_state is the one-coupling case.
+g1d, it inverts the two capacitances and runs the one Lanczos
+iteration of the ground state.  ground_state is the one-coupling case.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -336,7 +340,9 @@ class TwoBodyState:
     ``kappa`` and ``g1d`` are the bare couplings, math.inf for the
     limits.  ``gap`` is the distance to the next exchange-symmetric
     eigenvalue, of either spatial parity; a gap below 1e-6 marks the
-    state as near-degenerate.
+    state as near-degenerate.  The solver computes it on first read, by
+    the two Krylov runs of ``_gap`` (see ``ground_state_solver``), and
+    keeps it; reading it may raise ConvergenceError.
     """
 
     energy: float
@@ -346,7 +352,11 @@ class TwoBodyState:
     grid: Grid
     kappa: float
     g1d: float
-    gap: float
+    _gap: Callable[[], float] = field(repr=False)
+
+    @functools.cached_property
+    def gap(self):
+        return self._gap()
 
     @property
     def near_degenerate(self):
@@ -360,15 +370,19 @@ def ground_state_solver(grid, kappa):
     one-body operator h, the eigh of its even and odd blocks, the shift
     sigma, d and K of _shifted_inverse, and the start vectors.  Each call
     of the returned function inverts its coupling's two capacitances and
-    runs Lanczos on the exact inverse (H - sigma)^-1 in each parity
-    sector, whose largest eigenvalues nu give the lowest energies sigma +
-    1/nu: two of them in the even sector, of dimension (N + 1)^2 / 4 +
-    (N - 1)^2 / 4, and one in the odd sector, of dimension (N^2 - 1) / 4.
-    Both run on the one-body eigenbasis coefficients to a relative
-    eigenvalue tolerance of 1e-10 (``_EIGEN_TOL``), and only the even
-    sector's Ritz vector is mapped back.  A call gives the same
-    bits as ``ground_state`` at that coupling, and a failed call leaves
-    the solver usable for other couplings.
+    runs Lanczos on the exact inverse (H - sigma)^-1 in the even sector,
+    of dimension (N + 1)^2 / 4 + (N - 1)^2 / 4, whose largest eigenvalue
+    nu gives the ground energy sigma + 1/nu and whose Ritz vector g the
+    ground state.  The first read of the state's ``gap`` runs Lanczos
+    twice more: on the even inverse deflated by g, b -> P (H - sigma)^-1
+    P b with P = 1 - g g^T, from the even start with its g component
+    removed, for the next even level, and on the odd sector, of
+    dimension (N^2 - 1) / 4, for its lowest level.  Every run is one
+    Ritz pair on the one-body eigenbasis coefficients, to a relative
+    eigenvalue tolerance of 1e-10 (``_EIGEN_TOL``), and only the ground
+    Ritz vector is mapped back.  A call gives the same bits as
+    ``ground_state`` at that coupling, and a failed call leaves the
+    solver usable for other couplings.
 
     Both inverses are confined to exchange-symmetric states: the raw
     matrix also carries antisymmetric states, and near the strong
@@ -403,7 +417,9 @@ def ground_state_solver(grid, kappa):
         If kappa is negative or NaN; ``solve`` raises it for such a g1d.
     ConvergenceError
         From ``solve``, if the Krylov iteration does not converge, or the
-        residual ||H psi - E psi|| of the returned pair exceeds 1e-6.
+        residual ||H psi - E psi|| of the returned pair exceeds 1e-6; from
+        the first read of ``gap``, if one of its iterations does not
+        converge.
     """
     kappa, t, w = _one_body(grid, kappa)
     v_e, v_o, sigma, (even_start, odd_start), at_contact = _shifted_inverse(t, w)
@@ -412,23 +428,38 @@ def ground_state_solver(grid, kappa):
     def solve(g1d):
         g1d, c = _contact(grid, g1d)
         even_inverse, odd_inverse = at_contact(c)
-        even_op = LinearOperator((even_start.size,) * 2, matvec=even_inverse, dtype=float)
-        odd_op = LinearOperator((odd_start.size,) * 2, matvec=odd_inverse, dtype=float)
         failure = (
             f"ground-state iteration failed at kappa={kappa}, g1d={g1d}, N={grid.n_points}, "
             f"dx={grid.spacing}"
         )
-        try:
-            nu, vecs = eigsh(even_op, k=2, which="LA", v0=even_start, tol=_EIGEN_TOL)
-            nu_odd = eigsh(
-                odd_op, k=1, which="LA", v0=odd_start, tol=_EIGEN_TOL, return_eigenvectors=False
-            )
-        except ArpackNoConvergence as exc:
-            raise ConvergenceError(f"{failure}: {exc}") from exc
-        energy = sigma + 1.0 / nu[1]
 
-        even = v_e @ vecs[: n * n, 1].reshape(n, n) @ v_e.T
-        odd = v_o @ vecs[n * n :, 1].reshape(n - 1, n - 1) @ v_o.T
+        def top(inverse, start, vectors=False):
+            # The largest eigenvalue nu of one sector's inverse, and with
+            # ``vectors`` its Ritz vector.
+            op = LinearOperator((start.size,) * 2, matvec=inverse, dtype=float)
+            try:
+                return eigsh(
+                    op, k=1, which="LA", v0=start, tol=_EIGEN_TOL, return_eigenvectors=vectors
+                )
+            except ArpackNoConvergence as exc:
+                raise ConvergenceError(f"{failure}: {exc}") from exc
+
+        (nu,), vecs = top(even_inverse, even_start, vectors=True)
+        energy = sigma + 1.0 / nu
+        ground = vecs[:, 0]
+
+        def gap():
+            # The next even level is the top of the even inverse deflated by
+            # the ground Ritz vector, b -> P inv(P b) with P = 1 - g g^T.
+            def deflate(b):
+                return b - ground * (ground @ b)
+
+            (nu_next,) = top(lambda b: deflate(even_inverse(deflate(b))), deflate(even_start))
+            (nu_odd,) = top(odd_inverse, odd_start)
+            return float(min(1.0 / nu_next, 1.0 / nu_odd) - 1.0 / nu)
+
+        even = v_e @ ground[: n * n].reshape(n, n) @ v_e.T
+        odd = v_o @ ground[n * n :].reshape(n - 1, n - 1) @ v_o.T
         even, odd = even + even.T, odd + odd.T
         norm = math.sqrt(np.sum(even * even) + np.sum(odd * odd))
         even, odd = even / norm, odd / norm
@@ -450,7 +481,7 @@ def ground_state_solver(grid, kappa):
             grid=grid,
             kappa=kappa,
             g1d=g1d,
-            gap=float(min(1.0 / nu[0], 1.0 / nu_odd[0]) - 1.0 / nu[1]),
+            _gap=gap,
         )
 
     return solve

@@ -37,9 +37,10 @@ POLE_TOL = 1e-14
 _M_MAX_TERMS = 500
 _M_REL_TOL = 1e-16
 # The trapezoid rule of ``kummer_u`` in s = ln t: nodes t = e^s on
-# s in [-40, 3] at step 1/8.
+# s in [-40, 3] at step 1/8, taken over at most _U_BLOCK points of z at once.
 _U_STEP = 0.125
 _U_NODES = np.exp(np.arange(-320, 25) * _U_STEP)
+_U_BLOCK = 4096
 
 _SQRT_PI = math.sqrt(math.pi)
 _LN2 = math.log(2.0)
@@ -158,8 +159,9 @@ def kummer_u(a, b, z):
     about 1e9.  F obeys the recurrence of D,
     F_(m+1) = y F_m - m F_(m-1) (DLMF 12.8.1), stable upward (Gil,
     Segura & Temme, Numerical Methods for Special Functions, SIAM 2007),
-    which climbs floor(nu) + 3 steps to F_nu, and U = 2^a F_nu.  It holds
-    one float array of 345 entries per point of z.
+    which climbs floor(nu) + 3 steps to F_nu, and U = 2^a F_nu.  It takes
+    the rule over blocks of at most 4096 points of z, each one float array
+    of 345 entries per point, so its memory stays bounded.
 
     Parameters
     ----------
@@ -182,19 +184,25 @@ def kummer_u(a, b, z):
     zarr, scalar = _as_array(z)
     if np.any(zarr < 0.0):
         raise ValueError("kummer_u requires z >= 0")
-    y = np.sqrt(2.0 * zarr)
+    y = np.sqrt(2.0 * zarr).ravel()
     order = math.floor(-2.0 * a)
     mu = -2.0 * a - order - 4.0
     t = _U_NODES
-    # Built in place: one (points x nodes) array at a time.
-    kernel = np.multiply.outer(y, -t)
-    kernel -= 0.5 * t * t
-    np.exp(kernel, out=kernel)
-    lower = kernel @ (_U_STEP * t**-mu) / math.gamma(-mu)
-    upper = kernel @ (_U_STEP * t ** (-mu - 1.0)) / math.gamma(-mu - 1.0)
+    lower, upper = np.empty((2, y.size))
+    for i in range(0, y.size, _U_BLOCK):
+        # Built in place, and released before the next block's is built:
+        # one (block x nodes) array at a time.
+        kernel = np.multiply.outer(y[i : i + _U_BLOCK], -t)
+        kernel -= 0.5 * t * t
+        np.exp(kernel, out=kernel)
+        lower[i : i + _U_BLOCK] = kernel @ (_U_STEP * t**-mu)
+        upper[i : i + _U_BLOCK] = kernel @ (_U_STEP * t ** (-mu - 1.0))
+        del kernel
+    lower /= math.gamma(-mu)
+    upper /= math.gamma(-mu - 1.0)
     for m in np.arange(order + 3) + mu + 1.0:
         lower, upper = upper, y * upper - m * lower
-    out = 2.0**a * upper
+    out = (2.0**a * upper).reshape(zarr.shape)
     return float(out) if scalar else out
 
 

@@ -49,3 +49,17 @@ def tonks_rho():
 def tonks_grid():
     """The 161-point, dx = 0.08 mesh of the analytic route."""
     return _TONKS_GRID
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """Wrap dvr.eigsh; each Krylov run appends its return_eigenvectors flag to the list."""
+    calls = []
+    real_eigsh = dvr.eigsh
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("return_eigenvectors", True))
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(dvr, "eigsh", counting)
+    return calls

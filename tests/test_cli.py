@@ -180,11 +180,29 @@ def test_run_sweep_dvr_non_interacting():
         outputs=("energy", "entropy"),
         n_points=81,
         dx=0.16,
+        fmt="json",
     )
     record = _records(run_sweep(spec))[0]
     assert record["energy"] == pytest.approx(1.0, abs=1e-3)
     assert record["entropy"] == 0.0
     assert record["near_degenerate"] is False
+    # Only the JSON writer prints the flag, so a CSV point never reads it.
+    spec.fmt = "csv"
+    record = _records(run_sweep(spec))[0]
+    assert record["energy"] == pytest.approx(1.0, abs=1e-3)
+    assert "near_degenerate" not in record
+
+
+@pytest.mark.parametrize("fmt,runs", [("csv", 1), ("json", 3)])
+def test_dvr_sweep_krylov_runs_per_point(eigsh_calls, fmt, runs):
+    # A CSV point runs the ground state's one Krylov iteration; a JSON
+    # point reads near_degenerate, whose gap adds the deflated even and
+    # the odd iteration.
+    spec = _spec(command="dvr", kappa=(0.0, 3.3), g1d=(0.0, 5.0, 500.0),
+                 outputs=("energy", "entropy"), n_points=41, dx=0.3, fmt=fmt)
+    points = run_sweep(spec)
+    assert not any("error" in point for point in points)
+    assert len(eigsh_calls) == runs * len(points) == runs * 6
 
 
 def test_run_sweep_entropy_saturation(solve):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from scipy.integrate import cumulative_trapezoid, quad, trapezoid
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -192,20 +193,19 @@ def test_ground_state_convergence_error(monkeypatch):
 
 
 def test_ground_state_residual_guard(monkeypatch):
-    # ARPACK's eigenvalues paired with a vector that is not their
-    # eigenvector (the even-sector coefficient vector |00>, both particles
-    # in the lowest one-body level: the g1d = 0 ground state, at kappa = 1,
-    # g1d = 5) fail the residual check.  The odd sector's call returns
-    # eigenvalues only and is left alone.
+    # ARPACK's eigenvalue paired with a vector that is not its eigenvector
+    # (the even-sector coefficient vector |00>, both particles in the
+    # lowest one-body level: the g1d = 0 ground state, at kappa = 1,
+    # g1d = 5) fails the residual check.  The ground run is the one call
+    # that returns eigenvectors; the gap's runs return eigenvalues only.
     grid = build_grid(41, 0.16)
     real_eigsh = dvr.eigsh
 
     def wrong_pair(op, k, **kwargs):
-        if k == 1:
+        if not kwargs.get("return_eigenvectors", True):
             return real_eigsh(op, k, **kwargs)
         nu, vecs = real_eigsh(op, k, **kwargs)
-        vecs = vecs.copy()
-        vecs[:, np.argmax(nu)] = 0.0
+        vecs = np.zeros_like(vecs)
         vecs[0, np.argmax(nu)] = 1.0
         return nu, vecs
 
@@ -348,9 +348,62 @@ def test_near_degenerate_flag():
     psi = np.eye(3)
     even, odd = dvr._fold(psi)
     state = TwoBodyState(
-        energy=1.0, even=even, odd=odd, amplitudes=psi, grid=grid, kappa=0.0, g1d=0.0, gap=1e-8
+        energy=1.0, even=even, odd=odd, amplitudes=psi, grid=grid, kappa=0.0, g1d=0.0,
+        _gap=lambda: 1e-8,
     )
+    assert state.gap == 1e-8
     assert state.near_degenerate
+
+
+def test_gap_runs_its_two_krylov_iterations_once(eigsh_calls):
+    # A solve runs the ground state's one Krylov iteration; the first read
+    # of gap runs the deflated even and the odd iteration, and later reads
+    # (near_degenerate among them) reuse its value.
+    calls = eigsh_calls
+    state = dvr.ground_state(build_grid(41, 0.3), 1.0, 5.0)
+    assert calls == [True]
+    gap = state.gap
+    assert calls == [True, False, False]
+    assert state.gap == gap
+    assert not state.near_degenerate
+    assert calls == [True, False, False]
+
+
+def test_gap_iteration_failure_raises_on_read(monkeypatch):
+    # A gap run that does not converge raises ConvergenceError when gap is
+    # read, as the ground run does from the solve, and a later read retries.
+    state = dvr.ground_state(build_grid(41, 0.3), 1.0, 5.0)
+    real_eigsh = dvr.eigsh
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(dvr, "eigsh", no_convergence)
+    with pytest.raises(ConvergenceError, match="kappa=1.0, g1d=5.0"):
+        state.gap
+    monkeypatch.setattr(dvr, "eigsh", real_eigsh)
+    assert state.gap > 0.0
+
+
+@pytest.mark.parametrize("kappa,g1d", [(1.0, 5.0), (10.0, 500.0), (math.inf, 0.0)])
+def test_gap_matches_two_even_ritz_pairs(kappa, g1d):
+    # The deflated even run gives the next even level that a k = 2 run of
+    # the even inverse gives, next to the odd run's lowest level.
+    grid = build_grid(81, 0.16)
+    _, t, w = dvr._one_body(grid, kappa)
+    _, _, _, (even_start, odd_start), at_contact = dvr._shifted_inverse(t, w)
+    even_inverse, odd_inverse = at_contact(dvr._contact(grid, g1d)[1])
+
+    def top(inverse, start, k):
+        op = scipy.sparse.linalg.LinearOperator((start.size,) * 2, matvec=inverse, dtype=float)
+        return np.sort(scipy.sparse.linalg.eigsh(
+            op, k=k, which="LA", v0=start, tol=1e-10, return_eigenvectors=False
+        ))
+
+    nu_next, nu_ground = top(even_inverse, even_start, 2)
+    (nu_odd,) = top(odd_inverse, odd_start, 1)
+    expected = min(1.0 / nu_next, 1.0 / nu_odd) - 1.0 / nu_ground
+    assert abs(dvr.ground_state(grid, kappa, g1d).gap - expected) <= 1e-12
 
 
 @pytest.mark.parametrize(

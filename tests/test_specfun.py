@@ -250,6 +250,19 @@ def test_kummer_u_branch_continuity():
         assert below == pytest.approx(above, rel=1e-7)
 
 
+def test_kummer_u_blocks_match_one_block(monkeypatch):
+    # The rule runs over blocks of at most 4096 points of z; on 10,000
+    # points (three blocks) it gives the bits of a single-block call.
+    z = np.random.default_rng(3).uniform(0.0, 400.0, 10_000)
+    for a in (-0.3, -7.6):
+        blocked = specfun.kummer_u(a, 0.5, z)
+        monkeypatch.setattr(specfun, "_U_BLOCK", z.size)
+        single = specfun.kummer_u(a, 0.5, z)
+        monkeypatch.undo()
+        assert specfun._U_BLOCK == 4096
+        np.testing.assert_array_equal(blocked, single)
+
+
 def test_kummer_u_rejects_unsupported_b():
     with pytest.raises(ValueError):
         specfun.kummer_u(-0.25, 1.5, 1.0)
