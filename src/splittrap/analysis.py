@@ -12,8 +12,9 @@ block of size (N - 1)/2, and the chain enters there:
 A ``DensityMatrix`` holds the two blocks, and both routes build them
 directly: the analytic Tonks route from the two orbitals on x >= 0
 (``tonks.tonks_rspd``), the grid route from its Ritz vector in the
-one-body eigenbasis (``dvr.ground_state_solver``), so
-``rspd_from_state`` only wraps the state's blocks.
+one-body eigenbasis (``dvr.ground_state_solver``).  Either route's pair
+state carries its ``DensityMatrix`` as ``density``, which
+``rspd_from_state`` returns.
 ``DensityMatrix.from_amplitudes`` is the checked constructor for
 amplitudes from elsewhere: it rejects an even mesh and amplitudes that
 are not parity-symmetric or not symmetric.  psi on the whole mesh, rho
@@ -49,6 +50,11 @@ _ENTROPY_FLOOR = 1e-12
 _SCHMIDT_THRESHOLD = 1e-6
 
 
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Reduced single-particle density matrix of a two-boson state.
@@ -63,12 +69,18 @@ class DensityMatrix:
     dx sum_k psi(q_i, q_k) psi(q_j, q_k); and ``orbitals[:, i]``, the
     natural orbital psi_i on the mesh with quadrature norm 1, by ``eigh``
     of the two blocks, so each has definite parity, in the order of the
-    occupations of ``natural_orbitals``.
+    occupations of ``natural_orbitals``.  The blocks are made read-only
+    when the density matrix is formed, and the three arrays formed on
+    first read are read-only too.
     """
 
     even: np.ndarray
     odd: np.ndarray
     grid: Grid
+
+    def __post_init__(self):
+        for block in (self.even, self.odd):
+            block.setflags(write=False)
 
     @classmethod
     def from_amplitudes(cls, amplitudes, grid):
@@ -102,13 +114,13 @@ class DensityMatrix:
 
     @cached_property
     def amplitudes(self):
-        return _unfold(self.even, self.odd) / self.grid.spacing
+        return _read_only(_unfold(self.even, self.odd) / self.grid.spacing)
 
     @cached_property
     def values(self):
         psi = self.amplitudes
         rho = self.grid.spacing * (psi @ psi.T)
-        return 0.5 * (rho + rho.T)
+        return _read_only(0.5 * (rho + rho.T))
 
     @cached_property
     def orbitals(self):
@@ -119,9 +131,7 @@ class DensityMatrix:
         # then the rows x < 0 mirrored, then the columns put in order.
         half = np.hstack(_half_rows(even_vecs, odd_vecs)) / math.sqrt(self.grid.spacing)
         parity = np.repeat([1.0, -1.0], (even_vals.size, odd_vals.size))
-        orbitals = np.vstack((half[:0:-1] * parity, half))[:, order]
-        orbitals.setflags(write=False)
-        return orbitals
+        return _read_only(np.vstack((half[:0:-1] * parity, half))[:, order])
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,8 +144,8 @@ class MomentumDistribution:
 
 
 def rspd_from_state(state):
-    """Reduced density matrix of a DVR TwoBodyState: the parity blocks its solver built."""
-    return DensityMatrix(state.even, state.odd, state.grid)
+    """Reduced density matrix of a pair state of either route: its ``density``."""
+    return state.density
 
 
 def natural_orbitals(rho):
@@ -151,9 +161,7 @@ def natural_orbitals(rho):
     array is read-only.
     """
     vals = np.concatenate((np.linalg.eigvalsh(rho.even), np.linalg.eigvalsh(rho.odd))) ** 2
-    occupations = np.sort(vals)[::-1]
-    occupations.setflags(write=False)
-    return occupations
+    return _read_only(np.sort(vals)[::-1])
 
 
 def uniform_k_grid(count, span):
@@ -213,8 +221,7 @@ def momentum_distribution(rho, k_values):
     even = rho.even @ cos_part
     odd = rho.odd @ np.sin(angles[1:])
     half = (dx / math.pi) * (np.sum(even * even, axis=0) + np.sum(odd * odd, axis=0))
-    densities = np.concatenate((half[::-1][: k.size - half.size], half))
-    densities.setflags(write=False)
+    densities = _read_only(np.concatenate((half[::-1][: k.size - half.size], half)))
     return MomentumDistribution(
         k_values=k.copy(), densities=densities, retained_orbitals=rho.grid.n_points
     )

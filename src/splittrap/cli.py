@@ -12,7 +12,10 @@ A run checks the flags argparse parsed and builds, once, the mesh and
 the k grid they name.  It then evaluates each (kappa, g1d) point they
 name into one result, one kappa row at a time, and hands the list of
 those results, in sweep order, to the writers: the CSV or JSON table,
-the sidecar files and the failure manifest.
+the sidecar files and the failure manifest.  A pair point's route is
+chosen once per row, as the row's g1d -> pair state solver; every pair
+state is then read the same way, through its ``energy``, ``density``
+and ``diagnostics``.
 
 Outputs are byte-deterministic for fixed flags: fixed 12-significant-
 digit formatting, fixed point ordering, and a grid eigensolver start
@@ -79,25 +82,17 @@ def _evaluate_point(args, solve, kappa, g1d):
                 for i, s in enumerate(states)
             ]}
 
-        wants_density = bool(set(args.outputs) - {"energy"})
         record = dict(label)
         out = {"records": [record]}
-        if args.command == "tonks":
-            state = tonks.tonks_state(kappa)
-            if "energy" in args.outputs:
-                record["energy"] = state.pair_energy
-            rho = tonks.tonks_rspd(state, args.grid) if wants_density else None
-        else:
-            state = solve(g1d)
-            if "energy" in args.outputs:
-                record["energy"] = state.energy
-                if args.fmt == "json":
-                    # Only the JSON writer prints the flag, and reading it
-                    # runs the gap's two extra Krylov iterations.
-                    record["near_degenerate"] = state.near_degenerate
-            rho = analysis.rspd_from_state(state) if wants_density else None
-
-        if rho is not None:
+        state = solve(g1d)
+        if "energy" in args.outputs:
+            record["energy"] = state.energy
+            if args.fmt == "json":
+                # Only the JSON writer prints the diagnostics; the grid's
+                # near_degenerate runs the gap's two extra Krylov iterations.
+                record.update(state.diagnostics)
+        if set(args.outputs) - {"energy"}:
+            rho = state.density
             occupations = analysis.natural_orbitals(rho)
             if "entropy" in args.outputs:
                 record["entropy"] = analysis.von_neumann_entropy(occupations)
@@ -127,12 +122,16 @@ def _labels(args):
 
 
 def _evaluate_row(args, kappa):
-    # One task: the points at one kappa, in sweep order.  The grid solver
-    # factors the one-body operator once for the whole row; if that
-    # fails, every point of the row carries the failure.
+    # One task: the points at one kappa, in sweep order.  The route is
+    # picked here alone, as the row's g1d -> pair state solver.  The grid
+    # solver factors the one-body operator once for the whole row; if
+    # that fails, every point of the row carries the failure.
     couplings = _couplings(args)
     solve = None
-    if args.command == "dvr":
+    if args.command == "tonks":
+        def solve(g1d):
+            return tonks.tonks_state(kappa, args.grid)
+    elif args.command == "dvr":
         try:
             solve = dvr.ground_state_solver(args.grid, kappa)
         except _SOLVER_ERRORS as exc:

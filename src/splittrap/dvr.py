@@ -50,9 +50,9 @@ the ground state gives the next even level, the odd sector its lowest
 level, and the gap is the nearer of the two.  Only the ground state is
 mapped back: its coefficients become the two _fold
 blocks of W = dx psi, v_e B_ee v_e^T and v_o B_oo v_o^T over the
-eigenvectors v_e and v_o of the folded blocks of h, which the
-observable chain reads as they are (``analysis.DensityMatrix``), and
-psi on the mesh is unfolded from them (``_unfold``).
+eigenvectors v_e and v_o of the folded blocks of h, which the state
+holds as its ``analysis.DensityMatrix`` and the observable chain reads
+as they are, and psi on the mesh is unfolded from them (``_unfold``).
 
 Only the capacitances depend on g1d.  Per kappa, ground_state_solver
 builds h, its two eigh, the shift sigma, the elementwise inverses d and
@@ -329,27 +329,25 @@ def apply_hamiltonian(vec, grid, kappa, g1d):
 class TwoBodyState:
     """Ground state on the product mesh.
 
-    ``even`` and ``odd`` are the two parity blocks of W = dx * Psi in
-    the fold basis of ``_fold``, of sizes (N + 1)/2 and (N - 1)/2, both
-    exactly symmetric, with squared norms that sum to 1.
-    ``amplitudes`` is the N x N array Psi(q_i, q_j) unfolded from them
-    (``_unfold``), so sum(Psi^2) * dx^2 = 1 and Psi is symmetric and
-    parity-even to the last bit.  All three are read-only and
-    sign-fixed together, so that Psi is positive at its first peak in
-    row-major order, where entries within 1e-8 of max |Psi| tie.
-    ``kappa`` and ``g1d`` are the bare couplings, math.inf for the
-    limits.  ``gap`` is the distance to the next exchange-symmetric
-    eigenvalue, of either spatial parity; a gap below 1e-6 marks the
-    state as near-degenerate.  The solver computes it on first read, by
-    the two Krylov runs of ``_gap`` (see ``ground_state_solver``), and
-    keeps it; reading it may raise ConvergenceError.
+    ``density`` is its ``analysis.DensityMatrix``: the two parity blocks
+    of W = dx * Psi in the fold basis of ``_fold``, of sizes (N + 1)/2
+    and (N - 1)/2, both exactly symmetric, with squared norms that sum
+    to 1.  ``density.amplitudes`` is the N x N array Psi(q_i, q_j)
+    unfolded from them (``_unfold``), so sum(Psi^2) * dx^2 = 1 and Psi
+    is symmetric and parity-even to the last bit.  The blocks are
+    read-only and sign-fixed together, so that Psi is positive at its
+    first peak in row-major order, where entries within 1e-8 of max
+    |Psi| tie.  ``kappa`` and ``g1d`` are the bare couplings, math.inf
+    for the limits.  ``gap`` is the distance to the next
+    exchange-symmetric eigenvalue, of either spatial parity; a gap below
+    1e-6 marks the state as near-degenerate, which ``diagnostics``
+    reports.  The solver computes the gap on first read, by the two
+    Krylov runs of ``_gap`` (see ``ground_state_solver``), and keeps it;
+    reading it, or ``diagnostics``, may raise ConvergenceError.
     """
 
     energy: float
-    even: np.ndarray
-    odd: np.ndarray
-    amplitudes: np.ndarray
-    grid: Grid
+    density: "analysis.DensityMatrix"
     kappa: float
     g1d: float
     _gap: Callable[[], float] = field(repr=False)
@@ -361,6 +359,11 @@ class TwoBodyState:
     @property
     def near_degenerate(self):
         return self.gap < _DEGENERACY_GAP
+
+    @property
+    def diagnostics(self):
+        """The per-point fields the JSON table prints beside the energy."""
+        return {"near_degenerate": self.near_degenerate}
 
 
 def ground_state_solver(grid, kappa):
@@ -421,6 +424,8 @@ def ground_state_solver(grid, kappa):
         the first read of ``gap``, if one of its iterations does not
         converge.
     """
+    from .analysis import DensityMatrix  # analysis imports this module
+
     kappa, t, w = _one_body(grid, kappa)
     v_e, v_o, sigma, (even_start, odd_start), at_contact = _shifted_inverse(t, w)
     n = v_e.shape[0]
@@ -470,19 +475,8 @@ def ground_state_solver(grid, kappa):
         magnitude = np.abs(psi).ravel()
         peak = np.argmax(magnitude >= (1.0 - _PEAK_TIE) * magnitude.max())
         if psi.flat[peak] < 0.0:
-            even, odd, psi = -even, -odd, -psi
-        for block in (even, odd, psi):
-            block.setflags(write=False)
-        return TwoBodyState(
-            energy=float(energy),
-            even=even,
-            odd=odd,
-            amplitudes=psi,
-            grid=grid,
-            kappa=kappa,
-            g1d=g1d,
-            _gap=gap,
-        )
+            even, odd = -even, -odd
+        return TwoBodyState(float(energy), DensityMatrix(even, odd, grid), kappa, g1d, gap)
 
     return solve
 

@@ -7,21 +7,22 @@ single-particle levels,
     Psi(x1, x2) = |phi_0(x1) phi_1(x2) - phi_0(x2) phi_1(x1)| / sqrt(2),
 
 valid for every barrier strength including the infinite-barrier limit.
-``tonks_state`` solves the two levels once; ``tonks_rspd`` takes that
-state and the mesh the caller names, so a point's energy and its
-density matrix share one solve.  The module also carries the two
-closed-form momentum distributions of the infinite-barrier limit
-(hard-core pair and non-interacting pair).
+``tonks_state`` solves the two levels once and binds the mesh the
+caller names; the state's ``density`` is ``tonks_rspd`` of it, formed on
+first read, so a point's energy and its density matrix share one solve.
+The module also carries the two closed-form momentum distributions of
+the infinite-barrier limit (hard-core pair and non-interacting pair).
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import specfun
 from .analysis import DensityMatrix
-from .dvr import GridError
+from .dvr import Grid, GridError
 from .single_particle import EigenState, eigenfunction, spectrum
 
 _MIN_RSPD_SPAN = 6.0
@@ -35,12 +36,25 @@ class TonksState:
     Holds the two mapped orbitals and the pair energy; orbital
     orthonormality makes the determinant wavefunction unit-normalized.
     ``kappa`` is the barrier strength, math.inf for the impenetrable one.
+    ``density`` is the pair's ``analysis.DensityMatrix`` on ``grid``,
+    ``tonks_rspd(state)``, formed on first read and kept; reading it may
+    raise GridError.  ``diagnostics``, the per-point fields the JSON
+    table prints beside the energy, is empty for this route.
     """
 
     kappa: float
-    pair_energy: float
+    energy: float
     even_orbital: EigenState
     odd_orbital: EigenState
+    grid: Grid
+
+    @cached_property
+    def density(self):
+        return tonks_rspd(self)
+
+    @property
+    def diagnostics(self):
+        return {}
 
     def orbitals(self, x):
         """The even and the odd orbital at x."""
@@ -52,18 +66,21 @@ class TonksState:
         return np.abs(phi0_a * phi1_b - phi0_b * phi1_a) / math.sqrt(2.0)
 
 
-def tonks_state(kappa):
+def tonks_state(kappa, grid):
     """Hard-core pair state at barrier strength kappa (a float, math.inf allowed).
 
-    Its orbitals are the two lowest levels of ``spectrum(kappa, 2)``.
+    Its orbitals are the two lowest levels of ``spectrum(kappa, 2)``;
+    ``grid`` is the mesh its ``density`` is formed on (see
+    ``tonks_rspd``).
     """
     even, odd = spectrum(kappa, 2)
-    return TonksState(even.kappa, even.energy + odd.energy, even, odd)
+    return TonksState(even.kappa, even.energy + odd.energy, even, odd, grid)
 
 
 def tonks_energy(kappa):
     """Pair energy: lowest even level + 3/2."""
-    return tonks_state(kappa).pair_energy
+    even, odd = spectrum(kappa, 2)
+    return even.energy + odd.energy
 
 
 def check_rspd_span(grid):
@@ -75,13 +92,14 @@ def check_rspd_span(grid):
         )
 
 
-def tonks_rspd(state, grid):
-    """Reduced single-particle density matrix of the hard-core pair.
+def tonks_rspd(state):
+    """Reduced single-particle density matrix of the hard-core pair on ``state.grid``.
 
     rho(x, x') = integral Psi(x, y) Psi(x', y) dy by trapezoid-equivalent
     quadrature on the mesh.  The result holds the two parity blocks of
-    W = dx * Psi (``DensityMatrix``), re-normalized on the mesh; Psi on
-    the whole mesh and rho itself are formed only if they are read.
+    W = dx * Psi (``DensityMatrix``), read-only and re-normalized on the
+    mesh; Psi on the whole mesh and rho itself are formed only if they
+    are read.  ``state.density`` is this result, kept.
 
     The blocks come from the orbitals on the rows x >= 0 alone.  There
     D(x, y) = A - B and D(x, -y) = -A - B, with A = phi_0(x) phi_1(y) and
@@ -106,9 +124,8 @@ def tonks_rspd(state, grid):
     ----------
     state : TonksState
         The pair at one barrier strength, as ``tonks_state`` returns it.
-    grid : Grid
-        Symmetric mesh covering at least [-6, 6]; the CLI's default for
-        this route is 161 points at dx = 0.08.
+        Its ``grid`` is a symmetric mesh covering at least [-6, 6]; the
+        CLI's default for this route is 161 points at dx = 0.08.
 
     Raises
     ------
@@ -116,6 +133,7 @@ def tonks_rspd(state, grid):
         If the mesh does not cover [-6, 6], or is so coarse that the
         quadrature trace misses 1 by more than 1e-3.
     """
+    grid = state.grid
     check_rspd_span(grid)
     phi0, phi1 = state.orbitals(grid.points[grid.center_index :])
     # phi_1(0) = 0, so the sqrt(1/2) on the row and the column of x = 0

@@ -29,7 +29,7 @@ def _solve(kappa, g1d, n_points=81, spacing=0.16):
 def _tonks_rho(kappa):
     key = float(kappa)
     if key not in _TONKS_RHOS:
-        _TONKS_RHOS[key] = tonks.tonks_rspd(tonks.tonks_state(kappa), _TONKS_GRID)
+        _TONKS_RHOS[key] = tonks.tonks_state(kappa, _TONKS_GRID).density
     return _TONKS_RHOS[key]
 
 

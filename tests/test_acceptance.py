@@ -110,7 +110,7 @@ def test_criterion_5_entropy_landmarks():
 
     def entropy(kappa):
         if kappa not in cache:
-            rho = tonks.tonks_rspd(tonks.tonks_state(kappa), grid)
+            rho = tonks.tonks_state(kappa, grid).density
             cache[kappa] = analysis.von_neumann_entropy(analysis.natural_orbitals(rho))
         return cache[kappa]
 
@@ -135,7 +135,7 @@ def test_criterion_5_entropy_landmarks():
     else:
         peak = float(scan[top])
 
-    hard = analysis.natural_orbitals(tonks.tonks_rspd(tonks.tonks_state(math.inf), grid))
+    hard = analysis.natural_orbitals(tonks.tonks_state(math.inf, grid).density)
     s_inf = analysis.von_neumann_entropy(hard)
     schmidt = analysis.schmidt_number(hard)
 
@@ -161,7 +161,7 @@ def test_criterion_6_momentum_profiles(solve, tonks_grid):
     hard_profile = tonks.momentum_tg_infinite_barrier(k_cmp)
     free_profile = tonks.momentum_noninteracting_infinite_barrier(k_cmp)
 
-    analytic = tonks.tonks_rspd(tonks.tonks_state(10.0), tonks_grid)
+    analytic = tonks.tonks_state(10.0, tonks_grid).density
     rhos = {
         (kappa, g): analysis.rspd_from_state(solve(kappa, g, 61, 0.16))
         for kappa in (5.0, 10.0)
@@ -353,13 +353,13 @@ def test_criterion_7_property_suite(solve, tonks_rho, tonks_grid):
 
     def rspd_positive():
         for kappa in (0.0, 1.0, 5.0, 10.0):
-            rho = tonks.tonks_rspd(tonks.tonks_state(kappa), tonks_grid)
+            rho = tonks.tonks_state(kappa, tonks_grid).density
             low = float(np.min(np.linalg.eigvalsh(rho.values) * rho.grid.spacing))
             assert low >= -1e-10, f"kappa={kappa:g}: {low:.1e}"
 
     def hard_core_momentum_routes():
         k = analysis.uniform_k_grid(301, 6.0)
-        hard = tonks.tonks_rspd(tonks.tonks_state(math.inf), tonks_grid)
+        hard = tonks.tonks_state(math.inf, tonks_grid).density
         transform = analysis.momentum_distribution(hard, k).densities
         sup = float(np.max(np.abs(transform - tonks.momentum_tg_infinite_barrier(k))))
         assert sup <= 0.02, f"sup {sup:.1e}"
@@ -385,7 +385,7 @@ def test_criterion_7_property_suite(solve, tonks_rho, tonks_grid):
             target = 2.0 * even_energy(kappa, 0)
             dev = abs(state.energy - target)
             assert dev <= 2e-3, f"kappa={kappa:g}: dev {dev:.1e}"
-            singulars = np.linalg.svd(state.amplitudes, compute_uv=False)
+            singulars = np.linalg.svd(state.density.amplitudes, compute_uv=False)
             assert singulars[1] / singulars[0] <= 1e-6, f"kappa={kappa:g} not rank-1"
 
     def energy_monotone():
@@ -413,7 +413,7 @@ def test_criterion_7_property_suite(solve, tonks_rho, tonks_grid):
 
     def diagonal_suppression():
         for kappa in (0.0, 10.0):
-            psi = solve(kappa, 500.0).amplitudes
+            psi = solve(kappa, 500.0).density.amplitudes
             ratio = float(np.max(np.abs(np.diag(psi))) / np.max(np.abs(psi)))
             assert ratio <= 0.05, f"kappa={kappa:g}: {ratio:.3f}"
 
@@ -438,7 +438,7 @@ def test_criterion_7_property_suite(solve, tonks_rho, tonks_grid):
 
     # --- observables --------------------------------------------------------
     def reconstruction():
-        rho = tonks.tonks_rspd(tonks.tonks_state(1.0), tonks_grid)
+        rho = tonks.tonks_state(1.0, tonks_grid).density
         rebuilt = (rho.orbitals * analysis.natural_orbitals(rho)) @ rho.orbitals.T
         sup = float(np.max(np.abs(rebuilt - rho.values)))
         assert sup <= 1e-8, f"sup {sup:.1e}"

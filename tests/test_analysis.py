@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
-from splittrap import analysis, tonks
+from splittrap import analysis, dvr, tonks
 from splittrap.dvr import Grid, build_grid
 
 
@@ -39,12 +39,27 @@ def _synthetic_occupations(occupations, n_points=5, spacing=0.5):
     return analysis.natural_orbitals(rho)
 
 
+def test_pair_state_arrays_are_read_only(tonks_grid):
+    # Both routes' density matrices, kept on their states: the parity
+    # blocks and every array formed from them on first read.  Fresh
+    # states, so that the session's cached ones keep their arrays unformed.
+    grid_state = dvr.ground_state(build_grid(41, 0.3), 1.0, 1.0)
+    for state in (grid_state, tonks.tonks_state(1.0, tonks_grid)):
+        rho = state.density
+        assert rho is state.density
+        assert analysis.rspd_from_state(state) is rho
+        for array in (rho.even, rho.odd, rho.amplitudes, rho.values, rho.orbitals):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
+
+
 def test_rspd_from_product_state(solve):
     state = solve(0.0, 0.0)
     rho = analysis.rspd_from_state(state)
     trace = np.sum(rho.even * rho.even) + np.sum(rho.odd * rho.odd)
     assert trace == pytest.approx(1.0, abs=1e-10)
-    q = state.grid.points
+    q = rho.grid.points
     phi0 = math.pi**-0.25 * np.exp(-0.5 * q * q)
     assert np.max(np.abs(rho.values - np.outer(phi0, phi0))) <= 1e-8
     occupations = analysis.natural_orbitals(rho)
@@ -54,7 +69,7 @@ def test_rspd_from_product_state(solve):
 
 def test_rspd_strong_coupling_matches_analytic_route(solve):
     grid_rho = analysis.rspd_from_state(solve(0.0, 500.0))
-    analytic_rho = tonks.tonks_rspd(tonks.tonks_state(0.0), build_grid(81, 0.16))
+    analytic_rho = tonks.tonks_state(0.0, build_grid(81, 0.16)).density
     sup = np.max(np.abs(grid_rho.values - analytic_rho.values))
     assert sup <= 0.02
 
@@ -71,10 +86,10 @@ def test_off_diagonal_quadrant_mass(solve, tonks_grid):
         return float(np.sum(np.abs(rho.values)[mask])) * rho.grid.spacing**2
 
     grid_mass = quadrant_mass(analysis.rspd_from_state(solve(10.0, 500.0)))
-    analytic_mass = quadrant_mass(tonks.tonks_rspd(tonks.tonks_state(10.0), build_grid(81, 0.16)))
+    analytic_mass = quadrant_mass(tonks.tonks_state(10.0, build_grid(81, 0.16)).density)
     assert abs(grid_mass - analytic_mass) <= 0.02
 
-    exact = tonks.tonks_rspd(tonks.tonks_state(math.inf), tonks_grid)
+    exact = tonks.tonks_state(math.inf, tonks_grid).density
     exact_mask = np.outer(exact.grid.points, exact.grid.points) < 0.0
     assert np.all(exact.values[exact_mask] == 0.0)
 
@@ -92,7 +107,7 @@ def test_natural_orbitals_spectral_properties(tonks_rho):
 
 def test_natural_orbitals_reconstruction(tonks_rho, tonks_grid):
     orbitals = tonks_rho(1.0).orbitals
-    rho = tonks.tonks_rspd(tonks.tonks_state(1.0), tonks_grid)
+    rho = tonks.tonks_state(1.0, tonks_grid).density
     recon = (orbitals * analysis.natural_orbitals(rho)) @ orbitals.T
     assert np.max(np.abs(recon - rho.values)) <= 1e-8
 
@@ -138,7 +153,7 @@ def test_natural_orbitals_fold_matches_full_spectrum(half, rank, spacing, seed):
 
 @pytest.mark.parametrize("kappa", [0.0, 3.3, pytest.param(math.inf, id="kappa2")])
 def test_natural_orbitals_fold_matches_full_eigh_on_tonks(kappa):
-    rho = tonks.tonks_rspd(tonks.tonks_state(kappa), build_grid(401, 0.03))
+    rho = tonks.tonks_state(kappa, build_grid(401, 0.03)).density
     folded = analysis.natural_orbitals(rho)
     full = _full_eigh_decomposition(rho)
     np.testing.assert_allclose(folded, full.occupations, rtol=0.0, atol=1e-12)
@@ -171,16 +186,18 @@ def test_natural_orbitals_small_occupations_exact():
     assert found[:17] == pytest.approx(occupations, rel=1e-8, abs=0.0)
 
 
-def test_observables_never_form_the_density_matrix(solve, monkeypatch):
-    # Nor the orbitals: reading them fails the test.
+def test_observables_never_form_the_density_matrix(monkeypatch):
+    # Nor the orbitals: reading them fails the test.  Fresh states, since
+    # a state keeps its density matrix and a cached one may have formed it.
     def forbidden(self):
         raise AssertionError("the natural orbitals were formed")
 
     monkeypatch.setattr(analysis.DensityMatrix, "orbitals", property(forbidden))
     grid = build_grid(1201, 0.01)
     k = analysis.uniform_k_grid(41, 8.0)
-    analytic = tonks.tonks_rspd(tonks.tonks_state(3.3), grid)
-    for rho in (analytic, analysis.rspd_from_state(solve(1.0, 1.0))):
+    analytic = tonks.tonks_state(3.3, grid).density
+    state = dvr.ground_state(build_grid(81, 0.16), 1.0, 1.0)
+    for rho in (analytic, analysis.rspd_from_state(state)):
         occupations = analysis.natural_orbitals(rho)
         analysis.von_neumann_entropy(occupations)
         analysis.schmidt_number(occupations)
@@ -250,7 +267,7 @@ def test_momentum_distribution_matches_complex_phase_sum(tonks_rho, tonks_grid, 
     dist = analysis.momentum_distribution(tonks_rho(1.0), k)
     # Oracle: the complex-phase quadrature over the whole k grid, summed
     # over every orbital of one eigh of the full density matrix.
-    full = _full_eigh_decomposition(tonks.tonks_rspd(tonks.tonks_state(1.0), tonks_grid))
+    full = _full_eigh_decomposition(tonks.tonks_state(1.0, tonks_grid).density)
     dx = full.grid.spacing
     phases = np.exp(-1j * np.outer(k, full.grid.points))
     mu = phases @ full.orbitals * (dx / math.sqrt(2.0 * math.pi))

@@ -69,3 +69,6 @@ def test_traced_run_counts_every_layer(tmp_path):
                     "analysis.momentum_distribution.retained_orbitals", "dvr.matvec.calls",
                     "single_particle.even_energy.calls"):
         assert metrics.get(counter, 0) > 0, counter
+    # The one-point tonks command forms its density through the hooked
+    # tonks_rspd exactly once; the tonks_rspd metrics read that call.
+    assert metrics["tonks.tonks_rspd.calls"] == 1

@@ -161,6 +161,30 @@ def test_g1d_from_physical_weak_anisotropy_note():
     assert any("anisotropy" in note for note in result.notes)
 
 
+def _log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
+
+
+@given(omega_perp=_log_uniform(1e2, 1e7), anisotropy=_log_uniform(1.0, 1e4),
+       mass=_log_uniform(1e-27, 1e-24),
+       x=st.one_of(st.floats(1e-6, 0.999), st.floats(1.5, 100.0), st.floats(-100.0, -1e-6)))
+@settings(max_examples=200, deadline=None)
+def test_g1d_from_physical_relations_hold_for_any_trap(omega_perp, anisotropy, mass, x):
+    # a3d = x d_perp / C with d_perp = sqrt(hbar / (m omega_perp)).  The
+    # relations checked hold whatever transverse length the mapping takes:
+    # the coupling in units of hbar omega d, the 1D coupling from a1d, and
+    # the signs away from the resonance, which sits at x = 1 with d_perp
+    # and at x = sqrt(2) with the relative-motion length sqrt(2) d_perp.
+    omega = omega_perp / anisotropy
+    d_perp = math.sqrt(hbar / (mass * omega_perp))
+    result = g1d_from_physical(omega_perp, omega, mass, x * d_perp / CONFINEMENT_CONSTANT)
+    d = math.sqrt(hbar / (mass * omega))
+    # math.isclose, not pytest.approx, whose default abs=1e-12 would pass any value near 1e-36.
+    assert math.isclose(result.g1d * hbar * omega * d, result.g1d_si, rel_tol=1e-12)
+    assert math.isclose(result.a1d * result.g1d_si, -2.0 * hbar**2 / mass, rel_tol=1e-12)
+    assert (result.g1d > 0.0) == (0.0 < x < 1.0)
+
+
 def test_run_sweep_tonks_energies():
     spec = _spec(kappa=(0.0, 1.0, 2.0, math.inf))
     points = run_sweep(spec)
@@ -375,7 +399,7 @@ def test_cli_tonks_json_momentum_per_point(tmp_path, tonks_grid):
     assert [p["kappa"] for p in points] == kappas
     k = analysis.uniform_k_grid(41, 8.0)
     for point in points:
-        rho = tonks.tonks_rspd(tonks.tonks_state(float(point["kappa"])), tonks_grid)
+        rho = tonks.tonks_state(float(point["kappa"]), tonks_grid).density
         dist = analysis.momentum_distribution(rho, k)
         assert point["momentum"] == {
             "k": [float(f"{v:.12g}") for v in k],

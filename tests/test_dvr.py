@@ -123,8 +123,8 @@ def test_ground_state_non_interacting_pair(solve):
 def test_ground_state_normalization_and_symmetry(solve):
     for kappa, g in ((0.0, 0.0), (1.0, 1.0), (10.0, 500.0)):
         state = solve(kappa, g)
-        psi = state.amplitudes
-        norm = float(np.sum(psi * psi)) * state.grid.spacing**2
+        psi = state.density.amplitudes
+        norm = float(np.sum(psi * psi)) * state.density.grid.spacing**2
         assert norm == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(psi - psi.T)) <= 1e-8
         peak = np.unravel_index(np.argmax(np.abs(psi)), psi.shape)
@@ -136,7 +136,7 @@ def test_sign_fixed_at_first_peak_in_row_major_order(solve, n_points, spacing):
     # At (inf, 0) the four extrema, two of each sign, agree to rounding,
     # so the sign is taken at the first of them in row-major order rather
     # than wherever rounding puts the largest.
-    psi = solve(math.inf, 0.0, n_points, spacing).amplitudes
+    psi = solve(math.inf, 0.0, n_points, spacing).density.amplitudes
     magnitude = np.abs(psi).ravel()
     peaks = np.flatnonzero(magnitude >= (1.0 - 1e-8) * magnitude.max())
     assert peaks.size == 4
@@ -148,7 +148,7 @@ def test_sign_fixed_at_first_peak_in_row_major_order(solve, n_points, spacing):
 def test_ground_state_parity_even(solve, kappa, g1d):
     # The natural-orbital fold rejects a density matrix that is not
     # parity-symmetric, so the pair state must be even to the last bit.
-    psi = solve(kappa, g1d).amplitudes
+    psi = solve(kappa, g1d).density.amplitudes
     assert np.array_equal(psi, psi[::-1, ::-1])
 
 
@@ -286,7 +286,7 @@ def test_row_solver_matches_single_point_solves_bitwise(kappa):
         row, single = solve(g1d), dvr.ground_state(grid, kappa, g1d)
         assert row.energy == single.energy
         assert row.gap == single.gap
-        assert row.amplitudes.tobytes() == single.amplitudes.tobytes()
+        assert row.density.amplitudes.tobytes() == single.density.amplitudes.tobytes()
         assert (row.kappa, row.g1d) == (single.kappa, single.g1d) == (kappa, g1d)
 
 
@@ -297,13 +297,13 @@ def test_solver_blocks_are_the_fold_of_its_amplitudes(solve, kappa, n_points, sp
     # its Ritz vector, and unfolds psi from them: folding dx psi gives the
     # blocks back, both exactly symmetric, with unit total squared norm.
     for g1d in (0.0, 5.0, math.inf):
-        state = solve(kappa, g1d, n_points, spacing)
-        even, odd = dvr._fold(spacing * state.amplitudes)
-        assert np.max(np.abs(state.even - even)) <= 1e-15
-        assert np.max(np.abs(state.odd - odd)) <= 1e-15
-        assert np.array_equal(state.even, state.even.T)
-        assert np.array_equal(state.odd, state.odd.T)
-        norm = np.sum(state.even * state.even) + np.sum(state.odd * state.odd)
+        rho = solve(kappa, g1d, n_points, spacing).density
+        even, odd = dvr._fold(spacing * rho.amplitudes)
+        assert np.max(np.abs(rho.even - even)) <= 1e-15
+        assert np.max(np.abs(rho.odd - odd)) <= 1e-15
+        assert np.array_equal(rho.even, rho.even.T)
+        assert np.array_equal(rho.odd, rho.odd.T)
+        norm = np.sum(rho.even * rho.even) + np.sum(rho.odd * rho.odd)
         assert abs(norm - 1.0) <= 1e-14
 
 
@@ -348,11 +348,12 @@ def test_near_degenerate_flag():
     psi = np.eye(3)
     even, odd = dvr._fold(psi)
     state = TwoBodyState(
-        energy=1.0, even=even, odd=odd, amplitudes=psi, grid=grid, kappa=0.0, g1d=0.0,
+        energy=1.0, density=analysis.DensityMatrix(even, odd, grid), kappa=0.0, g1d=0.0,
         _gap=lambda: 1e-8,
     )
     assert state.gap == 1e-8
     assert state.near_degenerate
+    assert state.diagnostics == {"near_degenerate": True}
 
 
 def test_gap_runs_its_two_krylov_iterations_once(eigsh_calls):
@@ -487,7 +488,7 @@ def test_product_state_finite_barrier(solve, kappa, bound):
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0, 2.0, 10.0])
 def test_product_state_rank_one(solve, kappa):
-    singular_values = np.linalg.svd(solve(kappa, 0.0).amplitudes, compute_uv=False)
+    singular_values = np.linalg.svd(solve(kappa, 0.0).density.amplitudes, compute_uv=False)
     assert singular_values[1] / singular_values[0] <= 1e-6
 
 
@@ -540,7 +541,7 @@ def test_refinement_first_order_convergence(solve):
 
 def test_diagonal_suppression_strong_coupling(solve):
     for kappa in (0.0, 10.0):
-        psi = solve(kappa, 500.0).amplitudes
+        psi = solve(kappa, 500.0).density.amplitudes
         assert np.max(np.abs(np.diag(psi))) <= 0.05 * np.max(np.abs(psi))
 
 
@@ -586,7 +587,7 @@ def _tonks_wronskian_weight(kappa):
     # the Wronskian of the two Tonks orbitals (its derivative is
     # 2 (E_0 - E_1) phi_0 phi_1), by the trapezoid rule on [-12, 12].
     x = np.linspace(-12.0, 12.0, 240001)
-    state = tonks.tonks_state(kappa)
+    state = tonks.tonks_state(kappa, build_grid(161, 0.08))
     phi0, phi1 = state.orbitals(x)
     split = state.even_orbital.energy - state.odd_orbital.energy
     wronskian = 2.0 * split * cumulative_trapezoid(phi0 * phi1, x, initial=0.0)

@@ -38,6 +38,11 @@ def test_removed_names_are_gone(module_name, name):
     ("EigenState", "wavefunction"),
     ("DensityMatrix", "trace"),
     ("MomentumDistribution", "integral"),
+    ("TonksState", "pair_energy"),
+    ("TwoBodyState", "even"),
+    ("TwoBodyState", "odd"),
+    ("TwoBodyState", "amplitudes"),
+    ("TwoBodyState", "grid"),
 ])
 def test_removed_members_are_gone(owner, name):
     with pytest.raises(AttributeError):

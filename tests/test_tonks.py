@@ -30,24 +30,24 @@ def test_bose_fermi_energy_identity(kappa):
     assert tonks.tonks_energy(kappa) == expected
 
 
-def test_orbitals_carry_the_barrier():
-    state = tonks.tonks_state(2.0)
+def test_orbitals_carry_the_barrier(tonks_grid):
+    state = tonks.tonks_state(2.0, tonks_grid)
     assert state.even_orbital.kappa == 2.0
     assert state.odd_orbital.kappa == 2.0
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0, pytest.param(math.inf, id="kappa2")])
-def test_wavefunction_diagonal_node(kappa):
-    state = tonks.tonks_state(kappa)
+def test_wavefunction_diagonal_node(kappa, tonks_grid):
+    state = tonks.tonks_state(kappa, tonks_grid)
     for x in (-2.0, 0.0, 0.3, 1.7):
         assert state.wavefunction(x, x) == 0.0
 
 
-def test_wavefunction_exchange_symmetric_and_non_negative():
+def test_wavefunction_exchange_symmetric_and_non_negative(tonks_grid):
     rng = np.random.default_rng(7)
     pts = rng.uniform(-4.0, 4.0, size=(40, 2))
     for kappa in (0.0, 2.0, math.inf):
-        state = tonks.tonks_state(kappa)
+        state = tonks.tonks_state(kappa, tonks_grid)
         a = state.wavefunction(pts[:, 0], pts[:, 1])
         b = state.wavefunction(pts[:, 1], pts[:, 0])
         np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-14)
@@ -55,10 +55,10 @@ def test_wavefunction_exchange_symmetric_and_non_negative():
 
 
 @pytest.mark.parametrize("kappa", [0.0, 2.0, pytest.param(math.inf, id="kappa2")])
-def test_wavefunction_unit_norm(kappa):
+def test_wavefunction_unit_norm(kappa, tonks_grid):
     # Trapezoid double integral on dx = 0.02 and 0.01 meshes combined by
     # one Richardson step; the O(dx^2) remainder sits far below 1e-6.
-    state = tonks.tonks_state(kappa)
+    state = tonks.tonks_state(kappa, tonks_grid)
     norms = []
     for n_points, dx in ((801, 0.02), (1601, 0.01)):
         q = build_grid(n_points, dx).points
@@ -70,7 +70,7 @@ def test_wavefunction_unit_norm(kappa):
 
 def test_rspd_trace_and_symmetries(tonks_grid):
     for kappa in (0.0, 1.0, 5.0, math.inf):
-        rho = tonks.tonks_rspd(tonks.tonks_state(kappa), tonks_grid)
+        rho = tonks.tonks_state(kappa, tonks_grid).density
         trace = np.sum(rho.even * rho.even) + np.sum(rho.odd * rho.odd)
         assert trace == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(rho.values, rho.values.T, rtol=0.0, atol=1e-14)
@@ -80,7 +80,7 @@ def test_rspd_trace_and_symmetries(tonks_grid):
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0, pytest.param(math.inf, id="kappa2")])
 def test_rspd_positive_semidefinite(kappa, tonks_grid):
-    rho = tonks.tonks_rspd(tonks.tonks_state(kappa), tonks_grid)
+    rho = tonks.tonks_state(kappa, tonks_grid).density
     eigenvalues = np.linalg.eigvalsh(rho.grid.spacing * rho.values)
     assert eigenvalues.min() >= -1e-10
 
@@ -88,7 +88,7 @@ def test_rspd_positive_semidefinite(kappa, tonks_grid):
 def test_rspd_zero_barrier_diagonal_closed_form(tonks_grid):
     # Integrating out one coordinate at kappa = 0 leaves the density
     # n(x) = (phi_0^2 + phi_1^2)/2 on the diagonal.
-    rho = tonks.tonks_rspd(tonks.tonks_state(0.0), tonks_grid)
+    rho = tonks.tonks_state(0.0, tonks_grid).density
     x = rho.grid.points
     phi0 = eigenfunction(even_state(0.0, 0), x)
     phi1 = eigenfunction(spectrum(0.0, 2)[1], x)
@@ -97,7 +97,7 @@ def test_rspd_zero_barrier_diagonal_closed_form(tonks_grid):
 
 
 def test_rspd_infinite_barrier_quadrants_vanish(tonks_grid):
-    rho = tonks.tonks_rspd(tonks.tonks_state(math.inf), tonks_grid)
+    rho = tonks.tonks_state(math.inf, tonks_grid).density
     x = rho.grid.points
     negative_quadrant = np.outer(x, x) < 0.0
     assert np.all(rho.values[negative_quadrant] == 0.0)
@@ -111,11 +111,11 @@ def test_rspd_blocks_match_fold_of_sampled_pair(n_points, spacing, kappa):
     # two blocks from the orbitals on x >= 0 alone.
     grid = build_grid(n_points, spacing)
     q = grid.points
-    state = tonks.tonks_state(kappa)
+    state = tonks.tonks_state(kappa, grid)
     psi = state.wavefunction(q[:, None], q[None, :])
     psi /= math.sqrt(np.sum(psi * psi)) * spacing
     even, odd = dvr._fold(spacing * psi)
-    rho = tonks.tonks_rspd(state, grid)
+    rho = tonks.tonks_rspd(state)
     assert np.max(np.abs(rho.even - even)) <= 1e-15
     assert np.max(np.abs(rho.odd - odd)) <= 1e-15
     expected = np.sort(np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd))) ** 2)
@@ -126,16 +126,16 @@ def test_rspd_blocks_match_fold_of_sampled_pair(n_points, spacing, kappa):
 
 def test_rspd_rejects_small_span():
     with pytest.raises(GridError):
-        tonks.tonks_rspd(tonks.tonks_state(0.0), build_grid(41, 0.16))
+        tonks.tonks_state(0.0, build_grid(41, 0.16)).density
 
 
 def test_rspd_rejects_coarse_mesh():
     # On the 81-point, dx = 0.16 mesh the barrier cusp costs the raw
     # quadrature norm more than the 1e-3 trace budget.
     with pytest.raises(GridError):
-        tonks.tonks_rspd(tonks.tonks_state(1.0), build_grid(81, 0.16))
+        tonks.tonks_state(1.0, build_grid(81, 0.16)).density
     with pytest.raises(GridError):
-        tonks.tonks_rspd(tonks.tonks_state(5.0), build_grid(81, 0.16))
+        tonks.tonks_state(5.0, build_grid(81, 0.16)).density
 
 
 def test_momentum_closed_forms_at_zero():
@@ -191,7 +191,7 @@ def test_fourier_route_matches_closed_form(tonks_grid):
     # Pipeline n(k) from the infinite-barrier density matrix against
     # the closed form, sup over |k| <= 6.
     k = analysis.uniform_k_grid(601, 6.0)
-    rho = tonks.tonks_rspd(tonks.tonks_state(math.inf), tonks_grid)
+    rho = tonks.tonks_state(math.inf, tonks_grid).density
     densities = analysis.momentum_distribution(rho, k).densities
     sup = np.max(np.abs(densities - tonks.momentum_tg_infinite_barrier(k)))
     assert sup <= 0.02
@@ -201,7 +201,7 @@ def test_momentum_width_broadens_with_barrier(tonks_grid):
     k = analysis.uniform_k_grid(401, 8.0)
 
     def fwhm(kappa):
-        rho = tonks.tonks_rspd(tonks.tonks_state(kappa), tonks_grid)
+        rho = tonks.tonks_state(kappa, tonks_grid).density
         densities = analysis.momentum_distribution(rho, k).densities
         above = k[densities >= 0.5 * densities.max()]
         return above[-1] - above[0]
