@@ -12,11 +12,11 @@ a module, ``splittrap.specfun`` say, loads only what that module imports.
 import importlib
 
 _NAMES = {
-    "analysis": ("DensityMatrix", "MomentumDistribution", "momentum_distribution",
-                 "natural_orbitals", "rspd_from_state", "schmidt_number", "uniform_k_grid",
-                 "von_neumann_entropy"),
-    "dvr": ("ConvergenceError", "Grid", "GridError", "TwoBodyState", "apply_hamiltonian",
-            "build_grid", "ground_state", "ground_state_solver"),
+    "analysis": ("DensityMatrix", "Grid", "GridError", "MomentumDistribution", "build_grid",
+                 "momentum_distribution", "natural_orbitals", "rspd_from_state",
+                 "schmidt_number", "uniform_k_grid", "von_neumann_entropy"),
+    "dvr": ("ConvergenceError", "TwoBodyState", "apply_hamiltonian", "ground_state",
+            "ground_state_solver"),
     "single_particle": ("EigenState", "eigenfunction", "even_energy", "even_state",
                         "odd_energy", "spectrum"),
     "tonks": ("TonksState", "momentum_noninteracting_infinite_barrier",

@@ -1,9 +1,15 @@
-"""Reduced single-particle observables for two-body ground states.
+"""The mesh, its parity fold and the reduced single-particle observables.
+
+Every observable of the pair is read from its reduced single-particle
+density, so this module owns the mesh both routes share (``Grid``,
+built and checked by ``build_grid``) and the parity fold the density is
+stored in (``_fold``, ``_half_rows`` and ``_unfold``); the grid solver
+``dvr`` and the Tonks route ``tonks`` import them from here.
 
 The barrier sits at the trap centre, so the pair state is parity-even,
 psi(-x, -y) = psi(x, y), and every natural orbital is even or odd.  On
 the odd symmetric mesh the quadrature-weighted amplitudes W = dx * psi
-fold (``dvr._fold``) into an even block of size (N + 1)/2 and an odd
+fold (``_fold``) into an even block of size (N + 1)/2 and an odd
 block of size (N - 1)/2, and the chain enters there:
 
     parity blocks of W -> natural occupations -> entanglement measures
@@ -44,10 +50,108 @@ from functools import cached_property
 
 import numpy as np
 
-from .dvr import Grid, _fold, _half_rows, _unfold
-
 _ENTROPY_FLOOR = 1e-12
 _SCHMIDT_THRESHOLD = 1e-6
+
+
+class GridError(ValueError):
+    """Mesh specification violates the grid contract of the fold or of a pair route."""
+
+
+@dataclass(frozen=True, eq=False)
+class Grid:
+    """Uniform symmetric mesh with an odd point count (exact x = 0 point)."""
+
+    n_points: int
+    spacing: float
+
+    @property
+    def points(self):
+        half = (self.n_points - 1) // 2
+        return (np.arange(self.n_points) - half) * self.spacing
+
+    @property
+    def center_index(self):
+        return (self.n_points - 1) // 2
+
+    @property
+    def span(self):
+        return 0.5 * (self.n_points - 1) * self.spacing
+
+
+def build_grid(n_points, spacing):
+    """Validated uniform symmetric grid.
+
+    Parameters
+    ----------
+    n_points : int
+        Odd, >= 3, so the barrier point x = 0 is on the mesh.
+    spacing : float
+        Positive mesh step.
+    """
+    if n_points != int(n_points):
+        raise GridError(f"point count must be an integer, got {n_points!r}")
+    n_points = int(n_points)
+    if n_points < 3:
+        raise GridError(f"need at least 3 points, got {n_points}")
+    if n_points % 2 == 0:
+        raise GridError(f"point count must be odd so that x = 0 is a mesh point, got {n_points}")
+    spacing = float(spacing)
+    if not (spacing > 0.0) or not math.isfinite(spacing):
+        raise GridError(f"spacing must be positive and finite, got {spacing!r}")
+    return Grid(n_points, spacing)
+
+
+def _fold(m):
+    """Even and odd blocks of a parity-symmetric matrix on an odd mesh.
+
+    m(-x, -y) = m(x, y), with centre index c.  In the orthonormal basis
+    delta_c, (delta_c+i +- delta_c-i) / sqrt(2), i = 1..c, m splits into
+
+    - even, m(c+i, c+j) + m(c+i, c-j) for i, j = 0..c, with the row and
+      the column of delta_c scaled by 1/sqrt(2);
+    - odd, m(c+i, c+j) - m(c+i, c-j) for i, j = 1..c.
+
+    Given parity, m is symmetric exactly when both blocks are.
+    """
+    c = m.shape[0] // 2
+    right = m[c:, c:]
+    mirror = m[c:, c::-1]
+    even = right + mirror
+    even[0, :] *= math.sqrt(0.5)
+    even[:, 0] *= math.sqrt(0.5)
+    return even, right[1:, 1:] - mirror[1:, 1:]
+
+
+def _half_rows(even, odd):
+    """Rows x >= 0 on the mesh of the even and odd fold-basis vectors.
+
+    ``even`` and ``odd`` hold vectors of the two _fold blocks in their
+    columns.  On the mesh row x_0 = 0 is an even vector's first entry and
+    row x_i, i >= 1, its entry i times sqrt(1/2); an odd vector has row 0
+    zero and row x_i its entry i - 1 times sqrt(1/2).  The rows x < 0 are
+    the mirror images, with a sign flip for the odd vectors.
+    """
+    e = even.copy()
+    e[1:] *= math.sqrt(0.5)
+    o = np.zeros((e.shape[0], odd.shape[1]))
+    o[1:] = odd * math.sqrt(0.5)
+    return e, o
+
+
+def _unfold(even, odd):
+    """Parity-symmetric N x N matrix m whose _fold blocks are ``even`` and ``odd``.
+
+    m = U_e even U_e^T + U_o odd U_o^T over the fold bases, whose rows
+    x >= 0 ``_half_rows`` gives: that quadrant of m is the sum of the
+    even and odd parts, its quadrant x >= 0 > y their difference with the
+    columns mirrored, and its rows x < 0 the mirror image of the rows
+    x > 0, so m(-x, -y) = m(x, y) holds to the last bit, and m is
+    symmetric exactly when both blocks are.
+    """
+    e, o = _half_rows(*(m.T for m in _half_rows(even, odd)))
+    half = np.hstack(((e - o)[:, :0:-1], e + o))
+    return np.vstack((half[:0:-1, ::-1], half))
 
 
 def _read_only(array):
@@ -61,11 +165,11 @@ class DensityMatrix:
 
     Holds the two parity blocks of the quadrature-weighted amplitudes
     W = dx * psi, ``even`` of size c + 1 and ``odd`` of size c on a mesh
-    of 2c + 1 points, in the fold basis of ``dvr._fold``; both are
+    of 2c + 1 points, in the fold basis of ``_fold``; both are
     symmetric, and their squared Frobenius norms sum to dx^2 sum(psi^2),
     1 for a normalized state.  ``from_amplitudes`` builds them from
     psi(q_i, q_j).  Formed on first read are ``amplitudes``, psi unfolded
-    onto the mesh (``dvr._unfold``); ``values[i, j]``, rho(q_i, q_j) =
+    onto the mesh (``_unfold``); ``values[i, j]``, rho(q_i, q_j) =
     dx sum_k psi(q_i, q_k) psi(q_j, q_k); and ``orbitals[:, i]``, the
     natural orbital psi_i on the mesh with quadrature norm 1, by ``eigh``
     of the two blocks, so each has definite parity, in the order of the
@@ -87,7 +191,7 @@ class DensityMatrix:
         """Density matrix of the symmetric, parity-even amplitudes psi on an odd mesh.
 
         W = dx * psi must be parity-symmetric, W(-x, -y) = W(x, y), on a
-        mesh with a centre point; ``dvr._fold`` then splits it into its
+        mesh with a centre point; ``_fold`` then splits it into its
         even and odd blocks, and given parity W is symmetric exactly
         when both blocks are.  The blocks kept are their symmetric parts,
         so ``amplitudes`` reads psi unfolded from them, which differs from

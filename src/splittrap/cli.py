@@ -375,7 +375,7 @@ def _check_flags(args):
     mesh = (161, 0.08) if args.command == "tonks" else ((61 if wants_momentum else 81), 0.16)
     args.n_points = mesh[0] if args.n_points is None else args.n_points
     args.dx = mesh[1] if args.dx is None else args.dx
-    args.grid = dvr.build_grid(args.n_points, args.dx)
+    args.grid = analysis.build_grid(args.n_points, args.dx)
     args.k_grid = analysis.uniform_k_grid(args.k_points, args.k_span) if wants_momentum else None
     # Whether the mesh covers the Tonks pair depends on the flags alone; its
     # trace check depends on kappa and stays with each point.

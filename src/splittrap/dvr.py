@@ -48,11 +48,14 @@ One Krylov run of the even sector gives the ground state.  The gap is
 computed on first read, by two more runs: the even sector deflated by
 the ground state gives the next even level, the odd sector its lowest
 level, and the gap is the nearer of the two.  Only the ground state is
-mapped back: its coefficients become the two _fold
-blocks of W = dx psi, v_e B_ee v_e^T and v_o B_oo v_o^T over the
-eigenvectors v_e and v_o of the folded blocks of h, which the state
-holds as its ``analysis.DensityMatrix`` and the observable chain reads
-as they are, and psi on the mesh is unfolded from them (``_unfold``).
+mapped back: its coefficients become the two blocks of W = dx psi in
+the parity fold of ``analysis._fold``, v_e B_ee v_e^T and v_o B_oo
+v_o^T over the eigenvectors v_e and v_o of the folded blocks of h,
+which the state holds as its ``analysis.DensityMatrix`` and the
+observable chain reads as they are; psi on the mesh is that density's
+``amplitudes``.  The mesh (``analysis.Grid``) and the fold maps live
+in ``analysis``, which this module imports; this module holds the
+Hamiltonian and its Krylov solve.
 
 Only the capacitances depend on g1d.  Per kappa, ground_state_solver
 builds h, its two eigh, the shift sigma, the elementwise inverses d and
@@ -69,6 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+from .analysis import DensityMatrix, _fold, _half_rows
 from .single_particle import check_coupling
 
 _DEGENERACY_GAP = 1e-6
@@ -85,56 +89,8 @@ _EIGEN_TOL = 1e-10
 _PEAK_TIE = 1e-8
 
 
-class GridError(ValueError):
-    """Mesh specification violates the solver's grid contract."""
-
-
 class ConvergenceError(RuntimeError):
     """Iterative eigensolver failed to converge."""
-
-
-@dataclass(frozen=True, eq=False)
-class Grid:
-    """Uniform symmetric mesh with an odd point count (exact x = 0 point)."""
-
-    n_points: int
-    spacing: float
-
-    @property
-    def points(self):
-        half = (self.n_points - 1) // 2
-        return (np.arange(self.n_points) - half) * self.spacing
-
-    @property
-    def center_index(self):
-        return (self.n_points - 1) // 2
-
-    @property
-    def span(self):
-        return 0.5 * (self.n_points - 1) * self.spacing
-
-
-def build_grid(n_points, spacing):
-    """Validated uniform symmetric grid.
-
-    Parameters
-    ----------
-    n_points : int
-        Odd, >= 3, so the barrier point x = 0 is on the mesh.
-    spacing : float
-        Positive mesh step.
-    """
-    if n_points != int(n_points):
-        raise GridError(f"point count must be an integer, got {n_points!r}")
-    n_points = int(n_points)
-    if n_points < 3:
-        raise GridError(f"need at least 3 points, got {n_points}")
-    if n_points % 2 == 0:
-        raise GridError(f"point count must be odd so that x = 0 is a mesh point, got {n_points}")
-    spacing = float(spacing)
-    if not (spacing > 0.0) or not math.isfinite(spacing):
-        raise GridError(f"spacing must be positive and finite, got {spacing!r}")
-    return Grid(n_points, spacing)
 
 
 def _one_body(grid, kappa):
@@ -174,58 +130,6 @@ def _apply(t, w, c, x):
     return t @ x + x @ t + v * x
 
 
-def _fold(m):
-    """Even and odd blocks of a parity-symmetric matrix on an odd mesh.
-
-    m(-x, -y) = m(x, y), with centre index c.  In the orthonormal basis
-    delta_c, (delta_c+i +- delta_c-i) / sqrt(2), i = 1..c, m splits into
-
-    - even, m(c+i, c+j) + m(c+i, c-j) for i, j = 0..c, with the row and
-      the column of delta_c scaled by 1/sqrt(2);
-    - odd, m(c+i, c+j) - m(c+i, c-j) for i, j = 1..c.
-
-    Given parity, m is symmetric exactly when both blocks are.
-    """
-    c = m.shape[0] // 2
-    right = m[c:, c:]
-    mirror = m[c:, c::-1]
-    even = right + mirror
-    even[0, :] *= math.sqrt(0.5)
-    even[:, 0] *= math.sqrt(0.5)
-    return even, right[1:, 1:] - mirror[1:, 1:]
-
-
-def _half_rows(even, odd):
-    """Rows x >= 0 on the mesh of the even and odd fold-basis vectors.
-
-    ``even`` and ``odd`` hold vectors of the two _fold blocks in their
-    columns.  On the mesh row x_0 = 0 is an even vector's first entry and
-    row x_i, i >= 1, its entry i times sqrt(1/2); an odd vector has row 0
-    zero and row x_i its entry i - 1 times sqrt(1/2).  The rows x < 0 are
-    the mirror images, with a sign flip for the odd vectors.
-    """
-    e = even.copy()
-    e[1:] *= math.sqrt(0.5)
-    o = np.zeros((e.shape[0], odd.shape[1]))
-    o[1:] = odd * math.sqrt(0.5)
-    return e, o
-
-
-def _unfold(even, odd):
-    """Parity-symmetric N x N matrix m whose _fold blocks are ``even`` and ``odd``.
-
-    m = U_e even U_e^T + U_o odd U_o^T over the fold bases, whose rows
-    x >= 0 ``_half_rows`` gives: that quadrant of m is the sum of the
-    even and odd parts, its quadrant x >= 0 > y their difference with the
-    columns mirrored, and its rows x < 0 the mirror image of the rows
-    x > 0, so m(-x, -y) = m(x, y) holds to the last bit, and m is
-    symmetric exactly when both blocks are.
-    """
-    e, o = _half_rows(*(m.T for m in _half_rows(even, odd)))
-    half = np.hstack(((e - o)[:, :0:-1], e + o))
-    return np.vstack((half[:0:-1, ::-1], half))
-
-
 def _woodbury(k, weight):
     # (W^-1 + K)^-1 written so that it stays finite at W = 0.
     s = np.sqrt(weight)
@@ -235,12 +139,13 @@ def _woodbury(k, weight):
 def _shifted_inverse(t, w):
     """Fold-basis eigenvectors, shift sigma and c -> both sectors' (H - sigma)^-1.
 
-    h = T + diag(w) is parity-symmetric, so _fold splits it into an even
-    block of size n = (N + 1)/2 and an odd block of size n - 1, each
-    taken through its own eigh, whose eigenvectors v_e and v_o are
-    returned.  U_e and U_o are those vectors on the mesh, and ``e`` and
-    ``o`` their rows x >= 0 (``_half_rows``).  In that eigenbasis the
-    exchange-symmetric pair coefficients split by total parity into
+    h = T + diag(w) is parity-symmetric, so ``analysis._fold`` splits it
+    into an even block of size n = (N + 1)/2 and an odd block of size
+    n - 1, each taken through its own eigh, whose eigenvectors v_e and
+    v_o are returned.  U_e and U_o are those vectors on the mesh, and
+    ``e`` and ``o`` their rows x >= 0 (``_half_rows``).  In that
+    eigenbasis the exchange-symmetric pair coefficients split by total
+    parity into
 
     - the even sector, blocks B_ee and B_oo, both symmetric, with
       psi = U_e B_ee U_e^T + U_o B_oo U_o^T, whose _fold blocks are
@@ -330,10 +235,10 @@ class TwoBodyState:
     """Ground state on the product mesh.
 
     ``density`` is its ``analysis.DensityMatrix``: the two parity blocks
-    of W = dx * Psi in the fold basis of ``_fold``, of sizes (N + 1)/2
-    and (N - 1)/2, both exactly symmetric, with squared norms that sum
-    to 1.  ``density.amplitudes`` is the N x N array Psi(q_i, q_j)
-    unfolded from them (``_unfold``), so sum(Psi^2) * dx^2 = 1 and Psi
+    of W = dx * Psi in the fold basis of ``analysis._fold``, of sizes
+    (N + 1)/2 and (N - 1)/2, both exactly symmetric, with squared norms
+    that sum to 1.  ``density.amplitudes`` is the N x N array
+    Psi(q_i, q_j) unfolded from them, so sum(Psi^2) * dx^2 = 1 and Psi
     is symmetric and parity-even to the last bit.  The blocks are
     read-only and sign-fixed together, so that Psi is positive at its
     first peak in row-major order, where entries within 1e-8 of max
@@ -347,7 +252,7 @@ class TwoBodyState:
     """
 
     energy: float
-    density: "analysis.DensityMatrix"
+    density: DensityMatrix
     kappa: float
     g1d: float
     _gap: Callable[[], float] = field(repr=False)
@@ -364,6 +269,21 @@ class TwoBodyState:
     def diagnostics(self):
         """The per-point fields the JSON table prints beside the energy."""
         return {"near_degenerate": self.near_degenerate}
+
+
+def _top(inverse, start, failure, vectors=False):
+    """The largest eigenvalue nu of one sector's inverse, and with ``vectors`` its Ritz vector.
+
+    ``LinearOperator`` and ``eigsh`` are read from this module at each
+    call, so a wrapper set on the module sees every Krylov run.  A run
+    that does not converge raises ConvergenceError with ``failure`` as
+    its message.
+    """
+    op = LinearOperator((start.size,) * 2, matvec=inverse, dtype=float)
+    try:
+        return eigsh(op, k=1, which="LA", v0=start, tol=_EIGEN_TOL, return_eigenvectors=vectors)
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError(f"{failure}: {exc}") from exc
 
 
 def ground_state_solver(grid, kappa):
@@ -396,15 +316,16 @@ def ground_state_solver(grid, kappa):
     nearer of the next even level and the lowest odd one, the first
     excited bosonic level.  The map back takes the Ritz vector's blocks
     B_ee and B_oo to the fold blocks v_e B_ee v_e^T and v_o B_oo v_o^T
-    of W = dx psi, symmetrizes and normalizes them, and unfolds psi from
-    them for the residual check and the sign fix: psi computes its rows
-    x >= 0 and copies the rows x < 0 from them, so it is parity-even to
-    the last bit with no averaging over the reflection, and the blocks
-    are the fold of dx psi to rounding.
+    of W = dx psi, symmetrizes and normalizes them into the state's
+    ``DensityMatrix``, and reads psi as its ``amplitudes`` for the
+    residual check and the sign fix, which flips both blocks: psi
+    computes its rows x >= 0 and copies the rows x < 0 from them, so it
+    is parity-even to the last bit with no averaging over the
+    reflection, and the blocks are the fold of dx psi to rounding.
 
     Parameters
     ----------
-    grid : Grid
+    grid : analysis.Grid
     kappa : float
         Barrier strength, >= 0; math.inf gives the impenetrable barrier.
 
@@ -424,8 +345,6 @@ def ground_state_solver(grid, kappa):
         the first read of ``gap``, if one of its iterations does not
         converge.
     """
-    from .analysis import DensityMatrix  # analysis imports this module
-
     kappa, t, w = _one_body(grid, kappa)
     v_e, v_o, sigma, (even_start, odd_start), at_contact = _shifted_inverse(t, w)
     n = v_e.shape[0]
@@ -437,19 +356,7 @@ def ground_state_solver(grid, kappa):
             f"ground-state iteration failed at kappa={kappa}, g1d={g1d}, N={grid.n_points}, "
             f"dx={grid.spacing}"
         )
-
-        def top(inverse, start, vectors=False):
-            # The largest eigenvalue nu of one sector's inverse, and with
-            # ``vectors`` its Ritz vector.
-            op = LinearOperator((start.size,) * 2, matvec=inverse, dtype=float)
-            try:
-                return eigsh(
-                    op, k=1, which="LA", v0=start, tol=_EIGEN_TOL, return_eigenvectors=vectors
-                )
-            except ArpackNoConvergence as exc:
-                raise ConvergenceError(f"{failure}: {exc}") from exc
-
-        (nu,), vecs = top(even_inverse, even_start, vectors=True)
+        (nu,), vecs = _top(even_inverse, even_start, failure, vectors=True)
         energy = sigma + 1.0 / nu
         ground = vecs[:, 0]
 
@@ -459,24 +366,26 @@ def ground_state_solver(grid, kappa):
             def deflate(b):
                 return b - ground * (ground @ b)
 
-            (nu_next,) = top(lambda b: deflate(even_inverse(deflate(b))), deflate(even_start))
-            (nu_odd,) = top(odd_inverse, odd_start)
+            (nu_next,) = _top(
+                lambda b: deflate(even_inverse(deflate(b))), deflate(even_start), failure
+            )
+            (nu_odd,) = _top(odd_inverse, odd_start, failure)
             return float(min(1.0 / nu_next, 1.0 / nu_odd) - 1.0 / nu)
 
         even = v_e @ ground[: n * n].reshape(n, n) @ v_e.T
         odd = v_o @ ground[n * n :].reshape(n - 1, n - 1) @ v_o.T
         even, odd = even + even.T, odd + odd.T
         norm = math.sqrt(np.sum(even * even) + np.sum(odd * odd))
-        even, odd = even / norm, odd / norm
-        psi = _unfold(even, odd) / grid.spacing
+        density = DensityMatrix(even / norm, odd / norm, grid)
+        psi = density.amplitudes
         residual = np.linalg.norm(_apply(t, w, c, psi) - energy * psi) * grid.spacing
         if not residual <= _RESIDUAL_BOUND:
             raise ConvergenceError(f"{failure}: residual ||H psi - E psi|| = {residual:.3e}")
         magnitude = np.abs(psi).ravel()
         peak = np.argmax(magnitude >= (1.0 - _PEAK_TIE) * magnitude.max())
         if psi.flat[peak] < 0.0:
-            even, odd = -even, -odd
-        return TwoBodyState(float(energy), DensityMatrix(even, odd, grid), kappa, g1d, gap)
+            density = DensityMatrix(-density.even, -density.odd, grid)
+        return TwoBodyState(float(energy), density, kappa, g1d, gap)
 
     return solve
 

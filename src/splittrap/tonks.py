@@ -10,6 +10,8 @@ valid for every barrier strength including the infinite-barrier limit.
 ``tonks_state`` solves the two levels once and binds the mesh the
 caller names; the state's ``density`` is ``tonks_rspd`` of it, formed on
 first read, so a point's energy and its density matrix share one solve.
+The mesh and the density matrix come from ``analysis``; this route
+needs neither the grid solver nor scipy.
 The module also carries the two closed-form momentum distributions of
 the infinite-barrier limit (hard-core pair and non-interacting pair).
 """
@@ -21,8 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import specfun
-from .analysis import DensityMatrix
-from .dvr import Grid, GridError
+from .analysis import DensityMatrix, Grid, GridError
 from .single_particle import EigenState, eigenfunction, spectrum
 
 _MIN_RSPD_SPAN = 6.0
@@ -106,7 +107,7 @@ def tonks_rspd(state):
     B = phi_1(x) phi_0(y), because phi_0 is even and phi_1 odd; and
     |A - B| + |A + B| = 2 max(|A|, |B|), |A - B| - |A + B| =
     -2 sgn(AB) min(|A|, |B|), as one sees by squaring the sides.  The
-    fold (``dvr._fold``) takes the sum of Psi(x, y) and Psi(x, -y) to
+    fold (``analysis._fold``) takes the sum of Psi(x, y) and Psi(x, -y) to
     the even block and their difference to the odd block, so with
     Psi = |D| / sqrt(2)
 

@@ -10,18 +10,18 @@ eigenbasis and the contact capacitances of its mesh again, which costs
 
 import pytest
 
-from splittrap import dvr, tonks
+from splittrap import analysis, dvr, tonks
 
 _STATES = {}
 _TONKS_RHOS = {}
 # The CLI's default mesh for the analytic route.
-_TONKS_GRID = dvr.build_grid(161, 0.08)
+_TONKS_GRID = analysis.build_grid(161, 0.08)
 
 
 def _solve(kappa, g1d, n_points=81, spacing=0.16):
     key = (float(kappa), float(g1d), int(n_points), float(spacing))
     if key not in _STATES:
-        grid = dvr.build_grid(n_points, spacing)
+        grid = analysis.build_grid(n_points, spacing)
         _STATES[key] = dvr.ground_state(grid, kappa, g1d)
     return _STATES[key]
 

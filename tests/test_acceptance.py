@@ -105,7 +105,7 @@ def test_criterion_4_split_trap_strong_coupling(solve):
 
 def test_criterion_5_entropy_landmarks():
     started = time.perf_counter()
-    grid = dvr.build_grid(1201, 0.01)
+    grid = analysis.build_grid(1201, 0.01)
     cache = {}
 
     def entropy(kappa):
@@ -418,7 +418,7 @@ def test_criterion_7_property_suite(solve, tonks_rho, tonks_grid):
             assert ratio <= 0.05, f"kappa={kappa:g}: {ratio:.3f}"
 
     def hermiticity():
-        grid = dvr.build_grid(81, 0.16)
+        grid = analysis.build_grid(81, 0.16)
         for seed in (11, 23):
             rng = np.random.default_rng(seed)
             u = rng.standard_normal(81 * 81)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 from splittrap import analysis, dvr, tonks
-from splittrap.dvr import Grid, build_grid
+from splittrap.analysis import Grid, build_grid
 
 
 def _full_eigh_decomposition(rho):

@@ -72,3 +72,7 @@ def test_traced_run_counts_every_layer(tmp_path):
     # The one-point tonks command forms its density through the hooked
     # tonks_rspd exactly once; the tonks_rspd metrics read that call.
     assert metrics["tonks.tonks_rspd.calls"] == 1
+    # The one-point dvr command solves its ground state by one Krylov run
+    # through the hooked eigsh; a seam that bound eigsh when it was defined
+    # would read 0 here.
+    assert metrics["dvr.eigensolver.calls"] == 1

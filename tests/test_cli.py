@@ -110,9 +110,11 @@ def test_g1d_from_physical_reference_point():
     # Frozen from an independent evaluation of the mapping formulas.
     result = g1d_from_physical(OMEGA_PERP, OMEGA, RB_MASS, 5.0e-9)
     assert result.g1d == pytest.approx(7.268903466398, rel=1e-10)
-    assert result.a1d == pytest.approx(-9.579427360581e-8, rel=1e-10)
-    assert result.g1d_si == pytest.approx(1.601307607851e-36, rel=1e-10)
-    assert result.transverse_length == pytest.approx(3.481596637372e-8, rel=1e-10)
+    # SI values sit far below approx's default abs of 1e-12, which would
+    # pass any of them, so they are compared by relative error alone.
+    assert result.a1d == pytest.approx(-9.579427360581e-8, rel=1e-10, abs=0)
+    assert result.g1d_si == pytest.approx(1.601307607851e-36, rel=1e-10, abs=0)
+    assert result.transverse_length == pytest.approx(3.481596637372e-8, rel=1e-10, abs=0)
     # a1d is a quarter of the trap length here, so the zero-range note
     # fires; the anisotropy ratio of 100 keeps the other note silent.
     assert len(result.notes) == 1
@@ -604,7 +606,7 @@ def test_cli_builds_mesh_and_k_grid_once(monkeypatch, capsys, args):
             return fn(*a, **kw)
         return wrapper
 
-    monkeypatch.setattr(dvr, "build_grid", counted("mesh", dvr.build_grid))
+    monkeypatch.setattr(analysis, "build_grid", counted("mesh", analysis.build_grid))
     monkeypatch.setattr(analysis, "uniform_k_grid", counted("k", analysis.uniform_k_grid))
     assert main(args) == 0
     assert sorted(calls) == ["k", "mesh"]
@@ -910,7 +912,9 @@ def test_cli_units_text(capsys):
             key, rest = line.split("=", 1)
             values[key.strip()] = float(rest.split("#")[0])
     assert values["g1d"] == pytest.approx(7.268903466398, rel=1e-10)
-    assert values["a1d"] == pytest.approx(-9.579427360581e-8, rel=1e-10)
+    assert values["a1d"] == pytest.approx(-9.579427360581e-8, rel=1e-10, abs=0)
+    assert values["g1d_si"] == pytest.approx(1.601307607851e-36, rel=1e-10, abs=0)
+    assert values["transverse_length"] == pytest.approx(3.481596637372e-8, rel=1e-10, abs=0)
 
 
 def test_cli_units_json(capsys):
@@ -983,5 +987,15 @@ def test_level_modules_import_no_scipy():
     # The single-particle levels run on numpy alone.
     proc = _fresh_python("-c", "import sys, splittrap.specfun, splittrap.single_particle; "
                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_observable_modules_import_no_grid_solver():
+    # The mesh, the parity fold and the Tonks route live outside dvr, so
+    # neither the grid solver nor scipy is loaded with them.
+    proc = _fresh_python("-c", "import sys, splittrap.analysis, splittrap.tonks; "
+                         "print(sorted(m for m in sys.modules "
+                         "if m.split('.')[0] == 'scipy' or m == 'splittrap.dvr'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -11,7 +11,8 @@ from scipy.integrate import cumulative_trapezoid, quad, trapezoid
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from splittrap import analysis, dvr, tonks
-from splittrap.dvr import ConvergenceError, GridError, TwoBodyState, build_grid
+from splittrap.analysis import GridError, build_grid
+from splittrap.dvr import ConvergenceError, TwoBodyState
 from splittrap.single_particle import eigenfunction, even_energy, even_state
 
 MONO_GRID = (0.0, 1.0, 2.0, 5.0, 10.0)
@@ -239,7 +240,7 @@ def test_shifted_inverse_solves_hamiltonian(kappa, g1d, n_points, spacing):
     # half-mesh rows e and o and unfolded onto the mesh.
     grid = build_grid(n_points, spacing)
     v_e, v_o, sigma, _, at_contact = dvr._shifted_inverse(*dvr._one_body(grid, kappa)[1:])
-    e, o = dvr._half_rows(v_e, v_o)
+    e, o = analysis._half_rows(v_e, v_o)
     even_inverse, odd_inverse = at_contact(dvr._contact(grid, g1d)[1])
     u_e, u_o = np.vstack((e[:0:-1], e)), np.vstack((-o[:0:-1], o))
     m = e.shape[0]
@@ -271,7 +272,7 @@ def test_fold_blocks_keep_the_spectrum():
     a = rng.standard_normal((31, 31))
     m = a + a.T
     m = m + m[::-1, ::-1]
-    even, odd = dvr._fold(m)
+    even, odd = analysis._fold(m)
     folded = np.sort(np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd))))
     np.testing.assert_allclose(folded, np.linalg.eigvalsh(m), rtol=0.0, atol=1e-12)
 
@@ -298,7 +299,7 @@ def test_solver_blocks_are_the_fold_of_its_amplitudes(solve, kappa, n_points, sp
     # blocks back, both exactly symmetric, with unit total squared norm.
     for g1d in (0.0, 5.0, math.inf):
         rho = solve(kappa, g1d, n_points, spacing).density
-        even, odd = dvr._fold(spacing * rho.amplitudes)
+        even, odd = analysis._fold(spacing * rho.amplitudes)
         assert np.max(np.abs(rho.even - even)) <= 1e-15
         assert np.max(np.abs(rho.odd - odd)) <= 1e-15
         assert np.array_equal(rho.even, rho.even.T)
@@ -346,7 +347,7 @@ def test_gap_non_interacting_closed_form(solve, kappa):
 def test_near_degenerate_flag():
     grid = build_grid(3, 1.0)
     psi = np.eye(3)
-    even, odd = dvr._fold(psi)
+    even, odd = analysis._fold(psi)
     state = TwoBodyState(
         energy=1.0, density=analysis.DensityMatrix(even, odd, grid), kappa=0.0, g1d=0.0,
         _gap=lambda: 1e-8,

@@ -5,6 +5,7 @@ import importlib
 import pytest
 
 import splittrap
+from splittrap import analysis, dvr
 
 # (module, name) of public names the package no longer carries.
 REMOVED = (
@@ -32,6 +33,20 @@ def test_removed_names_are_gone(module_name, name):
     with pytest.raises(AttributeError):
         getattr(importlib.import_module(f"splittrap.{module_name}"), name)
     assert name not in splittrap.__all__
+
+
+@pytest.mark.parametrize("name", ["Grid", "build_grid", "GridError", "_fold", "_half_rows",
+                                  "_unfold"])
+def test_mesh_and_fold_live_in_analysis(name):
+    # The mesh and the parity fold belong to the observable layer.  The
+    # grid solver imports the two fold maps its build uses and carries
+    # none of the other names.
+    owned = getattr(analysis, name)
+    assert owned.__module__ == "splittrap.analysis"
+    assert hasattr(dvr, name) == (name in ("_fold", "_half_rows"))
+    assert getattr(dvr, name, owned) is owned
+    if not name.startswith("_"):
+        assert getattr(splittrap, name) is owned
 
 
 @pytest.mark.parametrize("owner,name", [

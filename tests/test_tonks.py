@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from splittrap import analysis, dvr, tonks
-from splittrap.dvr import GridError, build_grid
+from splittrap import analysis, tonks
+from splittrap.analysis import GridError, build_grid
 from splittrap.single_particle import eigenfunction, even_state, odd_energy, spectrum
 
 
@@ -114,7 +114,7 @@ def test_rspd_blocks_match_fold_of_sampled_pair(n_points, spacing, kappa):
     state = tonks.tonks_state(kappa, grid)
     psi = state.wavefunction(q[:, None], q[None, :])
     psi /= math.sqrt(np.sum(psi * psi)) * spacing
-    even, odd = dvr._fold(spacing * psi)
+    even, odd = analysis._fold(spacing * psi)
     rho = tonks.tonks_rspd(state)
     assert np.max(np.abs(rho.even - even)) <= 1e-15
     assert np.max(np.abs(rho.odd - odd)) <= 1e-15
