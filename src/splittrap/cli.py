@@ -31,7 +31,6 @@ import functools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +153,11 @@ def run_sweep(args):
     # worker on the first submit.
     workers = min(args.workers, len(args.kappa))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        if args.command == "dvr":
+            # Load scipy once, before the fork, rather than once per worker.
+            dvr._load_scipy()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(evaluate, args.kappa))
     else:

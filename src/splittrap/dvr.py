@@ -55,7 +55,9 @@ which the state holds as its ``analysis.DensityMatrix`` and the
 observable chain reads as they are; psi on the mesh is that density's
 ``amplitudes``.  The mesh (``analysis.Grid``) and the fold maps live
 in ``analysis``, which this module imports; this module holds the
-Hamiltonian and its Krylov solve.
+Hamiltonian and its Krylov solve.  That solve is ARPACK's, through
+``scipy.sparse.linalg``, which loads on the first Krylov run, not with
+this module: the levels and the Tonks route never load scipy.
 
 Only the capacitances depend on g1d.  Per kappa, ground_state_solver
 builds h, its two eigh, the shift sigma, the elementwise inverses d and
@@ -70,10 +72,14 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .analysis import DensityMatrix, _fold, _half_rows
 from .single_particle import check_coupling
+
+# The Krylov run is this module's one use of scipy, and importing
+# scipy.sparse.linalg costs more than the rest of the package, so these
+# names are bound on the first run (_load_scipy), not at import.
+_SCIPY_NAMES = ("ArpackNoConvergence", "LinearOperator", "eigsh")
 
 _DEGENERACY_GAP = 1e-6
 # Bound on ||H psi - E psi|| for a unit-norm psi.  Converged pairs sit at
@@ -91,6 +97,27 @@ _PEAK_TIE = 1e-8
 
 class ConvergenceError(RuntimeError):
     """Iterative eigensolver failed to converge."""
+
+
+def _load_scipy():
+    """Bind the scipy names of _SCIPY_NAMES that the module does not hold yet.
+
+    A name already set, such as a wrapper set on the module before the
+    first Krylov run, is kept.
+    """
+    from scipy.sparse import linalg
+
+    for name in _SCIPY_NAMES:
+        globals().setdefault(name, getattr(linalg, name))
+
+
+def __getattr__(name):
+    # Module attributes that are not set yet (PEP 562): the scipy names
+    # load on first read, so ``dvr.eigsh`` resolves before any Krylov run.
+    if name not in _SCIPY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_scipy()
+    return globals()[name]
 
 
 def _one_body(grid, kappa):
@@ -274,11 +301,14 @@ class TwoBodyState:
 def _top(inverse, start, failure, vectors=False):
     """The largest eigenvalue nu of one sector's inverse, and with ``vectors`` its Ritz vector.
 
-    ``LinearOperator`` and ``eigsh`` are read from this module at each
-    call, so a wrapper set on the module sees every Krylov run.  A run
-    that does not converge raises ConvergenceError with ``failure`` as
-    its message.
+    scipy loads on the first Krylov run: each call first binds
+    ``ArpackNoConvergence``, ``LinearOperator`` and ``eigsh`` where the
+    module does not hold them yet (_load_scipy), then reads them from
+    this module, so a wrapper set on the module, before or after that
+    first run, sees every Krylov run.  A run that does not converge
+    raises ConvergenceError with ``failure`` as its message.
     """
+    _load_scipy()
     op = LinearOperator((start.size,) * 2, matvec=inverse, dtype=float)
     try:
         return eigsh(op, k=1, which="LA", v0=start, tol=_EIGEN_TOL, return_eigenvectors=vectors)

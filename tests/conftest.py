@@ -8,8 +8,14 @@ eigenbasis and the contact capacitances of its mesh again, which costs
 0.04 s on the 161 / 0.08 mesh and 0.3 s on 321 / 0.04.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import splittrap
 from splittrap import analysis, dvr, tonks
 
 _STATES = {}
@@ -63,3 +69,16 @@ def eigsh_calls(monkeypatch):
 
     monkeypatch.setattr(dvr, "eigsh", counting)
     return calls
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run a new interpreter, with these arguments, that imports this checkout's package."""
+    src = str(Path(splittrap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+    return run

@@ -1,16 +1,13 @@
 """CLI driver: parsing, sweeps, output formats, unit conversion."""
 
 import argparse
+import concurrent.futures
 import contextlib
 import csv
 import io
 import json
 import math
-import os
 import string
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +16,6 @@ from hypothesis import strategies as st
 from scipy.constants import hbar
 from scipy.sparse.linalg import ArpackNoConvergence
 
-import splittrap
 from splittrap import analysis, dvr, single_particle, tonks
 from splittrap import cli
 from splittrap.cli import (
@@ -811,7 +807,7 @@ def test_run_sweep_caps_workers_at_point_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     spec = _spec(command="spectrum", kappa=(0.0, 1.0, math.inf), levels=2, workers=500)
     assert [r["kappa"] for r in _records(run_sweep(spec))[::2]] == ["0", "1", "inf"]
     assert pools == [3]
@@ -934,17 +930,9 @@ def test_cli_units_resonance_exit(capsys):
     assert "resonance" in capsys.readouterr().err
 
 
-def _fresh_python(*args):
-    # A new interpreter that imports this checkout's package.
-    src = str(Path(splittrap.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
-
-
-def test_cli_module_runs_clean_under_warnings_as_errors():
+def test_cli_module_runs_clean_under_warnings_as_errors(fresh_python):
     # The package no longer imports cli, so runpy finds no stale module.
-    proc = _fresh_python("-W", "error", "-m", "splittrap.cli", "--help")
+    proc = fresh_python("-W", "error", "-m", "splittrap.cli", "--help")
     assert proc.returncode == 0, proc.stderr
     assert "usage: splittrap" in proc.stdout
 
@@ -976,26 +964,75 @@ def test_cli_grid_observables_skip_the_checked_constructor(capsys, monkeypatch):
     assert len(json.loads(capsys.readouterr().out)["points"]) == 9
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    proc = _fresh_python(
-        "-c", "import sys, splittrap.cli; print('scipy.integrate' in sys.modules)")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
-def test_level_modules_import_no_scipy():
-    # The single-particle levels run on numpy alone.
-    proc = _fresh_python("-c", "import sys, splittrap.specfun, splittrap.single_particle; "
-                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def test_cli_import_loads_no_scipy(fresh_python):
+    # dvr loads scipy on its first Krylov run, so the CLI starts on numpy alone.
+    proc = fresh_python("-c", f"import sys, splittrap.cli; print({_SCIPY_MODULES})")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
-def test_observable_modules_import_no_grid_solver():
+def test_only_the_grid_route_loads_scipy(fresh_python):
+    # spectrum and tonks are analytic and load no scipy; the first grid
+    # point loads scipy.sparse.linalg for its Krylov run.
+    proc = fresh_python("-c", f"""
+import contextlib, io, json, sys
+from splittrap.cli import main
+runs = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["spectrum", "--kappa", "0", "--levels", "1"],
+                 ["tonks", "--kappa", "0", "--outputs", "energy"],
+                 ["dvr", "--kappa", "0", "--g1d", "1", "--n-points", "21", "--dx", "0.3"]):
+        runs.append([main(argv), {_SCIPY_MODULES}])
+print(json.dumps(runs))
+""")
+    assert proc.returncode == 0, proc.stderr
+    (spectrum_code, spectrum), (tonks_code, tonks), (grid_code, grid) = json.loads(proc.stdout)
+    assert (spectrum_code, tonks_code, grid_code) == (0, 0, 0)
+    assert spectrum == tonks == []
+    assert "scipy.sparse.linalg" in grid
+
+
+def test_grid_pool_forks_after_scipy_loads(fresh_python):
+    # A grid sweep loads scipy in the parent before its pool forks, so no
+    # worker imports it again; a tonks sweep loads none.
+    proc = fresh_python("-c", """
+import concurrent.futures, contextlib, io, json, sys
+from concurrent.futures.process import ProcessPoolExecutor
+from splittrap.cli import main
+seen = []
+
+class Pool(ProcessPoolExecutor):
+    def map(self, *args, **kwargs):
+        seen.append("scipy.sparse.linalg" in sys.modules)
+        return super().map(*args, **kwargs)
+
+concurrent.futures.ProcessPoolExecutor = Pool
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["tonks", "--kappa", "0", "1", "--outputs", "energy", "--workers", "2"]),
+             main(["dvr", "--kappa", "0", "1", "--g1d", "1", "--n-points", "21", "--dx", "0.3",
+                   "--workers", "2"])]
+print(json.dumps([codes, seen]))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0], [False, True]]
+
+
+def test_level_modules_import_no_scipy(fresh_python):
+    # The single-particle levels run on numpy alone.
+    proc = fresh_python("-c", "import sys, splittrap.specfun, splittrap.single_particle; "
+                        f"print({_SCIPY_MODULES})")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_observable_modules_import_no_grid_solver(fresh_python):
     # The mesh, the parity fold and the Tonks route live outside dvr, so
     # neither the grid solver nor scipy is loaded with them.
-    proc = _fresh_python("-c", "import sys, splittrap.analysis, splittrap.tonks; "
-                         "print(sorted(m for m in sys.modules "
-                         "if m.split('.')[0] == 'scipy' or m == 'splittrap.dvr'))")
+    proc = fresh_python("-c", "import sys, splittrap.analysis, splittrap.tonks; "
+                        "print(sorted(m for m in sys.modules "
+                        "if m.split('.')[0] == 'scipy' or m == 'splittrap.dvr'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

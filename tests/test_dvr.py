@@ -1,6 +1,7 @@
 """Grid discretization and two-body ground-state solver."""
 
 import functools
+import json
 import math
 
 import numpy as np
@@ -191,6 +192,41 @@ def test_ground_state_convergence_error(monkeypatch):
     monkeypatch.setattr(dvr, "eigsh", no_convergence)
     with pytest.raises(ConvergenceError):
         dvr.ground_state(build_grid(41, 0.16), 0.0, 5.0)
+
+
+def test_scipy_loads_on_the_first_krylov_run_behind_module_wrappers(fresh_python):
+    # Wrappers set on dvr before scipy loads are the ones the Krylov run
+    # calls: the first run fills only the scipy names still missing.  No
+    # other missing name loads scipy or resolves.
+    proc = fresh_python("-c", """
+import json, sys
+from splittrap import analysis, dvr
+loaded = ["scipy.sparse.linalg" in sys.modules]
+missing = hasattr(dvr, "no_such_name")
+loaded.append("scipy.sparse.linalg" in sys.modules)
+runs = []
+
+def LinearOperator(*args, **kwargs):
+    from scipy.sparse.linalg import LinearOperator
+    runs.append("LinearOperator")
+    return LinearOperator(*args, **kwargs)
+
+def eigsh(*args, **kwargs):
+    from scipy.sparse.linalg import eigsh
+    runs.append("eigsh")
+    return eigsh(*args, **kwargs)
+
+dvr.LinearOperator, dvr.eigsh = LinearOperator, eigsh
+dvr.ground_state(analysis.build_grid(21, 0.3), 1.0, 1.0)
+from scipy.sparse.linalg import ArpackNoConvergence
+print(json.dumps({"loaded": loaded, "missing": missing, "runs": runs,
+                  "wrapped": [dvr.LinearOperator is LinearOperator, dvr.eigsh is eigsh],
+                  "arpack": dvr.ArpackNoConvergence is ArpackNoConvergence}))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "loaded": [False, False], "missing": False, "runs": ["LinearOperator", "eigsh"],
+        "wrapped": [True, True], "arpack": True}
 
 
 def test_ground_state_residual_guard(monkeypatch):
