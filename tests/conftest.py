@@ -5,7 +5,9 @@ functions of their parameters, so one cache per session is safe and
 keeps the property tests (which revisit the same parameter grids) from
 repeating a solve dozens of times: each DVR solve builds the one-body
 eigenbasis and the contact capacitances of its mesh again, which costs
-0.04 s on the 161 / 0.08 mesh and 0.3 s on 321 / 0.04.
+0.04 s on the 161 / 0.08 mesh and 0.3 s on 321 / 0.04.  The
+``fresh_python`` fixture runs a new interpreter, for the tests of what
+an import or a call loads.
 """
 
 import os
