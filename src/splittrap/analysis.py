@@ -200,10 +200,14 @@ class DensityMatrix:
         Raises
         ------
         ValueError
-            If W is not parity-symmetric or not symmetric beyond 1e-10, or
-            the mesh has an even point count.
+            If psi is not N x N on the N points of ``grid``, W is not
+            parity-symmetric or not symmetric beyond 1e-10, or the mesh
+            has an even point count.
         """
-        n = amplitudes.shape[0]
+        n = grid.n_points
+        if amplitudes.shape != (n, n):
+            raise ValueError(f"amplitudes of shape {amplitudes.shape} do not fit the mesh, "
+                             f"which needs shape {(n, n)}")
         if n % 2 == 0:
             raise ValueError(f"parity fold needs an odd mesh with a centre point, got {n} points")
         weighted = grid.spacing * amplitudes

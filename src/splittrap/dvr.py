@@ -45,8 +45,8 @@ of Lynch, Rice & Thomas, Numer. Math. 6, 185 (1964)), and the Woodbury
 identity adds the contact term through one capacitance matrix per
 sector, of size (N + 1)/2, at two or four half-size products a step.
 One Krylov run of the even sector gives the ground state.  The gap is
-computed on first read, by two more runs: the even sector deflated by
-the ground state gives the next even level, the odd sector its lowest
+computed on first read, by two more runs: the even sector's top two
+Ritz pairs give the next even level, the odd sector's top one its lowest
 level, and the gap is the nearer of the two.  Only the ground state is
 mapped back: its coefficients become the two blocks of W = dx psi in
 the parity fold of ``analysis._fold``, v_e B_ee v_e^T and v_o B_oo
@@ -269,19 +269,17 @@ class TwoBodyState:
     is symmetric and parity-even to the last bit.  The blocks are
     read-only and sign-fixed together, so that Psi is positive at its
     first peak in row-major order, where entries within 1e-8 of max
-    |Psi| tie.  ``kappa`` and ``g1d`` are the bare couplings, math.inf
-    for the limits.  ``gap`` is the distance to the next
-    exchange-symmetric eigenvalue, of either spatial parity; a gap below
-    1e-6 marks the state as near-degenerate, which ``diagnostics``
-    reports.  The solver computes the gap on first read, by the two
-    Krylov runs of ``_gap`` (see ``ground_state_solver``), and keeps it;
-    reading it, or ``diagnostics``, may raise ConvergenceError.
+    |Psi| tie.  ``gap`` is the distance to the next exchange-symmetric
+    eigenvalue, of either spatial parity; a gap below 1e-6 marks the
+    state as near-degenerate, which ``diagnostics`` reports.  The solver
+    computes the gap on first read, by the two Krylov runs of ``_gap``,
+    one for the even sector's top two Ritz values and one for the odd
+    sector's top one (see ``ground_state_solver``), and keeps it; reading
+    it, or ``diagnostics``, may raise ConvergenceError.
     """
 
     energy: float
     density: DensityMatrix
-    kappa: float
-    g1d: float
     _gap: Callable[[], float] = field(repr=False)
 
     @functools.cached_property
@@ -298,8 +296,8 @@ class TwoBodyState:
         return {"near_degenerate": self.near_degenerate}
 
 
-def _top(inverse, start, failure, vectors=False):
-    """The largest eigenvalue nu of one sector's inverse, and with ``vectors`` its Ritz vector.
+def _top(inverse, start, failure, vectors=False, k=1):
+    """Top k eigenvalues nu of one sector's inverse, and with ``vectors`` their Ritz vectors.
 
     scipy loads on the first Krylov run: each call first binds
     ``ArpackNoConvergence``, ``LinearOperator`` and ``eigsh`` where the
@@ -311,7 +309,7 @@ def _top(inverse, start, failure, vectors=False):
     _load_scipy()
     op = LinearOperator((start.size,) * 2, matvec=inverse, dtype=float)
     try:
-        return eigsh(op, k=1, which="LA", v0=start, tol=_EIGEN_TOL, return_eigenvectors=vectors)
+        return eigsh(op, k=k, which="LA", v0=start, tol=_EIGEN_TOL, return_eigenvectors=vectors)
     except ArpackNoConvergence as exc:
         raise ConvergenceError(f"{failure}: {exc}") from exc
 
@@ -327,15 +325,14 @@ def ground_state_solver(grid, kappa):
     of dimension (N + 1)^2 / 4 + (N - 1)^2 / 4, whose largest eigenvalue
     nu gives the ground energy sigma + 1/nu and whose Ritz vector g the
     ground state.  The first read of the state's ``gap`` runs Lanczos
-    twice more: on the even inverse deflated by g, b -> P (H - sigma)^-1
-    P b with P = 1 - g g^T, from the even start with its g component
-    removed, for the next even level, and on the odd sector, of
-    dimension (N^2 - 1) / 4, for its lowest level.  Every run is one
-    Ritz pair on the one-body eigenbasis coefficients, to a relative
-    eigenvalue tolerance of 1e-10 (``_EIGEN_TOL``), and only the ground
-    Ritz vector is mapped back.  A call gives the same bits as
-    ``ground_state`` at that coupling, and a failed call leaves the
-    solver usable for other couplings.
+    twice more: for the top two Ritz values of the even inverse, from the
+    same start, whose smaller one gives the next even level, and for the
+    top one of the odd sector, of dimension (N^2 - 1) / 4, which gives
+    its lowest level.  Every run works on the one-body eigenbasis
+    coefficients, to a relative eigenvalue tolerance of 1e-10
+    (``_EIGEN_TOL``), and only the ground Ritz vector is mapped back.  A
+    call gives the same bits as ``ground_state`` at that coupling, and a
+    failed call leaves the solver usable for other couplings.
 
     Both inverses are confined to exchange-symmetric states: the raw
     matrix also carries antisymmetric states, and near the strong
@@ -391,14 +388,8 @@ def ground_state_solver(grid, kappa):
         ground = vecs[:, 0]
 
         def gap():
-            # The next even level is the top of the even inverse deflated by
-            # the ground Ritz vector, b -> P inv(P b) with P = 1 - g g^T.
-            def deflate(b):
-                return b - ground * (ground @ b)
-
-            (nu_next,) = _top(
-                lambda b: deflate(even_inverse(deflate(b))), deflate(even_start), failure
-            )
+            # The next even level is the smaller of the even sector's top two Ritz values.
+            nu_next = min(_top(even_inverse, even_start, failure, k=2))
             (nu_odd,) = _top(odd_inverse, odd_start, failure)
             return float(min(1.0 / nu_next, 1.0 / nu_odd) - 1.0 / nu)
 
@@ -415,7 +406,7 @@ def ground_state_solver(grid, kappa):
         peak = np.argmax(magnitude >= (1.0 - _PEAK_TIE) * magnitude.max())
         if psi.flat[peak] < 0.0:
             density = DensityMatrix(-density.even, -density.odd, grid)
-        return TwoBodyState(float(energy), density, kappa, g1d, gap)
+        return TwoBodyState(float(energy), density, gap)
 
     return solve
 

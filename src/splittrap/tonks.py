@@ -35,15 +35,15 @@ class TonksState:
     """Hard-core pair at one barrier strength.
 
     Holds the two mapped orbitals and the pair energy; orbital
-    orthonormality makes the determinant wavefunction unit-normalized.
-    ``kappa`` is the barrier strength, math.inf for the impenetrable one.
+    orthonormality makes the determinant wavefunction unit-normalized;
+    ``even_orbital.kappa`` is the barrier strength, math.inf for the
+    impenetrable one.
     ``density`` is the pair's ``analysis.DensityMatrix`` on ``grid``,
     ``tonks_rspd(state)``, formed on first read and kept; reading it may
     raise GridError.  ``diagnostics``, the per-point fields the JSON
     table prints beside the energy, is empty for this route.
     """
 
-    kappa: float
     energy: float
     even_orbital: EigenState
     odd_orbital: EigenState
@@ -75,7 +75,7 @@ def tonks_state(kappa, grid):
     ``tonks_rspd``).
     """
     even, odd = spectrum(kappa, 2)
-    return TonksState(even.kappa, even.energy + odd.energy, even, odd, grid)
+    return TonksState(even.energy + odd.energy, even, odd, grid)
 
 
 def tonks_energy(kappa):

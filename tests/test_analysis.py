@@ -214,6 +214,17 @@ def test_natural_orbitals_rejects_parity_breaking_input():
         analysis.DensityMatrix.from_amplitudes(np.eye(4), Grid(4, 0.5))
 
 
+def test_from_amplitudes_rejects_a_mesh_that_does_not_fit(solve):
+    # psi solved on 81 / 0.16 and read on 161 / 0.08 would give occupations
+    # summing to 0.25; a non-square psi would fail deep in the fold.  Both
+    # are rejected up front, with both shapes named.
+    psi = solve(1.0, 5.0).density.amplitudes
+    with pytest.raises(ValueError, match=r"\(81, 81\).*\(161, 161\)"):
+        analysis.DensityMatrix.from_amplitudes(psi, build_grid(161, 0.08))
+    with pytest.raises(ValueError, match=r"\(81, 41\).*\(81, 81\)"):
+        analysis.DensityMatrix.from_amplitudes(psi[:, 20:61], build_grid(81, 0.16))
+
+
 def test_tonks_zero_barrier_occupations(tonks_rho):
     occupations = analysis.natural_orbitals(tonks_rho(0.0))
     assert occupations[0] + occupations[1] > 0.95

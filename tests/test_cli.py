@@ -217,14 +217,15 @@ def test_run_sweep_dvr_non_interacting():
 
 @pytest.mark.parametrize("fmt,runs", [("csv", 1), ("json", 3)])
 def test_dvr_sweep_krylov_runs_per_point(eigsh_calls, fmt, runs):
-    # A CSV point runs the ground state's one Krylov iteration; a JSON
-    # point reads near_degenerate, whose gap adds the deflated even and
-    # the odd iteration.
+    # A CSV point runs the ground state's one Krylov iteration, for one
+    # Ritz pair with its vector; a JSON point reads near_degenerate, whose
+    # gap adds the even run for two Ritz values and the odd run for one.
     spec = _spec(command="dvr", kappa=(0.0, 3.3), g1d=(0.0, 5.0, 500.0),
                  outputs=("energy", "entropy"), n_points=41, dx=0.3, fmt=fmt)
     points = run_sweep(spec)
     assert not any("error" in point for point in points)
-    assert len(eigsh_calls) == runs * len(points) == runs * 6
+    assert len(points) == 6
+    assert eigsh_calls == [(1, True), (2, False), (1, False)][:runs] * 6
 
 
 def test_run_sweep_entropy_saturation(solve):

@@ -178,10 +178,7 @@ def test_ground_state_infinite_couplings(solve, kappa, g1d, bound):
     # The hard-core pair is the analytic route's Bose-Fermi mapping; the
     # non-interacting pair behind an impenetrable barrier is 2 eps_0 = 3.
     exact = tonks.tonks_energy(kappa) if math.isinf(g1d) else 2.0 * even_energy(kappa, 0)
-    state = solve(kappa, g1d)
-    assert abs(state.energy - exact) <= bound
-    if math.isinf(kappa):
-        assert state.kappa == math.inf
+    assert abs(solve(kappa, g1d).energy - exact) <= bound
 
 
 def test_ground_state_convergence_error(monkeypatch):
@@ -324,7 +321,8 @@ def test_row_solver_matches_single_point_solves_bitwise(kappa):
         assert row.energy == single.energy
         assert row.gap == single.gap
         assert row.density.amplitudes.tobytes() == single.density.amplitudes.tobytes()
-        assert (row.kappa, row.g1d) == (single.kappa, single.g1d) == (kappa, g1d)
+        assert row.density.even.tobytes() == single.density.even.tobytes()
+        assert row.density.odd.tobytes() == single.density.odd.tobytes()
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0, 3.3, math.inf])
@@ -385,8 +383,7 @@ def test_near_degenerate_flag():
     psi = np.eye(3)
     even, odd = analysis._fold(psi)
     state = TwoBodyState(
-        energy=1.0, density=analysis.DensityMatrix(even, odd, grid), kappa=0.0, g1d=0.0,
-        _gap=lambda: 1e-8,
+        energy=1.0, density=analysis.DensityMatrix(even, odd, grid), _gap=lambda: 1e-8,
     )
     assert state.gap == 1e-8
     assert state.near_degenerate
@@ -394,17 +391,18 @@ def test_near_degenerate_flag():
 
 
 def test_gap_runs_its_two_krylov_iterations_once(eigsh_calls):
-    # A solve runs the ground state's one Krylov iteration; the first read
-    # of gap runs the deflated even and the odd iteration, and later reads
+    # A solve runs the ground state's one Krylov iteration, for one Ritz
+    # pair with its vector; the first read of gap runs the even iteration
+    # for two Ritz values and the odd one for one, and later reads
     # (near_degenerate among them) reuse its value.
     calls = eigsh_calls
     state = dvr.ground_state(build_grid(41, 0.3), 1.0, 5.0)
-    assert calls == [True]
+    assert calls == [(1, True)]
     gap = state.gap
-    assert calls == [True, False, False]
+    assert calls == [(1, True), (2, False), (1, False)]
     assert state.gap == gap
     assert not state.near_degenerate
-    assert calls == [True, False, False]
+    assert calls == [(1, True), (2, False), (1, False)]
 
 
 def test_gap_iteration_failure_raises_on_read(monkeypatch):
@@ -425,21 +423,29 @@ def test_gap_iteration_failure_raises_on_read(monkeypatch):
 
 @pytest.mark.parametrize("kappa,g1d", [(1.0, 5.0), (10.0, 500.0), (math.inf, 0.0)])
 def test_gap_matches_two_even_ritz_pairs(kappa, g1d):
-    # The deflated even run gives the next even level that a k = 2 run of
-    # the even inverse gives, next to the odd run's lowest level.
+    # The even sector's second Ritz value gives the next even level that an
+    # independent Krylov path gives: the top of the even inverse deflated by
+    # the ground Ritz vector g, b -> P inv(P b) with P = 1 - g g^T, from the
+    # start with its g component removed; beside it, the odd run's lowest level.
     grid = build_grid(81, 0.16)
     _, t, w = dvr._one_body(grid, kappa)
     _, _, _, (even_start, odd_start), at_contact = dvr._shifted_inverse(t, w)
     even_inverse, odd_inverse = at_contact(dvr._contact(grid, g1d)[1])
 
-    def top(inverse, start, k):
+    def top(inverse, start, vectors=False):
         op = scipy.sparse.linalg.LinearOperator((start.size,) * 2, matvec=inverse, dtype=float)
-        return np.sort(scipy.sparse.linalg.eigsh(
-            op, k=k, which="LA", v0=start, tol=1e-10, return_eigenvectors=False
-        ))
+        return scipy.sparse.linalg.eigsh(
+            op, k=1, which="LA", v0=start, tol=1e-10, return_eigenvectors=vectors
+        )
 
-    nu_next, nu_ground = top(even_inverse, even_start, 2)
-    (nu_odd,) = top(odd_inverse, odd_start, 1)
+    (nu_ground,), vecs = top(even_inverse, even_start, vectors=True)
+    ground = vecs[:, 0]
+
+    def deflate(b):
+        return b - ground * (ground @ b)
+
+    (nu_next,) = top(lambda b: deflate(even_inverse(deflate(b))), deflate(even_start))
+    (nu_odd,) = top(odd_inverse, odd_start)
     expected = min(1.0 / nu_next, 1.0 / nu_odd) - 1.0 / nu_ground
     assert abs(dvr.ground_state(grid, kappa, g1d).gap - expected) <= 1e-12
 

@@ -58,6 +58,9 @@ def test_mesh_and_fold_live_in_analysis(name):
     ("TwoBodyState", "odd"),
     ("TwoBodyState", "amplitudes"),
     ("TwoBodyState", "grid"),
+    ("TwoBodyState", "kappa"),
+    ("TwoBodyState", "g1d"),
+    ("TonksState", "kappa"),
 ])
 def test_removed_members_are_gone(owner, name):
     with pytest.raises(AttributeError):

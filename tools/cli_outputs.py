@@ -17,7 +17,8 @@ outputs of two checkouts then compare byte for byte:
 The list holds the command shapes of the benchmark's three workloads,
 with fixed barriers, and every subcommand and output kind besides:
 ``tonks`` and ``dvr`` with every output and ``--out``, a two-worker
-``dvr`` run, the ``sweep --mode`` alias, a run that exits 2,
+``dvr`` run, a JSON ``dvr`` run on the default mesh, whose
+``near_degenerate`` reads the gap, the ``sweep --mode`` alias, a run that exits 2,
 ``spectrum`` (also with 8200 levels) and ``units``.
 """
 
@@ -44,6 +45,8 @@ COMMANDS = {
                "--outputs energy,rspd,momentum,entropy,schmidt --out dvr.csv",
     "dvr-workers": "dvr --kappa 0 1 3.3 inf --g1d 0 1 5 500 inf "
                    "--outputs energy,entropy,schmidt,momentum --workers 2 --format json",
+    # The default 81 / 0.16 mesh, where the gap at (inf, 0) is 9.5e-5.
+    "dvr-json": "dvr --kappa 0 1 10 inf --g1d 0 0.0001 5 inf --format json --out dvr.json",
     "sweep-alias": "sweep --mode tonks --kappa 0 1 2 inf --outputs energy,entropy,schmidt",
     "tonks-coarse": "tonks --kappa 0 1 5 --n-points 13 --dx 1.0 --outputs energy,entropy "
                     "--out coarse.csv",
