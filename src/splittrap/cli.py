@@ -155,9 +155,6 @@ def run_sweep(args):
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        if args.command == "dvr":
-            # Load scipy once, before the fork, rather than once per worker.
-            dvr._load_scipy()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(evaluate, args.kappa))
     else:

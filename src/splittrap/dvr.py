@@ -55,9 +55,10 @@ which the state holds as its ``analysis.DensityMatrix`` and the
 observable chain reads as they are; psi on the mesh is that density's
 ``amplitudes``.  The mesh (``analysis.Grid``) and the fold maps live
 in ``analysis``, which this module imports; this module holds the
-Hamiltonian and its Krylov solve.  That solve is ARPACK's, through
-``scipy.sparse.linalg``, which loads on the first Krylov run, not with
-this module: the levels and the Tonks route never load scipy.
+Hamiltonian and its Krylov solve.  That solve is a numpy Lanczos
+(``eigsh``) with full reorthogonalization, which stops once each Ritz
+pair it reports meets |beta_m s_mi| <= 1e-10 theta_i and raises
+ConvergenceError after 300 steps; no route of the package needs scipy.
 
 Only the capacitances depend on g1d.  Per kappa, ground_state_solver
 builds h, its two eigh, the shift sigma, the elementwise inverses d and
@@ -73,13 +74,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import DensityMatrix, _fold, _half_rows
+from .analysis import DensityMatrix, _fold, _half_rows, _read_only
 from .single_particle import check_coupling
-
-# The Krylov run is this module's one use of scipy, and importing
-# scipy.sparse.linalg costs more than the rest of the package, so these
-# names are bound on the first run (_load_scipy), not at import.
-_SCIPY_NAMES = ("ArpackNoConvergence", "LinearOperator", "eigsh")
 
 _DEGENERACY_GAP = 1e-6
 # Bound on ||H psi - E psi|| for a unit-norm psi.  Converged pairs sit at
@@ -88,6 +84,9 @@ _DEGENERACY_GAP = 1e-6
 _RESIDUAL_BOUND = 1e-6
 # Relative eigenvalue tolerance of the Krylov iteration.
 _EIGEN_TOL = 1e-10
+# Step limit of one Lanczos run (eigsh).  Runs on meshes from 41 / 0.3
+# to 321 / 0.04 stop within 23 steps.
+_MAX_STEPS = 300
 # Entries within this relative distance of max |psi| tie for the sign
 # fix, which takes the first of them in row-major order: at (inf, 0) four
 # extrema of opposite signs agree to rounding, and argmax would let the
@@ -97,27 +96,6 @@ _PEAK_TIE = 1e-8
 
 class ConvergenceError(RuntimeError):
     """Iterative eigensolver failed to converge."""
-
-
-def _load_scipy():
-    """Bind the scipy names of _SCIPY_NAMES that the module does not hold yet.
-
-    A name already set, such as a wrapper set on the module before the
-    first Krylov run, is kept.
-    """
-    from scipy.sparse import linalg
-
-    for name in _SCIPY_NAMES:
-        globals().setdefault(name, getattr(linalg, name))
-
-
-def __getattr__(name):
-    # Module attributes that are not set yet (PEP 562): the scipy names
-    # load on first read, so ``dvr.eigsh`` resolves before any Krylov run.
-    if name not in _SCIPY_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_scipy()
-    return globals()[name]
 
 
 def _one_body(grid, kappa):
@@ -296,21 +274,59 @@ class TwoBodyState:
         return {"near_degenerate": self.near_degenerate}
 
 
+# The benchmark tracer (bench/tracer.py) replaces LinearOperator and
+# eigsh on this module to time the matvecs and the eigensolver, so both
+# stay module functions with scipy's call shapes, and _top reads them as
+# globals on every call.  LinearOperator is a pass-through that the
+# tracer's move onto _top (ROADMAP item 19) can retire.
+def LinearOperator(shape, matvec, dtype=float):
+    """The operator eigsh takes: the matvec itself."""
+    return matvec
+
+
+def eigsh(op, k=1, *, v0, tol=_EIGEN_TOL, return_eigenvectors=True):
+    """Top k eigenvalues of the symmetric operator ``op``, by Lanczos from v0.
+
+    Each step applies ``op`` once and orthogonalizes the result against
+    every earlier Lanczos vector in two Gram-Schmidt passes.  The run
+    stops once each of the top k Ritz pairs (theta_i, s_i) of the m x m
+    tridiagonal matrix meets |beta_m s_mi| <= tol theta_i, beta_m the
+    norm of the next residual: ARPACK's relative test.  Returns the
+    values in ascending order and, with ``return_eigenvectors``, the
+    Ritz vectors as the columns of an (n, k) array.  Raises
+    ConvergenceError after _MAX_STEPS steps.
+    """
+    # Sized for the step limit; the rows a run does not reach stay unwritten.
+    basis = np.empty((_MAX_STEPS + 1, v0.size))
+    tridiagonal = np.zeros((_MAX_STEPS + 1, _MAX_STEPS + 1))
+    basis[0] = v0 / np.linalg.norm(v0)
+    for m in range(_MAX_STEPS):
+        w = op(basis[m])
+        tridiagonal[m, m] = basis[m] @ w
+        for _ in range(2):
+            w -= basis[: m + 1].T @ (basis[: m + 1] @ w)
+        tridiagonal[m, m + 1] = tridiagonal[m + 1, m] = beta = np.linalg.norm(w)
+        theta, s = np.linalg.eigh(tridiagonal[: m + 1, : m + 1])
+        if m + 1 >= k and np.all(beta * np.abs(s[m, -k:]) <= tol * theta[-k:]):
+            return (theta[-k:], basis[: m + 1].T @ s[:, -k:]) if return_eigenvectors else theta[-k:]
+        basis[m + 1] = w / beta
+    raise ConvergenceError(f"Lanczos found no {k} converged Ritz pairs in {_MAX_STEPS} steps")
+
+
 def _top(inverse, start, failure, vectors=False, k=1):
     """Top k eigenvalues nu of one sector's inverse, and with ``vectors`` their Ritz vectors.
 
-    scipy loads on the first Krylov run: each call first binds
-    ``ArpackNoConvergence``, ``LinearOperator`` and ``eigsh`` where the
-    module does not hold them yet (_load_scipy), then reads them from
-    this module, so a wrapper set on the module, before or after that
-    first run, sees every Krylov run.  A run that does not converge
-    raises ConvergenceError with ``failure`` as its message.
+    The Krylov run is this module's ``eigsh``, a numpy Lanczos from
+    ``start`` to the relative tolerance _EIGEN_TOL, on the operator that
+    ``LinearOperator`` makes of ``inverse``; both are read as module
+    globals at each call, so a wrapper set on the module sees every run.
+    A run that does not converge raises ConvergenceError with
+    ``failure`` in its message.
     """
-    _load_scipy()
     op = LinearOperator((start.size,) * 2, matvec=inverse, dtype=float)
     try:
-        return eigsh(op, k=k, which="LA", v0=start, tol=_EIGEN_TOL, return_eigenvectors=vectors)
-    except ArpackNoConvergence as exc:
+        return eigsh(op, k=k, v0=start, tol=_EIGEN_TOL, return_eigenvectors=vectors)
+    except ConvergenceError as exc:
         raise ConvergenceError(f"{failure}: {exc}") from exc
 
 
@@ -328,9 +344,11 @@ def ground_state_solver(grid, kappa):
     twice more: for the top two Ritz values of the even inverse, from the
     same start, whose smaller one gives the next even level, and for the
     top one of the odd sector, of dimension (N^2 - 1) / 4, which gives
-    its lowest level.  Every run works on the one-body eigenbasis
-    coefficients, to a relative eigenvalue tolerance of 1e-10
-    (``_EIGEN_TOL``), and only the ground Ritz vector is mapped back.  A
+    its lowest level.  Every run is this module's numpy Lanczos on the
+    one-body eigenbasis coefficients, which stops when each Ritz pair it
+    reports meets the relative test |beta_m s_mi| <= 1e-10 theta_i
+    (``_EIGEN_TOL``) and fails after ``_MAX_STEPS`` = 300 steps, and only
+    the ground Ritz vector is mapped back.  A
     call gives the same bits as ``ground_state`` at that coupling, and a
     failed call leaves the solver usable for other couplings.
 
@@ -345,10 +363,11 @@ def ground_state_solver(grid, kappa):
     B_ee and B_oo to the fold blocks v_e B_ee v_e^T and v_o B_oo v_o^T
     of W = dx psi, symmetrizes and normalizes them into the state's
     ``DensityMatrix``, and reads psi as its ``amplitudes`` for the
-    residual check and the sign fix, which flips both blocks: psi
-    computes its rows x >= 0 and copies the rows x < 0 from them, so it
-    is parity-even to the last bit with no averaging over the
-    reflection, and the blocks are the fold of dx psi to rounding.
+    residual check and the sign fix, which flips both blocks and hands
+    the flipped density -psi as its amplitudes, so psi unfolds once a
+    point: psi computes its rows x >= 0 and copies the rows x < 0 from
+    them, so it is parity-even to the last bit with no averaging over
+    the reflection, and the blocks are the fold of dx psi to rounding.
 
     Parameters
     ----------
@@ -406,6 +425,9 @@ def ground_state_solver(grid, kappa):
         peak = np.argmax(magnitude >= (1.0 - _PEAK_TIE) * magnitude.max())
         if psi.flat[peak] < 0.0:
             density = DensityMatrix(-density.even, -density.odd, grid)
+            # Negation commutes with the unfold bit for bit, so -psi is the
+            # flipped blocks unfolded: fill that cache, and psi unfolds once.
+            vars(density)["amplitudes"] = _read_only(-psi)
         return TwoBodyState(float(energy), density, gap)
 
     return solve

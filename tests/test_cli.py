@@ -14,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import hbar
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from splittrap import analysis, dvr, single_particle, tonks
 from splittrap import cli
@@ -845,7 +844,7 @@ def test_run_sweep_failure_labels_infinite_coupling(monkeypatch):
     # The Krylov iteration fails inside the point evaluation, after the
     # flags were checked, so this exercises the failure record.
     def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+        raise dvr.ConvergenceError("no convergence")
 
     spec = _spec(command="dvr", g1d=(math.inf,), n_points=41, dx=0.3)
     monkeypatch.setattr(dvr, "eigsh", no_convergence)
@@ -876,7 +875,7 @@ def test_cli_failed_coupling_keeps_the_rest_of_its_row(tmp_path, capsys, monkeyp
 
     def fail_at_point(*args, **kwargs):
         if point == [(1.0, 5.0)]:
-            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+            raise dvr.ConvergenceError("no convergence")
         return real_eigsh(*args, **kwargs)
 
     monkeypatch.setattr(dvr, "ground_state_solver", solver)
@@ -969,15 +968,15 @@ _SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 def test_cli_import_loads_no_scipy(fresh_python):
-    # dvr loads scipy on its first Krylov run, so the CLI starts on numpy alone.
+    # The package runs on numpy alone, so importing the CLI loads no scipy module.
     proc = fresh_python("-c", f"import sys, splittrap.cli; print({_SCIPY_MODULES})")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
-def test_only_the_grid_route_loads_scipy(fresh_python):
-    # spectrum and tonks are analytic and load no scipy; the first grid
-    # point loads scipy.sparse.linalg for its Krylov run.
+def test_no_route_loads_scipy(fresh_python):
+    # spectrum and tonks are analytic, and the grid route's Krylov run is
+    # numpy's: no subcommand loads a scipy module, the gap's runs included.
     proc = fresh_python("-c", f"""
 import contextlib, io, json, sys
 from splittrap.cli import main
@@ -985,40 +984,79 @@ runs = []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["spectrum", "--kappa", "0", "--levels", "1"],
                  ["tonks", "--kappa", "0", "--outputs", "energy"],
-                 ["dvr", "--kappa", "0", "--g1d", "1", "--n-points", "21", "--dx", "0.3"]):
+                 ["dvr", "--kappa", "0", "--g1d", "1", "--n-points", "21", "--dx", "0.3",
+                  "--format", "json"]):
         runs.append([main(argv), {_SCIPY_MODULES}])
 print(json.dumps(runs))
 """)
     assert proc.returncode == 0, proc.stderr
-    (spectrum_code, spectrum), (tonks_code, tonks), (grid_code, grid) = json.loads(proc.stdout)
-    assert (spectrum_code, tonks_code, grid_code) == (0, 0, 0)
-    assert spectrum == tonks == []
-    assert "scipy.sparse.linalg" in grid
+    assert json.loads(proc.stdout) == [[0, []], [0, []], [0, []]]
 
 
-def test_grid_pool_forks_after_scipy_loads(fresh_python):
-    # A grid sweep loads scipy in the parent before its pool forks, so no
-    # worker imports it again; a tonks sweep loads none.
-    proc = fresh_python("-c", """
-import concurrent.futures, contextlib, io, json, sys
+def test_grid_pool_children_load_no_scipy(fresh_python):
+    # A two-worker grid sweep loads no scipy module: not in the parent as
+    # it forks the pool, nor in the children that solve the rows.
+    proc = fresh_python("-c", f"""
+import concurrent.futures, json, sys
 from concurrent.futures.process import ProcessPoolExecutor
-from splittrap.cli import main
+from splittrap import cli
 seen = []
+
+def evaluate_row(args, kappa):
+    # Runs in a child: the row's points, then what the child has loaded.
+    return real_row(args, kappa) + [{{"scipy": {_SCIPY_MODULES}}}]
 
 class Pool(ProcessPoolExecutor):
     def map(self, *args, **kwargs):
-        seen.append("scipy.sparse.linalg" in sys.modules)
+        seen.append({_SCIPY_MODULES})
         return super().map(*args, **kwargs)
 
+real_row, cli._evaluate_row = cli._evaluate_row, evaluate_row
 concurrent.futures.ProcessPoolExecutor = Pool
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(["tonks", "--kappa", "0", "1", "--outputs", "energy", "--workers", "2"]),
-             main(["dvr", "--kappa", "0", "1", "--g1d", "1", "--n-points", "21", "--dx", "0.3",
-                   "--workers", "2"])]
-print(json.dumps([codes, seen]))
+args = cli._parse_args(["dvr", "--kappa", "0", "1", "--g1d", "1", "--n-points", "21",
+                        "--dx", "0.3", "--workers", "2"])
+cli._check_flags(args)
+points = cli.run_sweep(args)
+print(json.dumps([seen, [p["scipy"] for p in points if "scipy" in p],
+                  any("error" in p for p in points)]))
 """)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0, 0], [False, True]]
+    assert json.loads(proc.stdout) == [[[]], [[], []], False]
+
+
+def test_every_route_runs_with_scipy_blocked(fresh_python):
+    # With every scipy import made to fail, as on an install with numpy
+    # alone, each subcommand still exits 0: the grid route with the gap's
+    # runs (JSON) and with a pool, whose children inherit the block.
+    proc = fresh_python("-c", f"""
+import contextlib, io, json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{{name}} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+    blocked = False
+except ImportError:
+    blocked = True
+from splittrap.cli import main
+grid = ["dvr", "--kappa", "0", "inf", "--g1d", "0", "5", "--n-points", "21", "--dx", "0.3"]
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (grid, grid + ["--format", "json"], grid + ["--workers", "2"],
+                 ["tonks", "--kappa", "0", "1", "--outputs", "energy,entropy,momentum",
+                  "--format", "json"],
+                 ["spectrum", "--kappa", "0", "1", "--levels", "3"],
+                 ["units", "--omega-perp", "{OMEGA_PERP}", "--omega", "{OMEGA}",
+                  "--mass", "{RB_MASS}", "--a3d", "5e-9"]):
+        codes.append(main(argv))
+print(json.dumps([blocked, codes, {_SCIPY_MODULES}]))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [True, [0] * 6, []]
 
 
 def test_level_modules_import_no_scipy(fresh_python):
