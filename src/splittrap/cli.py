@@ -17,6 +17,11 @@ chosen once per row, as the row's g1d -> pair state solver; every pair
 state is then read the same way, through its ``energy``, ``density``
 and ``diagnostics``.
 
+Importing this module loads no numpy, and neither do ``--help``,
+``spectrum``, ``units`` and a ``tonks`` run of the energy alone, which
+are scalar closed forms; every other run imports it on its first array,
+in the library or, for the sidecar files, in ``_write_outputs``.
+
 Outputs are byte-deterministic for fixed flags: fixed 12-significant-
 digit formatting, fixed point ordering, and a grid eigensolver start
 vector set by the mesh and the barrier alone.  Exit codes: 0 on
@@ -32,8 +37,6 @@ import json
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import analysis, dvr, tonks
 from .single_particle import check_coupling, spectrum
@@ -194,14 +197,19 @@ def _sidecar_path(args, kappa, g1d, kind, suffix):
 
 
 def _write_outputs(args, points):
+    # numpy writes the sidecars, and is imported only where a point has one.
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as stream:
         (_write_csv if args.fmt == "csv" else _write_json)(args, points, stream)
     for (kappa, g1d), point in zip(_labels(args), points):
         if "rspd" in point:
+            import numpy as np
+
             rho = point["rspd"]
             np.savetxt(_sidecar_path(args, kappa, g1d, "rspd", ".txt"), rho, fmt="%.12g",
                        header=f"{len(rho)} {args.dx:.12g}", comments="")
         if "momentum" in point and args.fmt == "csv":
+            import numpy as np
+
             np.savetxt(_sidecar_path(args, kappa, g1d, "momentum", ".csv"),
                        np.column_stack(point["momentum"]), fmt="%.12g", delimiter=",",
                        header="k,n", comments="")

@@ -59,20 +59,21 @@ Hamiltonian and its Krylov solve.  That solve is a numpy Lanczos
 (``eigsh``) with full reorthogonalization, which stops once each Ritz
 pair it reports meets |beta_m s_mi| <= 1e-10 theta_i and raises
 ConvergenceError after 300 steps; no route of the package needs scipy.
+Each function that forms an array imports numpy when it runs, so
+importing this module, as ``cli`` does, loads none.
 
 Only the capacitances depend on g1d.  Per kappa, ground_state_solver
 builds h, its two eigh, the shift sigma, the elementwise inverses d and
 the matrices K behind the capacitances, 3 N^4 / 16 multiply-adds; per
-g1d, it inverts the two capacitances and runs the one Lanczos
-iteration of the ground state.  ground_state is the one-coupling case.
+g1d, it inverts the even capacitance and runs the one Lanczos
+iteration of the ground state, and the odd capacitance is inverted only
+when the gap is read.  ground_state is the one-coupling case.
 """
 
 import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .analysis import DensityMatrix, _fold, _half_rows, _read_only
 from .single_particle import check_coupling
@@ -104,6 +105,8 @@ def _one_body(grid, kappa):
     T is the sinc-DVR kinetic matrix (1/2 d^2/dx^2 included).  It is
     Toeplitz, T_ij = row[|i - j|], so it is gathered from its first row.
     """
+    import numpy as np
+
     kappa = check_coupling(kappa, "kappa")
     dx = grid.spacing
     if math.isinf(kappa):
@@ -130,12 +133,16 @@ def _contact(grid, g1d):
 
 
 def _apply(t, w, c, x):
+    import numpy as np
+
     v = w[:, None] + w[None, :]
     v[np.diag_indices_from(v)] += c
     return t @ x + x @ t + v * x
 
 
 def _woodbury(k, weight):
+    import numpy as np
+
     # (W^-1 + K)^-1 written so that it stays finite at W = 0.
     s = np.sqrt(weight)
     return s[:, None] * np.linalg.inv(np.eye(s.size) + s[:, None] * k * s) * s
@@ -170,13 +177,16 @@ def _shifted_inverse(t, w):
     2 eps_0 - 1/2, with eps_0 the lowest one-body level, is a strict
     lower bound because c >= 0.  The eigh, sigma, d and K depend on the
     one-body operator alone and are built here, once per kappa; the
-    returned ``at_contact(c)`` inverts both capacitances of one coupling
-    once, explicitly, and returns that coupling's even and odd inverses,
-    which act on the flat coefficients, (B_ee, B_oo) and X.  The even
+    returned ``at_contact(c)`` inverts the even capacitance of one
+    coupling once, explicitly, and returns that coupling's even and odd
+    inverses, which act on the flat coefficients, (B_ee, B_oo) and X;
+    the odd inverse inverts its capacitance on its first call.  The even
     inverse symmetrizes its output, so the exchange-antisymmetric states
     of that sector map to zero.  ``start`` holds both sectors' start
     vectors, the normalized d.
     """
+    import numpy as np
+
     h_even, h_odd = _fold(t + np.diag(w))
     eps_e, v_e = np.linalg.eigh(h_even)
     eps_o, v_o = np.linalg.eigh(h_odd)
@@ -200,8 +210,13 @@ def _shifted_inverse(t, w):
 
     def at_contact(c):
         q_even = _woodbury(k_even, c * multiplicity)
-        # In the odd sector psi_aa = 2 diag(e X o^T)_a and |B|^2 = 2 |X|^2.
-        q_odd = _woodbury(k_odd, 2.0 * c * multiplicity)
+
+        # Only the gap runs the odd sector, so its capacitance is inverted
+        # on the first odd application.
+        @functools.cache
+        def q_odd():
+            # In the odd sector psi_aa = 2 diag(e X o^T)_a and |B|^2 = 2 |X|^2.
+            return _woodbury(k_odd, 2.0 * c * multiplicity)
 
         def even_inverse(b):
             y_ee, y_oo = d_ee * b[: n * n].reshape(n, n), d_oo * b[n * n :].reshape(n - 1, n - 1)
@@ -212,7 +227,7 @@ def _shifted_inverse(t, w):
 
         def odd_inverse(b):
             x = d_eo * b.reshape(n, n - 1)
-            x -= d_eo * ((e.T * (q_odd @ np.sum((e @ x) * o, axis=1))) @ o)
+            x -= d_eo * ((e.T * (q_odd() @ np.sum((e @ x) * o, axis=1))) @ o)
             return x.ravel()
 
         return even_inverse, odd_inverse
@@ -226,6 +241,8 @@ def apply_hamiltonian(vec, grid, kappa, g1d):
     ``vec`` holds the row-major flattened amplitudes on the N x N
     product mesh.  kappa and g1d may be infinite.
     """
+    import numpy as np
+
     _, t, w = _one_body(grid, kappa)
     _, c = _contact(grid, g1d)
     vec = np.asarray(vec, dtype=float)
@@ -296,6 +313,8 @@ def eigsh(op, k=1, *, v0, tol=_EIGEN_TOL, return_eigenvectors=True):
     Ritz vectors as the columns of an (n, k) array.  Raises
     ConvergenceError after _MAX_STEPS steps.
     """
+    import numpy as np
+
     # Sized for the step limit; the rows a run does not reach stay unwritten.
     basis = np.empty((_MAX_STEPS + 1, v0.size))
     tridiagonal = np.zeros((_MAX_STEPS + 1, _MAX_STEPS + 1))
@@ -336,7 +355,7 @@ def ground_state_solver(grid, kappa):
     Everything that depends on kappa alone is built here, once: the
     one-body operator h, the eigh of its even and odd blocks, the shift
     sigma, d and K of _shifted_inverse, and the start vectors.  Each call
-    of the returned function inverts its coupling's two capacitances and
+    of the returned function inverts its coupling's even capacitance and
     runs Lanczos on the exact inverse (H - sigma)^-1 in the even sector,
     of dimension (N + 1)^2 / 4 + (N - 1)^2 / 4, whose largest eigenvalue
     nu gives the ground energy sigma + 1/nu and whose Ritz vector g the
@@ -344,7 +363,7 @@ def ground_state_solver(grid, kappa):
     twice more: for the top two Ritz values of the even inverse, from the
     same start, whose smaller one gives the next even level, and for the
     top one of the odd sector, of dimension (N^2 - 1) / 4, which gives
-    its lowest level.  Every run is this module's numpy Lanczos on the
+    its lowest level and first inverts that sector's capacitance.  Every run is this module's numpy Lanczos on the
     one-body eigenbasis coefficients, which stops when each Ritz pair it
     reports meets the relative test |beta_m s_mi| <= 1e-10 theta_i
     (``_EIGEN_TOL``) and fails after ``_MAX_STEPS`` = 300 steps, and only
@@ -391,6 +410,8 @@ def ground_state_solver(grid, kappa):
         the first read of ``gap``, if one of its iterations does not
         converge.
     """
+    import numpy as np
+
     kappa, t, w = _one_body(grid, kappa)
     v_e, v_o, sigma, (even_start, odd_start), at_contact = _shifted_inverse(t, w)
     n = v_e.shape[0]

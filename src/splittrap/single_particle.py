@@ -49,13 +49,12 @@ the second form, with t1 and t0 from the reflection formulas, being the
 one ``specfun`` evaluates for the normalized D_nu.  It has no pole, so
 kappa = 0 (a = -j) and kappa -> inf (a + 1/2 -> -j) need no special
 case.  Couplings are plain floats, math.inf for the limit, checked by
-``check_coupling``.
+``check_coupling``.  The levels and their energies are scalar and load
+no numpy; ``eigenfunction`` imports it to sample a level.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import specfun
 
@@ -169,6 +168,8 @@ def eigenfunction(state, x):
     Every level is ``specfun.parabolic_cylinder`` of order E - 1/2; an
     odd level carries sgn(x).
     """
+    import numpy as np
+
     xarr = np.asarray(x, dtype=float)
     values = specfun.parabolic_cylinder(state.energy - 0.5, xarr)
     if state.parity == "odd":

@@ -26,11 +26,11 @@ is exactly 0.
 
 All functions accept scalars; ``kummer_m``, ``kummer_u`` and
 ``parabolic_cylinder`` also accept numpy arrays for the coordinate.
+Those three import numpy when they are called; ``gamma``, ``sin_pi``
+and the norm are scalar and need none.
 """
 
 import math
-
-import numpy as np
 
 POLE_TOL = 1e-14
 
@@ -39,7 +39,6 @@ _M_REL_TOL = 1e-16
 # The trapezoid rule of ``kummer_u`` in s = ln t: nodes t = e^s on
 # s in [-40, 3] at step 1/8, taken over at most _U_BLOCK points of z at once.
 _U_STEP = 0.125
-_U_NODES = np.exp(np.arange(-320, 25) * _U_STEP)
 _U_BLOCK = 4096
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -102,6 +101,8 @@ def _digamma(x):
 
 
 def _as_array(z):
+    import numpy as np
+
     arr = np.asarray(z, dtype=float)
     return arr, arr.ndim == 0
 
@@ -113,6 +114,8 @@ def _m_series(a, b, z):
     |term| <= _M_REL_TOL * |sum|.  For non-positive integer a the
     series terminates exactly.
     """
+    import numpy as np
+
     term = np.ones_like(z)
     total = np.ones_like(z)
     for n in range(1, _M_MAX_TERMS + 1):
@@ -131,6 +134,8 @@ def kummer_m(a, b, z):
 
     b must not be a non-positive integer; z is a float or an ndarray.
     """
+    import numpy as np
+
     a = float(a)
     b = float(b)
     if _near_pole(b):
@@ -176,6 +181,8 @@ def kummer_u(a, b, z):
     -------
     float or ndarray
     """
+    import numpy as np
+
     a = float(a)
     if float(b) != 0.5:
         raise ValueError(f"kummer_u supports b = 1/2 only, got b = {b!r}")
@@ -187,7 +194,7 @@ def kummer_u(a, b, z):
     y = np.sqrt(2.0 * zarr).ravel()
     order = math.floor(-2.0 * a)
     mu = -2.0 * a - order - 4.0
-    t = _U_NODES
+    t = np.exp(np.arange(-320, 25) * _U_STEP)
     lower, upper = np.empty((2, y.size))
     for i in range(0, y.size, _U_BLOCK):
         # Built in place, and released before the next block's is built:
@@ -232,6 +239,8 @@ def parabolic_cylinder(nu, x):
     overflows before the final e^(-x^2/2).  The norm is the closed form
     of the module docstring.  x is a float or an ndarray.
     """
+    import numpy as np
+
     nu = float(nu)
     if not nu >= 0.0:
         raise ValueError(f"parabolic-cylinder order must be >= 0, got {nu!r}")

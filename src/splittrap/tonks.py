@@ -11,7 +11,8 @@ valid for every barrier strength including the infinite-barrier limit.
 caller names; the state's ``density`` is ``tonks_rspd`` of it, formed on
 first read, so a point's energy and its density matrix share one solve.
 The mesh and the density matrix come from ``analysis``; this route
-needs neither the grid solver nor scipy.
+needs neither the grid solver nor scipy, and the pair energy needs no
+numpy, which the functions that form arrays import when called.
 The module also carries the two closed-form momentum distributions of
 the infinite-barrier limit (hard-core pair and non-interacting pair).
 """
@@ -19,8 +20,6 @@ the infinite-barrier limit (hard-core pair and non-interacting pair).
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from . import specfun
 from .analysis import DensityMatrix, Grid, GridError
@@ -63,6 +62,8 @@ class TonksState:
 
     def wavefunction(self, x1, x2):
         """Pair wavefunction at coordinates x1, x2 (scalars or arrays)."""
+        import numpy as np
+
         (phi0_a, phi1_a), (phi0_b, phi1_b) = self.orbitals(x1), self.orbitals(x2)
         return np.abs(phi0_a * phi1_b - phi0_b * phi1_a) / math.sqrt(2.0)
 
@@ -104,16 +105,15 @@ def tonks_rspd(state):
 
     The blocks come from the orbitals on the rows x >= 0 alone.  There
     D(x, y) = A - B and D(x, -y) = -A - B, with A = phi_0(x) phi_1(y) and
-    B = phi_1(x) phi_0(y), because phi_0 is even and phi_1 odd; and
-    |A - B| + |A + B| = 2 max(|A|, |B|), |A - B| - |A + B| =
-    -2 sgn(AB) min(|A|, |B|), as one sees by squaring the sides.  The
-    fold (``analysis._fold``) takes the sum of Psi(x, y) and Psi(x, -y) to
-    the even block and their difference to the odd block, so with
-    Psi = |D| / sqrt(2)
+    B = phi_1(x) phi_0(y), because phi_0 is even and phi_1 odd.  Neither
+    orbital is negative on x >= 0, so A, B >= 0, |A - B| + (A + B) =
+    2 max(A, B) and |A - B| - (A + B) = -2 min(A, B).  The fold (``analysis._fold``) takes
+    the sum of Psi(x, y) and Psi(x, -y) to the even block and their
+    difference to the odd block, so with Psi = |D| / sqrt(2)
 
-        even = sqrt(2) dx max(|A|, |B|), the row and column of x = 0
+        even = sqrt(2) dx max(A, B), the row and column of x = 0
                scaled by sqrt(1/2),
-        odd  = -sqrt(2) dx sgn(AB) min(|A|, |B|) for x, y > 0.
+        odd  = -sqrt(2) dx min(A, B) for x, y > 0.
 
     Both are symmetric exactly.  The fold is orthonormal, so the raw
     quadrature norm dx^2 sum(Psi^2) is the sum of their squared norms,
@@ -134,6 +134,8 @@ def tonks_rspd(state):
         If the mesh does not cover [-6, 6], or is so coarse that the
         quadrature trace misses 1 by more than 1e-3.
     """
+    import numpy as np
+
     grid = state.grid
     check_rspd_span(grid)
     phi0, phi1 = state.orbitals(grid.points[grid.center_index :])
@@ -153,9 +155,7 @@ def tonks_rspd(state):
     # at kappa = inf, where phi_0 = phi_1 on x >= 0, A = B to the last
     # bit and Psi(x, y) unfolds to an exact 0 for x, y > 0.
     a = phi0[:, None] * phi1 * (math.sqrt(2.0) * grid.spacing / math.sqrt(raw_norm))
-    magnitude = np.abs(a)
-    odd = np.copysign(np.minimum(magnitude, magnitude.T), -a * a.T)[1:, 1:]
-    return DensityMatrix(np.maximum(magnitude, magnitude.T), odd, grid)
+    return DensityMatrix(np.maximum(a, a.T), -np.minimum(a, a.T)[1:, 1:], grid)
 
 
 def _momentum_bracket(k2):
@@ -163,6 +163,8 @@ def _momentum_bracket(k2):
     # to z = 200; past that e^z overflows separately, so the bracket is
     # summed from the large-z expansion -(sum_{s>=1} (1/2)_s z^-s),
     # truncated at its (far sub-epsilon) smallest term.
+    import numpy as np
+
     z = 0.5 * k2
     out = np.empty_like(z)
     small = z <= 200.0
@@ -184,6 +186,8 @@ def _momentum_bracket(k2):
 
 def _closed_form(k, density):
     # density(k^2, bracket) on scalar or array k.
+    import numpy as np
+
     karr = np.asarray(k, dtype=float)
     k2 = karr * karr
     out = density(k2, _momentum_bracket(k2))
@@ -196,6 +200,8 @@ def momentum_tg_infinite_barrier(k):
     n(k) = (2 / pi^(3/2)) { [1 - k^2 e^(-k^2/2) M(1/2, 3/2, k^2/2)]^2
                             + (pi/2) k^2 e^(-k^2) }
     """
+    import numpy as np
+
     return _closed_form(
         k, lambda k2, bracket: (2.0 / math.pi**1.5) * (bracket**2 + 0.5 * math.pi * k2 * np.exp(-k2))
     )

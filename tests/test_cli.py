@@ -227,6 +227,25 @@ def test_dvr_sweep_krylov_runs_per_point(eigsh_calls, fmt, runs):
     assert eigsh_calls == [(1, True), (2, False), (1, False)][:runs] * 6
 
 
+@pytest.mark.parametrize("fmt,inversions", [("csv", 1), ("json", 2)])
+def test_dvr_sweep_capacitance_inversions_per_point(monkeypatch, fmt, inversions):
+    # Every point inverts its even capacitance; only the gap, which a JSON
+    # point reads, runs the odd sector and inverts its capacitance.
+    calls = []
+    real_woodbury = dvr._woodbury
+
+    def counting(k, weight):
+        calls.append(k.shape)
+        return real_woodbury(k, weight)
+
+    monkeypatch.setattr(dvr, "_woodbury", counting)
+    spec = _spec(command="dvr", kappa=(0.0, 3.3), g1d=(0.0, 5.0, 500.0),
+                 outputs=("energy", "entropy"), n_points=41, dx=0.3, fmt=fmt)
+    points = run_sweep(spec)
+    assert not any("error" in point for point in points)
+    assert len(calls) == inversions * len(points) == inversions * 6
+
+
 def test_run_sweep_entropy_saturation(solve):
     occupations = analysis.natural_orbitals(analysis.rspd_from_state(solve(10.0, 5.0)))
     assert analysis.von_neumann_entropy(occupations) == pytest.approx(1.0, abs=0.03)
@@ -1057,6 +1076,41 @@ print(json.dumps([blocked, codes, {_SCIPY_MODULES}]))
 """)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [True, [0] * 6, []]
+
+
+_NUMPY_PATHS = {
+    "import": ("-c", "import splittrap.cli"),
+    "help": ("-m", "splittrap", "--help"),
+    "spectrum": ("-m", "splittrap", "spectrum", "--kappa", "0", "1.3", "inf", "--levels", "4"),
+    "units": ("-m", "splittrap", "units", "--omega-perp", str(OMEGA_PERP), "--omega", str(OMEGA),
+              "--mass", str(RB_MASS), "--a3d", "5e-9"),
+    "tonks-energy-csv": ("-m", "splittrap", "tonks", "--kappa", "0", "1", "inf",
+                         "--outputs", "energy"),
+    "tonks-energy-json": ("-m", "splittrap", "tonks", "--kappa", "0", "1", "inf",
+                          "--outputs", "energy", "--format", "json"),
+    "tonks-observables": ("-m", "splittrap", "tonks", "--kappa", "1", "--k-points", "41",
+                          "--outputs", "energy,entropy,momentum", "--format", "json"),
+    "dvr-point": ("-m", "splittrap", "dvr", "--kappa", "1", "--g1d", "1", "--n-points", "21",
+                  "--dx", "0.3"),
+}
+
+
+@pytest.mark.parametrize("path,loads", [
+    ("import", False), ("help", False), ("spectrum", False), ("units", False),
+    ("tonks-energy-csv", False), ("tonks-energy-json", False),
+    ("tonks-observables", True), ("dvr-point", True),
+])
+def test_numpy_loads_only_for_array_work(fresh_python, path, loads):
+    # The levels, the unit conversion and the Tonks pair energy are scalar
+    # closed forms: those paths never import numpy, which every path that
+    # forms an array imports on its first one.  -X importtime lists every
+    # module the interpreter imports.
+    proc = fresh_python("-X", "importtime", *_NUMPY_PATHS[path])
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "splittrap.cli" in imported
+    assert ("numpy" in imported) == loads
 
 
 def test_level_modules_import_no_scipy(fresh_python):

@@ -19,7 +19,8 @@ with fixed barriers, and every subcommand and output kind besides:
 ``tonks`` and ``dvr`` with every output and ``--out``, a two-worker
 ``dvr`` run, a JSON ``dvr`` run on the default mesh, whose
 ``near_degenerate`` reads the gap, the ``sweep --mode`` alias, a run that exits 2,
-``spectrum`` (also with 8200 levels) and ``units``.
+``spectrum`` (also with 8200 levels), ``units`` as text and as JSON, and a
+JSON ``tonks`` run of the energy alone, which loads no numpy.
 """
 
 import os
@@ -48,6 +49,7 @@ COMMANDS = {
     # The default 81 / 0.16 mesh, where the gap at (inf, 0) is 9.5e-5.
     "dvr-json": "dvr --kappa 0 1 10 inf --g1d 0 0.0001 5 inf --format json --out dvr.json",
     "sweep-alias": "sweep --mode tonks --kappa 0 1 2 inf --outputs energy,entropy,schmidt",
+    "tonks-energy": "tonks --kappa 0 1 inf --outputs energy --format json --out tonks.json",
     "tonks-coarse": "tonks --kappa 0 1 5 --n-points 13 --dx 1.0 --outputs energy,entropy "
                     "--out coarse.csv",
     "spectrum": "spectrum --kappa 0 0.5 1 inf --levels 6 --out levels.csv",
@@ -62,6 +64,7 @@ COMMANDS = {
               "--levels 10 --format csv --out sweep.csv",
     "spectrum-high": "spectrum --kappa 1 --levels 8200",
     "units": "units --omega-perp 6e5 --omega 6e3 --mass 1.45e-25 --a3d 5e-9",
+    "units-json": "units --omega-perp 6e5 --omega 6e3 --mass 1.45e-25 --a3d 5e-9 --format json",
 }
 
 
