@@ -363,7 +363,8 @@ def ground_state_solver(grid, kappa):
     twice more: for the top two Ritz values of the even inverse, from the
     same start, whose smaller one gives the next even level, and for the
     top one of the odd sector, of dimension (N^2 - 1) / 4, which gives
-    its lowest level and first inverts that sector's capacitance.  Every run is this module's numpy Lanczos on the
+    its lowest level and first inverts that sector's capacitance.  Every
+    run is this module's numpy Lanczos on the
     one-body eigenbasis coefficients, which stops when each Ritz pair it
     reports meets the relative test |beta_m s_mi| <= 1e-10 theta_i
     (``_EIGEN_TOL``) and fails after ``_MAX_STEPS`` = 300 steps, and only
