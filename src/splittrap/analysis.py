@@ -42,8 +42,10 @@ gives n(k) from the blocks themselves (``momentum_distribution``), which
 halves the transform, so no observable needs the orbitals.  W is real,
 so n(-k) = n(k), and ``momentum_distribution`` evaluates k >= 0 only.
 
-Importing this module loads no numpy: each function that forms or reads
-an array imports it, so building and checking a ``Grid`` needs none.
+Importing this module loads no numpy: ``np`` is the lazy seam
+``_numpy.np``, which loads it on the first array a function forms or
+reads, so building and checking a ``Grid`` needs none.  The ``np.ndarray``
+field annotations stay unevaluated strings.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+
+from ._numpy import np
 
 _ENTROPY_FLOOR = 1e-12
 _SCHMIDT_THRESHOLD = 1e-6
@@ -70,8 +74,6 @@ class Grid:
 
     @property
     def points(self):
-        import numpy as np
-
         half = (self.n_points - 1) // 2
         return (np.arange(self.n_points) - half) * self.spacing
 
@@ -137,8 +139,6 @@ def _half_rows(even, odd):
     zero and row x_i its entry i - 1 times sqrt(1/2).  The rows x < 0 are
     the mirror images, with a sign flip for the odd vectors.
     """
-    import numpy as np
-
     e = even.copy()
     e[1:] *= math.sqrt(0.5)
     o = np.zeros((e.shape[0], odd.shape[1]))
@@ -156,8 +156,6 @@ def _unfold(even, odd):
     x > 0, so m(-x, -y) = m(x, y) holds to the last bit, and m is
     symmetric exactly when both blocks are.
     """
-    import numpy as np
-
     e, o = _half_rows(*(m.T for m in _half_rows(even, odd)))
     half = np.hstack(((e - o)[:, :0:-1], e + o))
     return np.vstack((half[:0:-1, ::-1], half))
@@ -213,8 +211,6 @@ class DensityMatrix:
             parity-symmetric or not symmetric beyond 1e-10, or the mesh
             has an even point count.
         """
-        import numpy as np
-
         n = grid.n_points
         if amplitudes.shape != (n, n):
             raise ValueError(f"amplitudes of shape {amplitudes.shape} do not fit the mesh, "
@@ -243,8 +239,6 @@ class DensityMatrix:
 
     @cached_property
     def orbitals(self):
-        import numpy as np
-
         even_vals, even_vecs = np.linalg.eigh(self.even)
         odd_vals, odd_vecs = np.linalg.eigh(self.odd)
         order = np.argsort(np.concatenate((even_vals, odd_vals)) ** 2, kind="stable")[::-1]
@@ -281,16 +275,12 @@ def natural_orbitals(rho):
     to the squared norm of W, 1 for a normalized state.  The returned
     array is read-only.
     """
-    import numpy as np
-
     vals = np.concatenate((np.linalg.eigvalsh(rho.even), np.linalg.eigvalsh(rho.odd))) ** 2
     return _read_only(np.sort(vals)[::-1])
 
 
 def uniform_k_grid(count, span):
     """Symmetric uniform momentum grid with ``count`` points on [-span, span]."""
-    import numpy as np
-
     if count != int(count) or int(count) < 3:
         raise ValueError(f"k grid needs at least 3 points, got {count!r}")
     span = float(span)
@@ -318,8 +308,6 @@ def momentum_distribution(rho, k_values):
     pi / dx, beyond which the quadrature transform is periodic rather
     than physical.
     """
-    import numpy as np
-
     k = np.asarray(k_values, dtype=float)
     if k.ndim != 1 or k.size < 3:
         raise ValueError("k_values must be a 1-D array with at least 3 points")
@@ -363,8 +351,6 @@ def von_neumann_entropy(occupations):
     contribute nothing, so a product state reads exactly 0 even when
     the eigensolver returns its occupation as 1 - eps or 1 + eps.
     """
-    import numpy as np
-
     live = (occupations >= _ENTROPY_FLOOR) & (np.abs(occupations - 1.0) > _ENTROPY_FLOOR)
     occ = occupations[live]
     # No occupation left sums to -0.0, and occupations above 1 only arise
@@ -375,6 +361,4 @@ def von_neumann_entropy(occupations):
 
 def schmidt_number(occupations):
     """Number of occupations from ``natural_orbitals`` strictly above 1e-6."""
-    import numpy as np
-
     return int(np.sum(occupations > _SCHMIDT_THRESHOLD))

@@ -19,8 +19,9 @@ and ``diagnostics``.
 
 Importing this module loads no numpy, and neither do ``--help``,
 ``spectrum``, ``units`` and a ``tonks`` run of the energy alone, which
-are scalar closed forms; every other run imports it on its first array,
-in the library or, for the sidecar files, in ``_write_outputs``.
+are scalar closed forms; every other run loads it on its first array,
+in the library or, for the sidecar files, in ``_write_outputs``, through
+the package's one lazy seam, ``_numpy.np``.
 
 Outputs are byte-deterministic for fixed flags: fixed 12-significant-
 digit formatting, fixed point ordering, and a grid eigensolver start
@@ -39,6 +40,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, dvr, tonks
+from ._numpy import np
 from .single_particle import check_coupling, spectrum
 from .units import g1d_from_physical
 
@@ -197,19 +199,14 @@ def _sidecar_path(args, kappa, g1d, kind, suffix):
 
 
 def _write_outputs(args, points):
-    # numpy writes the sidecars, and is imported only where a point has one.
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as stream:
         (_write_csv if args.fmt == "csv" else _write_json)(args, points, stream)
     for (kappa, g1d), point in zip(_labels(args), points):
         if "rspd" in point:
-            import numpy as np
-
             rho = point["rspd"]
             np.savetxt(_sidecar_path(args, kappa, g1d, "rspd", ".txt"), rho, fmt="%.12g",
                        header=f"{len(rho)} {args.dx:.12g}", comments="")
         if "momentum" in point and args.fmt == "csv":
-            import numpy as np
-
             np.savetxt(_sidecar_path(args, kappa, g1d, "momentum", ".csv"),
                        np.column_stack(point["momentum"]), fmt="%.12g", delimiter=",",
                        header="k,n", comments="")
@@ -366,6 +363,10 @@ def _check_flags(args):
     # argparse has checked every flag on its own; left here are the rules
     # that span several flags.  The mesh, its default filled in, and the
     # k grid are built here, once, and kept on args for every point.
+    # Every file a run writes lands next to --out, so a bad --out stops
+    # the run here, before any point is solved.
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        raise ValueError(f"--out {args.out} is not a file in an existing directory")
     if args.command == "spectrum":
         return
     wants_momentum = "momentum" in args.outputs

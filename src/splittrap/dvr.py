@@ -59,8 +59,9 @@ Hamiltonian and its Krylov solve.  That solve is a numpy Lanczos
 (``eigsh``) with full reorthogonalization, which stops once each Ritz
 pair it reports meets |beta_m s_mi| <= 1e-10 theta_i and raises
 ConvergenceError after 300 steps; no route of the package needs scipy.
-Each function that forms an array imports numpy when it runs, so
-importing this module, as ``cli`` does, loads none.
+numpy comes through the lazy seam ``_numpy.np`` and loads on the
+first array formed, so importing this module, as ``cli`` does, loads
+none.
 
 Only the capacitances depend on g1d.  Per kappa, ground_state_solver
 builds h, its two eigh, the shift sigma, the elementwise inverses d and
@@ -75,6 +76,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from ._numpy import np
 from .analysis import DensityMatrix, _fold, _half_rows, _read_only
 from .single_particle import check_coupling
 
@@ -105,8 +107,6 @@ def _one_body(grid, kappa):
     T is the sinc-DVR kinetic matrix (1/2 d^2/dx^2 included).  It is
     Toeplitz, T_ij = row[|i - j|], so it is gathered from its first row.
     """
-    import numpy as np
-
     kappa = check_coupling(kappa, "kappa")
     dx = grid.spacing
     if math.isinf(kappa):
@@ -133,16 +133,12 @@ def _contact(grid, g1d):
 
 
 def _apply(t, w, c, x):
-    import numpy as np
-
     v = w[:, None] + w[None, :]
     v[np.diag_indices_from(v)] += c
     return t @ x + x @ t + v * x
 
 
 def _woodbury(k, weight):
-    import numpy as np
-
     # (W^-1 + K)^-1 written so that it stays finite at W = 0.
     s = np.sqrt(weight)
     return s[:, None] * np.linalg.inv(np.eye(s.size) + s[:, None] * k * s) * s
@@ -185,8 +181,6 @@ def _shifted_inverse(t, w):
     of that sector map to zero.  ``start`` holds both sectors' start
     vectors, the normalized d.
     """
-    import numpy as np
-
     h_even, h_odd = _fold(t + np.diag(w))
     eps_e, v_e = np.linalg.eigh(h_even)
     eps_o, v_o = np.linalg.eigh(h_odd)
@@ -241,8 +235,6 @@ def apply_hamiltonian(vec, grid, kappa, g1d):
     ``vec`` holds the row-major flattened amplitudes on the N x N
     product mesh.  kappa and g1d may be infinite.
     """
-    import numpy as np
-
     _, t, w = _one_body(grid, kappa)
     _, c = _contact(grid, g1d)
     vec = np.asarray(vec, dtype=float)
@@ -293,28 +285,26 @@ class TwoBodyState:
 
 # The benchmark tracer (bench/tracer.py) replaces LinearOperator and
 # eigsh on this module to time the matvecs and the eigensolver, so both
-# stay module functions with scipy's call shapes, and _top reads them as
-# globals on every call.  LinearOperator is a pass-through that the
-# tracer's move onto _top (ROADMAP item 19) can retire.
-def LinearOperator(shape, matvec, dtype=float):
+# stay module functions, and _top reads them as globals on every call.
+# LinearOperator is a pass-through that the tracer's move onto _top
+# (ROADMAP item 25) can retire.
+def LinearOperator(shape, matvec):
     """The operator eigsh takes: the matvec itself."""
     return matvec
 
 
-def eigsh(op, k=1, *, v0, tol=_EIGEN_TOL, return_eigenvectors=True):
+def eigsh(op, k=1, *, v0, return_eigenvectors=True):
     """Top k eigenvalues of the symmetric operator ``op``, by Lanczos from v0.
 
     Each step applies ``op`` once and orthogonalizes the result against
     every earlier Lanczos vector in two Gram-Schmidt passes.  The run
     stops once each of the top k Ritz pairs (theta_i, s_i) of the m x m
-    tridiagonal matrix meets |beta_m s_mi| <= tol theta_i, beta_m the
-    norm of the next residual: ARPACK's relative test.  Returns the
+    tridiagonal matrix meets |beta_m s_mi| <= _EIGEN_TOL theta_i, beta_m
+    the norm of the next residual: ARPACK's relative test.  Returns the
     values in ascending order and, with ``return_eigenvectors``, the
     Ritz vectors as the columns of an (n, k) array.  Raises
     ConvergenceError after _MAX_STEPS steps.
     """
-    import numpy as np
-
     # Sized for the step limit; the rows a run does not reach stay unwritten.
     basis = np.empty((_MAX_STEPS + 1, v0.size))
     tridiagonal = np.zeros((_MAX_STEPS + 1, _MAX_STEPS + 1))
@@ -326,7 +316,7 @@ def eigsh(op, k=1, *, v0, tol=_EIGEN_TOL, return_eigenvectors=True):
             w -= basis[: m + 1].T @ (basis[: m + 1] @ w)
         tridiagonal[m, m + 1] = tridiagonal[m + 1, m] = beta = np.linalg.norm(w)
         theta, s = np.linalg.eigh(tridiagonal[: m + 1, : m + 1])
-        if m + 1 >= k and np.all(beta * np.abs(s[m, -k:]) <= tol * theta[-k:]):
+        if m + 1 >= k and np.all(beta * np.abs(s[m, -k:]) <= _EIGEN_TOL * theta[-k:]):
             return (theta[-k:], basis[: m + 1].T @ s[:, -k:]) if return_eigenvectors else theta[-k:]
         basis[m + 1] = w / beta
     raise ConvergenceError(f"Lanczos found no {k} converged Ritz pairs in {_MAX_STEPS} steps")
@@ -342,9 +332,9 @@ def _top(inverse, start, failure, vectors=False, k=1):
     A run that does not converge raises ConvergenceError with
     ``failure`` in its message.
     """
-    op = LinearOperator((start.size,) * 2, matvec=inverse, dtype=float)
+    op = LinearOperator((start.size,) * 2, matvec=inverse)
     try:
-        return eigsh(op, k=k, v0=start, tol=_EIGEN_TOL, return_eigenvectors=vectors)
+        return eigsh(op, k=k, v0=start, return_eigenvectors=vectors)
     except ConvergenceError as exc:
         raise ConvergenceError(f"{failure}: {exc}") from exc
 
@@ -411,8 +401,6 @@ def ground_state_solver(grid, kappa):
         the first read of ``gap``, if one of its iterations does not
         converge.
     """
-    import numpy as np
-
     kappa, t, w = _one_body(grid, kappa)
     v_e, v_o, sigma, (even_start, odd_start), at_contact = _shifted_inverse(t, w)
     n = v_e.shape[0]

@@ -50,13 +50,16 @@ one ``specfun`` evaluates for the normalized D_nu.  It has no pole, so
 kappa = 0 (a = -j) and kappa -> inf (a + 1/2 -> -j) need no special
 case.  Couplings are plain floats, math.inf for the limit, checked by
 ``check_coupling``.  The levels and their energies are scalar and load
-no numpy; ``eigenfunction`` imports it to sample a level.
+no numpy; ``eigenfunction`` loads it, through ``_numpy``, to sample a
+level.
 """
 
 import math
 from dataclasses import dataclass
 
 from . import specfun
+from ._numpy import np
+
 
 def check_coupling(value, name="kappa"):
     """``value`` as a coupling: a float >= 0, with math.inf for the limit.
@@ -81,15 +84,12 @@ class EigenState:
 
     ``n`` follows harmonic-oscillator counting: even levels carry
     n = 0, 2, 4, ... (the j-th even level has n = 2j), odd levels the
-    exact oscillator index n = 1, 3, 5, ...  ``kappa`` is the barrier
-    strength, math.inf for the impenetrable barrier.  Odd levels do not
-    feel it, but carry the kappa that ``spectrum`` was asked for.
+    exact oscillator index n = 1, 3, 5, ...
     """
 
     parity: str
     n: int
     energy: float
-    kappa: float
 
 
 def _even_g(energy, base, kappa):
@@ -158,8 +158,7 @@ def odd_energy(n):
 
 def even_state(kappa, j):
     """The j-th even level as an EigenState."""
-    kappa = check_coupling(kappa)
-    return EigenState("even", 2 * int(j), even_energy(kappa, j), kappa)
+    return EigenState("even", 2 * int(j), even_energy(kappa, j))
 
 
 def eigenfunction(state, x):
@@ -168,8 +167,6 @@ def eigenfunction(state, x):
     Every level is ``specfun.parabolic_cylinder`` of order E - 1/2; an
     odd level carries sgn(x).
     """
-    import numpy as np
-
     xarr = np.asarray(x, dtype=float)
     values = specfun.parabolic_cylinder(state.energy - 0.5, xarr)
     if state.parity == "odd":
@@ -183,8 +180,7 @@ def spectrum(kappa, count):
     Level i has oscillator index n = i: the even level j lies in
     [2j + 1/2, 2j + 3/2] and the odd level 2j + 1 sits at 2j + 3/2, so
     the parities alternate, and even comes first in the doubly
-    degenerate infinite-barrier limit, where the two meet.  Every level
-    carries the requested kappa.
+    degenerate infinite-barrier limit, where the two meet.
 
     kappa = 0 and kappa = inf have closed-form energies, and every
     other even energy is within about an ulp of its root, at any level
@@ -196,6 +192,6 @@ def spectrum(kappa, count):
     if count != int(count) or count < 1:
         raise ValueError(f"level count must be a positive integer, got {count!r}")
     return [
-        EigenState("odd", n, odd_energy(n), kappa) if n % 2 else even_state(kappa, n // 2)
+        EigenState("odd", n, odd_energy(n)) if n % 2 else even_state(kappa, n // 2)
         for n in range(int(count))
     ]

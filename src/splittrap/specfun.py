@@ -26,11 +26,14 @@ is exactly 0.
 
 All functions accept scalars; ``kummer_m``, ``kummer_u`` and
 ``parabolic_cylinder`` also accept numpy arrays for the coordinate.
-Those three import numpy when they are called; ``gamma``, ``sin_pi``
-and the norm are scalar and need none.
+Those three load numpy, through the lazy seam ``_numpy.np``, when
+they are called; ``gamma``, ``sin_pi`` and the norm are scalar and need
+none.
 """
 
 import math
+
+from ._numpy import np
 
 POLE_TOL = 1e-14
 
@@ -101,8 +104,6 @@ def _digamma(x):
 
 
 def _as_array(z):
-    import numpy as np
-
     arr = np.asarray(z, dtype=float)
     return arr, arr.ndim == 0
 
@@ -114,8 +115,6 @@ def _m_series(a, b, z):
     |term| <= _M_REL_TOL * |sum|.  For non-positive integer a the
     series terminates exactly.
     """
-    import numpy as np
-
     term = np.ones_like(z)
     total = np.ones_like(z)
     for n in range(1, _M_MAX_TERMS + 1):
@@ -134,8 +133,6 @@ def kummer_m(a, b, z):
 
     b must not be a non-positive integer; z is a float or an ndarray.
     """
-    import numpy as np
-
     a = float(a)
     b = float(b)
     if _near_pole(b):
@@ -181,8 +178,6 @@ def kummer_u(a, b, z):
     -------
     float or ndarray
     """
-    import numpy as np
-
     a = float(a)
     if float(b) != 0.5:
         raise ValueError(f"kummer_u supports b = 1/2 only, got b = {b!r}")
@@ -239,8 +234,6 @@ def parabolic_cylinder(nu, x):
     overflows before the final e^(-x^2/2).  The norm is the closed form
     of the module docstring.  x is a float or an ndarray.
     """
-    import numpy as np
-
     nu = float(nu)
     if not nu >= 0.0:
         raise ValueError(f"parabolic-cylinder order must be >= 0, got {nu!r}")

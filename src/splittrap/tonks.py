@@ -12,7 +12,7 @@ caller names; the state's ``density`` is ``tonks_rspd`` of it, formed on
 first read, so a point's energy and its density matrix share one solve.
 The mesh and the density matrix come from ``analysis``; this route
 needs neither the grid solver nor scipy, and the pair energy needs no
-numpy, which the functions that form arrays import when called.
+numpy, which the lazy seam ``_numpy.np`` loads on the first array formed.
 The module also carries the two closed-form momentum distributions of
 the infinite-barrier limit (hard-core pair and non-interacting pair).
 """
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import specfun
+from ._numpy import np
 from .analysis import DensityMatrix, Grid, GridError
 from .single_particle import EigenState, eigenfunction, spectrum
 
@@ -34,9 +35,7 @@ class TonksState:
     """Hard-core pair at one barrier strength.
 
     Holds the two mapped orbitals and the pair energy; orbital
-    orthonormality makes the determinant wavefunction unit-normalized;
-    ``even_orbital.kappa`` is the barrier strength, math.inf for the
-    impenetrable one.
+    orthonormality makes the determinant wavefunction unit-normalized.
     ``density`` is the pair's ``analysis.DensityMatrix`` on ``grid``,
     ``tonks_rspd(state)``, formed on first read and kept; reading it may
     raise GridError.  ``diagnostics``, the per-point fields the JSON
@@ -62,8 +61,6 @@ class TonksState:
 
     def wavefunction(self, x1, x2):
         """Pair wavefunction at coordinates x1, x2 (scalars or arrays)."""
-        import numpy as np
-
         (phi0_a, phi1_a), (phi0_b, phi1_b) = self.orbitals(x1), self.orbitals(x2)
         return np.abs(phi0_a * phi1_b - phi0_b * phi1_a) / math.sqrt(2.0)
 
@@ -134,8 +131,6 @@ def tonks_rspd(state):
         If the mesh does not cover [-6, 6], or is so coarse that the
         quadrature trace misses 1 by more than 1e-3.
     """
-    import numpy as np
-
     grid = state.grid
     check_rspd_span(grid)
     phi0, phi1 = state.orbitals(grid.points[grid.center_index :])
@@ -163,8 +158,6 @@ def _momentum_bracket(k2):
     # to z = 200; past that e^z overflows separately, so the bracket is
     # summed from the large-z expansion -(sum_{s>=1} (1/2)_s z^-s),
     # truncated at its (far sub-epsilon) smallest term.
-    import numpy as np
-
     z = 0.5 * k2
     out = np.empty_like(z)
     small = z <= 200.0
@@ -186,8 +179,6 @@ def _momentum_bracket(k2):
 
 def _closed_form(k, density):
     # density(k^2, bracket) on scalar or array k.
-    import numpy as np
-
     karr = np.asarray(k, dtype=float)
     k2 = karr * karr
     out = density(k2, _momentum_bracket(k2))
@@ -200,8 +191,6 @@ def momentum_tg_infinite_barrier(k):
     n(k) = (2 / pi^(3/2)) { [1 - k^2 e^(-k^2/2) M(1/2, 3/2, k^2/2)]^2
                             + (pi/2) k^2 e^(-k^2) }
     """
-    import numpy as np
-
     return _closed_form(
         k, lambda k2, bracket: (2.0 / math.pi**1.5) * (bracket**2 + 0.5 * math.pi * k2 * np.exp(-k2))
     )

@@ -257,7 +257,7 @@ def test_criterion_7_property_suite(solve, tonks_rho, tonks_grid):
             norm = 1.0 / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
             series = np.polynomial.hermite.hermval(xs, [0] * n + [1])
             oracle = norm * series * np.exp(-0.5 * xs**2)
-            level = EigenState("even" if n % 2 == 0 else "odd", n, n + 0.5, 0.0)
+            level = EigenState("even" if n % 2 == 0 else "odd", n, n + 0.5)
             error = eigenfunction(level, xs) - oracle
             worst = np.max(np.abs(error)) / np.max(np.abs(oracle))
             assert worst <= 1e-10, f"n={n}: rel {worst:.1e}"

@@ -537,6 +537,30 @@ def test_cli_rejects_points_that_share_a_sidecar_name(tmp_path, capsys, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--kappa", "1"],
+    ["dvr", "--kappa", "1", "--g1d", "1", "--outputs", "energy,rspd,momentum"],
+], ids=["spectrum", "dvr"])
+@pytest.mark.parametrize("target", ["missing/x.csv", "x.csv/y.csv", "x.csv"],
+                         ids=["missing-directory", "file-as-directory", "directory"])
+def test_cli_rejects_an_out_it_cannot_write(tmp_path, capsys, monkeypatch, args, target):
+    # The table, the sidecars and the failure manifest all go next to
+    # --out: an --out in no directory, or naming one, exits 1 with one
+    # error line before any point runs (a point that ran would fail on
+    # the missing evaluator), with nothing written.
+    if target == "x.csv":
+        (tmp_path / "x.csv").mkdir()
+    else:
+        (tmp_path / "x.csv").touch()
+    monkeypatch.setattr(cli, "_evaluate_point", None)
+    assert main([*args, "--out", str(tmp_path / target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --out {tmp_path / target} is not a file in an existing "
+                            "directory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+
 def test_cli_negative_zero_coupling_reads_as_zero(tmp_path, capsys):
     # -0 is the coupling 0 and is labelled "0", so with sidecars
     # "--kappa -0 0" names one point twice.

@@ -273,13 +273,13 @@ def test_lanczos_matches_dense_eigh(sector, k):
     assert np.max(np.abs(matrix - matrix.T)) <= 1e-14 * np.max(np.abs(matrix))
     exact_values, exact_vectors = np.linalg.eigh(matrix)
     exact_values, exact_vectors = exact_values[-k:], exact_vectors[:, -k:]
-    op = dvr.LinearOperator(matrix.shape, inverse, dtype=float)
-    values, vectors = dvr.eigsh(op, k=k, v0=start, tol=dvr._EIGEN_TOL, return_eigenvectors=True)
+    op = dvr.LinearOperator(matrix.shape, inverse)
+    values, vectors = dvr.eigsh(op, k=k, v0=start, return_eigenvectors=True)
     assert vectors.shape == (start.size, k)
     assert np.all(np.abs(values - exact_values) <= 1e-12 * exact_values)
     for vector, exact in zip(vectors.T, exact_vectors.T):
         assert np.max(np.abs(vector * np.sign(vector @ exact) - exact)) <= 1e-8
-    only_values = dvr.eigsh(op, k=k, v0=start, tol=dvr._EIGEN_TOL, return_eigenvectors=False)
+    only_values = dvr.eigsh(op, k=k, v0=start, return_eigenvectors=False)
     assert np.array_equal(only_values, values)
 
 

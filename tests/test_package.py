@@ -1,11 +1,15 @@
-"""The package's public surface: the name table and the names it dropped."""
+"""The package's public surface: the name table, the names it dropped and its numpy seam."""
 
+import ast
 import importlib
+from pathlib import Path
 
+import numpy
 import pytest
 
 import splittrap
 from splittrap import analysis, dvr
+from splittrap._numpy import np
 
 # (module, name) of public names the package no longer carries.
 REMOVED = (
@@ -61,7 +65,33 @@ def test_mesh_and_fold_live_in_analysis(name):
     ("TwoBodyState", "kappa"),
     ("TwoBodyState", "g1d"),
     ("TonksState", "kappa"),
+    ("EigenState", "kappa"),
 ])
 def test_removed_members_are_gone(owner, name):
     with pytest.raises(AttributeError):
         getattr(getattr(splittrap, owner), name)
+
+
+def test_numpy_is_imported_by_its_seam_alone():
+    # Every module binds the lazy ``np`` of splittrap._numpy; none imports
+    # numpy itself, at its top or in a function.
+    importers = set()
+    for path in Path(splittrap.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(module.split(".")[0] == "numpy" for module in modules):
+                importers.add(path.name)
+    assert importers == {"_numpy.py"}
+
+
+def test_numpy_seam_hands_out_numpy_itself():
+    # numpy's own objects, so a test that patches numpy.linalg.eigh
+    # reaches the package; a name numpy lacks falls through to a default.
+    assert np.linalg is numpy.linalg
+    assert np.asarray is numpy.asarray
+    assert getattr(np, "no_such_name", None) is None

@@ -341,7 +341,7 @@ def test_even_level_matches_mpmath(level):
     kappa, j, energy = level["kappa"], level["j"], level["energy"]
     assert even_energy(kappa, j) == pytest.approx(energy, rel=1e-15)
     reference = np.array(level["values"])
-    values = eigenfunction(EigenState("even", 2 * j, energy, kappa), EVEN_LEVELS_MPMATH["x"])
+    values = eigenfunction(EigenState("even", 2 * j, energy), EVEN_LEVELS_MPMATH["x"])
     assert np.max(np.abs(values - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
@@ -418,7 +418,7 @@ def test_hermite_function_orthonormal_at_high_degree(n):
     # on still carry weight.
     dx = 0.01
     x = np.arange(-6000, 6001) * dx
-    values = [eigenfunction(EigenState("even" if m % 2 == 0 else "odd", m, m + 0.5, 0.0), x)
+    values = [eigenfunction(EigenState("even" if m % 2 == 0 else "odd", m, m + 0.5), x)
               for m in (n - 2, n, n + 2)]
     gram = np.array([[np.sum(a * b) * dx for b in values] for a in values])
     np.testing.assert_allclose(gram, np.eye(3), rtol=0.0, atol=1e-12)
@@ -490,7 +490,7 @@ def test_spectrum_infinite_barrier_degeneracy():
     states = spectrum(math.inf, 2)
     assert [s.energy for s in states] == [1.5, 1.5]
     assert [s.parity for s in states] == ["even", "odd"]
-    assert [s.kappa for s in states] == [math.inf, math.inf]
+    assert [s.n for s in states] == [0, 1]
 
 
 def test_spectrum_kappa_one():

@@ -288,7 +288,7 @@ def _hermite_oracle(n, x):
 def _hermite_level(n, x):
     # psi_n as the program evaluates it: the oscillator level n, of parity
     # (-1)^n, at energy n + 1/2.
-    return eigenfunction(EigenState("even" if n % 2 == 0 else "odd", n, n + 0.5, 0.0), x)
+    return eigenfunction(EigenState("even" if n % 2 == 0 else "odd", n, n + 0.5), x)
 
 
 def test_hermite_base_cases():

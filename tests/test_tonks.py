@@ -31,9 +31,9 @@ def test_bose_fermi_energy_identity(kappa):
 
 
 def test_orbitals_carry_the_barrier(tonks_grid):
+    # The orbitals are the two lowest levels at the state's barrier.
     state = tonks.tonks_state(2.0, tonks_grid)
-    assert state.even_orbital.kappa == 2.0
-    assert state.odd_orbital.kappa == 2.0
+    assert [state.even_orbital, state.odd_orbital] == spectrum(2.0, 2)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0, pytest.param(math.inf, id="kappa2")])
