@@ -208,8 +208,8 @@ class DensityMatrix:
         ------
         ValueError
             If psi is not N x N on the N points of ``grid``, W is not
-            parity-symmetric or not symmetric beyond 1e-10, or the mesh
-            has an even point count.
+            parity-symmetric or not symmetric beyond 1e-10 (NaN or inf
+            in W fails the first), or the mesh has an even point count.
         """
         n = grid.n_points
         if amplitudes.shape != (n, n):
@@ -219,11 +219,11 @@ class DensityMatrix:
             raise ValueError(f"parity fold needs an odd mesh with a centre point, got {n} points")
         weighted = grid.spacing * amplitudes
         skew = np.max(np.abs(weighted[n // 2 :] - weighted[n // 2 :: -1, ::-1]))
-        if skew > 1e-10:
+        if not skew <= 1e-10:
             raise ValueError(f"amplitudes are not parity-symmetric (max deviation {skew:.3e})")
         even, odd = _fold(weighted)
         asym = max(np.max(np.abs(even - even.T)), np.max(np.abs(odd - odd.T), initial=0.0))
-        if asym > 1e-10:
+        if not asym <= 1e-10:
             raise ValueError(f"amplitudes are not symmetric (max asymmetry {asym:.3e})")
         return cls(0.5 * (even + even.T), 0.5 * (odd + odd.T), grid)
 
@@ -284,8 +284,8 @@ def uniform_k_grid(count, span):
     if count != int(count) or int(count) < 3:
         raise ValueError(f"k grid needs at least 3 points, got {count!r}")
     span = float(span)
-    if not (span > 0.0) or not math.isfinite(span):
-        raise ValueError(f"k span must be positive and finite, got {span!r}")
+    if not (span > 0.0) or not math.isfinite(2.0 * span):
+        raise ValueError(f"k span must be positive and 2 * span finite, got {span!r}")
     return np.linspace(-span, span, int(count))
 
 

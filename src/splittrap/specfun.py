@@ -1,7 +1,7 @@
 """Special functions for the split-trap eigenproblem.
 
 Provides gamma, sin(pi x), the digamma function, the confluent
-hypergeometric (Kummer) functions M and U at z >= 0, and the normalized
+hypergeometric (Kummer) function U at z >= 0, and the normalized
 parabolic-cylinder functions, whose integer orders are the Hermite
 functions on |x|, for the parameter ranges the trap solver visits.
 U is supported for b = 1/2 and a <= 0 only, which is the case generated
@@ -24,11 +24,10 @@ s^2 + c^2 = 1 it is sqrt(pi) - sin(pi nu) [psi(1/2 + nu/2) -
 psi(1 + nu/2)] / (2 sqrt(pi)): sqrt(pi) at integer nu, where ``sin_pi``
 is exactly 0.
 
-All functions accept scalars; ``kummer_m``, ``kummer_u`` and
-``parabolic_cylinder`` also accept numpy arrays for the coordinate.
-Those three load numpy, through the lazy seam ``_numpy.np``, when
-they are called; ``gamma``, ``sin_pi`` and the norm are scalar and need
-none.
+All functions accept scalars; ``kummer_u`` and ``parabolic_cylinder``
+also accept numpy arrays for the coordinate.  Those two load numpy,
+through the lazy seam ``_numpy.np``, when they are called; ``gamma``,
+``sin_pi`` and the norm are scalar and need none.
 """
 
 import math
@@ -37,8 +36,6 @@ from ._numpy import np
 
 POLE_TOL = 1e-14
 
-_M_MAX_TERMS = 500
-_M_REL_TOL = 1e-16
 # The trapezoid rule of ``kummer_u`` in s = ln t: nodes t = e^s on
 # s in [-40, 3] at step 1/8, taken over at most _U_BLOCK points of z at once.
 _U_STEP = 0.125
@@ -106,42 +103,6 @@ def _digamma(x):
 def _as_array(z):
     arr = np.asarray(z, dtype=float)
     return arr, arr.ndim == 0
-
-
-def _m_series(a, b, z):
-    """Kummer M power series, vectorized over z.
-
-    Terms are accumulated until every element satisfies
-    |term| <= _M_REL_TOL * |sum|.  For non-positive integer a the
-    series terminates exactly.
-    """
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    for n in range(1, _M_MAX_TERMS + 1):
-        term = term * ((a + n - 1.0) / (b + n - 1.0)) * z / n
-        total = total + term
-        if np.all(np.abs(term) <= _M_REL_TOL * np.abs(total)):
-            return total
-    raise RuntimeError(
-        f"Kummer M series did not converge within {_M_MAX_TERMS} terms "
-        f"(a={a}, b={b}, max |z|={np.max(np.abs(z))})"
-    )
-
-
-def kummer_m(a, b, z):
-    """Confluent hypergeometric function M(a, b, z) for z >= 0, by its power series.
-
-    b must not be a non-positive integer; z is a float or an ndarray.
-    """
-    a = float(a)
-    b = float(b)
-    if _near_pole(b):
-        raise ValueError(f"kummer_m undefined for non-positive integer b = {b!r}")
-    zarr, scalar = _as_array(z)
-    if np.any(zarr < 0.0):
-        raise ValueError("kummer_m requires z >= 0")
-    out = _m_series(a, b, zarr)
-    return float(out) if scalar else out
 
 
 def kummer_u(a, b, z):

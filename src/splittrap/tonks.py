@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import specfun
 from ._numpy import np
 from .analysis import DensityMatrix, Grid, GridError
 from .single_particle import EigenState, eigenfunction, spectrum
@@ -154,26 +153,31 @@ def tonks_rspd(state):
 
 
 def _momentum_bracket(k2):
-    # 1 - k^2 e^(-z) M(1/2, 3/2, z) at z = k^2/2.  The power series holds
-    # to z = 200; past that e^z overflows separately, so the bracket is
-    # summed from the large-z expansion -(sum_{s>=1} (1/2)_s z^-s),
-    # truncated at its (far sub-epsilon) smallest term.
+    # 1 - k^2 e^(-z) M(1/2, 3/2, z) at z = k^2/2.  To z = 200, M is the
+    # power series sum_n z^n / (n! (2n + 1)), summed to a relative 1e-16
+    # (z = 200 takes 325 terms); past that e^z overflows separately, so
+    # the bracket is summed from the large-z expansion
+    # -(sum_{s>=1} (1/2)_s z^-s), truncated at its (far sub-epsilon)
+    # smallest term.
     z = 0.5 * k2
     out = np.empty_like(z)
     small = z <= 200.0
-    if np.any(small):
-        zs = z[small]
-        out[small] = 1.0 - 2.0 * zs * np.exp(-zs) * specfun.kummer_m(0.5, 1.5, zs)
-    if np.any(~small):
-        zl = z[~small]
-        total = np.zeros_like(zl)
-        term = np.ones_like(zl)
-        for s in range(1, 60):
-            term = term * (s - 0.5) / zl
-            total = total + term
-            if np.all(term <= 1e-17 * total):
-                break
-        out[~small] = -total
+    zs = z[small]
+    term = total = np.ones_like(zs)
+    for n in range(1, 400):
+        term = term * ((n - 0.5) / (n + 0.5)) * zs / n
+        total = total + term
+        if np.all(term <= 1e-16 * total):
+            break
+    out[small] = 1.0 - 2.0 * zs * np.exp(-zs) * total
+    zl = z[~small]
+    total, term = np.zeros_like(zl), np.ones_like(zl)
+    for s in range(1, 60):
+        term = term * (s - 0.5) / zl
+        total = total + term
+        if np.all(term <= 1e-17 * total):
+            break
+    out[~small] = -total
     return out
 
 

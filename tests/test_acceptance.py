@@ -268,16 +268,17 @@ def test_criterion_7_property_suite(solve, tonks_rho, tonks_grid):
             assert abs(value / math.pi - 1.0) <= 1e-10, f"x={x:.2f}"
 
     def kummer_transform():
-        # kummer_m(1/2, 3/2, z) on 0 <= z <= 20 against Kummer's
-        # transformation of Dawson's D(x)/x = M(1, 3/2, -x^2), which does
-        # not call it: M(1/2, 3/2, z) = e^z D(sqrt z) / sqrt z.
-        assert specfun.kummer_m(0.5, 1.5, 0.0) == 1.0, "z = 0"
-        worst = 0.0
-        for z in np.arange(0.1, 20.0001, 0.1):
-            x = math.sqrt(z)
-            dawson_form = math.exp(z) * dawsn(x) / x
-            worst = max(worst, abs(specfun.kummer_m(0.5, 1.5, z) / dawson_form - 1.0))
-        assert worst <= 1e-10, f"rel {worst:.1e} for 0 <= z <= 20"
+        # The kappa = inf momentum bracket B(z) = 1 - 2z e^(-z) M(1/2, 3/2, z)
+        # on 0 <= z <= 20 against Kummer's transformation of Dawson's
+        # D(x)/x = M(1, 3/2, -x^2), which does not call it:
+        # B(z) = 1 - 2 sqrt(z) D(sqrt z).  The error of B is (1 - B) <= 1.3
+        # times M's relative error, and 1 - B >= 0.18 here, so 1e-12 on B
+        # holds M to better than 1e-11 relative.
+        assert tonks._momentum_bracket(np.array(0.0)) == 1.0, "z = 0"
+        z = np.arange(0.1, 20.0001, 0.1)
+        dawson_form = 1.0 - 2.0 * np.sqrt(z) * dawsn(np.sqrt(z))
+        worst = np.max(np.abs(tonks._momentum_bracket(2.0 * z) - dawson_form))
+        assert worst <= 1e-12, f"abs {worst:.1e} for 0 <= z <= 20"
 
     def u_branch_overlap():
         # At these a, U(a, 1/2, z) = 4^a H_(-2a)(sqrt z), a polynomial,
@@ -292,7 +293,7 @@ def test_criterion_7_property_suite(solve, tonks_rho, tonks_grid):
 
     check("specfun-hermite-recurrence", hermite_recurrence)
     check("specfun-gamma-reflection", gamma_reflection)
-    check("specfun-kummer-transform", kummer_transform)
+    check("bracket-kummer-transform", kummer_transform)
     check("specfun-u-branch-overlap", u_branch_overlap)
 
     # --- single-particle levels ------------------------------------------

@@ -206,10 +206,13 @@ def test_observables_never_form_the_density_matrix(monkeypatch):
 
 
 def test_natural_orbitals_rejects_parity_breaking_input():
-    # The checked constructor rejects both before natural_orbitals sees them.
-    amplitudes = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
-    with pytest.raises(ValueError, match="parity"):
-        analysis.DensityMatrix.from_amplitudes(amplitudes, build_grid(5, 0.5))
+    # The checked constructor rejects these before natural_orbitals sees
+    # them; NaN and inf amplitudes would fail there as an eigensolver
+    # that does not converge.  inf - inf warns on its way to NaN.
+    for amplitudes in (np.diag([1.0, 2.0, 3.0, 4.0, 5.0]), np.full((5, 5), np.nan),
+                       np.full((5, 5), np.inf)):
+        with pytest.raises(ValueError, match="parity"), np.errstate(invalid="ignore"):
+            analysis.DensityMatrix.from_amplitudes(amplitudes, build_grid(5, 0.5))
     with pytest.raises(ValueError, match="odd mesh"):
         analysis.DensityMatrix.from_amplitudes(np.eye(4), Grid(4, 0.5))
 
@@ -241,6 +244,9 @@ def test_uniform_k_grid_validation():
         analysis.uniform_k_grid(5, 0.0)
     with pytest.raises(ValueError):
         analysis.uniform_k_grid(5, float("inf"))
+    # A finite span whose grid width 2 * span overflows.
+    with pytest.raises(ValueError, match="2 \\* span finite"):
+        analysis.uniform_k_grid(401, 1e308)
 
 
 def test_momentum_distribution_validates_k_grid(tonks_rho):

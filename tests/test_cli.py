@@ -561,6 +561,18 @@ def test_cli_rejects_an_out_it_cannot_write(tmp_path, capsys, monkeypatch, args,
     assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
 
+def test_cli_rejects_a_k_span_whose_grid_overflows(capsys, monkeypatch):
+    # 1e308 is finite but 2 * 1e308 is not: exit 1 with one error line
+    # before any point runs (a point that ran would fail on the missing
+    # evaluator).
+    monkeypatch.setattr(cli, "_evaluate_point", None)
+    assert main(["dvr", "--kappa", "1", "--g1d", "1", "--n-points", "41", "--dx", "0.3",
+                 "--outputs", "momentum", "--format", "json", "--k-span", "1e308"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k span must be positive and 2 * span finite, got 1e+308\n"
+
+
 def test_cli_negative_zero_coupling_reads_as_zero(tmp_path, capsys):
     # -0 is the coupling 0 and is labelled "0", so with sidecars
     # "--kappa -0 0" names one point twice.

@@ -22,6 +22,7 @@ REMOVED = (
     ("specfun", "hermite_function"),
     ("single_particle", "BracketError"),
     ("specfun", "reciprocal_gamma"),
+    ("specfun", "kummer_m"),
 )
 
 

@@ -1,10 +1,9 @@
-"""Special-function kernel: gamma, Kummer M and U, parabolic-cylinder and Hermite functions."""
+"""Special-function kernel: gamma, Kummer U, parabolic-cylinder and Hermite functions."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.special import dawsn
 
 from splittrap import specfun
 from splittrap.single_particle import EigenState, eigenfunction
@@ -57,35 +56,6 @@ U_HALF_REFERENCE = {
     (-0.95, 17.9): 15.125868786775415,
     (-0.95, 22.0): 18.483516397676579,
 }
-
-M_HALF_REFERENCE = {
-    0.5: 1.1949576619102276,
-    1.0: 1.4626517459071816,
-    5.0: 17.17215777384149,
-    10.0: 1168.2304635794389,
-    50.0: 5.2381917621841878e19,
-    100.0: 1.3508822806719219e41,
-}
-
-# M(a, b, z) at z < 0, computed once with mpmath.hyp1f1 at 40 digits and
-# frozen.  (1/2, 1/2, z) is exactly e^z.  kummer_m takes z >= 0 only, so
-# these are reached through Kummer's transformation (DLMF 13.2.39).
-M_NEGATIVE_REFERENCE = {
-    (0.5, 0.5, -0.5): 0.60653065971263342,
-    (0.5, 0.5, -20.0): 2.0611536224385578e-9,
-    (1.0, 0.5, -1.0): -0.076159013825536838,
-    (1.0, 0.5, -10.0): -0.060751619858032897,
-    (1.0, 0.5, -20.0): -0.027163576946113831,
-    (2.0, 0.5, -5.0): 0.049678112902710457,
-    (0.1, 1.5, -20.0): 0.73876183258523677,
-    (0.5, 1.5, -0.5): 0.8556243918921488,
-    (0.5, 1.5, -5.0): 0.39571230961051354,
-    (1.0, 1.5, -12.0): 0.043688805881104436,
-    (1.0, 1.5, -20.0): 0.025679089423652846,
-    (2.0, 1.5, -8.0): -0.0069930546501288747,
-    (3.5, 1.5, -20.0): 1.6695344341752318e-7,
-}
-
 
 # d/dx 1/Gamma(x) = -psi(x)/Gamma(x), computed once with mpmath.diff of
 # mpmath.rgamma at 40 digits and frozen: positive x, negative non-integer
@@ -157,57 +127,6 @@ def test_reciprocal_gamma_derivative_reference(x, expected):
         bracket = specfun._digamma(1.0 - x) * specfun.sin_pi(x) - math.pi * specfun.sin_pi(x + 0.5)
         value = -bracket * math.gamma(1.0 - x) / math.pi
     assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
-
-def test_kummer_m_trivial_cases():
-    assert specfun.kummer_m(0.5, 1.5, 0.0) == 1.0
-    assert specfun.kummer_m(0.0, 1.5, 7.3) == 1.0
-    assert specfun.kummer_m(0.0, 0.7, 123.0) == 1.0
-
-
-@pytest.mark.parametrize("z,expected", sorted(M_HALF_REFERENCE.items()))
-def test_kummer_m_reference_family(z, expected):
-    assert specfun.kummer_m(0.5, 1.5, z) == pytest.approx(expected, rel=1e-10, abs=0.0)
-
-
-@pytest.mark.parametrize("key,expected", sorted(M_NEGATIVE_REFERENCE.items()))
-def test_kummer_m_negative_argument_reference(key, expected):
-    # M(a, b, z) = e^z M(b - a, b, -z): the series at the positive
-    # argument -z, at parameter pairs (b - a, b) the other tests leave out.
-    a, b, z = key
-    value = math.exp(z) * specfun.kummer_m(b - a, b, -z)
-    assert value == pytest.approx(expected, rel=1e-10, abs=0.0)
-
-
-def test_kummer_m_rejects_negative_z():
-    with pytest.raises(ValueError):
-        specfun.kummer_m(0.5, 1.5, -1.0)
-    with pytest.raises(ValueError):
-        specfun.kummer_m(0.5, 1.5, np.array([1.0, -1e-300]))
-
-
-def test_kummer_m_series_oracle():
-    # Term-by-term sum of sum_n (1/2)_n / ((3/2)_n n!) z^n at z = 1.
-    total, term = 0.0, 1.0
-    a, b = 0.5, 1.5
-    for n in range(0, 200):
-        if n > 0:
-            term *= (a + n - 1.0) / ((b + n - 1.0) * n)
-        total += term
-    assert specfun.kummer_m(0.5, 1.5, 1.0) == pytest.approx(total, rel=1e-13)
-
-
-def test_kummer_m_rejects_non_positive_integer_b():
-    with pytest.raises(ValueError):
-        specfun.kummer_m(0.5, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        specfun.kummer_m(0.5, -2.0, 1.0)
-
-
-def test_kummer_m_vectorizes():
-    z = np.array([0.5, 1.0, 5.0])
-    out = specfun.kummer_m(0.5, 1.5, z)
-    assert out.shape == (3,)
-    assert out[1] == pytest.approx(M_HALF_REFERENCE[1.0], rel=1e-10)
 
 
 def test_kummer_u_constant_at_a_zero():
@@ -329,18 +248,6 @@ def test_hermite_recurrence(n):
     x = np.linspace(-10.0, 10.0, 41)
     np.testing.assert_allclose(_hermite_level(n, x), _hermite_oracle(n, x),
                                rtol=1e-10, atol=1e-14)
-
-
-def test_kummer_transform_family():
-    # kummer_m on 0 < z <= 20 against closed forms that do not call it:
-    # M(1/2, 3/2, x^2) = e^(x^2) D(x) / x (Dawson's D) and
-    # M(1, 3/2, x^2) = e^(x^2) sqrt(pi) erf(x) / (2x), Kummer's
-    # transformations of the z = -x^2 forms.
-    for x in np.sqrt(np.linspace(0.5, 20.0, 40)):
-        erf_form = math.exp(x * x) * math.sqrt(math.pi) * math.erf(x) / (2.0 * x)
-        dawson_form = math.exp(x * x) * dawsn(x) / x
-        assert specfun.kummer_m(0.5, 1.5, x * x) == pytest.approx(dawson_form, rel=1e-10)
-        assert specfun.kummer_m(1.0, 1.5, x * x) == pytest.approx(erf_form, rel=1e-10)
 
 
 @pytest.mark.parametrize("a", [-10.0, -7.0, -5.0, -3.0, -2.5, -2.0])

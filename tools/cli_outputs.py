@@ -19,6 +19,7 @@ with fixed barriers, and every subcommand and output kind besides:
 ``tonks`` and ``dvr`` with every output and ``--out``, a two-worker
 ``dvr`` run, a JSON ``dvr`` run on the default mesh, whose
 ``near_degenerate`` reads the gap, the ``sweep --mode`` alias, a run that exits 2,
+a ``--k-span`` so large its grid overflows, which exits 1,
 ``spectrum`` (also with 8200 levels), ``units`` as text and as JSON, and a
 JSON ``tonks`` run of the energy alone, which loads no numpy.
 """
@@ -52,6 +53,9 @@ COMMANDS = {
     "tonks-energy": "tonks --kappa 0 1 inf --outputs energy --format json --out tonks.json",
     "tonks-coarse": "tonks --kappa 0 1 5 --n-points 13 --dx 1.0 --outputs energy,entropy "
                     "--out coarse.csv",
+    # 2 * span overflows: one error line and exit 1 before any point runs.
+    "kspan-overflow": "dvr --kappa 1 --g1d 1 --n-points 41 --dx 0.3 --outputs momentum "
+                      "--format json --k-span 1e308",
     "spectrum": "spectrum --kappa 0 0.5 1 inf --levels 6 --out levels.csv",
     # The 60 drawn barriers of sweep 0 of a levels benchmark run with seed 1.
     "levels": "spectrum --kappa 0.0 inf 3.62333 565.351 0.0525773 553.665 0.362374 1.30807 "
