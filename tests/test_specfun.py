@@ -1,11 +1,12 @@
-"""Special-function kernel: gamma, Kummer U, parabolic-cylinder and Hermite functions."""
+"""Special-function kernel: gamma, Kummer U, parabolic-cylinder and Hermite functions, and the M(1/2, 3/2) momentum bracket."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.special import dawsn
 
-from splittrap import specfun
+from splittrap import specfun, tonks
 from splittrap.single_particle import EigenState, eigenfunction
 from splittrap.specfun import PoleError
 
@@ -91,6 +92,16 @@ RGAMMA_DERIVATIVE_REFERENCE = {
     -6.0: 720.0,
 }
 
+# M(1/2, 3/2, z), computed once with mpmath at 40 digits and frozen.
+M_HALF_REFERENCE = {
+    0.5: 1.1949576619102276,
+    1.0: 1.4626517459071816,
+    5.0: 17.17215777384149,
+    10.0: 1168.2304635794389,
+    50.0: 5.2381917621841878e19,
+    100.0: 1.3508822806719219e41,
+}
+
 def test_gamma_known_values():
     assert specfun.gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
     assert specfun.gamma(1.0) == pytest.approx(1.0, rel=1e-12)
@@ -127,6 +138,32 @@ def test_reciprocal_gamma_derivative_reference(x, expected):
         bracket = specfun._digamma(1.0 - x) * specfun.sin_pi(x) - math.pi * specfun.sin_pi(x + 0.5)
         value = -bracket * math.gamma(1.0 - x) / math.pi
     assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+# M(1/2, 3/2, z) is summed where it is used, in the kappa = inf momentum
+# bracket B(z) = 1 - 2z e^(-z) M(1/2, 3/2, z), which tonks._momentum_bracket
+# takes at k^2 = 2z.  The error of B is (1 - B) <= 1.3 times M's relative
+# error, so an absolute 1e-12 on B is at least as strict as a relative
+# 1e-10 on M.
+def test_kummer_m_trivial_cases():
+    # M(1/2, 3/2, 0) = 1, so B(0) = 1 exactly.
+    assert tonks._momentum_bracket(np.array(0.0)) == 1.0
+
+
+@pytest.mark.parametrize("z,expected", sorted(M_HALF_REFERENCE.items()))
+def test_kummer_m_reference_family(z, expected):
+    frozen = 1.0 - 2.0 * z * math.exp(-z) * expected
+    assert tonks._momentum_bracket(np.array(2.0 * z)) == pytest.approx(frozen, rel=0.0, abs=1e-12)
+
+
+def test_kummer_transform_family():
+    # B on 0 < z <= 600, across the switch from the power series to the
+    # large-z sum at z = 200, against Kummer's transformation of Dawson's
+    # D, 2z e^(-z) M(1/2, 3/2, z) = 2 sqrt(z) D(sqrt z), which does not
+    # call it.  4.0e-15 measured.
+    z = np.union1d(np.linspace(0.05, 600.0, 12000), [199.9, 200.0, 200.1])
+    dawson_form = 1.0 - 2.0 * np.sqrt(z) * dawsn(np.sqrt(z))
+    np.testing.assert_allclose(tonks._momentum_bracket(2.0 * z), dawson_form, rtol=0.0, atol=1e-12)
 
 
 def test_kummer_u_constant_at_a_zero():

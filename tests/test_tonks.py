@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
-from scipy.special import dawsn
 
 from splittrap import analysis, tonks
 from splittrap.analysis import GridError, build_grid
@@ -137,34 +136,6 @@ def test_rspd_rejects_coarse_mesh():
         tonks.tonks_state(1.0, build_grid(81, 0.16)).density
     with pytest.raises(GridError):
         tonks.tonks_state(5.0, build_grid(81, 0.16)).density
-
-
-# M(1/2, 3/2, z), computed once with mpmath at 40 digits and frozen.
-M_HALF_REFERENCE = {
-    0.5: 1.1949576619102276,
-    1.0: 1.4626517459071816,
-    5.0: 17.17215777384149,
-    10.0: 1168.2304635794389,
-    50.0: 5.2381917621841878e19,
-    100.0: 1.3508822806719219e41,
-}
-
-
-def test_momentum_bracket():
-    # B(z) = 1 - 2z e^(-z) M(1/2, 3/2, z), which _momentum_bracket takes
-    # at k^2 = 2z: exactly 1 at z = 0; against the frozen M; and on
-    # 0 < z <= 600, across the switch from the power series to the
-    # large-z sum at z = 200, against Kummer's transformation of
-    # Dawson's D, 2z e^(-z) M(1/2, 3/2, z) = 2 sqrt(z) D(sqrt z), which
-    # does not call it.  The error of B is (1 - B) <= 1.3 times M's
-    # relative error; 4.0e-15 measured.
-    assert tonks._momentum_bracket(np.array(0.0)) == 1.0
-    z = np.array(sorted(M_HALF_REFERENCE))
-    frozen = 1.0 - 2.0 * z * np.exp(-z) * np.array([M_HALF_REFERENCE[v] for v in z])
-    np.testing.assert_allclose(tonks._momentum_bracket(2.0 * z), frozen, rtol=0.0, atol=1e-12)
-    z = np.union1d(np.linspace(0.05, 600.0, 12000), [199.9, 200.0, 200.1])
-    dawson_form = 1.0 - 2.0 * np.sqrt(z) * dawsn(np.sqrt(z))
-    np.testing.assert_allclose(tonks._momentum_bracket(2.0 * z), dawson_form, rtol=0.0, atol=1e-12)
 
 
 def test_momentum_closed_forms_at_zero():
