@@ -306,7 +306,8 @@ def momentum_distribution(rho, k_values):
 
     A warning is raised when |k| exceeds the mesh Nyquist limit
     pi / dx, beyond which the quadrature transform is periodic rather
-    than physical.
+    than physical, and a ValueError when max |k| times the mesh
+    half-width overflows, before any phase k x is formed.
     """
     k = np.asarray(k_values, dtype=float)
     if k.ndim != 1 or k.size < 3:
@@ -314,6 +315,8 @@ def momentum_distribution(rho, k_values):
     if np.any(~np.isfinite(k)):
         raise ValueError("k_values must be finite")
     scale = max(1.0, float(np.max(np.abs(k))))
+    if not math.isfinite(scale * rho.grid.span):
+        raise ValueError("max |k| times the mesh half-width must be finite")
     if np.max(np.abs(k + k[::-1])) > 1e-9 * scale:
         raise ValueError("k_values must be symmetric about k = 0")
     steps = np.diff(k)

@@ -97,7 +97,8 @@ def _evaluate_point(args, solve, kappa, g1d):
                 record.update(state.diagnostics)
         if set(args.outputs) - {"energy"}:
             rho = state.density
-            occupations = analysis.natural_orbitals(rho)
+            if "entropy" in args.outputs or "schmidt" in args.outputs:
+                occupations = analysis.natural_orbitals(rho)
             if "entropy" in args.outputs:
                 record["entropy"] = analysis.von_neumann_entropy(occupations)
             if "schmidt" in args.outputs:
@@ -382,11 +383,14 @@ def _check_flags(args):
                              "files would share a name".format(*repeated[0]))
 
     # The library takes its mesh from the caller; the default meshes live here alone.
-    mesh = (161, 0.08) if args.command == "tonks" else ((61 if wants_momentum else 81), 0.16)
+    mesh = (161, 0.08) if args.command == "tonks" else (81, 0.16)
     args.n_points = mesh[0] if args.n_points is None else args.n_points
     args.dx = mesh[1] if args.dx is None else args.dx
     args.grid = analysis.build_grid(args.n_points, args.dx)
     args.k_grid = analysis.uniform_k_grid(args.k_points, args.k_span) if wants_momentum else None
+    # k x at the mesh edge must be finite, or every point's phases are NaN.
+    if wants_momentum and not math.isfinite(args.k_span * args.grid.span):
+        raise ValueError(f"k span times the mesh half-width must be finite, got {args.k_span!r}")
     # Whether the mesh covers the Tonks pair depends on the flags alone; its
     # trace check depends on kappa and stays with each point.
     if args.command == "tonks" and set(args.outputs) - {"energy"}:

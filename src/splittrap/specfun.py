@@ -1,6 +1,6 @@
 """Special functions for the split-trap eigenproblem.
 
-Provides gamma, sin(pi x), the digamma function, the confluent
+Provides sin(pi x), the digamma function, the confluent
 hypergeometric (Kummer) function U at z >= 0, and the normalized
 parabolic-cylinder functions, whose integer orders are the Hermite
 functions on |x|, for the parameter ranges the trap solver visits.
@@ -24,17 +24,17 @@ s^2 + c^2 = 1 it is sqrt(pi) - sin(pi nu) [psi(1/2 + nu/2) -
 psi(1 + nu/2)] / (2 sqrt(pi)): sqrt(pi) at integer nu, where ``sin_pi``
 is exactly 0.
 
-All functions accept scalars; ``kummer_u`` and ``parabolic_cylinder``
-also accept numpy arrays for the coordinate.  Those two load numpy,
-through the lazy seam ``_numpy.np``, when they are called; ``gamma``,
-``sin_pi`` and the norm are scalar and need none.
+``kummer_u`` and ``parabolic_cylinder`` take the coordinate as an array
+and return an array of its shape (0-d for a scalar); the package's
+scalar boundary is ``single_particle.eigenfunction``.  They load numpy,
+through the lazy seam ``_numpy.np``, when they are called; ``sin_pi``
+and the norm are scalar and need none.  ``gamma`` is ``math.gamma``,
+kept under this name for the benchmark tracer, which hooks it.
 """
 
 import math
 
 from ._numpy import np
-
-POLE_TOL = 1e-14
 
 # The trapezoid rule of ``kummer_u`` in s = ln t: nodes t = e^s on
 # s in [-40, 3] at step 1/8, taken over at most _U_BLOCK points of z at once.
@@ -45,37 +45,8 @@ _SQRT_PI = math.sqrt(math.pi)
 _LN2 = math.log(2.0)
 
 
-class PoleError(ValueError):
-    """Argument lies on (or within POLE_TOL of) a gamma-function pole."""
-
-
-def _near_pole(x):
-    return x <= 0.5 and abs(x - round(x)) <= POLE_TOL
-
-
-def gamma(x):
-    """Gamma function for real scalar x.
-
-    Parameters
-    ----------
-    x : float
-        Argument; must stay clear of the poles at 0, -1, -2, ...
-
-    Returns
-    -------
-    float
-
-    Raises
-    ------
-    PoleError
-        If x is within POLE_TOL of a non-positive integer.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("gamma argument must be finite")
-    if _near_pole(x):
-        raise PoleError(f"gamma pole at x = {x!r}")
-    return math.gamma(x)
+# bench/tracer.py hooks specfun.gamma, so the name stays until ROADMAP item 25.
+gamma = math.gamma
 
 
 def sin_pi(x):
@@ -98,11 +69,6 @@ def _digamma(x):
     tail = inv2 * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 * (1.0 / 252 - inv2 * (
         1.0 / 240 - inv2 * (1.0 / 132 - inv2 * (691.0 / 32760 - inv2 / 12))))))
     return shift + math.log(x) - 0.5 / x - tail
-
-
-def _as_array(z):
-    arr = np.asarray(z, dtype=float)
-    return arr, arr.ndim == 0
 
 
 def kummer_u(a, b, z):
@@ -132,19 +98,20 @@ def kummer_u(a, b, z):
         Must be <= 0; the even levels never produce a > 0.
     b : float
         Must equal 0.5; other values are outside the supported domain.
-    z : float or ndarray
+    z : array_like
         Non-negative.
 
     Returns
     -------
-    float or ndarray
+    ndarray
+        Shaped like z.
     """
     a = float(a)
     if float(b) != 0.5:
         raise ValueError(f"kummer_u supports b = 1/2 only, got b = {b!r}")
     if a > 0.0:
         raise ValueError(f"kummer_u supports a <= 0 only, got a = {a!r}")
-    zarr, scalar = _as_array(z)
+    zarr = np.asarray(z, dtype=float)
     if np.any(zarr < 0.0):
         raise ValueError("kummer_u requires z >= 0")
     y = np.sqrt(2.0 * zarr).ravel()
@@ -165,8 +132,7 @@ def kummer_u(a, b, z):
     upper /= math.gamma(-mu - 1.0)
     for m in np.arange(order + 3) + mu + 1.0:
         lower, upper = upper, y * upper - m * lower
-    out = (2.0**a * upper).reshape(zarr.shape)
-    return float(out) if scalar else out
+    return (2.0**a * upper).reshape(zarr.shape)
 
 
 def _line_norm(nu):
@@ -193,13 +159,12 @@ def parabolic_cylinder(nu, x):
     and U(-1/2, 1/2, z) = sqrt(z) at integer nu.  It runs on e_m e^(x^2/2)
     with a power-of-two exponent per point, so nothing under- or
     overflows before the final e^(-x^2/2).  The norm is the closed form
-    of the module docstring.  x is a float or an ndarray.
+    of the module docstring.  x is array_like, and the result has its shape.
     """
     nu = float(nu)
     if not nu >= 0.0:
         raise ValueError(f"parabolic-cylinder order must be >= 0, got {nu!r}")
-    xarr, scalar = _as_array(x)
-    r = np.abs(xarr)
+    r = np.abs(np.asarray(x, dtype=float))
     z = r * r
     order = math.floor(nu)
     frac = nu - order
@@ -215,6 +180,5 @@ def parabolic_cylinder(nu, x):
         mantissa, shift = np.frexp(step)
         lower, upper = np.ldexp(upper, -shift), mantissa
         exponent += shift
-    out = lower * np.exp(exponent * _LN2 - 0.5 * z) / math.sqrt(_line_norm(nu))
-    return float(out) if scalar else out
+    return lower * np.exp(exponent * _LN2 - 0.5 * z) / math.sqrt(_line_norm(nu))
 

@@ -261,6 +261,10 @@ def test_momentum_distribution_validates_k_grid(tonks_rho):
         analysis.momentum_distribution(rho, np.array([-1.0, 0.0, np.nan]))
     with pytest.raises(ValueError):
         analysis.momentum_distribution(rho, np.ones((3, 3)))
+    # 2 * 8.98e307 is finite, but k x past |x| = 2 overflows: rejected
+    # before any phase is formed, in place of NaN densities.
+    with pytest.raises(ValueError, match="half-width must be finite"):
+        analysis.momentum_distribution(rho, analysis.uniform_k_grid(401, 8.98e307))
 
 
 def test_momentum_distribution_nyquist_warning(solve):

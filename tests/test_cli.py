@@ -368,13 +368,13 @@ def test_cli_json_round_trip(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     point = payload["points"][0]
-    assert payload["grid"] == {"n_points": 61, "spacing": 0.16}
+    assert payload["grid"] == {"n_points": 81, "spacing": 0.16}
     spec = _spec(
         command="dvr",
         kappa=(0.0,),
         g1d=(1.0,),
         outputs=("energy", "momentum", "entropy"),
-        n_points=61,
+        n_points=81,
         dx=0.16,
         fmt="json",
     )
@@ -571,6 +571,56 @@ def test_cli_rejects_a_k_span_whose_grid_overflows(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: k span must be positive and 2 * span finite, got 1e+308\n"
+
+
+def test_cli_rejects_a_k_span_whose_phases_overflow(capsys, monkeypatch):
+    # 2 * 8.98e307 is finite, but k x on the 41 / 0.3 mesh (half-width 6)
+    # is not: exit 1 with one error line before any point runs, in place
+    # of NaN densities.
+    monkeypatch.setattr(cli, "_evaluate_point", None)
+    assert main(["dvr", "--kappa", "1", "--g1d", "1", "--n-points", "41", "--dx", "0.3",
+                 "--outputs", "momentum", "--format", "json", "--k-span", "8.98e307"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: k span times the mesh half-width must be finite, "
+                            "got 8.98e+307\n")
+
+
+def test_cli_dvr_default_mesh_holds_the_free_pair_momentum(tmp_path):
+    # At kappa = 0, g = 0 the pair is free and n(k) = e^(-k^2) / sqrt(pi).
+    # The default grid mesh, 81 / 0.16 on [-6.4, 6.4], holds it over
+    # |k| <= 8 to 1.6e-10; a 61-point mesh, [-4.8, 4.8], clips the pair
+    # and is 1.9e-6 off.
+    out = tmp_path / "free.json"
+    assert main(["dvr", "--kappa", "0", "--g1d", "0", "--outputs", "momentum",
+                 "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["grid"] == {"n_points": 81, "spacing": 0.16}
+    curve = payload["points"][0]["momentum"]
+    k, n = np.asarray(curve["k"]), np.asarray(curve["n"])
+    assert np.max(np.abs(n - np.exp(-k * k) / math.sqrt(math.pi))) <= 1e-8
+
+
+@pytest.mark.parametrize("route", [
+    ["tonks", "--kappa", "0", "inf"],
+    ["dvr", "--kappa", "0", "inf", "--g1d", "1", "--n-points", "41", "--dx", "0.3"],
+], ids=["tonks", "dvr"])
+@pytest.mark.parametrize("outputs,per_point", [
+    ("rspd,momentum", 0), ("energy,entropy", 1), ("schmidt,momentum", 1),
+])
+def test_cli_occupations_only_for_entropy_or_schmidt(tmp_path, monkeypatch, route, outputs,
+                                                     per_point):
+    # The natural occupations feed only the entropy and the Schmidt number.
+    calls = []
+    natural_orbitals = analysis.natural_orbitals
+
+    def counted(rho):
+        calls.append(rho)
+        return natural_orbitals(rho)
+
+    monkeypatch.setattr(analysis, "natural_orbitals", counted)
+    assert main([*route, "--outputs", outputs, "--out", str(tmp_path / "run.csv")]) == 0
+    assert len(calls) == 2 * per_point
 
 
 def test_cli_negative_zero_coupling_reads_as_zero(tmp_path, capsys):

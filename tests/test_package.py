@@ -23,6 +23,8 @@ REMOVED = (
     ("single_particle", "BracketError"),
     ("specfun", "reciprocal_gamma"),
     ("specfun", "kummer_m"),
+    ("specfun", "PoleError"),
+    ("specfun", "POLE_TOL"),
 )
 
 

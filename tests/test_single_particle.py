@@ -423,6 +423,21 @@ def test_hermite_function_orthonormal_at_high_degree(n):
     gram = np.array([[np.sum(a * b) * dx for b in values] for a in values])
     np.testing.assert_allclose(gram, np.eye(3), rtol=0.0, atol=1e-12)
 
+@pytest.mark.parametrize("kappa", [0.0, 3.3, math.inf])
+@pytest.mark.parametrize("level", [2, 3], ids=["even", "odd"])
+def test_eigenfunction_is_the_scalar_boundary(kappa, level):
+    # A scalar x gives a Python float, the entry of the same point in an
+    # array; an array gives an array of its own shape.
+    state = spectrum(kappa, 4)[level]
+    for x in (-0.7, np.float64(-0.7), np.array(-0.7)):
+        value = eigenfunction(state, x)
+        assert type(value) is float
+        assert value == pytest.approx(eigenfunction(state, np.array([-0.7]))[0], rel=1e-14)
+    for x in (np.linspace(-3.0, 3.0, 7), np.linspace(-3.0, 3.0, 12).reshape(3, 4), np.empty(0)):
+        values = eigenfunction(state, x)
+        assert isinstance(values, np.ndarray) and values.shape == x.shape
+
+
 def test_ground_state_eigenfunction_is_gaussian_at_zero_barrier():
     state = even_state(0.0, 0)
     x = np.linspace(-4.0, 4.0, 41)

@@ -147,6 +147,21 @@ def test_momentum_closed_forms_at_zero():
     )
 
 
+@pytest.mark.parametrize("closed_form", [tonks.momentum_tg_infinite_barrier,
+                                         tonks.momentum_noninteracting_infinite_barrier],
+                         ids=["tg", "noninteracting"])
+def test_momentum_closed_forms_are_a_scalar_boundary(closed_form):
+    # A scalar k gives a Python float, the entry of the same k in an
+    # array; an array gives an array of its own shape.
+    for k in (1.3, np.float64(1.3), np.array(1.3)):
+        value = closed_form(k)
+        assert type(value) is float
+        assert value == pytest.approx(closed_form(np.array([1.3]))[0], rel=1e-14)
+    for k in (np.linspace(-8.0, 8.0, 9), np.linspace(-8.0, 8.0, 12).reshape(3, 4), np.empty(0)):
+        values = closed_form(k)
+        assert isinstance(values, np.ndarray) and values.shape == k.shape
+
+
 def test_momentum_closed_forms_even_in_k():
     k = np.array([0.3, 1.1, 2.6, 5.0, 11.0])
     np.testing.assert_allclose(
