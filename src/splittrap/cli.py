@@ -8,14 +8,16 @@ dvr      : grid-solver pair observables at any coupling, hard core included
 sweep    : ``sweep --mode M ...`` is ``M ...``: it takes exactly M's flags
 units    : convert a physical trap setup to the scaled 1D coupling
 
-A run checks the flags argparse parsed and builds, once, the mesh and
-the k grid they name.  It then evaluates each (kappa, g1d) point they
-name into one result, one kappa row at a time, and hands the list of
-those results, in sweep order, to the writers: the CSV or JSON table,
-the sidecar files and the failure manifest.  A pair point's route is
-chosen once per row, as the row's g1d -> pair state solver; every pair
-state is then read the same way, through its ``energy``, ``density``
-and ``diagnostics``.
+The parser, built once per process, holds every flag's default, the
+default meshes of ``tonks`` (161 points at dx = 0.08) and ``dvr`` (81 at
+0.16) included.  A run checks the flags argparse parsed and builds,
+once, the mesh and the k grid they name.  It then evaluates each
+(kappa, g1d) point they name into one result, one kappa row at a time,
+and hands the list of those results, in sweep order, to the writers:
+the CSV or JSON table, the sidecar files and the failure manifest.  A
+pair point's route is chosen once per row, as the row's g1d -> pair
+state solver; every pair state is then read the same way, through its
+``energy``, ``density`` and ``diagnostics``.
 
 Importing this module loads no numpy, and neither do ``--help``,
 ``spectrum``, ``units`` and a ``tonks`` run of the energy alone, which
@@ -261,7 +263,7 @@ def _output_list(text):
     return outputs
 
 
-def _add_common_flags(parser, *, with_grid=True):
+def _add_common_flags(parser, mesh=None):
     parser.add_argument("--kappa", nargs="+", type=coupling, action=_Couplings, required=True,
                         help="barrier strengths; numbers or 'inf'")
     parser.add_argument("--out", default=None, help="output file path")
@@ -270,10 +272,11 @@ def _add_common_flags(parser, *, with_grid=True):
                         help="flat key = value file; each entry is read as the flag it names")
     parser.add_argument("--workers", type=count, default=1,
                         help="parallel worker processes (default 1)")
-    if with_grid:
-        parser.add_argument("--n-points", type=int, default=None,
-                            help="mesh points (odd)")
-        parser.add_argument("--dx", type=float, default=None, help="mesh spacing")
+    if mesh:
+        parser.add_argument("--n-points", type=int, default=mesh[0],
+                            help="mesh points (odd; default %(default)s)")
+        parser.add_argument("--dx", type=float, default=mesh[1],
+                            help="mesh spacing (default %(default)s)")
         parser.add_argument("--k-span", type=float, default=8.0,
                             help="momentum grid half-width (default 8)")
         parser.add_argument("--k-points", type=int, default=401,
@@ -282,21 +285,23 @@ def _add_common_flags(parser, *, with_grid=True):
                             help="comma list from energy,rspd,momentum,entropy,schmidt")
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(prog="splittrap",
                      description="Two bosons in a delta-split harmonic trap")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_spectrum = sub.add_parser("spectrum", help="single-particle levels")
-    _add_common_flags(p_spectrum, with_grid=False)
+    _add_common_flags(p_spectrum)
     p_spectrum.add_argument("--levels", type=count, default=6,
                             help="number of levels (default 6)")
 
+    # The library takes its mesh from the caller; the default meshes live here alone.
     p_tonks = sub.add_parser("tonks", help="analytic hard-core pair")
-    _add_common_flags(p_tonks)
+    _add_common_flags(p_tonks, (161, 0.08))
 
     p_dvr = sub.add_parser("dvr", help="grid solver at any coupling")
-    _add_common_flags(p_dvr)
+    _add_common_flags(p_dvr, (81, 0.16))
     p_dvr.add_argument("--g1d", nargs="+", type=coupling, action=_Couplings, required=True,
                        help="contact couplings; numbers or 'inf' (hard core)")
 
@@ -362,8 +367,8 @@ def _parse_args(argv):
 
 def _check_flags(args):
     # argparse has checked every flag on its own; left here are the rules
-    # that span several flags.  The mesh, its default filled in, and the
-    # k grid are built here, once, and kept on args for every point.
+    # that span several flags.  The mesh and the k grid are built here,
+    # once, and kept on args for every point.
     # Every file a run writes lands next to --out, so a bad --out stops
     # the run here, before any point is solved.
     if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
@@ -382,10 +387,6 @@ def _check_flags(args):
             raise ValueError("two points are labelled kappa = {}, g1d = {}: their sidecar "
                              "files would share a name".format(*repeated[0]))
 
-    # The library takes its mesh from the caller; the default meshes live here alone.
-    mesh = (161, 0.08) if args.command == "tonks" else (81, 0.16)
-    args.n_points = mesh[0] if args.n_points is None else args.n_points
-    args.dx = mesh[1] if args.dx is None else args.dx
     args.grid = analysis.build_grid(args.n_points, args.dx)
     args.k_grid = analysis.uniform_k_grid(args.k_points, args.k_span) if wants_momentum else None
     # k x at the mesh edge must be finite, or every point's phases are NaN.

@@ -22,7 +22,9 @@ the tail gives
     g1d_eff   = g1d / (1 + g1d dx / pi^2)
 
 where the contact term acts on the relative coordinate, whose reduced
-mass halves the shift.  Both stay finite as the bare couplings diverge,
+mass halves the shift: one rule, c / (1 + f c dx / pi^2) with f = 2 for
+the barrier and f = 1 for the contact, which the helper _renormalized
+states once for both.  Both stay finite as the bare couplings diverge,
 kappa_eff -> pi^2 / (2 dx) and g1d_eff -> pi^2 / dx, so the impenetrable
 barrier (kappa = inf) and the hard-core contact (g1d = inf) are the same
 operator taken at those limits.  What remains is the energy-dependent
@@ -101,18 +103,28 @@ class ConvergenceError(RuntimeError):
     """Iterative eigensolver failed to converge."""
 
 
+def _renormalized(value, name, spacing, factor):
+    """Validated coupling and its renormalized strength value / (1 + factor value dx / pi^2).
+
+    ``factor`` is 2 for kappa and 1 for g1d (see the module docstring);
+    an infinite coupling gives the limit pi^2 / (factor dx).
+    """
+    value = check_coupling(value, name)
+    if math.isinf(value):
+        return value, math.pi**2 / (factor * spacing)
+    return value, value / (1.0 + factor * value * spacing / math.pi**2)
+
+
 def _one_body(grid, kappa):
     """Validated kappa and the one-body operator h = T + diag(w); returns (kappa, T, w).
 
     T is the sinc-DVR kinetic matrix (1/2 d^2/dx^2 included).  It is
     Toeplitz, T_ij = row[|i - j|], so it is gathered from its first row.
+    The barrier adds kappa_eff / dx at x = 0, with kappa_eff from
+    ``_renormalized`` at factor 2.
     """
-    kappa = check_coupling(kappa, "kappa")
     dx = grid.spacing
-    if math.isinf(kappa):
-        kappa_eff = math.pi**2 / (2.0 * dx)
-    else:
-        kappa_eff = kappa / (1.0 + 2.0 * kappa * dx / math.pi**2)
+    kappa, kappa_eff = _renormalized(kappa, "kappa", dx, 2.0)
     w = 0.5 * grid.points**2
     w[grid.center_index] += kappa_eff / dx
     m = np.arange(grid.n_points)
@@ -122,14 +134,12 @@ def _one_body(grid, kappa):
 
 
 def _contact(grid, g1d):
-    """Validated g1d and the contact strength c = g1d_eff / dx; returns (g1d, c)."""
-    g1d = check_coupling(g1d, "g1d")
-    dx = grid.spacing
-    if math.isinf(g1d):
-        g1d_eff = math.pi**2 / dx
-    else:
-        g1d_eff = g1d / (1.0 + g1d * dx / math.pi**2)
-    return g1d, g1d_eff / dx
+    """Validated g1d and the contact strength c = g1d_eff / dx; returns (g1d, c).
+
+    g1d_eff comes from ``_renormalized`` at factor 1.
+    """
+    g1d, g1d_eff = _renormalized(g1d, "g1d", grid.spacing, 1.0)
+    return g1d, g1d_eff / grid.spacing
 
 
 def _apply(t, w, c, x):

@@ -75,12 +75,6 @@ def tonks_state(kappa, grid):
     return TonksState(even.energy + odd.energy, even, odd, grid)
 
 
-def tonks_energy(kappa):
-    """Pair energy: lowest even level + 3/2."""
-    even, odd = spectrum(kappa, 2)
-    return even.energy + odd.energy
-
-
 def check_rspd_span(grid):
     """Raise GridError if ``grid`` does not cover [-6, 6], the span the pair density needs."""
     if grid.span < _MIN_RSPD_SPAN - 1e-12:

@@ -58,9 +58,9 @@ def test_criterion_1_even_levels():
     _finish(1, ok, detail, started, 1.0)
 
 
-def test_criterion_2_pair_energy_hard_core():
+def test_criterion_2_pair_energy_hard_core(tonks_grid):
     started = time.perf_counter()
-    values = [tonks.tonks_energy(k) for k in (0.0, 1.0, 2.0, float("inf"))]
+    values = [tonks.tonks_state(k, tonks_grid).energy for k in (0.0, 1.0, 2.0, float("inf"))]
     ok = (
         values[0] == 2.0
         and values[3] == 3.0
@@ -349,7 +349,7 @@ def test_criterion_7_property_suite(solve, tonks_rho, tonks_grid):
     # --- analytic hard-core pair -----------------------------------------
     def bose_fermi_identity():
         for kappa in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, float("inf")):
-            pair = tonks.tonks_energy(kappa)
+            pair = tonks.tonks_state(kappa, tonks_grid).energy
             assert pair == even_energy(kappa, 0) + odd_energy(1), f"kappa={kappa:g}"
 
     def rspd_positive():
@@ -402,7 +402,7 @@ def test_criterion_7_property_suite(solve, tonks_rho, tonks_grid):
     def hard_core_ceiling():
         worst = 0.0
         for kappa in (0.0, 1.0, 5.0, 10.0):
-            ceiling = tonks.tonks_energy(kappa) + 1e-3
+            ceiling = tonks.tonks_state(kappa, tonks_grid).energy + 1e-3
             for g in (1.0, 5.0, 500.0):
                 worst = max(worst, solve(kappa, g).energy - ceiling)
         assert worst <= 0.0, f"exceeds ceiling by {worst:.1e}"

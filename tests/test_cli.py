@@ -844,6 +844,35 @@ def test_cli_help_renders_for_every_subcommand(command, capsys):
     assert capsys.readouterr().out.startswith(f"usage: splittrap {command} ")
 
 
+@pytest.mark.parametrize("command,n_points,dx", [("tonks", "161", "0.08"), ("dvr", "81", "0.16")])
+def test_cli_help_shows_the_default_mesh(command, n_points, dx, capsys):
+    # The default meshes are the parser's own defaults, so --help prints them.
+    assert _exit_code([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"mesh points (odd; default {n_points})" in text
+    assert f"mesh spacing (default {dx})" in text
+
+
+def test_cli_builds_one_parser_per_process(fresh_python):
+    # Importing cli builds no parser, and two runs in one process share
+    # the first run's: each build adds the subcommand parsers once.
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "add = argparse.ArgumentParser.add_subparsers\n"
+        "argparse.ArgumentParser.add_subparsers = "
+        "lambda self, **kw: built.append(self.prog) or add(self, **kw)\n"
+        "import splittrap.cli as cli\n"
+        "on_import = len(built)\n"
+        "for _ in range(2):\n"
+        "    assert cli.main(['spectrum', '--kappa', '1', '--levels', '1']) == 0\n"
+        "print(on_import, len(built))\n"
+    )
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 1"
+
+
 _DVR_PARSER = build_parser()
 
 

@@ -209,10 +209,13 @@ def test_ground_state_rejects_infinite_inputs():
         (math.inf, 0.0, 1e-12),
     ],
 )
-def test_ground_state_infinite_couplings(solve, kappa, g1d, bound):
+def test_ground_state_infinite_couplings(solve, tonks_grid, kappa, g1d, bound):
     # The hard-core pair is the analytic route's Bose-Fermi mapping; the
     # non-interacting pair behind an impenetrable barrier is 2 eps_0 = 3.
-    exact = tonks.tonks_energy(kappa) if math.isinf(g1d) else 2.0 * even_energy(kappa, 0)
+    if math.isinf(g1d):
+        exact = tonks.tonks_state(kappa, tonks_grid).energy
+    else:
+        exact = 2.0 * even_energy(kappa, 0)
     assert abs(solve(kappa, g1d).energy - exact) <= bound
 
 
@@ -612,23 +615,23 @@ def test_energy_monotone_in_barrier(solve):
         assert all(b >= a - 1e-12 for a, b in zip(energies, energies[1:]))
 
 
-def test_tonks_ceiling_weak_regime(solve):
+def test_tonks_ceiling_weak_regime(solve, tonks_grid):
     # Where the mesh error stays small the exact ordering E(g) <
     # E_Tonks survives discretization with the nominal 1e-3 slack.
     for kappa in (0.0, 1.0):
-        ceiling = tonks.tonks_energy(kappa)
+        ceiling = tonks.tonks_state(kappa, tonks_grid).energy
         for g in (0.0, 1.0, 5.0):
             assert solve(kappa, g).energy <= ceiling + 1e-3
     for kappa in (5.0, 10.0):
-        assert solve(kappa, 0.0).energy <= tonks.tonks_energy(kappa) + 1e-3
+        assert solve(kappa, 0.0).energy <= tonks.tonks_state(kappa, tonks_grid).energy + 1e-3
 
 
-def test_tonks_ceiling_with_mesh_error(solve):
+def test_tonks_ceiling_with_mesh_error(solve, tonks_grid):
     # With the renormalized delta couplings the remaining mesh error at
     # dx = 0.16 fits inside the nominal +1e-3 slack of the criterion 7
     # hard-core ceiling, at every barrier and up to g = 500.
     for kappa in (0.0, 1.0, 5.0, 10.0):
-        ceiling = tonks.tonks_energy(kappa)
+        ceiling = tonks.tonks_state(kappa, tonks_grid).energy
         for g in (1.0, 5.0, 500.0):
             assert solve(kappa, g).energy <= ceiling + 1e-3
 

@@ -25,6 +25,7 @@ REMOVED = (
     ("specfun", "kummer_m"),
     ("specfun", "PoleError"),
     ("specfun", "POLE_TOL"),
+    ("tonks", "tonks_energy"),
 )
 
 

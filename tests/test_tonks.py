@@ -11,23 +11,24 @@ from splittrap.analysis import GridError, build_grid
 from splittrap.single_particle import eigenfunction, even_state, odd_energy, spectrum
 
 
-def test_pair_energy_limits_exact():
-    assert tonks.tonks_energy(0.0) == 2.0
-    assert tonks.tonks_energy(math.inf) == 3.0
+def test_pair_energy_limits_exact(tonks_grid):
+    assert tonks.tonks_state(0.0, tonks_grid).energy == 2.0
+    assert tonks.tonks_state(math.inf, tonks_grid).energy == 3.0
 
 
-def test_pair_energy_caption_values():
+def test_pair_energy_caption_values(tonks_grid):
     # Frozen from the 40-digit root of the even-level relation plus 3/2.
-    assert tonks.tonks_energy(1.0) == pytest.approx(2.39274404530895, abs=1e-10)
-    assert tonks.tonks_energy(2.0) == pytest.approx(2.58389812227631, abs=1e-10)
-    assert tonks.tonks_energy(1.0) == pytest.approx(2.4, abs=0.05)
-    assert tonks.tonks_energy(2.0) == pytest.approx(2.6, abs=0.05)
+    e1, e2 = (tonks.tonks_state(kappa, tonks_grid).energy for kappa in (1.0, 2.0))
+    assert e1 == pytest.approx(2.39274404530895, abs=1e-10)
+    assert e2 == pytest.approx(2.58389812227631, abs=1e-10)
+    assert e1 == pytest.approx(2.4, abs=0.05)
+    assert e2 == pytest.approx(2.6, abs=0.05)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, 3.0, 10.0, pytest.param(math.inf, id="kappa5")])
-def test_bose_fermi_energy_identity(kappa):
+def test_bose_fermi_energy_identity(kappa, tonks_grid):
     expected = even_state(kappa, 0).energy + odd_energy(1)
-    assert tonks.tonks_energy(kappa) == expected
+    assert tonks.tonks_state(kappa, tonks_grid).energy == expected
 
 
 def test_orbitals_carry_the_barrier(tonks_grid):

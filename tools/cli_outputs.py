@@ -4,11 +4,12 @@
 
 Each entry of ``COMMANDS`` (all of them, or the NAMEs given) runs as
 ``python -m splittrap ...`` in a fresh interpreter that imports this
-checkout's ``src``, with BLAS pinned to one thread.  It runs in its own
-new directory ``OUT_DIR/NAME``; every ``--out`` is a bare file name, so
-the main table, its sidecars and its failure manifest land there, next
-to the files ``stdout``, ``stderr`` and ``exit`` (the exit code).  The
-outputs of two checkouts then compare byte for byte:
+checkout's ``src``, with BLAS pinned to one thread and help text
+wrapped at 80 columns.  It runs in its own new directory
+``OUT_DIR/NAME``; every ``--out`` is a bare file name, so the main
+table, its sidecars and its failure manifest land there, next to the
+files ``stdout``, ``stderr`` and ``exit`` (the exit code).  The outputs
+of two checkouts then compare byte for byte:
 
     python tools/cli_outputs.py /tmp/before     # from one checkout
     python tools/cli_outputs.py /tmp/after      # from the other
@@ -21,8 +22,9 @@ with fixed barriers, and every subcommand and output kind besides:
 ``near_degenerate`` reads the gap, the ``sweep --mode`` alias, a run that exits 2,
 a ``--k-span`` so large its grid overflows and one whose grid is finite
 but whose phases k x overflow on the mesh, both of which exit 1,
-``spectrum`` (also with 8200 levels), ``units`` as text and as JSON, and a
-JSON ``tonks`` run of the energy alone, which loads no numpy.
+``spectrum`` (also with 8200 levels), ``units`` as text and as JSON, a
+JSON ``tonks`` run of the energy alone, which loads no numpy, and the
+``tonks`` and ``dvr`` help texts, which print each route's default mesh.
 """
 
 import os
@@ -33,7 +35,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-          "PYTHONDONTWRITEBYTECODE": "1"}
+          "PYTHONDONTWRITEBYTECODE": "1", "COLUMNS": "80"}
 
 COMMANDS = {
     "dvr-sweep": "sweep --mode dvr --kappa 0.0 3.49508 13.0381 14.3229 "
@@ -73,6 +75,8 @@ COMMANDS = {
     "spectrum-high": "spectrum --kappa 1 --levels 8200",
     "units": "units --omega-perp 6e5 --omega 6e3 --mass 1.45e-25 --a3d 5e-9",
     "units-json": "units --omega-perp 6e5 --omega 6e3 --mass 1.45e-25 --a3d 5e-9 --format json",
+    "tonks-help": "tonks --help",
+    "dvr-help": "dvr --help",
 }
 
 
