@@ -36,41 +36,60 @@ h (x) 1 + 1 (x) h plus the contact term c on the N diagonal points x = y,
 with the one-body h = T + x^2/2 + kappa_eff/dx delta_{x0} and
 c = g1d_eff/dx; _one_body and _contact are the one place that builds
 these pieces.  apply_hamiltonian applies H to the N x N amplitude array.
-The barrier sits at the trap centre, so h is parity-symmetric and H
-commutes with total parity, (x, y) -> (-x, -y).  The ground state comes
-from Lanczos on the exact inverse (H - sigma)^-1 in each parity sector
-of the exchange-symmetric states, acting on the coefficients B of
-psi = U B U^T in the eigenbasis of h, which two eigh of its folded even
-and odd blocks (sizes (N + 1)/2 and (N - 1)/2) give.  There the
-separable part is inverted elementwise (the fast diagonalization method
-of Lynch, Rice & Thomas, Numer. Math. 6, 185 (1964)), and the Woodbury
-identity adds the contact term through one capacitance matrix per
-sector, of size (N + 1)/2, at two or four half-size products a step.
-One Krylov run of the even sector gives the ground state.  The gap is
-computed on first read, by two more runs: the even sector's top two
-Ritz pairs give the next even level, the odd sector's top one its lowest
-level, and the gap is the nearer of the two.  Only the ground state is
-mapped back: its coefficients become the two blocks of W = dx psi in
-the parity fold of ``analysis._fold``, v_e B_ee v_e^T and v_o B_oo
-v_o^T over the eigenvectors v_e and v_o of the folded blocks of h,
-which the state holds as its ``analysis.DensityMatrix`` and the
-observable chain reads as they are; psi on the mesh is that density's
-``amplitudes``.  The mesh (``analysis.Grid``) and the fold maps live
-in ``analysis``, which this module imports; this module holds the
-Hamiltonian and its Krylov solve.  That solve is a numpy Lanczos
-(``eigsh``) with full reorthogonalization, which stops once each Ritz
-pair it reports meets |beta_m s_mi| <= 1e-10 theta_i and raises
-ConvergenceError after 300 steps; no route of the package needs scipy.
-numpy comes through the lazy seam ``_numpy.np`` and loads on the
-first array formed, so importing this module, as ``cli`` does, loads
-none.
+
+The barrier sits at the trap centre, so h is parity-symmetric:
+``analysis._fold`` splits it into an even block of size n = (N + 1)/2
+and an odd block of size n - 1, whose eigh give the one-body levels eps
+and eigenvectors v_e and v_o, or U_e and U_o on the mesh.  H commutes
+with total parity, (x, y) -> (-x, -y), so in that eigenbasis the
+exchange-symmetric pair coefficients split into two sectors:
+
+- the even sector, symmetric blocks B_ee and B_oo, with
+  psi = U_e B_ee U_e^T + U_o B_oo U_o^T;
+- the odd sector, one block X = B_eo, with
+  psi = U_e X U_o^T + U_o X^T U_e^T.
+
+The ground state comes from Lanczos on the exact inverse (H - sigma)^-1
+in each sector.  sigma = 2 eps_0 - 1/2 is a strict lower bound, since
+c >= 0.  The separable part A = h (x) 1 + 1 (x) h - sigma inverts
+elementwise, d_ij = 1 / (eps_i + eps_j - sigma): the fast
+diagonalization method of Lynch, Rice & Thomas, Numer. Math. 6, 185
+(1964).  The contact term touches psi only on the n diagonal points
+x >= 0, where psi_aa is diag(e B_ee e^T + o B_oo o^T) or 2 diag(e X o^T),
+over the rows x >= 0 of U_e and U_o, e and o (``analysis._half_rows``);
+a point x > 0 stands for its mirror image too, which doubles its weight.
+So the Woodbury identity adds the contact term through one n x n
+capacitance per sector, over K_ab = <a|A^-1|b> of those diagonal
+samples, at two or four half-size products a step.  Each inverse is
+confined to exchange-symmetric states: the raw matrix also carries
+antisymmetric ones, and near strong coupling one of those dips below the
+symmetric ground state on a coarse mesh.
+
+One Krylov run of the even sector, from its part of d, which is nonzero
+on every pair of one-body levels, gives the ground energy sigma + 1/nu
+and its Ritz vector.  The gap is computed on first read, by two more
+runs: the even sector's top two Ritz pairs give the next even level, the
+odd sector's top one its lowest level, and the gap is the nearer of the
+two.  Only the ground vector is mapped back: B_ee and B_oo become the
+blocks v_e B_ee v_e^T and v_o B_oo v_o^T of W = dx psi in the parity
+fold, symmetrized and normalized into the state's
+``analysis.DensityMatrix``, which the observable chain reads as they
+are.  psi on the mesh is that density's ``amplitudes``, unfolded once a
+point with its rows x < 0 copied from its rows x >= 0, so it is
+parity-even to the last bit.  Every run is ``eigsh``, a numpy Lanczos
+with full reorthogonalization, which stops once each Ritz pair it
+reports meets |beta_m s_mi| <= 1e-10 theta_i and raises ConvergenceError
+after 300 steps; no route of the package needs scipy.
 
 Only the capacitances depend on g1d.  Per kappa, ground_state_solver
-builds h, its two eigh, the shift sigma, the elementwise inverses d and
-the matrices K behind the capacitances, 3 N^4 / 16 multiply-adds; per
-g1d, it inverts the even capacitance and runs the one Lanczos
-iteration of the ground state, and the odd capacitance is inverted only
-when the gap is read.  ground_state is the one-coupling case.
+builds h, its two eigh, sigma, d and K, 3 N^4 / 16 multiply-adds; per
+g1d, it inverts the even capacitance and runs the one Lanczos iteration
+of the ground state, and the odd capacitance is inverted only when the
+gap is read.  ground_state is the one-coupling case.  The mesh
+(``analysis.Grid``) and the fold maps live in ``analysis``, which this
+module imports.  numpy comes through the lazy seam ``_numpy.np`` and
+loads on the first array formed, so importing this module, as ``cli``
+does, loads none.
 """
 
 import functools
@@ -157,39 +176,16 @@ def _woodbury(k, weight):
 def _shifted_inverse(t, w):
     """Fold-basis eigenvectors, shift sigma and c -> both sectors' (H - sigma)^-1.
 
-    h = T + diag(w) is parity-symmetric, so ``analysis._fold`` splits it
-    into an even block of size n = (N + 1)/2 and an odd block of size
-    n - 1, each taken through its own eigh, whose eigenvectors v_e and
-    v_o are returned.  U_e and U_o are those vectors on the mesh, and
-    ``e`` and ``o`` their rows x >= 0 (``_half_rows``).  In that
-    eigenbasis the exchange-symmetric pair coefficients split by total
-    parity into
-
-    - the even sector, blocks B_ee and B_oo, both symmetric, with
-      psi = U_e B_ee U_e^T + U_o B_oo U_o^T, whose _fold blocks are
-      v_e B_ee v_e^T and v_o B_oo v_o^T;
-    - the odd sector, block X = B_eo with B_oe = X^T, with
-      psi = U_e X U_o^T + U_o X^T U_e^T.
-
-    The separable part A = h (x) 1 + 1 (x) h - sigma inverts elementwise
-    in each block, A^-1 B = d * B with d_ij = 1 / (eps_i + eps_j -
-    sigma).  The contact term touches psi only on the diagonal x = y, and
-    in each sector only its n points x >= 0, where psi_aa is
-    diag(e B_ee e^T + o B_oo o^T) or 2 diag(e X o^T); a point x > 0
-    stands for its mirror image too, which doubles its weight.  So the
-    Woodbury identity adds the contact term through one n x n
-    capacitance per sector, over K_ab = <a|A^-1|b> of those diagonal
-    samples; building both K costs 3 N^4 / 16 multiply-adds.  sigma =
-    2 eps_0 - 1/2, with eps_0 the lowest one-body level, is a strict
-    lower bound because c >= 0.  The eigh, sigma, d and K depend on the
-    one-body operator alone and are built here, once per kappa; the
-    returned ``at_contact(c)`` inverts the even capacitance of one
-    coupling once, explicitly, and returns that coupling's even and odd
-    inverses, which act on the flat coefficients, (B_ee, B_oo) and X;
-    the odd inverse inverts its capacitance on its first call.  The even
-    inverse symmetrizes its output, so the exchange-antisymmetric states
-    of that sector map to zero.  ``start`` holds both sectors' start
-    vectors, the normalized d.
+    Takes the T and w of ``_one_body`` and returns (v_e, v_o, sigma,
+    start, at_contact): the eigenvectors of the folded even and odd
+    blocks of h, the shift, both sectors' start vectors (their parts of
+    d, normalized), and ``at_contact(c)``, which returns one coupling's
+    even and odd inverses on the flat sector coefficients, (B_ee, B_oo)
+    and X (module docstring).  Everything but the capacitances is built
+    here, once per kappa; ``at_contact`` inverts the even capacitance,
+    and the odd inverse its own on its first call.  The even inverse
+    symmetrizes its output, so the exchange-antisymmetric states of that
+    sector map to zero.
     """
     h_even, h_odd = _fold(t + np.diag(w))
     eps_e, v_e = np.linalg.eigh(h_even)
@@ -260,19 +256,14 @@ class TwoBodyState:
 
     ``density`` is its ``analysis.DensityMatrix``: the two parity blocks
     of W = dx * Psi in the fold basis of ``analysis._fold``, of sizes
-    (N + 1)/2 and (N - 1)/2, both exactly symmetric, with squared norms
-    that sum to 1.  ``density.amplitudes`` is the N x N array
-    Psi(q_i, q_j) unfolded from them, so sum(Psi^2) * dx^2 = 1 and Psi
-    is symmetric and parity-even to the last bit.  The blocks are
-    read-only and sign-fixed together, so that Psi is positive at its
-    first peak in row-major order, where entries within 1e-8 of max
-    |Psi| tie.  ``gap`` is the distance to the next exchange-symmetric
-    eigenvalue, of either spatial parity; a gap below 1e-6 marks the
-    state as near-degenerate, which ``diagnostics`` reports.  The solver
-    computes the gap on first read, by the two Krylov runs of ``_gap``,
-    one for the even sector's top two Ritz values and one for the odd
-    sector's top one (see ``ground_state_solver``), and keeps it; reading
-    it, or ``diagnostics``, may raise ConvergenceError.
+    (N + 1)/2 and (N - 1)/2, both exactly symmetric and read-only, with
+    squared norms that sum to 1.  ``density.amplitudes`` is the N x N
+    array Psi(q_i, q_j), so sum(Psi^2) * dx^2 = 1, and Psi is symmetric,
+    parity-even to the last bit, and positive at its first peak in
+    row-major order, where entries within 1e-8 of max |Psi| tie.  ``gap``
+    is the distance to the next exchange-symmetric eigenvalue, of either
+    spatial parity, computed on first read and kept; reading it, or
+    ``diagnostics``, may raise ConvergenceError.
     """
 
     energy: float
@@ -284,41 +275,42 @@ class TwoBodyState:
         return self._gap()
 
     @property
-    def near_degenerate(self):
-        return self.gap < _DEGENERACY_GAP
-
-    @property
     def diagnostics(self):
-        """The per-point fields the JSON table prints beside the energy."""
-        return {"near_degenerate": self.near_degenerate}
+        """The per-point fields the JSON table prints beside the energy.
+
+        ``near_degenerate`` is a gap below 1e-6.
+        """
+        return {"near_degenerate": self.gap < _DEGENERACY_GAP}
 
 
 # The benchmark tracer (bench/tracer.py) replaces LinearOperator and
 # eigsh on this module to time the matvecs and the eigensolver, so both
-# stay module functions, and _top reads them as globals on every call.
-# LinearOperator is a pass-through that the tracer's move onto _top
-# (ROADMAP item 25) can retire.
+# stay module functions, read as globals on every call: solve and the gap
+# call eigsh, and eigsh calls LinearOperator.  LinearOperator is a
+# pass-through that a tracer wrapping eigsh's ``inverse`` (ROADMAP item
+# 25) can retire.
 def LinearOperator(shape, matvec):
-    """The operator eigsh takes: the matvec itself."""
+    """The operator eigsh runs on: the matvec itself."""
     return matvec
 
 
-def eigsh(op, k=1, *, v0, return_eigenvectors=True):
-    """Top k eigenvalues of the symmetric operator ``op``, by Lanczos from v0.
+def eigsh(inverse, start, failure, k=1):
+    """Top k eigenpairs of one sector's inverse, by Lanczos from ``start``.
 
-    Each step applies ``op`` once and orthogonalizes the result against
-    every earlier Lanczos vector in two Gram-Schmidt passes.  The run
-    stops once each of the top k Ritz pairs (theta_i, s_i) of the m x m
-    tridiagonal matrix meets |beta_m s_mi| <= _EIGEN_TOL theta_i, beta_m
-    the norm of the next residual: ARPACK's relative test.  Returns the
-    values in ascending order and, with ``return_eigenvectors``, the
-    Ritz vectors as the columns of an (n, k) array.  Raises
-    ConvergenceError after _MAX_STEPS steps.
+    Each step applies ``inverse``, through ``LinearOperator``, once and
+    orthogonalizes the result against every earlier Lanczos vector in two
+    Gram-Schmidt passes.  The run stops once each of the top k Ritz pairs
+    (theta_i, s_i) of the m x m tridiagonal matrix meets |beta_m s_mi| <=
+    _EIGEN_TOL theta_i, beta_m the norm of the next residual: ARPACK's
+    relative test.  Returns the values in ascending order and their Ritz
+    vectors as the columns of an (n, k) array.  Raises ConvergenceError,
+    its message led by ``failure``, after _MAX_STEPS steps.
     """
+    op = LinearOperator((start.size,) * 2, matvec=inverse)
     # Sized for the step limit; the rows a run does not reach stay unwritten.
-    basis = np.empty((_MAX_STEPS + 1, v0.size))
+    basis = np.empty((_MAX_STEPS + 1, start.size))
     tridiagonal = np.zeros((_MAX_STEPS + 1, _MAX_STEPS + 1))
-    basis[0] = v0 / np.linalg.norm(v0)
+    basis[0] = start / np.linalg.norm(start)
     for m in range(_MAX_STEPS):
         w = op(basis[m])
         tridiagonal[m, m] = basis[m] @ w
@@ -327,67 +319,19 @@ def eigsh(op, k=1, *, v0, return_eigenvectors=True):
         tridiagonal[m, m + 1] = tridiagonal[m + 1, m] = beta = np.linalg.norm(w)
         theta, s = np.linalg.eigh(tridiagonal[: m + 1, : m + 1])
         if m + 1 >= k and np.all(beta * np.abs(s[m, -k:]) <= _EIGEN_TOL * theta[-k:]):
-            return (theta[-k:], basis[: m + 1].T @ s[:, -k:]) if return_eigenvectors else theta[-k:]
+            return theta[-k:], basis[: m + 1].T @ s[:, -k:]
         basis[m + 1] = w / beta
-    raise ConvergenceError(f"Lanczos found no {k} converged Ritz pairs in {_MAX_STEPS} steps")
-
-
-def _top(inverse, start, failure, vectors=False, k=1):
-    """Top k eigenvalues nu of one sector's inverse, and with ``vectors`` their Ritz vectors.
-
-    The Krylov run is this module's ``eigsh``, a numpy Lanczos from
-    ``start`` to the relative tolerance _EIGEN_TOL, on the operator that
-    ``LinearOperator`` makes of ``inverse``; both are read as module
-    globals at each call, so a wrapper set on the module sees every run.
-    A run that does not converge raises ConvergenceError with
-    ``failure`` in its message.
-    """
-    op = LinearOperator((start.size,) * 2, matvec=inverse)
-    try:
-        return eigsh(op, k=k, v0=start, return_eigenvectors=vectors)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"{failure}: {exc}") from exc
+    raise ConvergenceError(f"{failure}: Lanczos found no {k} converged Ritz pairs in "
+                           f"{_MAX_STEPS} steps")
 
 
 def ground_state_solver(grid, kappa):
     """Solver for the lowest bosonic eigenpairs at one barrier: g1d -> TwoBodyState.
 
-    Everything that depends on kappa alone is built here, once: the
-    one-body operator h, the eigh of its even and odd blocks, the shift
-    sigma, d and K of _shifted_inverse, and the start vectors.  Each call
-    of the returned function inverts its coupling's even capacitance and
-    runs Lanczos on the exact inverse (H - sigma)^-1 in the even sector,
-    of dimension (N + 1)^2 / 4 + (N - 1)^2 / 4, whose largest eigenvalue
-    nu gives the ground energy sigma + 1/nu and whose Ritz vector g the
-    ground state.  The first read of the state's ``gap`` runs Lanczos
-    twice more: for the top two Ritz values of the even inverse, from the
-    same start, whose smaller one gives the next even level, and for the
-    top one of the odd sector, of dimension (N^2 - 1) / 4, which gives
-    its lowest level and first inverts that sector's capacitance.  Every
-    run is this module's numpy Lanczos on the
-    one-body eigenbasis coefficients, which stops when each Ritz pair it
-    reports meets the relative test |beta_m s_mi| <= 1e-10 theta_i
-    (``_EIGEN_TOL``) and fails after ``_MAX_STEPS`` = 300 steps, and only
-    the ground Ritz vector is mapped back.  A
-    call gives the same bits as ``ground_state`` at that coupling, and a
-    failed call leaves the solver usable for other couplings.
-
-    Both inverses are confined to exchange-symmetric states: the raw
-    matrix also carries antisymmetric states, and near the strong
-    coupling regime one of those dips below the symmetric ground state
-    on a coarse mesh.  Each start vector, the sector's part of d, is
-    nonzero on every pair of one-body levels of its sector.  The ground
-    state is parity-even, and ``gap`` is the distance from it to the
-    nearer of the next even level and the lowest odd one, the first
-    excited bosonic level.  The map back takes the Ritz vector's blocks
-    B_ee and B_oo to the fold blocks v_e B_ee v_e^T and v_o B_oo v_o^T
-    of W = dx psi, symmetrizes and normalizes them into the state's
-    ``DensityMatrix``, and reads psi as its ``amplitudes`` for the
-    residual check and the sign fix, which flips both blocks and hands
-    the flipped density -psi as its amplitudes, so psi unfolds once a
-    point: psi computes its rows x >= 0 and copies the rows x < 0 from
-    them, so it is parity-even to the last bit with no averaging over
-    the reflection, and the blocks are the fold of dx psi to rounding.
+    Everything that depends on kappa alone is built here, once (module
+    docstring).  A call of the returned function gives the same bits as
+    ``ground_state`` at that coupling, and a failed call leaves the
+    solver usable for other couplings.
 
     Parameters
     ----------
@@ -422,14 +366,14 @@ def ground_state_solver(grid, kappa):
             f"ground-state iteration failed at kappa={kappa}, g1d={g1d}, N={grid.n_points}, "
             f"dx={grid.spacing}"
         )
-        (nu,), vecs = _top(even_inverse, even_start, failure, vectors=True)
+        (nu,), vecs = eigsh(even_inverse, even_start, failure)
         energy = sigma + 1.0 / nu
         ground = vecs[:, 0]
 
         def gap():
             # The next even level is the smaller of the even sector's top two Ritz values.
-            nu_next = min(_top(even_inverse, even_start, failure, k=2))
-            (nu_odd,) = _top(odd_inverse, odd_start, failure)
+            nu_next = min(eigsh(even_inverse, even_start, failure, k=2)[0])
+            (nu_odd,), _ = eigsh(odd_inverse, odd_start, failure)
             return float(min(1.0 / nu_next, 1.0 / nu_odd) - 1.0 / nu)
 
         even = v_e @ ground[: n * n].reshape(n, n) @ v_e.T
@@ -456,7 +400,7 @@ def ground_state_solver(grid, kappa):
 def ground_state(grid, kappa, g1d):
     """Lowest bosonic eigenpair at barrier kappa and contact coupling g1d.
 
-    ``ground_state_solver(grid, kappa)(g1d)``: see there for the method,
-    the arguments and the errors.
+    ``ground_state_solver(grid, kappa)(g1d)``: see there for the
+    arguments and the errors, and the module docstring for the method.
     """
     return ground_state_solver(grid, kappa)(g1d)

@@ -61,12 +61,12 @@ def tonks_grid():
 
 @pytest.fixture
 def eigsh_calls(monkeypatch):
-    """Wrap dvr.eigsh; each Krylov run appends its (k, return_eigenvectors) to the list."""
+    """Wrap dvr.eigsh; each Krylov run appends its k to the list."""
     calls = []
     real_eigsh = dvr.eigsh
 
     def counting(*args, **kwargs):
-        calls.append((kwargs.get("k", 6), kwargs.get("return_eigenvectors", True)))
+        calls.append(kwargs.get("k", 1))
         return real_eigsh(*args, **kwargs)
 
     monkeypatch.setattr(dvr, "eigsh", counting)

@@ -217,14 +217,14 @@ def test_run_sweep_dvr_non_interacting():
 @pytest.mark.parametrize("fmt,runs", [("csv", 1), ("json", 3)])
 def test_dvr_sweep_krylov_runs_per_point(eigsh_calls, fmt, runs):
     # A CSV point runs the ground state's one Krylov iteration, for one
-    # Ritz pair with its vector; a JSON point reads near_degenerate, whose
-    # gap adds the even run for two Ritz values and the odd run for one.
+    # Ritz pair; a JSON point reads near_degenerate, whose gap adds the
+    # even run for two Ritz pairs and the odd run for one.
     spec = _spec(command="dvr", kappa=(0.0, 3.3), g1d=(0.0, 5.0, 500.0),
                  outputs=("energy", "entropy"), n_points=41, dx=0.3, fmt=fmt)
     points = run_sweep(spec)
     assert not any("error" in point for point in points)
     assert len(points) == 6
-    assert eigsh_calls == [(1, True), (2, False), (1, False)][:runs] * 6
+    assert eigsh_calls == [1, 2, 1][:runs] * 6
 
 
 @pytest.mark.parametrize("fmt,inversions", [("csv", 1), ("json", 2)])
@@ -1022,6 +1022,35 @@ def test_cli_failed_coupling_keeps_the_rest_of_its_row(tmp_path, capsys, monkeyp
     rows, lines = expected.read_text().splitlines(), out.read_text().splitlines()
     assert lines[5] == "1,5,,,"
     assert lines[:5] + lines[6:] == rows[:5] + rows[6:]
+
+
+def test_cli_failed_row_build_fails_every_coupling_of_its_row(tmp_path, monkeypatch):
+    # The one-body build of the kappa = 1 row fails before any of its
+    # couplings is solved, as `dvr --kappa 1 --g1d 1 --n-points 5 --dx
+    # 1e-200` ends in LinAlgError.  Every g1d of that row lands in the
+    # failure manifest with the error, and the kappa = 0 row is unchanged.
+    args = ["dvr", "--kappa", "0", "1", "--g1d", "0", "5", "20", "--n-points", "41",
+            "--dx", "0.3", "--outputs", "energy,entropy"]
+    expected = tmp_path / "expected.csv"
+    assert main(args + ["--out", str(expected)]) == 0
+    real_solver = dvr.ground_state_solver
+
+    def solver(grid, kappa):
+        if kappa == 1.0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_solver(grid, kappa)
+
+    monkeypatch.setattr(dvr, "ground_state_solver", solver)
+    out = tmp_path / "failed.csv"
+    assert main(args + ["--out", str(out)]) == 2
+    failures = json.loads(out.with_suffix(".failures.json").read_text())["failures"]
+    assert failures == [
+        {"kappa": "1", "g1d": g1d, "error": "LinAlgError: Eigenvalues did not converge"}
+        for g1d in ("0", "5", "20")
+    ]
+    rows, lines = expected.read_text().splitlines(), out.read_text().splitlines()
+    assert lines[4:] == ["1,0,,,", "1,5,,,", "1,20,,,"]
+    assert lines[:4] == rows[:4]
 
 
 def test_cli_spectrum_tiny_barrier(capsys):

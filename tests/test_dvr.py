@@ -117,7 +117,7 @@ def test_apply_hamiltonian_infinite_couplings_are_limits():
 def test_ground_state_non_interacting_pair(solve):
     state = solve(0.0, 0.0)
     assert state.energy == pytest.approx(1.0, abs=1e-3)
-    assert not state.near_degenerate
+    assert state.diagnostics == {"near_degenerate": False}
     assert state.gap > 0.0
 
 
@@ -232,7 +232,8 @@ def test_ground_state_convergence_error(monkeypatch):
 def test_krylov_runs_go_through_module_wrappers_without_scipy(fresh_python):
     # Wrappers set on dvr.LinearOperator and dvr.eigsh, as the benchmark
     # tracer sets them, see every Krylov run, the gap's two included, and a
-    # grid solve loads no scipy module.
+    # grid solve loads no scipy module.  eigsh makes its operator inside
+    # the run, so each run logs its eigsh before its LinearOperator.
     proc = fresh_python("-c", """
 import json, sys
 from splittrap import analysis, dvr
@@ -252,7 +253,7 @@ dvr.ground_state(analysis.build_grid(21, 0.3), 1.0, 1.0).gap
 print(json.dumps({"runs": runs, "scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"]}))
 """)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"runs": ["LinearOperator", "eigsh"] * 3, "scipy": []}
+    assert json.loads(proc.stdout) == {"runs": ["eigsh", "LinearOperator"] * 3, "scipy": []}
 
 
 def _dense_sectors(grid, kappa, g1d):
@@ -276,14 +277,11 @@ def test_lanczos_matches_dense_eigh(sector, k):
     assert np.max(np.abs(matrix - matrix.T)) <= 1e-14 * np.max(np.abs(matrix))
     exact_values, exact_vectors = np.linalg.eigh(matrix)
     exact_values, exact_vectors = exact_values[-k:], exact_vectors[:, -k:]
-    op = dvr.LinearOperator(matrix.shape, inverse)
-    values, vectors = dvr.eigsh(op, k=k, v0=start, return_eigenvectors=True)
+    values, vectors = dvr.eigsh(inverse, start, "dense check", k=k)
     assert vectors.shape == (start.size, k)
     assert np.all(np.abs(values - exact_values) <= 1e-12 * exact_values)
     for vector, exact in zip(vectors.T, exact_vectors.T):
         assert np.max(np.abs(vector * np.sign(vector @ exact) - exact)) <= 1e-8
-    only_values = dvr.eigsh(op, k=k, v0=start, return_eigenvectors=False)
-    assert np.array_equal(only_values, values)
 
 
 def test_lanczos_step_limit_raises(monkeypatch):
@@ -298,15 +296,13 @@ def test_ground_state_residual_guard(monkeypatch):
     # The Krylov eigenvalue paired with a vector that is not its eigenvector
     # (the even-sector coefficient vector |00>, both particles in the
     # lowest one-body level: the g1d = 0 ground state, at kappa = 1,
-    # g1d = 5) fails the residual check.  The ground run is the one call
-    # that returns eigenvectors; the gap's runs return eigenvalues only.
+    # g1d = 5) fails the residual check.  The solve runs only the ground
+    # run, whose vector is the one mapped back.
     grid = build_grid(41, 0.16)
     real_eigsh = dvr.eigsh
 
-    def wrong_pair(op, k, **kwargs):
-        if not kwargs.get("return_eigenvectors", True):
-            return real_eigsh(op, k, **kwargs)
-        nu, vecs = real_eigsh(op, k, **kwargs)
+    def wrong_pair(*args, **kwargs):
+        nu, vecs = real_eigsh(*args, **kwargs)
         vecs = np.zeros_like(vecs)
         vecs[0, np.argmax(nu)] = 1.0
         return nu, vecs
@@ -454,38 +450,34 @@ def test_near_degenerate_flag():
         energy=1.0, density=analysis.DensityMatrix(even, odd, grid), _gap=lambda: 1e-8,
     )
     assert state.gap == 1e-8
-    assert state.near_degenerate
     assert state.diagnostics == {"near_degenerate": True}
 
 
 def test_gap_runs_its_two_krylov_iterations_once(eigsh_calls):
     # A solve runs the ground state's one Krylov iteration, for one Ritz
-    # pair with its vector; the first read of gap runs the even iteration
-    # for two Ritz values and the odd one for one, and later reads
-    # (near_degenerate among them) reuse its value.
+    # pair; the first read of gap runs the even iteration for two Ritz
+    # pairs and the odd one for one, and later reads (diagnostics'
+    # near_degenerate among them) reuse its value.
     calls = eigsh_calls
     state = dvr.ground_state(build_grid(41, 0.3), 1.0, 5.0)
-    assert calls == [(1, True)]
+    assert calls == [1]
     gap = state.gap
-    assert calls == [(1, True), (2, False), (1, False)]
+    assert calls == [1, 2, 1]
     assert state.gap == gap
-    assert not state.near_degenerate
-    assert calls == [(1, True), (2, False), (1, False)]
+    assert state.diagnostics == {"near_degenerate": False}
+    assert calls == [1, 2, 1]
 
 
 def test_gap_iteration_failure_raises_on_read(monkeypatch):
     # A gap run that does not converge raises ConvergenceError when gap is
     # read, as the ground run does from the solve, and a later read retries.
+    # The step limit is lowered after the solve, so the real eigsh fails
+    # and the point in its message is the one the solver gave it.
     state = dvr.ground_state(build_grid(41, 0.3), 1.0, 5.0)
-    real_eigsh = dvr.eigsh
-
-    def no_convergence(*args, **kwargs):
-        raise ConvergenceError("no convergence")
-
-    monkeypatch.setattr(dvr, "eigsh", no_convergence)
-    with pytest.raises(ConvergenceError, match="kappa=1.0, g1d=5.0"):
+    monkeypatch.setattr(dvr, "_MAX_STEPS", 3)
+    with pytest.raises(ConvergenceError, match=r"kappa=1.0, g1d=5.0, N=41, dx=0.3: .*3 steps"):
         state.gap
-    monkeypatch.setattr(dvr, "eigsh", real_eigsh)
+    monkeypatch.undo()
     assert state.gap > 0.0
 
 

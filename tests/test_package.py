@@ -68,6 +68,7 @@ def test_mesh_and_fold_live_in_analysis(name):
     ("TwoBodyState", "grid"),
     ("TwoBodyState", "kappa"),
     ("TwoBodyState", "g1d"),
+    ("TwoBodyState", "near_degenerate"),
     ("TonksState", "kappa"),
     ("EigenState", "kappa"),
 ])

@@ -200,8 +200,11 @@ def test_even_energy_high_levels(key, expected):
 
 # Levels j = 0..4 at eight kappa drawn as the levels benchmark draws them
 # (log-uniform over [1e-2, 1e3], 6 significant digits; numpy
-# default_rng(20261019)), frozen from a 40-digit mpmath bisection of
-# g(t) = t - (2/pi) atan(kappa / (2 R(E))).
+# default_rng(20261019)), and at one more kappa, frozen from a 40-digit
+# mpmath bisection of g(t) = t - (2/pi) atan(kappa / (2 R(E))).  At
+# kappa = 0.7077415122252649, j = 0, a secant step leaves the bracket
+# 0.8069527951655223 ... 0.8069527951655225 and even_energy bisects it,
+# a step that no other case here reaches.
 WORKLOAD_ROOTS = {
     0.183506: ("0.5964397947113461817563621", "2.551151604866510429848718",
                "4.538613547871481356819478", "6.532246697744661208456956",
@@ -227,6 +230,9 @@ WORKLOAD_ROOTS = {
     0.270064: ("0.6373409012009015268032128", "2.574760832951993654186208",
                "4.556635743769682995527673", "6.547355718731329677155428",
                "8.541503034633144993638632"),
+    0.7077415122252649: ("0.8069527951655223357910279", "2.687204817941061908302656",
+                         "4.644857790668904682271682", "6.622112064198840640183024",
+                         "8.607469582926097395455300"),
 }
 
 
