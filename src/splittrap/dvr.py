@@ -50,20 +50,34 @@ exchange-symmetric pair coefficients split into two sectors:
   psi = U_e X U_o^T + U_o X^T U_e^T.
 
 The ground state comes from Lanczos on the exact inverse (H - sigma)^-1
-in each sector.  sigma = 2 eps_0 - 1/2 is a strict lower bound, since
-c >= 0.  The separable part A = h (x) 1 + 1 (x) h - sigma inverts
-elementwise, d_ij = 1 / (eps_i + eps_j - sigma): the fast
-diagonalization method of Lynch, Rice & Thomas, Numer. Math. 6, 185
-(1964).  The contact term touches psi only on the n diagonal points
-x >= 0, where psi_aa is diag(e B_ee e^T + o B_oo o^T) or 2 diag(e X o^T),
-over the rows x >= 0 of U_e and U_o, e and o (``analysis._half_rows``);
-a point x > 0 stands for its mirror image too, which doubles its weight.
-So the Woodbury identity adds the contact term through one n x n
-capacitance per sector, over K_ab = <a|A^-1|b> of those diagonal
-samples, at two or four half-size products a step.  Each inverse is
-confined to exchange-symmetric states: the raw matrix also carries
-antisymmetric ones, and near strong coupling one of those dips below the
-symmetric ground state on a coarse mesh.
+in each sector.  Since c >= 0, H >= h (x) 1 + 1 (x) h >= 2 eps_0, so
+sigma = 2 eps_0 - 1/16 lies strictly below every pair level.  Lanczos on
+a shifted inverse converges at a rate set by the relative gap
+(E_1 - E_0) / (E_0 - sigma) (Ericsson & Ruhe, Math. Comp. 35, 1251
+(1980)), so a shift just below E_0 takes fewer steps: over the 20
+points of a 4 x 5 sweep on 81 / 0.16, the margin 1/16 takes 152 inverse
+applications, where 1/2 took 202.  The separable part
+A = h (x) 1 + 1 (x) h - sigma inverts elementwise,
+d_ij = 1 / (eps_i + eps_j - sigma): the fast diagonalization method of
+Lynch, Rice & Thomas, Numer. Math. 6, 185 (1964).  The contact term
+touches psi only on the n diagonal points x >= 0, where psi_aa is
+diag(e B_ee e^T + o B_oo o^T) or 2 diag(e X o^T), over the rows x >= 0
+of U_e and U_o, e and o (``analysis._half_rows``); a point x > 0 stands
+for its mirror image too, which doubles its weight.  So the Woodbury
+identity adds the contact term through one n x n capacitance per
+sector, over K_ab = <a|A^-1|b> of those diagonal samples, at two or
+four half-size products a step.  Each K is symmetric, so ``_kernel``
+forms it row by row on its upper triangle and mirrors it.  Each inverse
+is confined to exchange-symmetric states: the raw matrix also carries
+antisymmetric ones, and near strong coupling one of those dips below
+the symmetric ground state on a coarse mesh.
+
+The even sector is one (2, n, n) stack (B_ee, B_oo) over the stacked
+fold bases (v_e, v_o), with v_o padded by a zero row and column, o by
+a zero column and the B_oo block of d by zeros.  The padded entries of
+the start vector and of every Krylov vector are then exactly zero, and
+d, its start vector, its K, each of its inverse applications and the
+map back each run once over the stack, not once per block.
 
 One Krylov run of the even sector, from its part of d, which is nonzero
 on every pair of one-body levels, gives the ground energy sigma + 1/nu
@@ -72,9 +86,9 @@ runs: the even sector's top two Ritz pairs give the next even level, the
 odd sector's top one its lowest level, and the gap is the nearer of the
 two.  Only the ground vector is mapped back: B_ee and B_oo become the
 blocks v_e B_ee v_e^T and v_o B_oo v_o^T of W = dx psi in the parity
-fold, symmetrized and normalized into the state's
-``analysis.DensityMatrix``, which the observable chain reads as they
-are.  psi on the mesh is that density's ``amplitudes``, unfolded once a
+fold, the latter cut from its padding, symmetrized and normalized into
+the state's ``analysis.DensityMatrix``, which the observable chain
+reads as they are.  psi on the mesh is that density's ``amplitudes``, unfolded once a
 point with its rows x < 0 copied from its rows x >= 0, so it is
 parity-even to the last bit.  Every run is ``eigsh``, a numpy Lanczos
 with full reorthogonalization, which stops once each Ritz pair it
@@ -82,14 +96,15 @@ reports meets |beta_m s_mi| <= 1e-10 theta_i and raises ConvergenceError
 after 300 steps; no route of the package needs scipy.
 
 Only the capacitances depend on g1d.  Per kappa, ground_state_solver
-builds h, its two eigh, sigma, d and K, 3 N^4 / 16 multiply-adds; per
-g1d, it inverts the even capacitance and runs the one Lanczos iteration
-of the ground state, and the odd capacitance is inverted only when the
-gap is read.  ground_state is the one-coupling case.  The mesh
-(``analysis.Grid``) and the fold maps live in ``analysis``, which this
-module imports.  numpy comes through the lazy seam ``_numpy.np`` and
-loads on the first array formed, so importing this module, as ``cli``
-does, loads none.
+builds h, its two eigh, sigma, d and the even K, N^4 / 16 multiply-adds;
+per g1d, it inverts the even capacitance and runs the one Lanczos
+iteration of the ground state.  Only the gap reads the odd sector, so
+its K, N^4 / 32 multiply-adds, is formed on the first gap read of a
+kappa row, and its capacitance on the first gap read of a point.
+ground_state is the one-coupling case.  The mesh (``analysis.Grid``)
+and the fold maps live in ``analysis``, which this module imports.
+numpy comes through the lazy seam ``_numpy.np`` and loads on the first
+array formed, so importing this module, as ``cli`` does, loads none.
 """
 
 import functools
@@ -109,7 +124,7 @@ _RESIDUAL_BOUND = 1e-6
 # Relative eigenvalue tolerance of the Krylov iteration.
 _EIGEN_TOL = 1e-10
 # Step limit of one Lanczos run (eigsh).  Runs on meshes from 41 / 0.3
-# to 321 / 0.04 stop within 23 steps.
+# to 321 / 0.04 stop within 5 to 22 steps, a ground run within 10.
 _MAX_STEPS = 300
 # Entries within this relative distance of max |psi| tie for the sign
 # fix, which takes the first of them in row-major order: at (inf, 0) four
@@ -173,57 +188,72 @@ def _woodbury(k, weight):
     return s[:, None] * np.linalg.inv(np.eye(s.size) + s[:, None] * k * s) * s
 
 
-def _shifted_inverse(t, w):
-    """Fold-basis eigenvectors, shift sigma and c -> both sectors' (H - sigma)^-1.
+def _kernel(left, right, d):
+    """K_ab = sum_sij L_sai R_saj d_sij L_sbi R_sbj over the stack axis s of L, R and d.
 
-    Takes the T and w of ``_one_body`` and returns (v_e, v_o, sigma,
-    start, at_contact): the eigenvectors of the folded even and odd
-    blocks of h, the shift, both sectors' start vectors (their parts of
-    d, normalized), and ``at_contact(c)``, which returns one coupling's
-    even and odd inverses on the flat sector coefficients, (B_ee, B_oo)
-    and X (module docstring).  Everything but the capacitances is built
-    here, once per kappa; ``at_contact`` inverts the even capacitance,
-    and the odd inverse its own on its first call.  The even inverse
-    symmetrizes its output, so the exchange-antisymmetric states of that
-    sector map to zero.
+    a and b run over the half-mesh points x >= 0.  K is symmetric: each
+    row is formed from its diagonal on, and the upper triangle is
+    mirrored into the lower.
+    """
+    n = left.shape[1]
+    k = np.zeros((n, n))
+    for a in range(n):
+        la, ra = left[:, a:] * left[:, a, None], right[:, a:] * right[:, a, None]
+        k[a, a:] = np.sum((la @ d) * ra, axis=(0, 2))
+    return k + np.triu(k, 1).T
+
+
+def _shifted_inverse(t, w):
+    """Stacked fold bases, shift sigma and c -> both sectors' (H - sigma)^-1.
+
+    Takes the T and w of ``_one_body`` and returns (basis, sigma, start,
+    at_contact): the (2, n, n) stack of the eigenvectors of the folded
+    even block of h and of its odd block padded with a zero row and
+    column, the shift, both sectors' start vectors (their parts of d,
+    normalized), and ``at_contact(c)``, which returns one coupling's
+    even and odd inverses on the flat sector coefficients, the stack
+    (B_ee, B_oo) with B_oo padded and X (module docstring).  Everything
+    but the odd kernel and the capacitances is built here, once per
+    kappa; ``at_contact`` inverts the even capacitance, and the odd
+    inverse forms the odd kernel, once per kappa, and inverts its
+    capacitance on its first call.  The even inverse symmetrizes its
+    output, so the exchange-antisymmetric states of that sector map to
+    zero, and keeps the padding zero.
     """
     h_even, h_odd = _fold(t + np.diag(w))
     eps_e, v_e = np.linalg.eigh(h_even)
     eps_o, v_o = np.linalg.eigh(h_odd)
     n = eps_e.size
-    e, o = _half_rows(v_e, v_o)
-    sigma = 2.0 * min(eps_e[0], eps_o[0]) - 0.5
-    d_ee = 1.0 / (eps_e[:, None] + eps_e[None, :] - sigma)
-    d_oo = 1.0 / (eps_o[:, None] + eps_o[None, :] - sigma)
+    basis = np.stack((v_e, np.pad(v_o, (0, 1))))
+    rows = np.stack(_half_rows(v_e, basis[1, :-1]))
+    e, o = rows[0], rows[1, :, :-1]
+    sigma = 2.0 * min(eps_e[0], eps_o[0]) - 1.0 / 16.0
+    # The padded level sits at infinity, so d is exactly zero on the padding.
+    eps = np.stack((eps_e, np.append(eps_o, math.inf)))
+    d = 1.0 / (eps[:, :, None] + eps[:, None, :] - sigma)
     d_eo = 1.0 / (eps_e[:, None] + eps_o[None, :] - sigma)
-    # K_ab = sum_ij L_ai R_aj d_ij L_bi R_bj for each block (L, R), one row at a time.
-    k_even = np.empty((n, n))
-    k_odd = np.empty((n, n))
-    for a in range(n):
-        ea, oa = e * e[a], o * o[a]
-        k_even[a] = np.sum((ea @ d_ee) * ea, axis=1) + np.sum((oa @ d_oo) * oa, axis=1)
-        k_odd[a] = np.sum((ea @ d_eo) * oa, axis=1)
+    k_even = _kernel(rows, rows, d)
+    # Only the gap runs the odd sector, so its kernel is formed on the
+    # first odd application of the row and its capacitance on the first
+    # of the coupling.
+    k_odd = functools.cache(lambda: _kernel(e[None], o[None], d_eo[None]))
     multiplicity = np.full(n, 2.0)
     multiplicity[0] = 1.0
-    even_start = np.concatenate((d_ee.ravel(), d_oo.ravel()))
-    start = (even_start / np.linalg.norm(even_start), d_eo.ravel() / np.linalg.norm(d_eo))
+    start = (d.ravel() / np.linalg.norm(d), d_eo.ravel() / np.linalg.norm(d_eo))
 
     def at_contact(c):
         q_even = _woodbury(k_even, c * multiplicity)
 
-        # Only the gap runs the odd sector, so its capacitance is inverted
-        # on the first odd application.
         @functools.cache
         def q_odd():
             # In the odd sector psi_aa = 2 diag(e X o^T)_a and |B|^2 = 2 |X|^2.
-            return _woodbury(k_odd, 2.0 * c * multiplicity)
+            return _woodbury(k_odd(), 2.0 * c * multiplicity)
 
         def even_inverse(b):
-            y_ee, y_oo = d_ee * b[: n * n].reshape(n, n), d_oo * b[n * n :].reshape(n - 1, n - 1)
-            z = q_even @ (np.sum((e @ y_ee) * e, axis=1) + np.sum((o @ y_oo) * o, axis=1))
-            y_ee -= d_ee * ((e.T * z) @ e)
-            y_oo -= d_oo * ((o.T * z) @ o)
-            return np.concatenate(((0.5 * (y_ee + y_ee.T)).ravel(), (0.5 * (y_oo + y_oo.T)).ravel()))
+            y = d * b.reshape(2, n, n)
+            z = q_even @ np.sum((rows @ y) * rows, axis=(0, 2))
+            y -= d * ((rows.transpose(0, 2, 1) * z) @ rows)
+            return (0.5 * (y + y.transpose(0, 2, 1))).ravel()
 
         def odd_inverse(b):
             x = d_eo * b.reshape(n, n - 1)
@@ -232,7 +262,7 @@ def _shifted_inverse(t, w):
 
         return even_inverse, odd_inverse
 
-    return v_e, v_o, sigma, start, at_contact
+    return basis, sigma, start, at_contact
 
 
 def apply_hamiltonian(vec, grid, kappa, g1d):
@@ -356,8 +386,7 @@ def ground_state_solver(grid, kappa):
         converge.
     """
     kappa, t, w = _one_body(grid, kappa)
-    v_e, v_o, sigma, (even_start, odd_start), at_contact = _shifted_inverse(t, w)
-    n = v_e.shape[0]
+    basis, sigma, (even_start, odd_start), at_contact = _shifted_inverse(t, w)
 
     def solve(g1d):
         g1d, c = _contact(grid, g1d)
@@ -368,7 +397,6 @@ def ground_state_solver(grid, kappa):
         )
         (nu,), vecs = eigsh(even_inverse, even_start, failure)
         energy = sigma + 1.0 / nu
-        ground = vecs[:, 0]
 
         def gap():
             # The next even level is the smaller of the even sector's top two Ritz values.
@@ -376,11 +404,10 @@ def ground_state_solver(grid, kappa):
             (nu_odd,), _ = eigsh(odd_inverse, odd_start, failure)
             return float(min(1.0 / nu_next, 1.0 / nu_odd) - 1.0 / nu)
 
-        even = v_e @ ground[: n * n].reshape(n, n) @ v_e.T
-        odd = v_o @ ground[n * n :].reshape(n - 1, n - 1) @ v_o.T
-        even, odd = even + even.T, odd + odd.T
-        norm = math.sqrt(np.sum(even * even) + np.sum(odd * odd))
-        density = DensityMatrix(even / norm, odd / norm, grid)
+        blocks = basis @ vecs[:, 0].reshape(basis.shape) @ basis.transpose(0, 2, 1)
+        blocks = blocks + blocks.transpose(0, 2, 1)
+        norm = math.sqrt(np.sum(blocks * blocks))
+        density = DensityMatrix(blocks[0] / norm, blocks[1, :-1, :-1] / norm, grid)
         psi = density.amplitudes
         residual = np.linalg.norm(_apply(t, w, c, psi) - energy * psi) * grid.spacing
         if not residual <= _RESIDUAL_BOUND:

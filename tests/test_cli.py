@@ -229,21 +229,34 @@ def test_dvr_sweep_krylov_runs_per_point(eigsh_calls, fmt, runs):
 
 @pytest.mark.parametrize("fmt,inversions", [("csv", 1), ("json", 2)])
 def test_dvr_sweep_capacitance_inversions_per_point(monkeypatch, fmt, inversions):
-    # Every point inverts its even capacitance; only the gap, which a JSON
-    # point reads, runs the odd sector and inverts its capacitance.
-    calls = []
-    real_woodbury = dvr._woodbury
+    # Every point inverts its even capacitance, and each kappa row forms its
+    # even kernel, over a stack of two blocks.  Only the gap, which a JSON
+    # point reads, runs the odd sector: it forms the odd kernel, over one
+    # block, once per row on the gap read of the row's first point, and
+    # inverts the odd capacitance once per point.  A CSV sweep does neither.
+    kernels, odd_kernels, calls = [], [], []
+    real_kernel, real_woodbury = dvr._kernel, dvr._woodbury
+
+    def kernel(left, right, d):
+        k = real_kernel(left, right, d)
+        kernels.append(left.shape[0])
+        if left.shape[0] == 1:
+            odd_kernels.append(k)
+        return k
 
     def counting(k, weight):
-        calls.append(k.shape)
+        calls.append(any(k is odd for odd in odd_kernels))
         return real_woodbury(k, weight)
 
+    monkeypatch.setattr(dvr, "_kernel", kernel)
     monkeypatch.setattr(dvr, "_woodbury", counting)
     spec = _spec(command="dvr", kappa=(0.0, 3.3), g1d=(0.0, 5.0, 500.0),
                  outputs=("energy", "entropy"), n_points=41, dx=0.3, fmt=fmt)
     points = run_sweep(spec)
     assert not any("error" in point for point in points)
     assert len(calls) == inversions * len(points) == inversions * 6
+    assert sum(calls) == (inversions - 1) * 6
+    assert kernels == {"csv": [2, 2], "json": [2, 1, 2, 1]}[fmt]
 
 
 def test_run_sweep_entropy_saturation(solve):

@@ -260,7 +260,7 @@ def _dense_sectors(grid, kappa, g1d):
     # Both sectors' inverses as dense matrices, built column by column,
     # with their start vectors.
     _, t, w = dvr._one_body(grid, kappa)
-    _, _, _, starts, at_contact = dvr._shifted_inverse(t, w)
+    _, _, starts, at_contact = dvr._shifted_inverse(t, w)
     for inverse, start in zip(at_contact(dvr._contact(grid, g1d)[1]), starts):
         matrix = np.column_stack([inverse(column) for column in np.eye(start.size)])
         yield inverse, start, matrix
@@ -331,20 +331,23 @@ def test_shifted_inverse_solves_hamiltonian(kappa, g1d, n_points, spacing):
     # the antisymmetric states of the even sector map to zero.  The
     # one-body factorization is made first and the coupling added to it,
     # as the row solver does.  The inverses act on one-body eigenbasis
-    # coefficients, so mesh arrays go in as U_e^T x U_e and U_o^T x U_o
-    # (even sector) or U_e^T x U_o (odd sector) and come back through
-    # U_e and U_o, the fold-basis eigenvectors v_e and v_o taken to their
-    # half-mesh rows e and o and unfolded onto the mesh.
+    # coefficients, so mesh arrays go in as the stack (U_e^T x U_e,
+    # U_o^T x U_o) (even sector, U_o padded with a zero column, whose
+    # entries stay zero) or as U_e^T x U_o (odd sector) and come back
+    # through U_e and U_o, the stacked fold bases taken to their half-mesh
+    # rows e and o and unfolded onto the mesh.
     grid = build_grid(n_points, spacing)
-    v_e, v_o, sigma, _, at_contact = dvr._shifted_inverse(*dvr._one_body(grid, kappa)[1:])
-    e, o = analysis._half_rows(v_e, v_o)
+    basis, sigma, _, at_contact = dvr._shifted_inverse(*dvr._one_body(grid, kappa)[1:])
+    e, o = analysis._half_rows(basis[0], basis[1, :-1])
     even_inverse, odd_inverse = at_contact(dvr._contact(grid, g1d)[1])
-    u_e, u_o = np.vstack((e[:0:-1], e)), np.vstack((-o[:0:-1], o))
+    u = np.stack((np.vstack((e[:0:-1], e)), np.vstack((-o[:0:-1], o))))
+    u_e, u_o = u[0], u[1, :, :-1]
     m = e.shape[0]
 
     def even(x):
-        y = even_inverse(np.concatenate(((u_e.T @ x @ u_e).ravel(), (u_o.T @ x @ u_o).ravel())))
-        return y, u_e @ y[: m * m].reshape(m, m) @ u_e.T + u_o @ y[m * m :].reshape(m - 1, m - 1) @ u_o.T
+        y = even_inverse((u.transpose(0, 2, 1) @ x @ u).ravel()).reshape(2, m, m)
+        assert not np.any(y[1, -1]) and not np.any(y[1, :, -1])
+        return y, np.sum(u @ y @ u.transpose(0, 2, 1), axis=0)
 
     def odd(x):
         y = u_e @ odd_inverse((u_e.T @ x @ u_o).ravel()).reshape(m, m - 1) @ u_o.T
@@ -360,6 +363,20 @@ def test_shifted_inverse_solves_hamiltonian(kappa, g1d, n_points, spacing):
             back = dvr.apply_hamiltonian(y.ravel(), grid, kappa, g1d) - sigma * y.ravel()
             assert np.max(np.abs(back - x.ravel())) <= 1e-10 * np.max(np.abs(x))
         assert np.max(np.abs(even(a - a.T)[0])) <= 1e-13 * np.max(np.abs(y_even))
+
+
+@pytest.mark.parametrize("n_points,spacing", [(41, 0.3), (81, 0.16)])
+def test_shift_lies_below_every_ground_energy(n_points, spacing):
+    # H >= 2 eps_0 for every contact g1d >= 0, so sigma = 2 eps_0 - 1/16
+    # lies below each computed E_0, by the margin up to rounding.
+    grid = build_grid(n_points, spacing)
+    for kappa in (0.0, 1.0, 10.0, math.inf):
+        sigma = dvr._shifted_inverse(*dvr._one_body(grid, kappa)[1:])[1]
+        solve = dvr.ground_state_solver(grid, kappa)
+        for g1d in (0.0, 1e-4, 5.0, math.inf):
+            energy = solve(g1d).energy
+            assert sigma < energy
+            assert energy - sigma >= 1.0 / 16.0 - 1e-12
 
 
 def test_fold_blocks_keep_the_spectrum():
@@ -489,7 +506,7 @@ def test_gap_matches_two_even_ritz_pairs(kappa, g1d):
     # start with its g component removed; beside it, the odd run's lowest level.
     grid = build_grid(81, 0.16)
     _, t, w = dvr._one_body(grid, kappa)
-    _, _, _, (even_start, odd_start), at_contact = dvr._shifted_inverse(t, w)
+    _, _, (even_start, odd_start), at_contact = dvr._shifted_inverse(t, w)
     even_inverse, odd_inverse = at_contact(dvr._contact(grid, g1d)[1])
 
     def top(inverse, start, vectors=False):

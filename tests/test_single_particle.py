@@ -243,6 +243,33 @@ def test_even_energy_within_two_ulp(kappa):
         assert abs(Decimal(energy) - Decimal(root)) <= 2 * Decimal(math.ulp(energy))
 
 
+@pytest.mark.parametrize("kappa", [*WORKLOAD_ROOTS, 1e-300, 1e9])
+def test_even_energy_evaluates_g_strictly_inside_its_bracket(monkeypatch, kappa):
+    # The first evaluation of g is at t = 0, the bracket's lower end, and
+    # every later one lies strictly inside the sign bracket that the
+    # earlier ones leave, [2j + 1/2, 2j + 3/2] narrowed by the sign of each
+    # g.  At kappa = 0.7077415122252649, j = 0, a secant step leaves the
+    # bracket and only the bisection brings it back inside.
+    evaluations = []
+    real_even_g = single_particle._even_g
+
+    def recording(energy, base, kappa):
+        value = real_even_g(energy, base, kappa)
+        evaluations.append((energy, value))
+        return value
+
+    monkeypatch.setattr(single_particle, "_even_g", recording)
+    for j in range(5):
+        evaluations.clear()
+        even_energy(kappa, j)
+        lo, hi = 2.0 * j + 0.5, 2.0 * j + 1.5
+        (first, _), *steps = evaluations
+        assert first == lo
+        for energy, value in steps:
+            assert lo < energy < hi
+            lo, hi = (energy, hi) if value < 0.0 else (lo, energy)
+
+
 def test_even_energy_evaluation_count(monkeypatch):
     # Each evaluation of g makes two lgamma calls.  g's slope lies in
     # [1, 1.22], so secant steps need five or six evaluations a level over
