@@ -20,7 +20,7 @@ _NAMES = {
     "single_particle": ("EigenState", "eigenfunction", "even_energy", "even_state",
                         "odd_energy", "spectrum"),
     "tonks": ("TonksState", "momentum_noninteracting_infinite_barrier",
-              "momentum_tg_infinite_barrier", "tonks_rspd", "tonks_state"),
+              "momentum_tg_infinite_barrier", "tonks_occupations", "tonks_rspd", "tonks_state"),
     "units": ("ConfinementResonanceError", "g1d_from_physical"),
 }
 _MODULE = {name: module for module, names in _NAMES.items() for name in names}

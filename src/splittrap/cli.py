@@ -17,7 +17,9 @@ and hands the list of those results, in sweep order, to the writers:
 the CSV or JSON table, the sidecar files and the failure manifest.  A
 pair point's route is chosen once per row, as the row's g1d -> pair
 state solver; every pair state is then read the same way, through its
-``energy``, ``density`` and ``diagnostics``.
+``energy``, ``occupations`` (entropy and Schmidt number), ``density``
+(rspd and momentum) and ``diagnostics``.  The Tonks route's occupations
+need no mesh, so its mesh flags govern rspd and momentum alone.
 
 Importing this module loads no numpy, and neither do ``--help``,
 ``spectrum``, ``units`` and a ``tonks`` run of the energy alone, which
@@ -97,19 +99,15 @@ def _evaluate_point(args, solve, kappa, g1d):
                 # Only the JSON writer prints the diagnostics; the grid's
                 # near_degenerate runs the gap's two extra Krylov iterations.
                 record.update(state.diagnostics)
-        if set(args.outputs) - {"energy"}:
-            rho = state.density
-            if "entropy" in args.outputs or "schmidt" in args.outputs:
-                occupations = analysis.natural_orbitals(rho)
-            if "entropy" in args.outputs:
-                record["entropy"] = analysis.von_neumann_entropy(occupations)
-            if "schmidt" in args.outputs:
-                record["schmidt"] = analysis.schmidt_number(occupations)
-            if "rspd" in args.outputs:
-                out["rspd"] = rho.values
-            if "momentum" in args.outputs:
-                dist = analysis.momentum_distribution(rho, args.k_grid)
-                out["momentum"] = (dist.k_values, dist.densities)
+        if "entropy" in args.outputs:
+            record["entropy"] = analysis.von_neumann_entropy(state.occupations)
+        if "schmidt" in args.outputs:
+            record["schmidt"] = analysis.schmidt_number(state.occupations)
+        if "rspd" in args.outputs:
+            out["rspd"] = state.density.values
+        if "momentum" in args.outputs:
+            dist = analysis.momentum_distribution(state.density, args.k_grid)
+            out["momentum"] = (dist.k_values, dist.densities)
         return out
     except _SOLVER_ERRORS as exc:
         return _failure(exc, label)
@@ -297,7 +295,10 @@ def build_parser():
                             help="number of levels (default 6)")
 
     # The library takes its mesh from the caller; the default meshes live here alone.
-    p_tonks = sub.add_parser("tonks", help="analytic hard-core pair")
+    p_tonks = sub.add_parser(
+        "tonks", help="analytic hard-core pair",
+        description="The mesh flags --n-points and --dx govern only the rspd and momentum "
+                    "outputs; energy, entropy and Schmidt number need no mesh.")
     _add_common_flags(p_tonks, (161, 0.08))
 
     p_dvr = sub.add_parser("dvr", help="grid solver at any coupling")
@@ -392,9 +393,10 @@ def _check_flags(args):
     # k x at the mesh edge must be finite, or every point's phases are NaN.
     if wants_momentum and not math.isfinite(args.k_span * args.grid.span):
         raise ValueError(f"k span times the mesh half-width must be finite, got {args.k_span!r}")
-    # Whether the mesh covers the Tonks pair depends on the flags alone; its
-    # trace check depends on kappa and stays with each point.
-    if args.command == "tonks" and set(args.outputs) - {"energy"}:
+    # Whether the mesh covers the Tonks pair density depends on the flags
+    # alone; its trace check depends on kappa and stays with each point.
+    # Only rspd and momentum read that density.
+    if args.command == "tonks" and {"rspd", "momentum"} & set(args.outputs):
         tonks.check_rspd_span(args.grid)
 
 

@@ -112,6 +112,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from . import analysis
 from ._numpy import np
 from .analysis import DensityMatrix, _fold, _half_rows, _read_only
 from .single_particle import check_coupling
@@ -193,12 +194,14 @@ def _kernel(left, right, d):
 
     a and b run over the half-mesh points x >= 0.  K is symmetric: each
     row is formed from its diagonal on, and the upper triangle is
-    mirrored into the lower.
+    mirrored into the lower.  When ``right`` is ``left`` a row's one
+    product serves both.
     """
     n = left.shape[1]
     k = np.zeros((n, n))
     for a in range(n):
-        la, ra = left[:, a:] * left[:, a, None], right[:, a:] * right[:, a, None]
+        la = left[:, a:] * left[:, a, None]
+        ra = la if right is left else right[:, a:] * right[:, a, None]
         k[a, a:] = np.sum((la @ d) * ra, axis=(0, 2))
     return k + np.triu(k, 1).T
 
@@ -290,15 +293,21 @@ class TwoBodyState:
     squared norms that sum to 1.  ``density.amplitudes`` is the N x N
     array Psi(q_i, q_j), so sum(Psi^2) * dx^2 = 1, and Psi is symmetric,
     parity-even to the last bit, and positive at its first peak in
-    row-major order, where entries within 1e-8 of max |Psi| tie.  ``gap``
-    is the distance to the next exchange-symmetric eigenvalue, of either
-    spatial parity, computed on first read and kept; reading it, or
-    ``diagnostics``, may raise ConvergenceError.
+    row-major order, where entries within 1e-8 of max |Psi| tie.
+    ``occupations`` are ``analysis.natural_orbitals(density)``, formed on
+    first read and kept.  ``gap`` is the distance to the next
+    exchange-symmetric eigenvalue, of either spatial parity, computed on
+    first read and kept; reading it, or ``diagnostics``, may raise
+    ConvergenceError.
     """
 
     energy: float
     density: DensityMatrix
     _gap: Callable[[], float] = field(repr=False)
+
+    @functools.cached_property
+    def occupations(self):
+        return analysis.natural_orbitals(self.density)
 
     @functools.cached_property
     def gap(self):

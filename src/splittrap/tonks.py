@@ -8,25 +8,73 @@ single-particle levels,
 
 valid for every barrier strength including the infinite-barrier limit.
 ``tonks_state`` solves the two levels once and binds the mesh the
-caller names; the state's ``density`` is ``tonks_rspd`` of it, formed on
-first read, so a point's energy and its density matrix share one solve.
-The mesh and the density matrix come from ``analysis``; this route
-needs neither the grid solver nor scipy, and the pair energy needs no
-numpy, which the lazy seam ``_numpy.np`` loads on the first array formed.
-The module also carries the two closed-form momentum distributions of
-the infinite-barrier limit (hard-core pair and non-interacting pair).
+caller names.  The state's ``occupations`` are ``tonks_occupations`` of
+it and its ``density`` is ``tonks_rspd`` of it, each formed on first
+read, so a point's energy, occupations and density matrix share one
+solve.
+
+The occupations need no mesh.  On x, y >= 0 the two parity blocks of
+Psi (``tonks_rspd``) are the kernels sqrt(2) phi_0(x) phi_0(y)
+max(r(x), r(y)) and -sqrt(2) phi_0(x) phi_0(y) min(r(x), r(y)), with
+r = phi_1 / phi_0 increasing since Wr = phi_0 phi_1' - phi_1 phi_0' > 0.
+Both are Green's functions of one Sturm-Liouville operator (Courant &
+Hilbert, Methods of Mathematical Physics I, ch. V): an eigenfunction
+f = phi_0 h of either block, of eigenvalue lambda, solves
+
+    -(P h')' = mu Q h,   P = phi_0^2 / Wr,   Q = phi_0^2,   mu = -sqrt(2) / lambda,
+
+on x >= 0, the even block with h'(0) = 0 and the odd one with h(0) = 0.
+Past the cut X = 7 the even block's h is proportional to r, the Robin
+end P h' = h / r, and the odd block's end is natural.  The occupations
+are lambda^2 = 2 / mu^2 (Paskauskas & You, Phys. Rev. A 64, 042310
+(2001)).  ``tonks_occupations`` solves both pencils by Galerkin on
+Gauss-Lobatto spectral elements of degree 14, 0.5 wide on [0, 4], with
+two tail elements and, for kappa >= 0.8, elements graded by 4 toward 0
+down to 0.1 / kappa, since r climbs from 0 over about 1 / kappa.  Wr
+comes from the orbitals and their neighbours of order nu + 1 by DLMF
+12.8.3.  The mass matrix is the Lobatto quadrature of Q, so it is
+diagonal but for the one basis function that is not a nodal one: the
+even sector's basis is the nodal functions l_j vanishing at X and 1,
+the odd sector's those vanishing at 0 and X and r.  P is large where r
+is flat, up to about kappa, but the stiffness of those two functions is
+exact, with no quadrature of P: the integral of P v' w' is 0 against
+1, and r(X) and 0 for r against r and l_j, since P r' = 1.  So no
+cancellation between large entries spoils the top occupations at large
+kappa.  Each pencil is solved through the Cholesky factor of its
+stiffness (shifted by 4 M in the even sector, where the Robin term
+makes it indefinite) and ``eigvalsh``.  The occupations 8 to 14 of
+each sector fix a Weyl tail, n_k^(-1/4) = alpha k + beta + gamma / k +
+delta / k^2, that is carried on down to the 1e-12 floor of
+``analysis.von_neumann_entropy``.  At kappa = inf, r = 1 and the
+occupations are 1/2 and 1/2 exactly; so they are taken once the two
+levels are within 1e-12, where the exact ones differ from them by less.
+
+The density matrix, which rspd and momentum read, comes from
+``analysis`` on the state's mesh.  This route needs neither the grid
+solver nor scipy, and the pair energy needs no numpy, which the lazy
+seam ``_numpy.np`` loads on the first array formed.  The module also
+carries the two closed-form momentum distributions of the
+infinite-barrier limit (hard-core pair and non-interacting pair).
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
+from . import specfun
 from ._numpy import np
-from .analysis import DensityMatrix, Grid, GridError
+from .analysis import _ENTROPY_FLOOR, DensityMatrix, Grid, GridError, _read_only
 from .single_particle import EigenState, eigenfunction, spectrum
 
 _MIN_RSPD_SPAN = 6.0
 _TRACE_ERROR_LIMIT = 1e-3
+# The occupation pencils (module docstring): element degree, the element
+# breaks on [0, 7] past the graded ones, the even sector's shift and the
+# occupations of each sector that fix its tail.
+_DEGREE = 14
+_BREAKS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.5, 7.0)
+_EVEN_SHIFT = 4.0
+_TAIL_FIT = (8, 14)
 
 
 @dataclass(frozen=True)
@@ -35,16 +83,23 @@ class TonksState:
 
     Holds the two mapped orbitals and the pair energy; orbital
     orthonormality makes the determinant wavefunction unit-normalized.
-    ``density`` is the pair's ``analysis.DensityMatrix`` on ``grid``,
-    ``tonks_rspd(state)``, formed on first read and kept; reading it may
-    raise GridError.  ``diagnostics``, the per-point fields the JSON
-    table prints beside the energy, is empty for this route.
+    ``occupations``, ``tonks_occupations(state)``, reads the orbitals
+    alone.  ``density`` is the pair's ``analysis.DensityMatrix`` on
+    ``grid``, ``tonks_rspd(state)``; reading it may raise GridError.
+    Both are formed on first read and kept.  ``diagnostics``, the
+    per-point fields the JSON table prints beside the energy, is empty
+    for this route.
     """
 
+    kappa: float
     energy: float
     even_orbital: EigenState
     odd_orbital: EigenState
     grid: Grid
+
+    @cached_property
+    def occupations(self):
+        return tonks_occupations(self)
 
     @cached_property
     def density(self):
@@ -72,7 +127,134 @@ def tonks_state(kappa, grid):
     ``tonks_rspd``).
     """
     even, odd = spectrum(kappa, 2)
-    return TonksState(even.energy + odd.energy, even, odd, grid)
+    return TonksState(kappa, even.energy + odd.energy, even, odd, grid)
+
+
+@cache
+def _lobatto():
+    # Gauss-Lobatto nodes, weights and differentiation matrix of degree p
+    # on [-1, 1].  The inner nodes are the roots of P_p', the Gauss-Jacobi
+    # (1, 1) nodes, by Golub-Welsch: eigvalsh reads the lower triangle of
+    # the Jacobi matrix alone.
+    p = _DEGREE
+    k = np.arange(1.0, p - 1)
+    jacobi = np.diag(np.sqrt(k * (k + 2.0) / ((2.0 * k + 1.0) * (2.0 * k + 3.0))), -1)
+    x = np.concatenate(([-1.0], np.linalg.eigvalsh(jacobi), [1.0]))
+    lower, legendre = np.ones_like(x), x
+    for m in range(1, p):
+        lower, legendre = legendre, ((2 * m + 1) * x * legendre - m * lower) / (m + 1)
+    gaps = x[:, None] - x
+    np.fill_diagonal(gaps, 1.0)
+    diff = legendre[:, None] / legendre / gaps
+    np.fill_diagonal(diff, 0.0)
+    diff[0, 0], diff[-1, -1] = -p * (p + 1) / 4.0, p * (p + 1) / 4.0
+    return x, 2.0 / (p * (p + 1) * legendre**2), diff
+
+
+def _raised(orbital, x):
+    # D_(nu+1)(sqrt(2) x) / ||D_nu|| for the level of order nu = E - 1/2,
+    # on x >= 0, from the normalized functions of specfun.
+    nu = orbital.energy - 0.5
+    norm = specfun._line_norm
+    scale = math.sqrt((nu + 1.0) * norm(nu + 1.0) / norm(nu))
+    return scale * specfun.parabolic_cylinder(nu + 1.0, x)
+
+
+def _sector(stiff, corner, mass, border, last, shift):
+    """Occupations 2 (nu / (1 - shift nu))^2 of one sector's pencil.
+
+    The basis is the nodal functions of ``stiff`` and ``mass`` (the
+    lumped mass on their diagonal) and one more function, last, with
+    stiffness ``corner``, mass ``last`` and the mass ``border`` against
+    the nodal ones.  With A = K + shift M = L L^T and G = L^-1, nu runs
+    over the eigenvalues of G M G^T, 1 / (mu + shift).  M is diagonal
+    but for its last row and column, and G is lower triangular, so
+    G M G^T = Y Y^T with Y = G sqrt(diag M), plus G b in its last row
+    and column, over L's last pivot: one matrix product.
+    """
+    diag = np.append(mass, last)
+    a = np.diag(shift * diag)
+    a[:-1, :-1] += stiff
+    a[-1, -1] += corner
+    a[-1, :-1] = a[:-1, -1] = shift * border
+    low = np.linalg.cholesky(a)
+    g = np.linalg.inv(low)
+    y = g * np.sqrt(diag)
+    c = y @ y.T
+    edge = g[:, :-1] @ border / low[-1, -1]
+    c[-1] += edge
+    c[:, -1] += edge
+    nu = np.linalg.eigvalsh(c)
+    return np.sort(2.0 * (nu / (1.0 - shift * nu)) ** 2)[::-1]
+
+
+def _with_tail(occupations):
+    # The resolved occupations up to k = 14 and the fitted Weyl tail past
+    # it, down to the entropy floor; none if the 14th is below the floor.
+    lo, hi = _TAIL_FIT
+    if occupations[hi - 1] < _ENTROPY_FLOOR:
+        return occupations[:hi]
+
+    def terms(k):
+        return k[:, None] * np.vander(1.0 / k, 4, increasing=True)
+
+    k = np.arange(lo, hi + 1.0)
+    coef = np.linalg.lstsq(terms(k), occupations[lo - 1 : hi] ** -0.25, rcond=None)[0]
+    # alpha k + beta reaches the floor's 1000 at about this k.
+    k = np.arange(hi + 1.0, (_ENTROPY_FLOOR**-0.25 - coef[1]) / coef[0] + 2.0)
+    tail = (terms(k) @ coef) ** -4.0
+    return np.concatenate((occupations[:hi], tail[tail >= _ENTROPY_FLOOR]))
+
+
+def tonks_occupations(state):
+    """Natural occupations of the hard-core pair, sorted in descending order.
+
+    They come from the state's two orbitals alone, with no mesh: each
+    parity sector is a Sturm-Liouville pencil on [0, 7], solved on
+    spectral elements, and its occupations past the 14th are the fitted
+    Weyl tail, carried down to 1e-12 (module docstring).  At kappa = inf,
+    where the two orbitals agree on x >= 0, they are exactly 1/2 and 1/2.
+    Near that limit the top two are 1/2 +- 0.42 (E_1 - E_0) and the rest
+    are of order (E_1 - E_0)^2, while Wr, of order E_1 - E_0, loses its
+    digits to rounding; so once E_1 - E_0 is within the 1e-12 entropy
+    floor (kappa above about 1.1e12) they are 1/2 and 1/2 too.  The
+    returned array is read-only.
+    """
+    even, odd = state.even_orbital, state.odd_orbital
+    if odd.energy - even.energy <= _ENTROPY_FLOOR:
+        return _read_only(np.array([0.5, 0.5]))
+    # Toward a strong barrier, where r climbs from 0 over about 1 / kappa,
+    # the first element is split at 0.5 / 4^j, j >= 1, down to 0.1 / kappa.
+    edge, graded = 0.125, []
+    while edge * state.kappa >= 0.1:
+        graded.insert(0, edge)
+        edge /= 4.0
+    x, w, diff = _lobatto()
+    edges = np.array([0.0, *graded, *_BREAKS])
+    half = 0.5 * np.diff(edges)
+    nodes = np.append(edges[:-1, None] + half[:, None] * (x[:-1] + 1.0), edges[-1])
+    phi0, phi1 = state.orbitals(nodes)
+    # Wr = phi_0 phi_1' - phi_1 phi_0' by DLMF 12.8.3,
+    # D_nu'(z) = z D_nu(z) / 2 - D_(nu+1)(z), where the x phi_0 phi_1 terms
+    # cancel exactly.
+    wronskian = math.sqrt(2.0) * (phi1 * _raised(even, nodes) - phi0 * _raised(odd, nodes))
+    q = phi0 * phi0
+    p = q / wronskian
+    stiff = np.zeros((nodes.size, nodes.size))
+    mass = np.zeros(nodes.size)
+    for e, h in enumerate(half):
+        span = slice(e * _DEGREE, (e + 1) * _DEGREE + 1)
+        stiff[span, span] += (diff.T * (w * p[span] / h)) @ diff
+        mass[span] += h * w * q[span]
+    r = phi1 / phi0
+    # Even: l_0..l_(n-1) and 1, with the Robin end -h(X) v(X) / r(X).
+    # Odd: l_1..l_(n-1) and r, with a(r, r) = r(X).
+    even_sector = _sector(stiff[:-1, :-1], -1.0 / r[-1], mass[:-1], mass[:-1], mass.sum(),
+                          _EVEN_SHIFT)
+    odd_sector = _sector(stiff[1:-1, 1:-1], r[-1], mass[1:-1], (mass * r)[1:-1],
+                         np.sum(mass * r * r), 0.0)
+    occupations = np.concatenate((_with_tail(even_sector), _with_tail(odd_sector)))
+    return _read_only(np.sort(occupations)[::-1])
 
 
 def check_rspd_span(grid):

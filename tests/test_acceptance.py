@@ -110,8 +110,8 @@ def test_criterion_5_entropy_landmarks():
 
     def entropy(kappa):
         if kappa not in cache:
-            rho = tonks.tonks_state(kappa, grid).density
-            cache[kappa] = analysis.von_neumann_entropy(analysis.natural_orbitals(rho))
+            occupations = tonks.tonks_state(kappa, grid).occupations
+            cache[kappa] = analysis.von_neumann_entropy(occupations)
         return cache[kappa]
 
     s_zero = entropy(0.0)
@@ -135,7 +135,7 @@ def test_criterion_5_entropy_landmarks():
     else:
         peak = float(scan[top])
 
-    hard = analysis.natural_orbitals(tonks.tonks_state(math.inf, grid).density)
+    hard = tonks.tonks_state(math.inf, grid).occupations
     s_inf = analysis.von_neumann_entropy(hard)
     schmidt = analysis.schmidt_number(hard)
 

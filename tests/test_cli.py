@@ -288,11 +288,13 @@ def test_run_sweep_deterministic_records():
 def test_run_sweep_collects_failures():
     # The 13-point, dx = 1 mesh covers [-6, 6], so the flags pass, but its
     # quadrature misses the pair's norm by far more than 1e-3 at each kappa.
+    # Momentum reads the pair density on that mesh; the entropy would not.
     spec = _spec(
         kappa=(0.0, 1.0),
-        outputs=("energy", "entropy"),
+        outputs=("energy", "momentum"),
         n_points=13,
         dx=1.0,
+        fmt="json",
     )
     points = run_sweep(spec)
     failures = cli._failures(spec, points)
@@ -441,7 +443,8 @@ def test_cli_tonks_json_momentum_per_point(tmp_path, tonks_grid):
 def test_cli_observables_take_no_eigenvectors(capsys, monkeypatch):
     # Entropy, Schmidt number and momentum come from eigenvalues and the
     # fold blocks alone: reading the orbitals fails the run.  Once the run
-    # is over, the orbitals are formed when read.
+    # is over, the orbitals are formed when read, and they reconstruct
+    # each density the run formed from the occupations of its blocks.
     eigh_calls = []
     eigh = np.linalg.eigh
 
@@ -453,22 +456,23 @@ def test_cli_observables_take_no_eigenvectors(capsys, monkeypatch):
         raise AssertionError("the natural orbitals were formed")
 
     made = []
-    natural_orbitals = analysis.natural_orbitals
+    tonks_rspd = tonks.tonks_rspd
 
-    def recorded(rho):
-        made.append((rho, natural_orbitals(rho)))
-        return made[-1][1]
+    def recorded(state):
+        made.append(tonks_rspd(state))
+        return made[-1]
 
     orbitals_property = vars(analysis.DensityMatrix)["orbitals"]
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    monkeypatch.setattr(analysis, "natural_orbitals", recorded)
+    monkeypatch.setattr(tonks, "tonks_rspd", recorded)
     monkeypatch.setattr(analysis.DensityMatrix, "orbitals", property(forbidden))
     assert main(["tonks", "--kappa", "0", "3.3", "inf",
                  "--outputs", "energy,entropy,schmidt,momentum", "--format", "json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["points"]) == 3
     assert len(made) == 3 and not eigh_calls
     monkeypatch.setattr(analysis.DensityMatrix, "orbitals", orbitals_property)
-    for rho, occupations in made:
+    for rho in made:
+        occupations = analysis.natural_orbitals(rho)
         assert "orbitals" not in vars(rho)
         orbitals = rho.orbitals
         assert rho.orbitals is orbitals
@@ -623,15 +627,19 @@ def test_cli_dvr_default_mesh_holds_the_free_pair_momentum(tmp_path):
 ])
 def test_cli_occupations_only_for_entropy_or_schmidt(tmp_path, monkeypatch, route, outputs,
                                                      per_point):
-    # The natural occupations feed only the entropy and the Schmidt number.
+    # The natural occupations feed only the entropy and the Schmidt number:
+    # the grid route's come from analysis.natural_orbitals, the Tonks
+    # route's from tonks.tonks_occupations, once per point either way.
     calls = []
-    natural_orbitals = analysis.natural_orbitals
 
-    def counted(rho):
-        calls.append(rho)
-        return natural_orbitals(rho)
+    def counted(fn):
+        def wrapper(arg):
+            calls.append(arg)
+            return fn(arg)
+        return wrapper
 
-    monkeypatch.setattr(analysis, "natural_orbitals", counted)
+    monkeypatch.setattr(analysis, "natural_orbitals", counted(analysis.natural_orbitals))
+    monkeypatch.setattr(tonks, "tonks_occupations", counted(tonks.tonks_occupations))
     assert main([*route, "--outputs", outputs, "--out", str(tmp_path / "run.csv")]) == 0
     assert len(calls) == 2 * per_point
 
@@ -690,7 +698,7 @@ def test_cli_tonks_mesh_too_short_is_a_flag_error(tmp_path, capsys, monkeypatch)
     out = tmp_path / "short.csv"
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_evaluate_point", None)
-        assert main([*args, "--outputs", "energy,entropy", "--out", str(out)]) == 1
+        assert main([*args, "--outputs", "energy,momentum", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: grid spans [-2, 2] but the pair density needs at "
@@ -755,11 +763,12 @@ def test_cli_spectrum_failure_record_carries_only_kappa(capsys, monkeypatch):
 
 def test_cli_failure_manifest(tmp_path):
     # The 13-point, dx = 1 mesh covers [-6, 6] but is too coarse for the
-    # pair's norm at each kappa: both points fail, after the flag check.
+    # pair's norm at each kappa: both points fail their momentum, after
+    # the flag check.
     out = tmp_path / "fail.csv"
     code = main(["sweep", "--mode", "tonks", "--kappa", "0", "1",
                  "--n-points", "13", "--dx", "1.0",
-                 "--outputs", "energy,entropy", "--out", str(out)])
+                 "--outputs", "energy,momentum", "--out", str(out)])
     assert code == 2
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [row["energy"] for row in rows] == ["", ""]

@@ -139,6 +139,77 @@ def test_rspd_rejects_coarse_mesh():
         tonks.tonks_state(5.0, build_grid(81, 0.16)).density
 
 
+def _mesh_occupations(kappa, n_points, spacing):
+    # The mesh chain the occupations replaced: eigenvalues of the
+    # trapezoid Nystrom blocks of tonks_rspd on the mesh.
+    return analysis.natural_orbitals(tonks.tonks_state(kappa, build_grid(n_points, spacing)).density)
+
+
+def test_lobatto_rule_of_the_occupation_pencils():
+    # Oracle: the roots of P_14' from numpy.polynomial; the rule
+    # integrates and differentiates polynomials of degree 14 exactly.
+    x, w, diff = tonks._lobatto()
+    roots = np.polynomial.legendre.Legendre.basis(14).deriv().roots()
+    assert np.max(np.abs(x[1:-1] - roots)) <= 1e-14
+    assert (x[0], x[-1]) == (-1.0, 1.0)
+    assert np.sum(w * x**12) == pytest.approx(2.0 / 13.0, abs=1e-14)
+    assert np.max(np.abs(diff @ x**14 - 14.0 * x**13)) <= 1e-11
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 5.0, 10.0])
+def test_occupation_entropy_matches_richardson_of_the_mesh_chain(kappa, tonks_grid):
+    # Oracle: the mesh chain on 601 / 0.02, 1201 / 0.01 and 2401 / 0.005,
+    # extrapolated at its fitted order (measured 1.988-1.990).  The
+    # mesh-free entropy sat 6.6e-8, 3.3e-8, 3.4e-9 and 5.0e-9 above it.
+    meshes = ((601, 0.02), (1201, 0.01), (2401, 0.005))
+    s = [analysis.von_neumann_entropy(_mesh_occupations(kappa, *mesh)) for mesh in meshes]
+    order = math.log2((s[0] - s[1]) / (s[1] - s[2]))
+    assert 1.9 <= order <= 2.1
+    reference = s[2] + (s[2] - s[1]) / (2.0**order - 1.0)
+    entropy = analysis.von_neumann_entropy(tonks.tonks_state(kappa, tonks_grid).occupations)
+    assert abs(entropy - reference) <= 1e-7
+
+
+@pytest.mark.parametrize("kappa", [1e4, 1e6, 1e14])
+def test_occupation_entropy_matches_the_fine_mesh_at_strong_barriers(kappa, tonks_grid):
+    # The 2401 / 0.005 mesh is converged here: 1201 / 0.01 differs from it
+    # by 2.9e-12 (kappa = 1e4) and 3e-15 (1e6).  The mesh-free entropy sat
+    # 9.6e-13 below it and 1.8e-15 above it.  At 1e14 the two levels are
+    # within 1e-12 and the occupations are taken as 1/2 and 1/2 (4e-16).
+    reference = analysis.von_neumann_entropy(_mesh_occupations(kappa, 2401, 0.005))
+    entropy = analysis.von_neumann_entropy(tonks.tonks_state(kappa, tonks_grid).occupations)
+    assert abs(entropy - reference) <= 1e-11
+
+
+def test_occupations_at_infinite_barrier_are_exactly_half(tonks_grid):
+    occupations = tonks.tonks_state(math.inf, tonks_grid).occupations
+    assert occupations.tolist() == [0.5, 0.5]
+    assert analysis.von_neumann_entropy(occupations) == 1.0
+    assert analysis.schmidt_number(occupations) == 2
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.3, 1.0, 3.3, 10.0, 95.0513, 1e4, 1e6, 1e13, 1e15,
+                                   pytest.param(math.inf, id="kappa10")])
+def test_occupations_sum_to_one(kappa, tonks_grid):
+    # Measured deficits: 8.0e-10 at kappa = 0, falling to 3e-13 at 1e4;
+    # most of it is the tail below the 1e-12 floor.
+    occupations = tonks.tonks_state(kappa, tonks_grid).occupations
+    assert abs(np.sum(occupations) - 1.0) <= 1e-9
+    assert np.all(np.diff(occupations) <= 0.0)
+    assert not occupations.flags.writeable
+
+
+def test_occupation_schmidt_numbers_match_the_mesh():
+    # The count of occupations above 1e-6, from 27 at kappa = 0 down to
+    # 2, is the 1201 / 0.01 mesh's at every barrier.
+    grid = build_grid(1201, 0.01)
+    for kappa in (0.0, 0.3, 1.0, 1.33, 2.0, 3.4, 5.0, 10.0, 30.0, 95.0513, 300.0, 1e4,
+                  math.inf):
+        state = tonks.tonks_state(kappa, grid)
+        mesh = analysis.natural_orbitals(state.density)
+        assert analysis.schmidt_number(state.occupations) == analysis.schmidt_number(mesh)
+
+
 def test_momentum_closed_forms_at_zero():
     assert tonks.momentum_tg_infinite_barrier(0.0) == pytest.approx(
         2.0 / math.pi**1.5, rel=1e-12

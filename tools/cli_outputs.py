@@ -19,7 +19,8 @@ The list holds the command shapes of the benchmark's three workloads,
 with fixed barriers, and every subcommand and output kind besides:
 ``tonks`` and ``dvr`` with every output and ``--out``, a two-worker
 ``dvr`` run, a JSON ``dvr`` run on the default mesh, whose
-``near_degenerate`` reads the gap, the ``sweep --mode`` alias, a run that exits 2,
+``near_degenerate`` reads the gap, the ``sweep --mode`` alias, the Tonks
+entropy landmarks from kappa = 0 to inf, a run that exits 2,
 a ``--k-span`` so large its grid overflows and one whose grid is finite
 but whose phases k x overflow on the mesh, both of which exit 1,
 ``spectrum`` (also with 8200 levels), ``units`` as text and as JSON, a
@@ -54,8 +55,12 @@ COMMANDS = {
     "dvr-json": "dvr --kappa 0 1 10 inf --g1d 0 0.0001 5 inf --format json --out dvr.json",
     "sweep-alias": "sweep --mode tonks --kappa 0 1 2 inf --outputs energy,entropy,schmidt",
     "tonks-energy": "tonks --kappa 0 1 inf --outputs energy --format json --out tonks.json",
-    "tonks-coarse": "tonks --kappa 0 1 5 --n-points 13 --dx 1.0 --outputs energy,entropy "
+    # Momentum reads the pair density on the mesh, which is too coarse: exit 2.
+    "tonks-coarse": "tonks --kappa 0 1 5 --n-points 13 --dx 1.0 --outputs energy,momentum "
                     "--out coarse.csv",
+    # The entropy landmarks of the hard-core pair, from kappa = 0 to inf.
+    "tonks-landmarks": "tonks --kappa 0 1 1.33 3.4 10 95.0513 10000 1000000 inf "
+                       "--outputs energy,entropy,schmidt --format json",
     # 2 * span overflows: one error line and exit 1 before any point runs.
     "kspan-overflow": "dvr --kappa 1 --g1d 1 --n-points 41 --dx 0.3 --outputs momentum "
                       "--format json --k-span 1e308",
