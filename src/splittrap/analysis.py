@@ -15,11 +15,12 @@ block of size (N - 1)/2, and the chain enters there:
     parity blocks of W -> natural occupations -> entanglement measures
                        -> momentum distribution
 
-A ``DensityMatrix`` holds the two blocks, and both routes build them
-directly: the analytic Tonks route from the two orbitals on x >= 0
-(``tonks.tonks_rspd``), the grid route from its Ritz vector in the
-one-body eigenbasis (``dvr.ground_state_solver``).  Either route's pair
-state carries its ``DensityMatrix`` as ``density``, which
+A ``DensityMatrix`` holds the two blocks.  The grid route builds them
+from its Ritz vector in the one-body eigenbasis
+(``dvr.ground_state_solver``).  The analytic Tonks route keeps its two
+orbitals on x >= 0 instead (``tonks.tonks_rspd``), forms the blocks
+only when they are read, and applies them by cumulative sums.  Either
+route's pair state carries its ``DensityMatrix`` as ``density``, which
 ``rspd_from_state`` returns, and its occupations as ``occupations``:
 the grid route's are ``natural_orbitals(density)``, while the Tonks
 route's need no mesh (``tonks.tonks_occupations``).
@@ -40,9 +41,12 @@ occupations are the squared eigenvalues of W, which are those of its
 two blocks (``eigvalsh`` of each, in ``natural_orbitals``), and an
 occupation lambda is off by about eps * sqrt(lambda), not eps.  Entropy
 and the Schmidt number read the occupations alone, and dx * rho = W^2
-gives n(k) from the blocks themselves (``momentum_distribution``), which
-halves the transform, so no observable needs the orbitals.  W is real,
-so n(-k) = n(k), and ``momentum_distribution`` evaluates k >= 0 only.
+gives n(k) from the blocks applied to the cos and sin rows of the
+transform (``DensityMatrix.apply_blocks``, in ``momentum_distribution``),
+which halves it, so no observable needs the orbitals.  Those rows are
+built once for the mesh and k grid that every point of a sweep shares.
+W is real, so n(-k) = n(k), and ``momentum_distribution`` evaluates
+k >= 0 only.
 
 Importing this module loads no numpy: ``np`` is the lazy seam
 ``_numpy.np``, which loads it on the first array a function forms or
@@ -55,7 +59,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from ._numpy import np
 
@@ -184,7 +188,9 @@ class DensityMatrix:
     of the two blocks, so each has definite parity, in the order of the
     occupations of ``natural_orbitals``.  The blocks are made read-only
     when the density matrix is formed, and the three arrays formed on
-    first read are read-only too.
+    first read are read-only too.  ``apply_blocks`` is the one product
+    ``momentum_distribution`` asks for; a density that keeps its blocks
+    in a cheaper form (``tonks.tonks_rspd``) applies them its own way.
     """
 
     even: np.ndarray
@@ -228,6 +234,10 @@ class DensityMatrix:
         if not asym <= 1e-10:
             raise ValueError(f"amplitudes are not symmetric (max asymmetry {asym:.3e})")
         return cls(0.5 * (even + even.T), 0.5 * (odd + odd.T), grid)
+
+    def apply_blocks(self, even_vectors, odd_vectors):
+        """The even block times the columns of ``even_vectors``, the odd block times ``odd_vectors``."""
+        return self.even @ even_vectors, self.odd @ odd_vectors
 
     @cached_property
     def amplitudes(self):
@@ -291,6 +301,18 @@ def uniform_k_grid(count, span):
     return np.linspace(-span, span, int(count))
 
 
+@lru_cache(maxsize=1)
+def _phase_tables(grid, k_bytes):
+    # Rows x_0 = 0, x_1..x_c of a_k / sqrt(2) and b_k / sqrt(2) for the
+    # k >= 0 in k_bytes, so the prefactor of n(k) doubles to dx / pi.
+    # Every point of a sweep shares its mesh and k grid, so they are
+    # built once a sweep.
+    angles = np.outer(grid.points[grid.center_index :], np.frombuffer(k_bytes))
+    cos_part = np.cos(angles)
+    cos_part[0] = math.sqrt(0.5)
+    return _read_only(cos_part), _read_only(np.sin(angles[1:]))
+
+
 def momentum_distribution(rho, k_values):
     """Momentum density n(k) = sum_i lambda_i |mu_i(k)|^2 over every orbital of ``rho``.
 
@@ -301,9 +323,13 @@ def momentum_distribution(rho, k_values):
     (``DensityMatrix``) f_k has the real even part a_k = (1,
     sqrt(2) cos k x_i) and the imaginary odd part b_k = sqrt(2) sin k x_i,
     i = 1..c, so n(k) = (dx / 2 pi) (|E a_k|^2 + |O b_k|^2) over the
-    even and odd blocks E and O of ``rho``, the only part of it read.
+    even and odd blocks E and O of ``rho``, the only part of it read,
+    through ``rho.apply_blocks``: a dense product on the grid route, two
+    cumulative sums a block on the Tonks route, O(N K) for K momenta.
     This is even in k: only the k >= 0 half of the grid is evaluated,
-    and n(-k) is its mirror image.
+    and n(-k) is its mirror image.  The rows a_k and b_k are kept for
+    the next call on the same ``Grid`` and k values, so a sweep builds
+    them on its first point.
     ``retained_orbitals`` is the number of orbitals the sum covers, N.
 
     A warning is raised when |k| exceeds the mesh Nyquist limit
@@ -333,13 +359,7 @@ def momentum_distribution(rho, k_values):
             stacklevel=2,
         )
 
-    # Rows x_0 = 0, x_1..x_c of a_k / sqrt(2) and b_k / sqrt(2), so the
-    # prefactor doubles to dx / pi.
-    angles = np.outer(rho.grid.points[rho.odd.shape[0] :], k[k.size // 2 :])
-    cos_part = np.cos(angles)
-    cos_part[0] = math.sqrt(0.5)
-    even = rho.even @ cos_part
-    odd = rho.odd @ np.sin(angles[1:])
+    even, odd = rho.apply_blocks(*_phase_tables(rho.grid, k[k.size // 2 :].tobytes()))
     half = (dx / math.pi) * (np.sum(even * even, axis=0) + np.sum(odd * odd, axis=0))
     densities = _read_only(np.concatenate((half[::-1][: k.size - half.size], half)))
     return MomentumDistribution(

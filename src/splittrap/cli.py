@@ -176,16 +176,18 @@ def _write_csv(args, points, stream):
                      for point in points for record in point["records"])
 
 
-def _json_record(record, momentum):
+def _json_record(record, momentum, k_column):
     out = {key: _round12(v) if isinstance(v, float) else v for key, v in record.items()}
     if momentum is not None:
-        k, dens = momentum
-        out["momentum"] = {"k": [_round12(v) for v in k], "n": [_round12(v) for v in dens]}
+        out["momentum"] = {"k": k_column, "n": [_round12(v) for v in momentum[1]]}
     return out
 
 
 def _write_json(args, points, stream):
-    records = [_json_record(record, point.get("momentum"))
+    # Every momentum curve of a sweep is on its one k grid, rounded once here.
+    k_column = next(([_round12(v) for v in point["momentum"][0]]
+                     for point in points if "momentum" in point), None)
+    records = [_json_record(record, point.get("momentum"), k_column)
                for point in points for record in point["records"]]
     payload = {"mode": args.command, "points": records}
     if args.command != "spectrum":

@@ -49,8 +49,16 @@ delta / k^2, that is carried on down to the 1e-12 floor of
 occupations are 1/2 and 1/2 exactly; so they are taken once the two
 levels are within 1e-12, where the exact ones differ from them by less.
 
-The density matrix, which rspd and momentum read, comes from
-``analysis`` on the state's mesh.  This route needs neither the grid
+The density matrix, which rspd and momentum read, lives on the state's
+mesh, and ``tonks_rspd`` keeps it as the two orbitals on x >= 0 and a
+scale, O(N) numbers.  On the mesh the two blocks are the same
+semi-separable kernels, so momentum applies each of them to its K
+phase rows by two cumulative sums, O(N K) work, where the blocks alone
+would be O(N^2) and their product O(N^2 K); this is the discrete form
+of the cumulative overlaps behind the exact hard-core density matrix
+(Pezer & Buljan, Phys. Rev. Lett. 98, 240403 (2007)).  The blocks
+themselves, and psi and rho on the mesh, are formed only when read,
+which the CLI does for rspd alone.  This route needs neither the grid
 solver nor scipy, and the pair energy needs no numpy, which the lazy
 seam ``_numpy.np`` loads on the first array formed.  The module also
 carries the two closed-form momentum distributions of the
@@ -257,6 +265,47 @@ def tonks_occupations(state):
     return _read_only(np.sort(occupations)[::-1])
 
 
+class _HalfMeshDensity(DensityMatrix):
+    """``tonks_rspd``'s density, kept as the orbitals phi_0 and phi_1 on x >= 0 and its scale s.
+
+    phi_0 carries the sqrt(1/2) of row 0.  The blocks, and with them
+    ``amplitudes``, ``values`` and ``orbitals``, are formed on first
+    read.  ``apply_blocks`` needs none of them: r = phi_1 / phi_0 rises,
+    so the even block is s phi_1(x_i) phi_0(x_j) for j <= i and
+    s phi_0(x_i) phi_1(x_j) for j > i, the odd block -s phi_0(x_i)
+    phi_1(x_j) and -s phi_1(x_i) phi_0(x_j), and either times a vector
+    is two cumulative sums over the mesh.  No r is formed, as phi_0
+    underflows to 0 far out.
+    """
+
+    def __init__(self, phi0, phi1, scale, grid):
+        # The frozen fields are written past the dataclass guard.
+        vars(self).update(phi0=phi0, phi1=phi1, scale=scale, grid=grid)
+
+    @cached_property
+    def _blocks(self):
+        # a = s A and a^T = s B.  The scale goes on after the product, so
+        # that at kappa = inf, where phi_0 = phi_1 on x >= 0, A = B to the
+        # last bit and Psi(x, y) unfolds to an exact 0 for x, y > 0.
+        a = self.phi0[:, None] * self.phi1 * self.scale
+        return _read_only(np.maximum(a, a.T)), _read_only(-np.minimum(a, a.T)[1:, 1:])
+
+    even = property(lambda self: self._blocks[0])
+    odd = property(lambda self: self._blocks[1])
+
+    def apply_blocks(self, even_vectors, odd_vectors):
+        def times(near, far, v, scale):
+            # scale (near_i sum_(j <= i) far_j v_j + far_i sum_(j > i) near_j v_j).
+            near = scale * near[:, None]
+            out = np.cumsum(far[:, None] * v, axis=0)
+            out *= near
+            out[:-1] += far[:-1, None] * np.cumsum((near * v)[:0:-1], axis=0)[::-1]
+            return out
+
+        return (times(self.phi1, self.phi0, even_vectors, self.scale),
+                times(self.phi0[1:], self.phi1[1:], odd_vectors, -self.scale))
+
+
 def check_rspd_span(grid):
     """Raise GridError if ``grid`` does not cover [-6, 6], the span the pair density needs."""
     if grid.span < _MIN_RSPD_SPAN - 1e-12:
@@ -270,10 +319,13 @@ def tonks_rspd(state):
     """Reduced single-particle density matrix of the hard-core pair on ``state.grid``.
 
     rho(x, x') = integral Psi(x, y) Psi(x', y) dy by trapezoid-equivalent
-    quadrature on the mesh.  The result holds the two parity blocks of
-    W = dx * Psi (``DensityMatrix``), read-only and re-normalized on the
-    mesh; Psi on the whole mesh and rho itself are formed only if they
-    are read.  ``state.density`` is this result, kept.
+    quadrature on the mesh.  The result is a ``DensityMatrix`` of the two
+    parity blocks of W = dx * Psi, re-normalized on the mesh, that holds
+    only phi_0 and phi_1 on x >= 0 and the scale, in O(N).  Its blocks,
+    read-only, Psi on the whole mesh and rho itself are formed only if
+    they are read; ``apply_blocks``, all that momentum reads, applies the
+    blocks by cumulative sums without forming them.  ``state.density``
+    is this result, kept.
 
     The blocks come from the orbitals on the rows x >= 0 alone.  There
     D(x, y) = A - B and D(x, -y) = -A - B, with A = phi_0(x) phi_1(y) and
@@ -319,13 +371,9 @@ def tonks_rspd(state):
             f"quadrature norm {raw_norm:.6f} deviates from 1 by more than "
             f"{_TRACE_ERROR_LIMIT}; the mesh is too coarse for the pair density"
         )
-    # a = sqrt(2) dx A and a^T = sqrt(2) dx B, re-normalized on the mesh
-    # so the density trace is exact; the raw deviation above is the
-    # mesh-quality signal.  The scale goes on after the product, so that
-    # at kappa = inf, where phi_0 = phi_1 on x >= 0, A = B to the last
-    # bit and Psi(x, y) unfolds to an exact 0 for x, y > 0.
-    a = phi0[:, None] * phi1 * (math.sqrt(2.0) * grid.spacing / math.sqrt(raw_norm))
-    return DensityMatrix(np.maximum(a, a.T), -np.minimum(a, a.T)[1:, 1:], grid)
+    # Re-normalized on the mesh so the density trace is exact; the raw
+    # deviation above is the mesh-quality signal.
+    return _HalfMeshDensity(phi0, phi1, math.sqrt(2.0) * grid.spacing / math.sqrt(raw_norm), grid)
 
 
 def _momentum_bracket(k2):

@@ -10,11 +10,13 @@ eigenbasis and the contact capacitances of its mesh again, which costs
 an import or a call loads.
 """
 
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import splittrap
@@ -57,6 +59,28 @@ def tonks_rho():
 def tonks_grid():
     """The 161-point, dx = 0.08 mesh of the analytic route."""
     return _TONKS_GRID
+
+
+@pytest.fixture(scope="session")
+def dense_momentum():
+    """n(k) of a density matrix from its dense parity blocks, formed here.
+
+    n(k) = (dx / pi) (|E a_k|^2 + |O b_k|^2) over k >= 0, mirrored, with
+    the phase rows a_k = (sqrt(1/2), cos k x_i) and b_k = sin k x_i on
+    x >= 0, by the operations, in their order, of the grid route's dense product.
+    """
+
+    def density(rho, k):
+        grid = rho.grid
+        angles = np.outer(grid.points[grid.center_index :], k[k.size // 2 :])
+        cos_rows = np.cos(angles)
+        cos_rows[0] = math.sqrt(0.5)
+        even, odd = rho.even @ cos_rows, rho.odd @ np.sin(angles[1:])
+        half = (grid.spacing / math.pi) * (np.sum(even * even, axis=0)
+                                           + np.sum(odd * odd, axis=0))
+        return np.concatenate((half[::-1][: k.size - half.size], half))
+
+    return density
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -484,6 +485,66 @@ def test_cli_observables_take_no_eigenvectors(capsys, monkeypatch):
         for column in orbitals.T:
             assert np.array_equal(column, column[::-1]) or np.array_equal(column, -column[::-1])
     assert len(eigh_calls) == 2 * len(made)
+
+
+def test_cli_tonks_momentum_forms_no_square_block(tmp_path, monkeypatch):
+    # A parity block on 2401 / 0.005 is 1201^2 doubles, 11.5 MB; a point
+    # that asks for momentum alone applies the blocks by cumulative sums
+    # and never forms one, nor psi or rho on the mesh.
+    made = []
+    tonks_rspd = tonks.tonks_rspd
+
+    def recorded(state):
+        made.append(tonks_rspd(state))
+        return made[-1]
+
+    monkeypatch.setattr(tonks, "tonks_rspd", recorded)
+    tracemalloc.start()
+    try:
+        assert main(["tonks", "--kappa", "1", "--n-points", "2401", "--dx", "0.005",
+                     "--k-points", "41", "--outputs", "momentum", "--format", "json",
+                     "--out", str(tmp_path / "m.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1201**2 * 8
+    assert len(made) == 1
+    assert not {"_blocks", "amplitudes", "values", "orbitals"} & set(vars(made[0]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["tonks", "--kappa", "0", "1", "51.231", "inf", "--outputs", "energy,momentum"],
+    ["dvr", "--kappa", "0", "1", "--g1d", "0", "5", "--outputs", "momentum"],
+])
+def test_cli_phase_tables_built_once_a_sweep(argv, capsys):
+    # Every point of a sweep shares its mesh and k grid, so the cos and
+    # sin rows of momentum_distribution are built on the first point alone.
+    analysis._phase_tables.cache_clear()
+    assert main([*argv, "--k-points", "41", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["points"]) == 4
+    info = analysis._phase_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def test_cli_tonks_rspd_with_momentum_keeps_the_dense_bytes(tmp_path, tonks_grid,
+                                                             dense_momentum):
+    # Reading rspd forms the blocks first; the momentum curves that follow
+    # are still those of momentum alone, byte for byte, and those of the
+    # dense blocks' product, which the route printed before it applied
+    # them by cumulative sums.
+    kappas = ("0", "0.3", "3.3", "inf")
+    for name, outputs in (("both", "rspd,momentum"), ("alone", "momentum")):
+        assert main(["tonks", "--kappa", *kappas, "--outputs", outputs,
+                     "--out", str(tmp_path / f"{name}.csv")]) == 0
+    k = analysis.uniform_k_grid(401, 8.0)
+    for kappa in kappas:
+        rho = tonks.tonks_state(float(kappa), tonks_grid).density
+        dense = io.StringIO()
+        np.savetxt(dense, np.column_stack((k, dense_momentum(rho, k))), fmt="%.12g",
+                   delimiter=",", header="k,n", comments="")
+        for name in ("both", "alone"):
+            curve = (tmp_path / f"{name}-momentum-kappa{kappa}-ginf.csv").read_text()
+            assert curve == dense.getvalue()
 
 
 def test_cli_dvr_sidecar_names(tmp_path):

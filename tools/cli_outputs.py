@@ -17,7 +17,8 @@ of two checkouts then compare byte for byte:
 
 The list holds the command shapes of the benchmark's three workloads,
 with fixed barriers, and every subcommand and output kind besides:
-``tonks`` and ``dvr`` with every output and ``--out``, a two-worker
+``tonks`` and ``dvr`` with every output and ``--out``, ``tonks`` on a
+mesh out to |x| = 40, where the orbitals underflow, a two-worker
 ``dvr`` run, a JSON ``dvr`` run on the default mesh, whose
 ``near_degenerate`` reads the gap, the ``sweep --mode`` alias, the Tonks
 entropy landmarks from kappa = 0 to inf, a run that exits 2,
@@ -47,6 +48,9 @@ COMMANDS = {
                    "--format json --out sweep.json",
     "tonks-all": "tonks --kappa 0 0.3 1 3.3 10 inf "
                  "--outputs energy,rspd,momentum,entropy,schmidt --out tonks.csv",
+    # A 1601 / 0.05 mesh out to |x| = 40, where phi_0 underflows to 0.
+    "tonks-wide": "tonks --kappa 0 7 1e13 inf --n-points 1601 --dx 0.05 "
+                  "--outputs energy,momentum,rspd --out wide.csv",
     "dvr-all": "dvr --kappa 0 2.5 inf --g1d 0 3 inf "
                "--outputs energy,rspd,momentum,entropy,schmidt --out dvr.csv",
     "dvr-workers": "dvr --kappa 0 1 3.3 inf --g1d 0 1 5 500 inf "
