@@ -16,33 +16,37 @@ solve.
 The occupations need no mesh.  On x, y >= 0 the two parity blocks of
 Psi (``tonks_rspd``) are the kernels sqrt(2) phi_0(x) phi_0(y)
 max(r(x), r(y)) and -sqrt(2) phi_0(x) phi_0(y) min(r(x), r(y)), with
-r = phi_1 / phi_0 increasing since Wr = phi_0 phi_1' - phi_1 phi_0' > 0.
-Both are Green's functions of one Sturm-Liouville operator (Courant &
-Hilbert, Methods of Mathematical Physics I, ch. V): an eigenfunction
-f = phi_0 h of either block, of eigenvalue lambda, solves
+r = phi_1 / phi_0 rising from r(0) = 0.  In the string coordinate
+s = r(x), with the mass dm = phi_0^2 dx (Krein's string; Dym & McKean,
+Gaussian Processes, Function Theory and the Inverse Spectral Problem,
+1976, ch. 5), f = phi_0 h is an eigenfunction of either block, of
+eigenvalue lambda, when h is one on L^2(dm) of the kernel
+-sqrt(2) min(s, t) (odd) or sqrt(2) max(s, t) = sqrt(2) (s + t -
+min(s, t)) (even); the occupations are lambda^2 (Paskauskas & You,
+Phys. Rev. A 64, 042310 (2001)).  min is the Green's function of
+-d^2/ds^2 with h(0) = 0 and a free end.  Its Galerkin projection onto
+the hats at the element vertices s_e = r(x_e) and the
+integrated-Legendre bubbles b_k(u) = (P_k - P_(k-2))(2u - 1) / (2k - 1),
+k = 2..14, on each element (Schwab, p- and hp-Finite Element Methods,
+1998) is explicit, as the bubbles are orthogonal in the energy
+integral h' g' ds to the hats and to each other: the hats give the
+piecewise-linear interpolant of min, which is min itself across
+elements, and each bubble adds b_k(u) b_k(v) over its energy
+4 / ((2k - 1) L).  Within an element of s-length L, with
+u = (s - s_e) / L and v = (t - s_e) / L, that is
 
-    -(P h')' = mu Q h,   P = phi_0^2 / Wr,   Q = phi_0^2,   mu = -sqrt(2) / lambda,
+    s_e + L u v + L sum_k (2k - 1) / 4 b_k(u) b_k(v).
 
-on x >= 0, the even block with h'(0) = 0 and the odd one with h(0) = 0.
-Past the cut X = 7 the even block's h is proportional to r, the Robin
-end P h' = h / r, and the odd block's end is natural.  The occupations
-are lambda^2 = 2 / mu^2 (Paskauskas & You, Phys. Rev. A 64, 042310
-(2001)).  ``tonks_occupations`` solves both pencils by Galerkin on
-Gauss-Lobatto spectral elements of degree 14, 0.5 wide on [0, 4], with
-two tail elements and, for kappa >= 0.8, elements graded by 4 toward 0
-down to 0.1 / kappa, since r climbs from 0 over about 1 / kappa.  Wr
-comes from the orbitals and their neighbours of order nu + 1 by DLMF
-12.8.3.  The mass matrix is the Lobatto quadrature of Q, so it is
-diagonal but for the one basis function that is not a nodal one: the
-even sector's basis is the nodal functions l_j vanishing at X and 1,
-the odd sector's those vanishing at 0 and X and r.  P is large where r
-is flat, up to about kappa, but the stiffness of those two functions is
-exact, with no quadrature of P: the integral of P v' w' is 0 against
-1, and r(X) and 0 for r against r and l_j, since P r' = 1.  So no
-cancellation between large entries spoils the top occupations at large
-kappa.  Each pencil is solved through the Cholesky factor of its
-stiffness (shifted by 4 M in the even sector, where the Robin term
-makes it indefinite) and ``eigvalsh``.  The occupations 8 to 14 of
+``tonks_occupations`` takes x-elements 0.5 wide on [0, 4], two tail
+elements to the cut X = 7 and, for kappa >= 0.8, elements graded by 4
+toward 0 down to 0.1 / kappa, since r climbs from 0 over about
+1 / kappa.  It evaluates the projected kernel at 15 Gauss-Legendre
+nodes an element in x, scales it by W^(1/2) on both sides, with
+W = h w phi_0^2 the mass of each node, and takes each sector's
+occupations as the squared eigenvalues of that one symmetric matrix.
+Only the orbitals at the nodes and the vertices enter, and no
+ill-conditioned solve stands before ``eigvalsh``, so the occupations do
+not move with the BLAS thread count.  The occupations 8 to 14 of
 each sector fix a Weyl tail, n_k^(-1/4) = alpha k + beta + gamma / k +
 delta / k^2, that is carried on down to the 1e-12 floor of
 ``analysis.von_neumann_entropy``.  At kappa = inf, r = 1 and the
@@ -69,19 +73,17 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from . import specfun
 from ._numpy import np
 from .analysis import _ENTROPY_FLOOR, DensityMatrix, Grid, GridError, _read_only
 from .single_particle import EigenState, eigenfunction, spectrum
 
 _MIN_RSPD_SPAN = 6.0
 _TRACE_ERROR_LIMIT = 1e-3
-# The occupation pencils (module docstring): element degree, the element
-# breaks on [0, 7] past the graded ones, the even sector's shift and the
-# occupations of each sector that fix its tail.
+# The occupation kernel (module docstring): element degree in s, the
+# element breaks on [0, 7] past the graded ones and the occupations of
+# each sector that fix its tail.
 _DEGREE = 14
 _BREAKS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.5, 7.0)
-_EVEN_SHIFT = 4.0
 _TAIL_FIT = (8, 14)
 
 
@@ -139,61 +141,27 @@ def tonks_state(kappa, grid):
 
 
 @cache
-def _lobatto():
-    # Gauss-Lobatto nodes, weights and differentiation matrix of degree p
-    # on [-1, 1].  The inner nodes are the roots of P_p', the Gauss-Jacobi
-    # (1, 1) nodes, by Golub-Welsch: eigvalsh reads the lower triangle of
-    # the Jacobi matrix alone.
-    p = _DEGREE
-    k = np.arange(1.0, p - 1)
-    jacobi = np.diag(np.sqrt(k * (k + 2.0) / ((2.0 * k + 1.0) * (2.0 * k + 3.0))), -1)
-    x = np.concatenate(([-1.0], np.linalg.eigvalsh(jacobi), [1.0]))
-    lower, legendre = np.ones_like(x), x
-    for m in range(1, p):
-        lower, legendre = legendre, ((2 * m + 1) * x * legendre - m * lower) / (m + 1)
-    gaps = x[:, None] - x
-    np.fill_diagonal(gaps, 1.0)
-    diff = legendre[:, None] / legendre / gaps
-    np.fill_diagonal(diff, 0.0)
-    diff[0, 0], diff[-1, -1] = -p * (p + 1) / 4.0, p * (p + 1) / 4.0
-    return x, 2.0 / (p * (p + 1) * legendre**2), diff
+def _gauss():
+    # The _DEGREE + 1 Gauss-Legendre nodes and weights on [-1, 1] by
+    # Golub-Welsch: the eigenvalues of the Legendre Jacobi matrix (eigh
+    # reads its lower triangle alone) and twice the squared first
+    # components of their eigenvectors.
+    k = np.arange(1.0, _DEGREE + 1)
+    x, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    return x, 2.0 * vectors[0] ** 2
 
 
-def _raised(orbital, x):
-    # D_(nu+1)(sqrt(2) x) / ||D_nu|| for the level of order nu = E - 1/2,
-    # on x >= 0, from the normalized functions of specfun.
-    nu = orbital.energy - 0.5
-    norm = specfun._line_norm
-    scale = math.sqrt((nu + 1.0) * norm(nu + 1.0) / norm(nu))
-    return scale * specfun.parabolic_cylinder(nu + 1.0, x)
-
-
-def _sector(stiff, corner, mass, border, last, shift):
-    """Occupations 2 (nu / (1 - shift nu))^2 of one sector's pencil.
-
-    The basis is the nodal functions of ``stiff`` and ``mass`` (the
-    lumped mass on their diagonal) and one more function, last, with
-    stiffness ``corner``, mass ``last`` and the mass ``border`` against
-    the nodal ones.  With A = K + shift M = L L^T and G = L^-1, nu runs
-    over the eigenvalues of G M G^T, 1 / (mu + shift).  M is diagonal
-    but for its last row and column, and G is lower triangular, so
-    G M G^T = Y Y^T with Y = G sqrt(diag M), plus G b in its last row
-    and column, over L's last pivot: one matrix product.
-    """
-    diag = np.append(mass, last)
-    a = np.diag(shift * diag)
-    a[:-1, :-1] += stiff
-    a[-1, -1] += corner
-    a[-1, :-1] = a[:-1, -1] = shift * border
-    low = np.linalg.cholesky(a)
-    g = np.linalg.inv(low)
-    y = g * np.sqrt(diag)
-    c = y @ y.T
-    edge = g[:, :-1] @ border / low[-1, -1]
-    c[-1] += edge
-    c[:, -1] += edge
-    nu = np.linalg.eigvalsh(c)
-    return np.sort(2.0 * (nu / (1.0 - shift * nu)) ** 2)[::-1]
+def _shapes(u):
+    # u and the bubbles (P_k - P_(k-2))(2u - 1) / (2 sqrt(2k - 1)), k = 2..14,
+    # along the last axis: min(s, t) within an element of s-length L that
+    # starts at s_e projects to s_e + L V V^T (module docstring).
+    xi = 2.0 * u - 1.0
+    legendre = [np.ones_like(xi), xi]
+    for m in range(1, _DEGREE):
+        legendre.append(((2 * m + 1) * xi * legendre[m] - m * legendre[m - 1]) / (m + 1))
+    bubbles = [(legendre[k] - legendre[k - 2]) / (2.0 * math.sqrt(2 * k - 1))
+               for k in range(2, _DEGREE + 1)]
+    return np.stack([u, *bubbles], axis=-1)
 
 
 def _with_tail(occupations):
@@ -218,18 +186,19 @@ def tonks_occupations(state):
     """Natural occupations of the hard-core pair, sorted in descending order.
 
     They come from the state's two orbitals alone, with no mesh: each
-    parity sector is a Sturm-Liouville pencil on [0, 7], solved on
-    spectral elements, and its occupations past the 14th are the fitted
-    Weyl tail, carried down to 1e-12 (module docstring).  At kappa = inf,
-    where the two orbitals agree on x >= 0, they are exactly 1/2 and 1/2.
-    Near that limit the top two are 1/2 +- 0.42 (E_1 - E_0) and the rest
-    are of order (E_1 - E_0)^2, while Wr, of order E_1 - E_0, loses its
-    digits to rounding; so once E_1 - E_0 is within the 1e-12 entropy
-    floor (kappa above about 1.1e12) they are 1/2 and 1/2 too.  The
+    parity sector is an explicit kernel in s = phi_1 / phi_0 on [0, 7],
+    projected onto spectral elements, and its occupations past the 14th
+    are the fitted Weyl tail, carried down to 1e-12 (module docstring).
+    At kappa = inf, where the two orbitals agree on x >= 0, they are
+    exactly 1/2 and 1/2.  Near that limit the top two are
+    1/2 +- 0.42 (E_1 - E_0) and the rest are of order (E_1 - E_0)^2, so
+    once E_1 - E_0 is within the 1e-12 entropy floor (kappa above about
+    1.1e12) they are taken as 1/2 and 1/2 too.  That rule also keeps
+    the kernel defined: r rises by ever less past the first element, and
+    near kappa = 1e15 the element vertices coincide in s.  The
     returned array is read-only.
     """
-    even, odd = state.even_orbital, state.odd_orbital
-    if odd.energy - even.energy <= _ENTROPY_FLOOR:
+    if state.odd_orbital.energy - state.even_orbital.energy <= _ENTROPY_FLOOR:
         return _read_only(np.array([0.5, 0.5]))
     # Toward a strong barrier, where r climbs from 0 over about 1 / kappa,
     # the first element is split at 0.5 / 4^j, j >= 1, down to 0.1 / kappa.
@@ -237,30 +206,29 @@ def tonks_occupations(state):
     while edge * state.kappa >= 0.1:
         graded.insert(0, edge)
         edge /= 4.0
-    x, w, diff = _lobatto()
+    x, w = _gauss()
     edges = np.array([0.0, *graded, *_BREAKS])
     half = 0.5 * np.diff(edges)
-    nodes = np.append(edges[:-1, None] + half[:, None] * (x[:-1] + 1.0), edges[-1])
-    phi0, phi1 = state.orbitals(nodes)
-    # Wr = phi_0 phi_1' - phi_1 phi_0' by DLMF 12.8.3,
-    # D_nu'(z) = z D_nu(z) / 2 - D_(nu+1)(z), where the x phi_0 phi_1 terms
-    # cancel exactly.
-    wronskian = math.sqrt(2.0) * (phi1 * _raised(even, nodes) - phi0 * _raised(odd, nodes))
-    q = phi0 * phi0
-    p = q / wronskian
-    stiff = np.zeros((nodes.size, nodes.size))
-    mass = np.zeros(nodes.size)
-    for e, h in enumerate(half):
-        span = slice(e * _DEGREE, (e + 1) * _DEGREE + 1)
-        stiff[span, span] += (diff.T * (w * p[span] / h)) @ diff
-        mass[span] += h * w * q[span]
+    nodes = edges[:-1, None] + half[:, None] * (x + 1.0)
+    phi0, phi1 = state.orbitals(np.append(edges, nodes))
     r = phi1 / phi0
-    # Even: l_0..l_(n-1) and 1, with the Robin end -h(X) v(X) / r(X).
-    # Odd: l_1..l_(n-1) and r, with a(r, r) = r(X).
-    even_sector = _sector(stiff[:-1, :-1], -1.0 / r[-1], mass[:-1], mass[:-1], mass.sum(),
-                          _EVEN_SHIFT)
-    odd_sector = _sector(stiff[1:-1, 1:-1], r[-1], mass[1:-1], (mass * r)[1:-1],
-                         np.sum(mass * r * r), 0.0)
+    vertex, s = r[: edges.size], r[edges.size :]
+    length = np.diff(vertex)
+    shapes = _shapes((s.reshape(nodes.shape) - vertex[:-1, None]) / length[:, None])
+    # min(s, t) itself across elements, its projection within one.
+    kernel = np.minimum.outer(s, s)
+    for e, v in enumerate(shapes):
+        span = slice(e * x.size, (e + 1) * x.size)
+        kernel[span, span] = vertex[e] + length[e] * (v @ v.T)
+    # W^(1/2) on both sides, W = h w phi_0^2 the mass of each node.
+    root = phi0[edges.size :] * np.sqrt(half[:, None] * w).ravel()
+    kernel *= root[:, None] * root
+    # The odd block is -sqrt(2) times this and the even one sqrt(2) times
+    # s + t less it; the occupations are 2 lambda^2 over their eigenvalues.
+    sr = s * root
+    even_block = sr[:, None] * root + root[:, None] * sr - kernel
+    even_sector, odd_sector = (np.sort(2.0 * np.linalg.eigvalsh(a) ** 2)[::-1]
+                               for a in (even_block, kernel))
     occupations = np.concatenate((_with_tail(even_sector), _with_tail(odd_sector)))
     return _read_only(np.sort(occupations)[::-1])
 

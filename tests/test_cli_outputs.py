@@ -53,3 +53,18 @@ def test_dvr_sweep_entry_inverse_applications(monkeypatch, tmp_path):
     assert cli.main(shlex.split(cli_outputs.COMMANDS["dvr-sweep"])) == 0
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 20
     assert applications <= 160
+
+
+def test_bytes_do_not_depend_on_the_blas_thread_count(monkeypatch, tmp_path):
+    # The Tonks entropy landmarks and the two JSON grid entries, one of
+    # them on two workers, under the pinned one BLAS thread and under two.
+    names = ["tonks-landmarks", "dvr-json", "dvr-workers"]
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert cli_outputs.main([str(one), *names]) == 0
+    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setitem(cli_outputs.PINNED, variable, "2")
+    assert cli_outputs.main([str(two), *names]) == 0
+    files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(two) for p in two.rglob("*") if p.is_file())
+    for name in files:
+        assert (two / name).read_bytes() == (one / name).read_bytes(), name

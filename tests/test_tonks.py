@@ -164,22 +164,21 @@ def _mesh_occupations(kappa, n_points, spacing):
     return analysis.natural_orbitals(tonks.tonks_state(kappa, build_grid(n_points, spacing)).density)
 
 
-def test_lobatto_rule_of_the_occupation_pencils():
-    # Oracle: the roots of P_14' from numpy.polynomial; the rule
-    # integrates and differentiates polynomials of degree 14 exactly.
-    x, w, diff = tonks._lobatto()
-    roots = np.polynomial.legendre.Legendre.basis(14).deriv().roots()
-    assert np.max(np.abs(x[1:-1] - roots)) <= 1e-14
-    assert (x[0], x[-1]) == (-1.0, 1.0)
-    assert np.sum(w * x**12) == pytest.approx(2.0 / 13.0, abs=1e-14)
-    assert np.max(np.abs(diff @ x**14 - 14.0 * x**13)) <= 1e-11
+def test_gauss_rule_of_the_occupation_kernel():
+    # Oracle: numpy's Gauss-Legendre rule of 15 nodes; the rule integrates
+    # polynomials of degree 29 exactly.
+    x, w = tonks._gauss()
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    assert np.max(np.abs(x - nodes)) <= 1e-14
+    assert np.max(np.abs(w - weights)) <= 1e-14
+    assert np.sum(w * x**28) == pytest.approx(2.0 / 29.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0, 5.0, 10.0])
 def test_occupation_entropy_matches_richardson_of_the_mesh_chain(kappa, tonks_grid):
     # Oracle: the mesh chain on 601 / 0.02, 1201 / 0.01 and 2401 / 0.005,
     # extrapolated at its fitted order (measured 1.988-1.990).  The
-    # mesh-free entropy sat 6.6e-8, 3.3e-8, 3.4e-9 and 5.0e-9 above it.
+    # mesh-free entropy sat 6.4e-8, 3.3e-8, 3.4e-9 and 5.0e-9 above it.
     meshes = ((601, 0.02), (1201, 0.01), (2401, 0.005))
     s = [analysis.von_neumann_entropy(_mesh_occupations(kappa, *mesh)) for mesh in meshes]
     order = math.log2((s[0] - s[1]) / (s[1] - s[2]))
@@ -193,7 +192,7 @@ def test_occupation_entropy_matches_richardson_of_the_mesh_chain(kappa, tonks_gr
 def test_occupation_entropy_matches_the_fine_mesh_at_strong_barriers(kappa, tonks_grid):
     # The 2401 / 0.005 mesh is converged here: 1201 / 0.01 differs from it
     # by 2.9e-12 (kappa = 1e4) and 3e-15 (1e6).  The mesh-free entropy sat
-    # 9.6e-13 below it and 1.8e-15 above it.  At 1e14 the two levels are
+    # 9.6e-13 and 9e-16 below it.  At 1e14 the two levels are
     # within 1e-12 and the occupations are taken as 1/2 and 1/2 (4e-16).
     reference = analysis.von_neumann_entropy(_mesh_occupations(kappa, 2401, 0.005))
     entropy = analysis.von_neumann_entropy(tonks.tonks_state(kappa, tonks_grid).occupations)
@@ -207,11 +206,15 @@ def test_occupations_at_infinite_barrier_are_exactly_half(tonks_grid):
     assert analysis.schmidt_number(occupations) == 2
 
 
-@pytest.mark.parametrize("kappa", [0.0, 0.3, 1.0, 3.3, 10.0, 95.0513, 1e4, 1e6, 1e13, 1e15,
+@pytest.mark.parametrize("kappa", [0.0, 0.3, 1.0, 3.3, 10.0, 95.0513, 1e4, 1e6, 1e10, 1.1e12,
+                                   1e13, 1e15,
                                    pytest.param(math.inf, id="kappa10")])
 def test_occupations_sum_to_one(kappa, tonks_grid):
-    # Measured deficits: 8.0e-10 at kappa = 0, falling to 3e-13 at 1e4;
-    # most of it is the tail below the 1e-12 floor.
+    # Measured deficits: 8.6e-10 at kappa = 0, falling to 3e-13 at 1e4;
+    # most of it is the tail below the 1e-12 floor.  At 1e10 and 1.1e12,
+    # just under the 1e-12 rule, the smallest element s-lengths are 1.6e-11
+    # and 1.4e-13, so u = (s - s_e) / L cancels; the sums are within 9e-16
+    # and 2.2e-15.
     occupations = tonks.tonks_state(kappa, tonks_grid).occupations
     assert abs(np.sum(occupations) - 1.0) <= 1e-9
     assert np.all(np.diff(occupations) <= 0.0)
