@@ -3,8 +3,9 @@
 Every observable of the pair is read from its reduced single-particle
 density, so this module owns the mesh both routes share (``Grid``,
 built and checked by ``build_grid``) and the parity fold the density is
-stored in (``_fold``, ``_half_rows`` and ``_unfold``); the grid solver
-``dvr`` and the Tonks route ``tonks`` import them from here.
+stored in (``_fold``, ``_half_rows``, ``_unfold_half`` and
+``_unfold``); the grid solver ``dvr`` and the Tonks route ``tonks``
+import them from here.
 
 The barrier sits at the trap centre, so the pair state is parity-even,
 psi(-x, -y) = psi(x, y), and every natural orbital is even or odd.  On
@@ -152,18 +153,26 @@ def _half_rows(even, odd):
     return e, o
 
 
+def _unfold_half(even, odd):
+    """Rows x >= 0 of the parity-symmetric m whose _fold blocks are ``even`` and ``odd``.
+
+    m = U_e even U_e^T + U_o odd U_o^T over the fold bases, whose rows
+    x >= 0 ``_half_rows`` gives: the quadrant x, y >= 0 of m is the sum of
+    the even and odd parts, and its quadrant x >= 0 > y their difference
+    with the columns mirrored.
+    """
+    e, o = _half_rows(*(m.T for m in _half_rows(even, odd)))
+    return np.hstack(((e - o)[:, :0:-1], e + o))
+
+
 def _unfold(even, odd):
     """Parity-symmetric N x N matrix m whose _fold blocks are ``even`` and ``odd``.
 
-    m = U_e even U_e^T + U_o odd U_o^T over the fold bases, whose rows
-    x >= 0 ``_half_rows`` gives: that quadrant of m is the sum of the
-    even and odd parts, its quadrant x >= 0 > y their difference with the
-    columns mirrored, and its rows x < 0 the mirror image of the rows
-    x > 0, so m(-x, -y) = m(x, y) holds to the last bit, and m is
+    Its rows x >= 0 are those of ``_unfold_half`` and its rows x < 0 their
+    mirror image, so m(-x, -y) = m(x, y) holds to the last bit, and m is
     symmetric exactly when both blocks are.
     """
-    e, o = _half_rows(*(m.T for m in _half_rows(even, odd)))
-    half = np.hstack(((e - o)[:, :0:-1], e + o))
+    half = _unfold_half(even, odd)
     return np.vstack((half[:0:-1, ::-1], half))
 
 

@@ -72,12 +72,15 @@ is confined to exchange-symmetric states: the raw matrix also carries
 antisymmetric ones, and near strong coupling one of those dips below
 the symmetric ground state on a coarse mesh.
 
-The even sector is one (2, n, n) stack (B_ee, B_oo) over the stacked
-fold bases (v_e, v_o), with v_o padded by a zero row and column, o by
-a zero column and the B_oo block of d by zeros.  The padded entries of
-the start vector and of every Krylov vector are then exactly zero, and
-d, its start vector, its K, each of its inverse applications and the
-map back each run once over the stack, not once per block.
+Both sectors run one code path, ``_sector``, over stacks of shape
+(s, n, n).  The even sector is the (2, n, n) stack (B_ee, B_oo) over the
+stacked fold bases (v_e, v_o), with v_o padded by a zero row and
+column, o by a zero column and the B_oo block of d by zeros; the odd
+sector is the (1, n, n) stack X between e and the same padded o, with
+the padded column of its d zero.  The padded entries of each start
+vector and of every Krylov vector are then exactly zero, and d, the
+start vector, K, each inverse application and the map back each run
+once over a sector's stack, not once per block.
 
 One Krylov run of the even sector, from its part of d, which is nonzero
 on every pair of one-body levels, gives the ground energy sigma + 1/nu
@@ -86,25 +89,32 @@ runs: the even sector's top two Ritz pairs give the next even level, the
 odd sector's top one its lowest level, and the gap is the nearer of the
 two.  Only the ground vector is mapped back: B_ee and B_oo become the
 blocks v_e B_ee v_e^T and v_o B_oo v_o^T of W = dx psi in the parity
-fold, the latter cut from its padding, symmetrized and normalized into
-the state's ``analysis.DensityMatrix``, which the observable chain
-reads as they are.  psi on the mesh is that density's ``amplitudes``, unfolded once a
-point with its rows x < 0 copied from its rows x >= 0, so it is
-parity-even to the last bit.  Every run is ``eigsh``, a numpy Lanczos
-with full reorthogonalization, which stops once each Ritz pair it
-reports meets |beta_m s_mi| <= 1e-10 theta_i and raises ConvergenceError
-after 300 steps; no route of the package needs scipy.
+fold, the latter cut from its padding, symmetrized and normalized.  The
+residual ||H psi - E psi|| dx is checked on those two blocks
+(``_residual``): the fold is orthonormal and commutes with h, so no
+N x N array is formed.  The sign is read on the rows x >= 0 of psi
+(``analysis._unfold_half``), the blocks are flipped if need be, and they
+become the state's ``analysis.DensityMatrix``, which the observable
+chain reads as they are.  psi on the whole mesh is that density's
+``amplitudes``, unfolded only when read, with its rows x < 0 copied from
+its rows x >= 0, so it is parity-even to the last bit.  Every run is
+``eigsh``, a numpy Lanczos with full reorthogonalization, which stops
+once each Ritz pair it reports meets |beta_m s_mi| <= 1e-10 theta_i and
+raises ConvergenceError after 300 steps; no route of the package needs
+scipy.
 
 Only the capacitances depend on g1d.  Per kappa, ground_state_solver
-builds h, its two eigh, sigma, d and the even K, N^4 / 16 multiply-adds;
-per g1d, it inverts the even capacitance and runs the one Lanczos
-iteration of the ground state.  Only the gap reads the odd sector, so
-its K, N^4 / 32 multiply-adds, is formed on the first gap read of a
-kappa row, and its capacitance on the first gap read of a point.
-ground_state is the one-coupling case.  The mesh (``analysis.Grid``)
-and the fold maps live in ``analysis``, which this module imports.
-numpy comes through the lazy seam ``_numpy.np`` and loads on the first
-array formed, so importing this module, as ``cli`` does, loads none.
+folds h once and builds its two eigh, sigma and d, and the first
+application of the even sector forms the even K, N^4 / 16
+multiply-adds; per g1d, the first application inverts the even
+capacitance, and the one Lanczos iteration of the ground state follows.
+Only the gap reads the odd sector, so its K, N^4 / 32 multiply-adds, is
+formed on the first gap read of a kappa row, and its capacitance on the
+first gap read of a point.  ground_state is the one-coupling case.  The
+mesh (``analysis.Grid``) and the fold maps live in ``analysis``, which
+this module imports.  numpy comes through the lazy seam ``_numpy.np``
+and loads on the first array formed, so importing this module, as
+``cli`` does, loads none.
 """
 
 import functools
@@ -114,13 +124,17 @@ from dataclasses import dataclass, field
 
 from . import analysis
 from ._numpy import np
-from .analysis import DensityMatrix, _fold, _half_rows, _read_only
+from .analysis import DensityMatrix, _fold, _half_rows, _unfold_half
 from .single_particle import check_coupling
 
 _DEGENERACY_GAP = 1e-6
-# Bound on ||H psi - E psi|| for a unit-norm psi.  Converged pairs sit at
-# 1e-13 to 1e-12 on the 81 / 0.16 and 161 / 0.08 meshes, the rounding
-# floor of H; a pair this far off is not an eigenpair.
+# Bound on ||H psi - E psi|| dx for a unit-norm psi; a pair this far off
+# is not an eigenpair.  Over kappa in {0, 1, 10, inf} x g1d in {0, 1,
+# 500, inf}, converged pairs sit at 3.1e-11 to 1.1e-8 on 81 / 0.16,
+# 8.0e-11 to 3.5e-8 on 161 / 0.08 and 1.8e-10 to 1.06e-7 on 321 / 0.04.
+# That is not the rounding floor of H: it grows about 3x per halving of
+# dx, because the Lanczos stop is relative on the Ritz value, not on the
+# vector.
 _RESIDUAL_BOUND = 1e-6
 # Relative eigenvalue tolerance of the Krylov iteration.
 _EIGEN_TOL = 1e-10
@@ -177,12 +191,6 @@ def _contact(grid, g1d):
     return g1d, g1d_eff / grid.spacing
 
 
-def _apply(t, w, c, x):
-    v = w[:, None] + w[None, :]
-    v[np.diag_indices_from(v)] += c
-    return t @ x + x @ t + v * x
-
-
 def _woodbury(k, weight):
     # (W^-1 + K)^-1 written so that it stays finite at W = 0.
     s = np.sqrt(weight)
@@ -206,66 +214,75 @@ def _kernel(left, right, d):
     return k + np.triu(k, 1).T
 
 
-def _shifted_inverse(t, w):
+def _sector(left, right, d, weight):
+    """One sector's start vector and c -> its (H - sigma)^-1 on the flat coefficients.
+
+    ``left``, ``right`` and ``d`` are (s, n, n) stacks: the rows x >= 0 of
+    the fold bases on either side of the coefficient blocks, and the
+    separable inverse d_ij = 1 / (eps_i + eps_j - sigma) of those blocks.
+    ``weight`` is the multiplicity of each diagonal point x_a >= 0 in the
+    norm of the coefficients, so the contact term adds c * weight to the
+    capacitance (module docstring).  The kernel K is formed on the
+    sector's first application, and the capacitance on the first
+    application at each c.  When ``right`` is ``left`` the output is
+    symmetrized, so the exchange-antisymmetric states map to zero.
+    """
+    kernel = functools.cache(lambda: _kernel(left, right, d))
+
+    def at_contact(c):
+        capacitance = functools.cache(lambda: _woodbury(kernel(), c * weight))
+
+        def inverse(b):
+            y = d * b.reshape(d.shape)
+            z = capacitance() @ np.sum((left @ y) * right, axis=(0, 2))
+            y -= d * ((left.transpose(0, 2, 1) * z) @ right)
+            return (0.5 * (y + y.transpose(0, 2, 1)) if left is right else y).ravel()
+
+        return inverse
+
+    return d.ravel() / np.linalg.norm(d), at_contact
+
+
+def _shifted_inverse(h_even, h_odd):
     """Stacked fold bases, shift sigma and c -> both sectors' (H - sigma)^-1.
 
-    Takes the T and w of ``_one_body`` and returns (basis, sigma, start,
-    at_contact): the (2, n, n) stack of the eigenvectors of the folded
-    even block of h and of its odd block padded with a zero row and
+    Takes the folded blocks of the one-body h (``analysis._fold``) and
+    returns (basis, sigma, starts, at_contact): the (2, n, n) stack of the
+    eigenvectors of ``h_even`` and of ``h_odd`` padded with a zero row and
     column, the shift, both sectors' start vectors (their parts of d,
-    normalized), and ``at_contact(c)``, which returns one coupling's
-    even and odd inverses on the flat sector coefficients, the stack
-    (B_ee, B_oo) with B_oo padded and X (module docstring).  Everything
-    but the odd kernel and the capacitances is built here, once per
-    kappa; ``at_contact`` inverts the even capacitance, and the odd
-    inverse forms the odd kernel, once per kappa, and inverts its
-    capacitance on its first call.  The even inverse symmetrizes its
-    output, so the exchange-antisymmetric states of that sector map to
-    zero, and keeps the padding zero.
+    normalized), and ``at_contact(c)``, which returns one coupling's even
+    and odd inverses (``_sector``) on the flat sector coefficients: the
+    stack (B_ee, B_oo) and X, each with its odd side padded by a zero last
+    column (module docstring).  The padding stays exactly zero.
     """
-    h_even, h_odd = _fold(t + np.diag(w))
     eps_e, v_e = np.linalg.eigh(h_even)
     eps_o, v_o = np.linalg.eigh(h_odd)
-    n = eps_e.size
     basis = np.stack((v_e, np.pad(v_o, (0, 1))))
     rows = np.stack(_half_rows(v_e, basis[1, :-1]))
-    e, o = rows[0], rows[1, :, :-1]
     sigma = 2.0 * min(eps_e[0], eps_o[0]) - 1.0 / 16.0
     # The padded level sits at infinity, so d is exactly zero on the padding.
     eps = np.stack((eps_e, np.append(eps_o, math.inf)))
     d = 1.0 / (eps[:, :, None] + eps[:, None, :] - sigma)
-    d_eo = 1.0 / (eps_e[:, None] + eps_o[None, :] - sigma)
-    k_even = _kernel(rows, rows, d)
-    # Only the gap runs the odd sector, so its kernel is formed on the
-    # first odd application of the row and its capacitance on the first
-    # of the coupling.
-    k_odd = functools.cache(lambda: _kernel(e[None], o[None], d_eo[None]))
-    multiplicity = np.full(n, 2.0)
-    multiplicity[0] = 1.0
-    start = (d.ravel() / np.linalg.norm(d), d_eo.ravel() / np.linalg.norm(d_eo))
+    d_odd = 1.0 / (eps[:1, :, None] + eps[1:, None, :] - sigma)
+    multiplicity = np.append(1.0, np.full(eps_e.size - 1, 2.0))
+    even = _sector(rows, rows, d, multiplicity)
+    # In the odd sector psi_aa = 2 diag(e X o^T)_a and |B|^2 = 2 |X|^2.
+    odd = _sector(rows[:1], rows[1:], d_odd, 2.0 * multiplicity)
+    return basis, sigma, (even[0], odd[0]), lambda c: (even[1](c), odd[1](c))
 
-    def at_contact(c):
-        q_even = _woodbury(k_even, c * multiplicity)
 
-        @functools.cache
-        def q_odd():
-            # In the odd sector psi_aa = 2 diag(e X o^T)_a and |B|^2 = 2 |X|^2.
-            return _woodbury(k_odd(), 2.0 * c * multiplicity)
+def _residual(h_even, h_odd, c, energy, even, odd):
+    """||H psi - E psi|| dx from the fold blocks ``even`` and ``odd`` of W = dx psi.
 
-        def even_inverse(b):
-            y = d * b.reshape(2, n, n)
-            z = q_even @ np.sum((rows @ y) * rows, axis=(0, 2))
-            y -= d * ((rows.transpose(0, 2, 1) * z) @ rows)
-            return (0.5 * (y + y.transpose(0, 2, 1))).ravel()
-
-        def odd_inverse(b):
-            x = d_eo * b.reshape(n, n - 1)
-            x -= d_eo * ((e.T * (q_odd() @ np.sum((e @ x) * o, axis=1))) @ o)
-            return x.ravel()
-
-        return even_inverse, odd_inverse
-
-    return basis, sigma, start, at_contact
+    The fold is orthonormal and commutes with h, so each block B carries
+    its own residual h B + B h + c diag(W(x, x)) - E B over the folded h,
+    where W(0, 0) = even_00 and W(x_a, x_a) = (even_aa + odd_(a-1)(a-1)) / 2
+    for x_a > 0.
+    """
+    diagonal = np.append(even[0, 0], 0.5 * (np.diag(even)[1:] + np.diag(odd)))
+    parts = ((h_even, even, diagonal), (h_odd, odd, diagonal[1:]))
+    return math.sqrt(sum(np.sum((h @ b + b @ h + np.diag(c * x) - energy * b) ** 2)
+                         for h, b, x in parts))
 
 
 def apply_hamiltonian(vec, grid, kappa, g1d):
@@ -280,7 +297,10 @@ def apply_hamiltonian(vec, grid, kappa, g1d):
     n = grid.n_points
     if vec.shape != (n * n,):
         raise ValueError(f"expected a flat vector of length {n * n}, got shape {vec.shape}")
-    return _apply(t, w, c, vec.reshape(n, n)).ravel()
+    x = vec.reshape(n, n)
+    v = w[:, None] + w[None, :]
+    v[np.diag_indices_from(v)] += c
+    return (t @ x + x @ t + v * x).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,9 +311,11 @@ class TwoBodyState:
     of W = dx * Psi in the fold basis of ``analysis._fold``, of sizes
     (N + 1)/2 and (N - 1)/2, both exactly symmetric and read-only, with
     squared norms that sum to 1.  ``density.amplitudes`` is the N x N
-    array Psi(q_i, q_j), so sum(Psi^2) * dx^2 = 1, and Psi is symmetric,
-    parity-even to the last bit, and positive at its first peak in
-    row-major order, where entries within 1e-8 of max |Psi| tie.
+    array Psi(q_i, q_j), formed only when read, so sum(Psi^2) * dx^2 = 1,
+    and Psi is symmetric, parity-even to the last bit, and positive at
+    its first peak in row-major order, where entries within 1e-8 of
+    max |Psi| tie.  The solve reads that sign on the rows x >= 0 alone,
+    where the last peak is the mirror image of the first.
     ``occupations`` are ``analysis.natural_orbitals(density)``, formed on
     first read and kept.  ``gap`` is the distance to the next
     exchange-symmetric eigenvalue, of either spatial parity, computed on
@@ -367,8 +389,10 @@ def eigsh(inverse, start, failure, k=1):
 def ground_state_solver(grid, kappa):
     """Solver for the lowest bosonic eigenpairs at one barrier: g1d -> TwoBodyState.
 
-    Everything that depends on kappa alone is built here, once (module
-    docstring).  A call of the returned function gives the same bits as
+    Everything that depends on kappa alone is built once a solver: the
+    folded one-body h, its eigenbases, sigma and d here, each sector's
+    kernel on its first application (module docstring).  A call of the
+    returned function gives the same bits as
     ``ground_state`` at that coupling, and a failed call leaves the
     solver usable for other couplings.
 
@@ -390,12 +414,13 @@ def ground_state_solver(grid, kappa):
         If kappa is negative or NaN; ``solve`` raises it for such a g1d.
     ConvergenceError
         From ``solve``, if the Krylov iteration does not converge, or the
-        residual ||H psi - E psi|| of the returned pair exceeds 1e-6; from
-        the first read of ``gap``, if one of its iterations does not
-        converge.
+        residual ||H psi - E psi|| dx of the returned pair, formed on its
+        two fold blocks, exceeds 1e-6; from the first read of ``gap``, if
+        one of its iterations does not converge.
     """
     kappa, t, w = _one_body(grid, kappa)
-    basis, sigma, (even_start, odd_start), at_contact = _shifted_inverse(t, w)
+    h = _fold(t + np.diag(w))
+    basis, sigma, (even_start, odd_start), at_contact = _shifted_inverse(*h)
 
     def solve(g1d):
         g1d, c = _contact(grid, g1d)
@@ -416,19 +441,18 @@ def ground_state_solver(grid, kappa):
         blocks = basis @ vecs[:, 0].reshape(basis.shape) @ basis.transpose(0, 2, 1)
         blocks = blocks + blocks.transpose(0, 2, 1)
         norm = math.sqrt(np.sum(blocks * blocks))
-        density = DensityMatrix(blocks[0] / norm, blocks[1, :-1, :-1] / norm, grid)
-        psi = density.amplitudes
-        residual = np.linalg.norm(_apply(t, w, c, psi) - energy * psi) * grid.spacing
+        even, odd = blocks[0] / norm, blocks[1, :-1, :-1] / norm
+        residual = _residual(*h, c, energy, even, odd)
         if not residual <= _RESIDUAL_BOUND:
             raise ConvergenceError(f"{failure}: residual ||H psi - E psi|| = {residual:.3e}")
-        magnitude = np.abs(psi).ravel()
-        peak = np.argmax(magnitude >= (1.0 - _PEAK_TIE) * magnitude.max())
-        if psi.flat[peak] < 0.0:
-            density = DensityMatrix(-density.even, -density.odd, grid)
-            # Negation commutes with the unfold bit for bit, so -psi is the
-            # flipped blocks unfolded: fill that cache, and psi unfolds once.
-            vars(density)["amplitudes"] = _read_only(-psi)
-        return TwoBodyState(float(energy), density, gap)
+        # The rows x >= 0 of psi: the last peak there in row-major order is
+        # the mirror image of the first peak on the whole mesh.
+        half = _unfold_half(even, odd) / grid.spacing
+        magnitude = np.abs(half).ravel()
+        peak = np.flatnonzero(magnitude >= (1.0 - _PEAK_TIE) * magnitude.max())[-1]
+        if half.flat[peak] < 0.0:
+            even, odd = -even, -odd
+        return TwoBodyState(float(energy), DensityMatrix(even, odd, grid), gap)
 
     return solve
 

@@ -464,6 +464,10 @@ def test_cli_observables_take_no_eigenvectors(capsys, monkeypatch):
         return made[-1]
 
     orbitals_property = vars(analysis.DensityMatrix)["orbitals"]
+    # The Gauss rule of the Tonks occupations is one eigh a process, made
+    # on first use: make it before the counter is set, so the count does
+    # not hang on whether an earlier test has used it.
+    tonks._gauss()
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(tonks, "tonks_rspd", recorded)
     monkeypatch.setattr(analysis.DensityMatrix, "orbitals", property(forbidden))
@@ -1183,18 +1187,22 @@ def test_cli_module_runs_clean_under_warnings_as_errors(fresh_python):
     assert "usage: splittrap" in proc.stdout
 
 
-def test_cli_tonks_observables_form_no_full_mesh_array(capsys, monkeypatch):
+@pytest.mark.parametrize("argv,points", [
+    (["tonks", "--kappa", "0", "3.3", "inf", "--k-points", "41"], 3),
+    (["dvr", "--kappa", "0", "3.3", "inf", "--g1d", "0", "5", "inf"], 9),
+], ids=["tonks", "dvr"])
+def test_cli_observables_form_no_full_mesh_array(capsys, monkeypatch, argv, points):
     # Entropy, Schmidt number and momentum read the two half-size parity
-    # blocks alone.  Psi and rho on the whole mesh are N x N: reading
-    # either on this path fails the run.
+    # blocks alone, on either route, and the grid solve checks and signs
+    # its pair on those blocks too.  Psi and rho on the whole mesh are
+    # N x N: reading either on this path fails the run.
     def forbidden(self):
         raise AssertionError("an N x N array was formed")
 
     monkeypatch.setattr(analysis.DensityMatrix, "amplitudes", property(forbidden))
     monkeypatch.setattr(analysis.DensityMatrix, "values", property(forbidden))
-    assert main(["tonks", "--kappa", "0", "3.3", "inf", "--k-points", "41",
-                 "--outputs", "energy,entropy,schmidt,momentum", "--format", "json"]) == 0
-    assert len(json.loads(capsys.readouterr().out)["points"]) == 3
+    assert main([*argv, "--outputs", "energy,entropy,schmidt,momentum", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["points"]) == points
 
 
 def test_cli_grid_observables_skip_the_checked_constructor(capsys, monkeypatch):

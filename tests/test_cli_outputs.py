@@ -56,9 +56,11 @@ def test_dvr_sweep_entry_inverse_applications(monkeypatch, tmp_path):
 
 
 def test_bytes_do_not_depend_on_the_blas_thread_count(monkeypatch, tmp_path):
-    # The Tonks entropy landmarks and the two JSON grid entries, one of
-    # them on two workers, under the pinned one BLAS thread and under two.
-    names = ["tonks-landmarks", "dvr-json", "dvr-workers"]
+    # The Tonks entropy landmarks, the two JSON grid entries, one of them
+    # on two workers, and the grid entry with every output, whose rspd and
+    # momentum sidecars and (inf, 0) amplitudes are formed on read, under
+    # the pinned one BLAS thread and under two.
+    names = ["tonks-landmarks", "dvr-json", "dvr-workers", "dvr-all"]
     one, two = tmp_path / "one", tmp_path / "two"
     assert cli_outputs.main([str(one), *names]) == 0
     for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):

@@ -260,7 +260,7 @@ def _dense_sectors(grid, kappa, g1d):
     # Both sectors' inverses as dense matrices, built column by column,
     # with their start vectors.
     _, t, w = dvr._one_body(grid, kappa)
-    _, _, starts, at_contact = dvr._shifted_inverse(t, w)
+    _, _, starts, at_contact = dvr._shifted_inverse(*analysis._fold(t + np.diag(w)))
     for inverse, start in zip(at_contact(dvr._contact(grid, g1d)[1]), starts):
         matrix = np.column_stack([inverse(column) for column in np.eye(start.size)])
         yield inverse, start, matrix
@@ -332,16 +332,16 @@ def test_shifted_inverse_solves_hamiltonian(kappa, g1d, n_points, spacing):
     # one-body factorization is made first and the coupling added to it,
     # as the row solver does.  The inverses act on one-body eigenbasis
     # coefficients, so mesh arrays go in as the stack (U_e^T x U_e,
-    # U_o^T x U_o) (even sector, U_o padded with a zero column, whose
-    # entries stay zero) or as U_e^T x U_o (odd sector) and come back
+    # U_o^T x U_o) (even sector) or as U_e^T x U_o (odd sector), with U_o
+    # padded by a zero column, whose entries stay zero, and come back
     # through U_e and U_o, the stacked fold bases taken to their half-mesh
     # rows e and o and unfolded onto the mesh.
     grid = build_grid(n_points, spacing)
-    basis, sigma, _, at_contact = dvr._shifted_inverse(*dvr._one_body(grid, kappa)[1:])
+    _, t, w = dvr._one_body(grid, kappa)
+    basis, sigma, _, at_contact = dvr._shifted_inverse(*analysis._fold(t + np.diag(w)))
     e, o = analysis._half_rows(basis[0], basis[1, :-1])
     even_inverse, odd_inverse = at_contact(dvr._contact(grid, g1d)[1])
     u = np.stack((np.vstack((e[:0:-1], e)), np.vstack((-o[:0:-1], o))))
-    u_e, u_o = u[0], u[1, :, :-1]
     m = e.shape[0]
 
     def even(x):
@@ -350,7 +350,9 @@ def test_shifted_inverse_solves_hamiltonian(kappa, g1d, n_points, spacing):
         return y, np.sum(u @ y @ u.transpose(0, 2, 1), axis=0)
 
     def odd(x):
-        y = u_e @ odd_inverse((u_e.T @ x @ u_o).ravel()).reshape(m, m - 1) @ u_o.T
+        y = odd_inverse((u[0].T @ x @ u[1]).ravel()).reshape(m, m)
+        assert not np.any(y[:, -1])
+        y = u[0] @ y @ u[1].T
         return y + y.T
 
     rng = np.random.default_rng(41)
@@ -365,13 +367,39 @@ def test_shifted_inverse_solves_hamiltonian(kappa, g1d, n_points, spacing):
         assert np.max(np.abs(even(a - a.T)[0])) <= 1e-13 * np.max(np.abs(y_even))
 
 
+@pytest.mark.parametrize("n_points,spacing", [(81, 0.16), (161, 0.08)])
+def test_fold_residual_is_the_mesh_residual(solve, n_points, spacing):
+    # The residual the solve checks, formed on the two fold blocks of
+    # W = dx psi, against ||H psi - E psi|| dx from apply_hamiltonian on
+    # the whole mesh: for the solver's own pairs, and for a random
+    # parity-even symmetric W of unit norm at E = 2.5, whose residual is
+    # about 160, so its bound scales with it.
+    grid = build_grid(n_points, spacing)
+    a = np.random.default_rng(7).standard_normal((n_points, n_points))
+    a = a + a.T + (a + a.T)[::-1, ::-1]
+    noise = analysis.DensityMatrix.from_amplitudes(a / (math.sqrt(np.sum(a * a)) * spacing), grid)
+    for kappa in (0.0, 1.0, 10.0, math.inf):
+        _, t, w = dvr._one_body(grid, kappa)
+        h = analysis._fold(t + np.diag(w))
+        for g1d in (0.0, 1.0, 500.0, math.inf):
+            state = solve(kappa, g1d, n_points, spacing)
+            c = dvr._contact(grid, g1d)[1]
+            for rho, energy in ((state.density, state.energy), (noise, 2.5)):
+                psi = rho.amplitudes.ravel()
+                mesh = dvr.apply_hamiltonian(psi, grid, kappa, g1d) - energy * psi
+                mesh = np.linalg.norm(mesh) * spacing
+                fold = dvr._residual(*h, c, energy, rho.even, rho.odd)
+                assert abs(fold - mesh) <= 1e-13 * max(1.0, mesh)
+
+
 @pytest.mark.parametrize("n_points,spacing", [(41, 0.3), (81, 0.16)])
 def test_shift_lies_below_every_ground_energy(n_points, spacing):
     # H >= 2 eps_0 for every contact g1d >= 0, so sigma = 2 eps_0 - 1/16
     # lies below each computed E_0, by the margin up to rounding.
     grid = build_grid(n_points, spacing)
     for kappa in (0.0, 1.0, 10.0, math.inf):
-        sigma = dvr._shifted_inverse(*dvr._one_body(grid, kappa)[1:])[1]
+        _, t, w = dvr._one_body(grid, kappa)
+        sigma = dvr._shifted_inverse(*analysis._fold(t + np.diag(w)))[1]
         solve = dvr.ground_state_solver(grid, kappa)
         for g1d in (0.0, 1e-4, 5.0, math.inf):
             energy = solve(g1d).energy
@@ -506,7 +534,8 @@ def test_gap_matches_two_even_ritz_pairs(kappa, g1d):
     # start with its g component removed; beside it, the odd run's lowest level.
     grid = build_grid(81, 0.16)
     _, t, w = dvr._one_body(grid, kappa)
-    _, _, (even_start, odd_start), at_contact = dvr._shifted_inverse(t, w)
+    _, _, starts, at_contact = dvr._shifted_inverse(*analysis._fold(t + np.diag(w)))
+    even_start, odd_start = starts
     even_inverse, odd_inverse = at_contact(dvr._contact(grid, g1d)[1])
 
     def top(inverse, start, vectors=False):
