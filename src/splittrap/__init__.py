@@ -15,8 +15,7 @@ _NAMES = {
     "analysis": ("DensityMatrix", "Grid", "GridError", "MomentumDistribution", "build_grid",
                  "momentum_distribution", "natural_orbitals", "rspd_from_state",
                  "schmidt_number", "uniform_k_grid", "von_neumann_entropy"),
-    "dvr": ("ConvergenceError", "TwoBodyState", "apply_hamiltonian", "ground_state",
-            "ground_state_solver"),
+    "dvr": ("ConvergenceError", "TwoBodyState", "apply_hamiltonian", "ground_state"),
     "single_particle": ("EigenState", "eigenfunction", "even_energy", "even_state",
                         "odd_energy", "spectrum"),
     "tonks": ("TonksState", "momentum_noninteracting_infinite_barrier",

@@ -18,7 +18,7 @@ block of size (N - 1)/2, and the chain enters there:
 
 A ``DensityMatrix`` holds the two blocks.  The grid route builds them
 from its Ritz vector in the one-body eigenbasis
-(``dvr.ground_state_solver``).  The analytic Tonks route keeps its two
+(``dvr.ground_state``).  The analytic Tonks route keeps its two
 orbitals on x >= 0 instead (``tonks.tonks_rspd``), forms the blocks
 only when they are read, and applies them by cumulative sums.  Either
 route's pair state carries its ``DensityMatrix`` as ``density``, which

@@ -15,11 +15,12 @@ once, the mesh and the k grid they name.  It then evaluates each
 (kappa, g1d) point they name into one result, one kappa row at a time,
 and hands the list of those results, in sweep order, to the writers:
 the CSV or JSON table, the sidecar files and the failure manifest.  A
-pair point's route is chosen once per row, as the row's g1d -> pair
-state solver; every pair state is then read the same way, through its
-``energy``, ``occupations`` (entropy and Schmidt number), ``density``
-(rspd and momentum) and ``diagnostics``.  The Tonks route's occupations
-need no mesh, so its mesh flags govern rspd and momentum alone.
+pair point's state comes from its route's one entry,
+``tonks.tonks_state`` or ``dvr.ground_state``; every pair state is then
+read the same way, through its ``energy``, ``occupations`` (entropy and
+Schmidt number), ``density`` (rspd and momentum) and ``diagnostics``.
+The Tonks route's occupations need no mesh, so its mesh flags govern
+rspd and momentum alone.
 
 Importing this module loads no numpy, and neither do ``--help``,
 ``spectrum``, ``units`` and a ``tonks`` run of the energy alone, which
@@ -73,14 +74,10 @@ def _label(kappa, g1d):
     return label
 
 
-def _failure(exc, label):
-    return {"error": f"{type(exc).__name__}: {exc}", "records": [label]}
-
-
 _SOLVER_ERRORS = (ValueError, ArithmeticError, RuntimeError)
 
 
-def _evaluate_point(args, solve, kappa, g1d):
+def _evaluate_point(args, kappa, g1d):
     label = _label(kappa, g1d)
     try:
         if args.command == "spectrum":
@@ -92,7 +89,10 @@ def _evaluate_point(args, solve, kappa, g1d):
 
         record = dict(label)
         out = {"records": [record]}
-        state = solve(g1d)
+        # Each route's one entry, read from its module at every point, so
+        # a hook that replaces it (bench/tracer.py) times it.
+        state = (tonks.tonks_state(kappa, args.grid) if args.command == "tonks"
+                 else dvr.ground_state(args.grid, kappa, g1d))
         if "energy" in args.outputs:
             record["energy"] = state.energy
             if args.fmt == "json":
@@ -110,7 +110,7 @@ def _evaluate_point(args, solve, kappa, g1d):
             out["momentum"] = (dist.k_values, dist.densities)
         return out
     except _SOLVER_ERRORS as exc:
-        return _failure(exc, label)
+        return {"error": f"{type(exc).__name__}: {exc}", "records": [label]}
 
 
 def _couplings(args):
@@ -127,21 +127,11 @@ def _labels(args):
 
 
 def _evaluate_row(args, kappa):
-    # One task: the points at one kappa, in sweep order.  The route is
-    # picked here alone, as the row's g1d -> pair state solver.  The grid
-    # solver factors the one-body operator once for the whole row; if
-    # that fails, every point of the row carries the failure.
-    couplings = _couplings(args)
-    solve = None
-    if args.command == "tonks":
-        def solve(g1d):
-            return tonks.tonks_state(kappa, args.grid)
-    elif args.command == "dvr":
-        try:
-            solve = dvr.ground_state_solver(args.grid, kappa)
-        except _SOLVER_ERRORS as exc:
-            return [_failure(exc, _label(kappa, g1d)) for g1d in couplings]
-    return [_evaluate_point(args, solve, kappa, g1d) for g1d in couplings]
+    # One task: the points at one kappa, in sweep order.  They run one
+    # after another, so dvr.ground_state builds the row's one-body
+    # operator once and every coupling reuses it; if that build fails,
+    # it fails again, and is reported, at every point of the row.
+    return [_evaluate_point(args, kappa, g1d) for g1d in _couplings(args)]
 
 
 def run_sweep(args):

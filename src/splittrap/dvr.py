@@ -103,18 +103,19 @@ once each Ritz pair it reports meets |beta_m s_mi| <= 1e-10 theta_i and
 raises ConvergenceError after 300 steps; no route of the package needs
 scipy.
 
-Only the capacitances depend on g1d.  Per kappa, ground_state_solver
-folds h once and builds its two eigh, sigma and d, and the first
-application of the even sector forms the even K, N^4 / 16
-multiply-adds; per g1d, the first application inverts the even
+Only the capacitances depend on g1d.  Per kappa, ground_state's
+private build ``_solver`` folds h once and builds its two eigh, sigma
+and d, and the first application of the even sector forms the even K,
+N^4 / 16 multiply-adds; per g1d, the first application inverts the even
 capacitance, and the one Lanczos iteration of the ground state follows.
 Only the gap reads the odd sector, so its K, N^4 / 32 multiply-adds, is
 formed on the first gap read of a kappa row, and its capacitance on the
-first gap read of a point.  ground_state is the one-coupling case.  The
-mesh (``analysis.Grid``) and the fold maps live in ``analysis``, which
-this module imports.  numpy comes through the lazy seam ``_numpy.np``
-and loads on the first array formed, so importing this module, as
-``cli`` does, loads none.
+first gap read of a point.  ``_solver`` keeps one build, the last
+(grid, kappa), so consecutive calls over a row of couplings share it.
+The mesh (``analysis.Grid``) and the fold maps live in ``analysis``,
+which this module imports.  numpy comes through the lazy seam
+``_numpy.np`` and loads on the first array formed, so importing this
+module, as ``cli`` does, loads none.
 """
 
 import functools
@@ -386,38 +387,11 @@ def eigsh(inverse, start, failure, k=1):
                            f"{_MAX_STEPS} steps")
 
 
-def ground_state_solver(grid, kappa):
-    """Solver for the lowest bosonic eigenpairs at one barrier: g1d -> TwoBodyState.
-
-    Everything that depends on kappa alone is built once a solver: the
-    folded one-body h, its eigenbases, sigma and d here, each sector's
-    kernel on its first application (module docstring).  A call of the
-    returned function gives the same bits as
-    ``ground_state`` at that coupling, and a failed call leaves the
-    solver usable for other couplings.
-
-    Parameters
-    ----------
-    grid : analysis.Grid
-    kappa : float
-        Barrier strength, >= 0; math.inf gives the impenetrable barrier.
-
-    Returns
-    -------
-    callable
-        ``solve(g1d)`` with the contact coupling g1d >= 0, math.inf for
-        the hard-core limit, returning a TwoBodyState.
-
-    Raises
-    ------
-    ValueError
-        If kappa is negative or NaN; ``solve`` raises it for such a g1d.
-    ConvergenceError
-        From ``solve``, if the Krylov iteration does not converge, or the
-        residual ||H psi - E psi|| dx of the returned pair, formed on its
-        two fold blocks, exceeds 1e-6; from the first read of ``gap``, if
-        one of its iterations does not converge.
-    """
+@functools.lru_cache(maxsize=1)
+def _solver(grid, kappa):
+    # ground_state's build at one barrier on one mesh, g1d -> TwoBodyState:
+    # the folded h, its eigenbases, sigma and d here, each sector's kernel
+    # on its first application.  lru_cache keeps no build that raises.
     kappa, t, w = _one_body(grid, kappa)
     h = _fold(t + np.diag(w))
     basis, sigma, (even_start, odd_start), at_contact = _shifted_inverse(*h)
@@ -460,7 +434,37 @@ def ground_state_solver(grid, kappa):
 def ground_state(grid, kappa, g1d):
     """Lowest bosonic eigenpair at barrier kappa and contact coupling g1d.
 
-    ``ground_state_solver(grid, kappa)(g1d)``: see there for the
-    arguments and the errors, and the module docstring for the method.
+    Everything that depends on kappa alone is built once per barrier and
+    mesh and kept for the next call (module docstring): consecutive
+    calls at one ``(grid, kappa)``, as over a row of couplings, share
+    that build and give the same bits as a fresh one.  Only the last
+    barrier and mesh are kept, so a caller who alternates barriers or
+    meshes rebuilds on every call.  ``Grid`` compares by identity, so a
+    new mesh with the same parameters builds again.  A failed build is
+    not kept, and a failed call leaves the build usable for other
+    couplings.
+
+    Parameters
+    ----------
+    grid : analysis.Grid
+    kappa : float
+        Barrier strength, >= 0; math.inf gives the impenetrable barrier.
+    g1d : float
+        Contact coupling, >= 0; math.inf gives the hard-core limit.
+
+    Returns
+    -------
+    TwoBodyState
+
+    Raises
+    ------
+    ValueError
+        If kappa or g1d is negative or NaN.
+    ConvergenceError
+        If the Krylov iteration does not converge, or the residual
+        ||H psi - E psi|| dx of the returned pair, formed on its two fold
+        blocks, exceeds 1e-6; from the first read of ``gap``, if one of
+        its iterations does not converge.
     """
-    return ground_state_solver(grid, kappa)(g1d)
+    # The cache is keyed on the validated float, so 1, 1.0 and a 0-d array share an entry.
+    return _solver(grid, check_coupling(kappa))(g1d)

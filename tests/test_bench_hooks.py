@@ -76,3 +76,6 @@ def test_traced_run_counts_every_layer(tmp_path):
     # through the hooked eigsh; a seam that bound eigsh when it was defined
     # would read 0 here.
     assert metrics["dvr.eigensolver.calls"] == 1
+    # The CLI reads dvr.ground_state when the point runs, so the hooked
+    # grid route times that one point.
+    assert metrics.get("dvr.ground_state.calls", 0) == 1

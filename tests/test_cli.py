@@ -1076,13 +1076,13 @@ def test_run_sweep_failure_labels_infinite_coupling(monkeypatch):
 
 def test_cli_failed_coupling_keeps_the_rest_of_its_row(tmp_path, capsys, monkeypatch):
     # The Krylov iteration fails at (kappa, g1d) = (1, 5) alone.  The
-    # other couplings of that kappa row share its one-body factorization
-    # and keep their energies.
+    # other couplings of that kappa row share its one-body build
+    # (dvr._solver) and keep their energies.
     args = ["dvr", "--kappa", "0", "1", "--g1d", "0", "5", "20", "--n-points", "41",
             "--dx", "0.3", "--outputs", "energy,entropy"]
     expected = tmp_path / "expected.csv"
     assert main(args + ["--out", str(expected)]) == 0
-    real_solver, real_eigsh = dvr.ground_state_solver, dvr.eigsh
+    real_solver, real_eigsh = dvr._solver, dvr.eigsh
     point = []
 
     def solver(grid, kappa):
@@ -1099,7 +1099,7 @@ def test_cli_failed_coupling_keeps_the_rest_of_its_row(tmp_path, capsys, monkeyp
             raise dvr.ConvergenceError("no convergence")
         return real_eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(dvr, "ground_state_solver", solver)
+    monkeypatch.setattr(dvr, "_solver", solver)
     monkeypatch.setattr(dvr, "eigsh", fail_at_point)
     out = tmp_path / "failed.csv"
     assert main(args + ["--out", str(out)]) == 2
@@ -1120,14 +1120,14 @@ def test_cli_failed_row_build_fails_every_coupling_of_its_row(tmp_path, monkeypa
             "--dx", "0.3", "--outputs", "energy,entropy"]
     expected = tmp_path / "expected.csv"
     assert main(args + ["--out", str(expected)]) == 0
-    real_solver = dvr.ground_state_solver
+    real_solver = dvr._solver
 
     def solver(grid, kappa):
         if kappa == 1.0:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return real_solver(grid, kappa)
 
-    monkeypatch.setattr(dvr, "ground_state_solver", solver)
+    monkeypatch.setattr(dvr, "_solver", solver)
     out = tmp_path / "failed.csv"
     assert main(args + ["--out", str(out)]) == 2
     failures = json.loads(out.with_suffix(".failures.json").read_text())["failures"]

@@ -392,6 +392,25 @@ def test_fold_residual_is_the_mesh_residual(solve, n_points, spacing):
                 assert abs(fold - mesh) <= 1e-13 * max(1.0, mesh)
 
 
+@pytest.mark.parametrize("n_points,spacing,bound",
+                         [(81, 0.16, 2.1e-8), (161, 0.08, 7e-8), (321, 0.04, 2.1e-7)])
+def test_converged_residuals_keep_their_margin(solve, n_points, spacing, bound):
+    # ||H psi - E psi|| dx of every converged pair, the quantity the solve
+    # holds to 1e-6, stays under twice the worst measured on each mesh:
+    # 1.05e-8, 3.5e-8 and 1.06e-7.  It grows about 3x per halving of dx,
+    # because the Lanczos stop is relative on the Ritz value, not on the
+    # vector, so the margin under 1e-6 shrinks with the mesh.
+    grid = build_grid(n_points, spacing)
+    for kappa in (0.0, 1.0, 10.0, math.inf):
+        _, t, w = dvr._one_body(grid, kappa)
+        h = analysis._fold(t + np.diag(w))
+        for g1d in (0.0, 1.0, 500.0, math.inf):
+            state = solve(kappa, g1d, n_points, spacing)
+            c = dvr._contact(grid, g1d)[1]
+            residual = dvr._residual(*h, c, state.energy, state.density.even, state.density.odd)
+            assert residual <= bound, (kappa, g1d, residual)
+
+
 @pytest.mark.parametrize("n_points,spacing", [(41, 0.3), (81, 0.16)])
 def test_shift_lies_below_every_ground_energy(n_points, spacing):
     # H >= 2 eps_0 for every contact g1d >= 0, so sigma = 2 eps_0 - 1/16
@@ -400,7 +419,7 @@ def test_shift_lies_below_every_ground_energy(n_points, spacing):
     for kappa in (0.0, 1.0, 10.0, math.inf):
         _, t, w = dvr._one_body(grid, kappa)
         sigma = dvr._shifted_inverse(*analysis._fold(t + np.diag(w)))[1]
-        solve = dvr.ground_state_solver(grid, kappa)
+        solve = dvr._solver(grid, kappa)
         for g1d in (0.0, 1e-4, 5.0, math.inf):
             energy = solve(g1d).energy
             assert sigma < energy
@@ -421,17 +440,53 @@ def test_fold_blocks_keep_the_spectrum():
 
 @pytest.mark.parametrize("kappa", [0.0, 3.3, math.inf])
 def test_row_solver_matches_single_point_solves_bitwise(kappa):
-    # One factorization per kappa, shared by the row's couplings, gives
-    # the same bits as a fresh factorization per coupling.
-    grid = build_grid(41, 0.2)
-    solve = dvr.ground_state_solver(grid, kappa)
+    # One build per kappa, shared by the row's couplings, gives the same
+    # bits as a fresh build per coupling: each single point solves on a
+    # new mesh, which misses the kept build.
+    solve = dvr._solver(build_grid(41, 0.2), kappa)
     for g1d in (0.0, 1.0, 500.0, math.inf):
-        row, single = solve(g1d), dvr.ground_state(grid, kappa, g1d)
+        row, single = solve(g1d), dvr.ground_state(build_grid(41, 0.2), kappa, g1d)
         assert row.energy == single.energy
         assert row.gap == single.gap
         assert row.density.amplitudes.tobytes() == single.density.amplitudes.tobytes()
         assert row.density.even.tobytes() == single.density.even.tobytes()
         assert row.density.odd.tobytes() == single.density.odd.tobytes()
+
+
+def test_barrier_row_builds_once(monkeypatch):
+    # ground_state keeps the build of the last (grid, kappa): consecutive
+    # couplings at one barrier share it, and a new barrier, or a new mesh
+    # with the same parameters, builds again.  A build that raises is not
+    # kept, so it raises on every call.
+    real_one_body = dvr._one_body
+    builds = []
+
+    def one_body(grid, kappa):
+        builds.append(kappa)
+        return real_one_body(grid, kappa)
+
+    monkeypatch.setattr(dvr, "_one_body", one_body)
+    grid = build_grid(41, 0.3)
+    for g1d in (0.0, 5.0, math.inf):
+        dvr.ground_state(grid, 1.0, g1d)
+    assert builds == [1.0]
+    dvr.ground_state(grid, 2.0, 5.0)
+    # The same barrier given as an int or a 0-d array reuses the build.
+    dvr.ground_state(grid, 2, 0.0)
+    dvr.ground_state(grid, np.array(2.0), 0.0)
+    assert builds == [1.0, 2.0]
+    dvr.ground_state(build_grid(41, 0.3), 2.0, 5.0)
+    assert builds == [1.0, 2.0, 2.0]
+
+    def broken(grid, kappa):
+        builds.append(kappa)
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(dvr, "_one_body", broken)
+    for _ in range(2):
+        with pytest.raises(np.linalg.LinAlgError):
+            dvr.ground_state(grid, 3.0, 5.0)
+    assert builds == [1.0, 2.0, 2.0, 3.0, 3.0]
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0, 3.3, math.inf])
@@ -591,7 +646,7 @@ def _separated_entropy(g, n_points, spacing):
 
 @functools.cache
 def _kappa_zero_solver(n_points, spacing):
-    return dvr.ground_state_solver(build_grid(n_points, spacing), 0.0)
+    return dvr._solver(build_grid(n_points, spacing), 0.0)
 
 
 @pytest.mark.parametrize("g", [1.0, 5.0, 20.0, 500.0, math.inf])
@@ -719,7 +774,7 @@ def test_weak_coupling_energy_is_first_order_in_the_contact(kappa):
     # g = 1e-4, and the mesh moves e - 2 eps_0 to 2.2e-9, 3.3e-6, 1.3e-5,
     # 2.0e-5 for kappa = 0, 1, 3.3, 10.
     g = 1e-4
-    solve = dvr.ground_state_solver(build_grid(161, 0.08), kappa)
+    solve = dvr._solver(build_grid(161, 0.08), kappa)
     e_g, e_2g = solve(g).energy, solve(2.0 * g).energy
     slope = (e_2g - e_g) / g
     intercept = e_g - slope * g
@@ -761,7 +816,7 @@ def test_strong_coupling_energy_approaches_the_tonks_pair(kappa, bound):
     #   beta = (y(200) - y(1000)) / (1/200 - 1/1000),   alpha = beta / 200 - y(200).
     # Measured |alpha_fit / alpha - 1| = 1.4e-5, 6.4e-6, 5.0e-5 and 9.4e-4
     # for kappa = 0, 1, 3.3 and 10.
-    solve = dvr.ground_state_solver(build_grid(161, 0.08), kappa)
+    solve = dvr._solver(build_grid(161, 0.08), kappa)
     e_inf = solve(math.inf).energy
     y = {g: (solve(g).energy - e_inf) * g for g in (200.0, 1000.0)}
     beta = (y[200.0] - y[1000.0]) / (1.0 / 200.0 - 1.0 / 1000.0)

@@ -26,6 +26,7 @@ REMOVED = (
     ("specfun", "PoleError"),
     ("specfun", "POLE_TOL"),
     ("tonks", "tonks_energy"),
+    ("dvr", "ground_state_solver"),
 )
 
 

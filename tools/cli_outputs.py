@@ -19,7 +19,8 @@ The list holds the command shapes of the benchmark's three workloads,
 with fixed barriers, and every subcommand and output kind besides:
 ``tonks`` and ``dvr`` with every output and ``--out``, ``tonks`` on a
 mesh out to |x| = 40, where the orbitals underflow, a two-worker
-``dvr`` run, a JSON ``dvr`` run on the default mesh, whose
+``dvr`` run, a ``dvr`` run whose repeated barrier lets two consecutive
+rows share one build, a JSON ``dvr`` run on the default mesh, whose
 ``near_degenerate`` reads the gap, the ``sweep --mode`` alias, the Tonks
 entropy landmarks from kappa = 0 to inf, a run that exits 2,
 a ``--k-span`` so large its grid overflows and one whose grid is finite
@@ -55,6 +56,10 @@ COMMANDS = {
                "--outputs energy,rspd,momentum,entropy,schmidt --out dvr.csv",
     "dvr-workers": "dvr --kappa 0 1 3.3 inf --g1d 0 1 5 500 inf "
                    "--outputs energy,entropy,schmidt,momentum --workers 2 --format json",
+    # kappa = 1 in two consecutive rows, then 3.3, then 1 again: the second
+    # row reuses the first row's grid build, and the last row builds anew.
+    "dvr-repeat": "dvr --kappa 1 1 3.3 1 --g1d 0 5 500 "
+                  "--outputs energy,entropy,schmidt,momentum --format json",
     # The default 81 / 0.16 mesh, where the gap at (inf, 0) is 9.5e-5.
     "dvr-json": "dvr --kappa 0 1 10 inf --g1d 0 0.0001 5 inf --format json --out dvr.json",
     "sweep-alias": "sweep --mode tonks --kappa 0 1 2 inf --outputs energy,entropy,schmidt",
